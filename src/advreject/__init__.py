@@ -3,7 +3,7 @@
 from .attacks import AttackSpec, Perturbation, analytic_candidates, fgsm, pgd, worst_case_01c
 from .bench import ProtocolConfig, run_protocol
 from .bounds import BoundConfig, BoundReport, rademacher_exhaustive, rademacher_linear_mc, generalization_bound
-from .data import Dataset, LabeledSample, NormStats, normalize, parse_csv, parse_libsvm, split, to_libsvm
+from .data import Dataset, NormStats, normalize, parse_csv, parse_libsvm, split, to_libsvm
 from .evaluate import EvalReport, RejectConfusion, benchmark, classify_outcomes, evaluate_model, metrics
 from .losses import AdvTerms, SurrogateParams, adv_loss_mh_linear, adv_terms_linear, loss_01c, loss_mh, surrogate_conv
 from .model import Decision, FeatureMap, RejectionModel, featurize
@@ -27,7 +27,6 @@ __all__ = [
     "rademacher_linear_mc",
     "generalization_bound",
     "Dataset",
-    "LabeledSample",
     "NormStats",
     "normalize",
     "parse_csv",

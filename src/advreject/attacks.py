@@ -34,33 +34,22 @@ class AttackSpec:
 
     def __post_init__(self):
         if self.method not in ("none", "analytic_linear", "fgsm", "pgd"):
-            raise ValueError(f"unknown attack method {self.method!r}")
+            raise ValueError(f"method must be one of none/analytic_linear/fgsm/pgd, got {self.method!r}")
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
         if self.norm not in ("linf", "l2"):
-            raise ValueError(f"unknown norm {self.norm!r}")
+            raise ValueError(f"norm must be linf or l2, got {self.norm!r}")
         if self.method in ("analytic_linear", "fgsm") and self.norm != "linf":
-            raise ValueError(f"{self.method} requires the linf norm")
+            raise ValueError(f"norm must be linf for method {self.method}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.step_size != "auto" and not float(self.step_size) > 0:
+        if self.step_size != "auto" and not (isinstance(self.step_size, (int, float)) and self.step_size > 0):
             raise ValueError("step_size must be positive or 'auto'")
 
     def resolved_step(self) -> float:
         if self.step_size == "auto":
             return self.eps / np.sqrt(self.steps)
         return float(self.step_size)
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "eps": self.eps,
-            "norm": self.norm,
-            "steps": self.steps,
-            "step_size": self.step_size,
-            "random_start": self.random_start,
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True)

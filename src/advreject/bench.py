@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, normalize, split
+from .data import Dataset, check_scheme, normalize, split
 from .evaluate import BenchCell, benchmark
-from .losses import SurrogateParams
+from .losses import NO_REJECT_COST, SurrogateParams
 from .model import FeatureMap, RejectionModel
 from .train import TrainConfig, train
 
@@ -35,10 +35,14 @@ def median_heuristic_bandwidth(x: np.ndarray, seed: int = 0, subsample: int = 20
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """One Table-style experiment: methods x costs x attack radii."""
+    """One Table-style experiment: methods x costs x attack radii.
 
-    methods: tuple = (("svm", None), ("at", None), ("mh", 0.2), ("atro", 0.2))
-    attack_eps: tuple = (0.0, 0.001, 0.01, 0.1)
+    A method is (mode, cost) with cost None exactly for the modes without
+    rejection (svm/at).
+    """
+
+    methods: tuple[tuple[str, float | None], ...] = (("svm", None), ("at", None), ("mh", 0.2), ("atro", 0.2))
+    attack_eps: tuple[float, ...] = (0.0, 0.001, 0.01, 0.1)
     eps_train: float = 0.001
     trials: int = 10
     train_size: int = 500
@@ -49,7 +53,7 @@ class ProtocolConfig:
     epochs: int = 3000
     lr0: float = 3.0
     rff_dim: int = 200  # 0 = identity features
-    normalize_scheme: str = "minmax01"
+    normalize: str = "minmax01"
     attack_steps: int = 20
     seed: int = 0
 
@@ -58,6 +62,35 @@ class ProtocolConfig:
             raise ValueError("trials must be >= 1")
         if not 0 < self.train_size:
             raise ValueError("train_size must be positive")
+        if self.rff_dim < 0:
+            raise ValueError("rff_dim must be >= 0 (0 = identity features)")
+        check_scheme(self.normalize)
+        if not self.attack_eps or min(self.attack_eps) < 0:
+            raise ValueError("attack_eps must be a non-empty list of nonnegative radii")
+        if self.attack_steps < 1:
+            raise ValueError("attack_steps must be >= 1")
+        # the settings every method shares, checked first so their errors name their own keys
+        self.train_config("atro", None, FeatureMap())
+        for i, (mode, cost) in enumerate(self.methods):
+            try:
+                cfg = self.train_config(mode, cost, FeatureMap())
+            except ValueError as exc:
+                raise ValueError(f"methods[{i}] {exc}") from None
+            if (cost is None) == cfg.rejection_enabled:
+                raise ValueError(f"methods[{i}] cost must be null for svm/at and a number for mh/atro")
+
+    def train_config(self, mode: str, cost: float | None, feature_map: FeatureMap) -> TrainConfig:
+        """The TrainConfig of one method."""
+        return TrainConfig(
+            mode=mode,
+            params=SurrogateParams(self.alpha, self.beta, NO_REJECT_COST if cost is None else cost),
+            eps_train=self.eps_train if mode in ("at", "atro") else 0.0,
+            lam=self.lam,
+            lam_prime=self.lam_prime,
+            epochs=self.epochs,
+            lr0=self.lr0,
+            feature_map=feature_map,
+        )
 
 
 def _trial_seeds(master: int, trials: int) -> list[tuple[int, int]]:
@@ -78,7 +111,7 @@ def run_protocol(ds: Dataset, pc: ProtocolConfig) -> tuple[list[BenchCell], list
     trials = []
     for split_seed, feat_seed in _trial_seeds(pc.seed, pc.trials):
         tr, te = split(ds, pc.train_size / len(ds), seed=split_seed)
-        tr_n, stats = normalize(tr, pc.normalize_scheme)
+        tr_n, stats = normalize(tr, pc.normalize)
         te_n = stats.apply(te)
         if pc.rff_dim > 0:
             fm = FeatureMap(
@@ -92,19 +125,7 @@ def run_protocol(ds: Dataset, pc: ProtocolConfig) -> tuple[list[BenchCell], list
             fm = FeatureMap("identity")
         models: dict[tuple[str, float | None], RejectionModel] = {}
         for mode, cost in pc.methods:
-            params = SurrogateParams(pc.alpha, pc.beta, cost if cost is not None else 0.25)
-            cfg = TrainConfig(
-                mode=mode,
-                params=params,
-                eps_train=pc.eps_train if mode in ("at", "atro") else 0.0,
-                lam=pc.lam,
-                lam_prime=pc.lam_prime,
-                epochs=pc.epochs,
-                lr0=pc.lr0,
-                seed=feat_seed,
-                feature_map=fm,
-            )
-            model, _ = train(tr_n, cfg)
+            model, _ = train(tr_n, pc.train_config(mode, cost, fm))
             model.norm_stats = stats
             models[(mode, cost)] = model
         trials.append((models, te_n))

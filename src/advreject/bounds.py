@@ -54,9 +54,9 @@ def dual_exponent(p: float) -> float:
 
 @dataclass(frozen=True)
 class BoundConfig:
-    w_bound: float
+    w_bound: float = 1.0  # norm bound W of the linear class
     p: float = 2.0
-    delta_conf: float = 0.05
+    delta: float = 0.05  # the bound holds with probability 1 - delta
     eps: float = 0.0
     params: SurrogateParams = field(default_factory=SurrogateParams)
     mc_draws: int = 2000
@@ -65,8 +65,8 @@ class BoundConfig:
         if not self.w_bound > 0:
             raise ValueError("w_bound must be positive")
         dual_exponent(self.p)  # validates p
-        if not 0.0 < self.delta_conf < 1.0:
-            raise ValueError("delta_conf must lie in (0, 1)")
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError("delta must lie in (0, 1)")
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
         if self.mc_draws < 1:
@@ -189,7 +189,7 @@ def generalization_bound(ds: Dataset, empirical_risk: float, cfg: BoundConfig, s
     rad_gamma = rademacher_linear_mc(ds.x, cfg.w_bound, cfg.q, cfg.mc_draws, seeds[1])
     d_pow = 1.0 if cfg.q == np.inf else float(d) ** (1.0 / cfg.q)
     eps_term = 2.0 * cfg.eps * cfg.w_bound * d_pow / np.sqrt(n)
-    conf_term = float(np.sqrt(np.log(1.0 / cfg.delta_conf) / (2.0 * n)))
+    conf_term = float(np.sqrt(np.log(1.0 / cfg.delta) / (2.0 * n)))
     p = cfg.params
     total = (
         empirical_risk

@@ -14,20 +14,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .attacks import AttackSpec
-from .bench import ProtocolConfig, median_heuristic_bandwidth, run_protocol
-from .bounds import BoundConfig, clipped_adv_risk, generalization_bound, weight_bound
-from .config import ConfigError, RunConfig, validate_config
+from .bench import median_heuristic_bandwidth, run_protocol
+from .bounds import clipped_adv_risk, generalization_bound, weight_bound
+from .config import ConfigError, NeuralSection, RunConfig, TrainSection, validate_config
 from .data import DataFormatError, Dataset, normalize, parse_csv, parse_libsvm, split
 from .evaluate import bench_to_csv, bench_to_text, evaluate_model
-from .losses import SurrogateParams, loss_01c
+from .losses import loss_01c
 from .model import FeatureMap, RejectionModel
-from .neural import NeuralTrainConfig, train_neural
-from .train import TrainConfig, train
+from .neural import train_neural
+from .train import train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -57,33 +57,36 @@ def _load_model(path: str | None) -> RejectionModel:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"model path {path!r} does not exist")
-    return RejectionModel.from_json(p.read_text())
+    try:
+        return RejectionModel.from_json(p.read_text())
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise ConfigError(f"model {path!r} is not a model JSON: {type(exc).__name__}: {exc}") from None
 
 
-def _attack_spec(rc: RunConfig, seed: int) -> AttackSpec:
-    a = rc.attack
-    return AttackSpec(
-        method=a.method,
-        eps=a.eps,
-        norm=a.norm,
-        steps=a.steps,
-        step_size=a.step_size,
-        random_start=a.random_start,
-        seed=seed,
-    )
+def _load_model_and_data(rc: RunConfig) -> tuple[RejectionModel, Dataset]:
+    """The model and the dataset it is applied to, normalized by its stats."""
+    model = _load_model(rc.model)
+    ds = _load_dataset(rc.dataset)
+    try:
+        if model.norm_stats is not None:
+            ds = model.norm_stats.apply(ds)
+        model.featurize(ds.x[:1])  # raises on an input dimension the model does not take
+    except ValueError as exc:
+        raise ConfigError(f"dataset {rc.dataset!r} does not fit model {rc.model!r}: {exc}") from None
+    return model, ds
 
 
 def _write_manifest(rc: RunConfig, out: Path):
     out.joinpath("manifest.json").write_text(rc.to_json())
 
 
-def _prepare_training_data(rc: RunConfig, seeds: dict):
+def _prepare_training_data(rc: RunConfig, prep: TrainSection | NeuralSection, seeds: dict):
     ds = _load_dataset(rc.dataset)
     if rc.test_dataset:
         tr, te = ds, _load_dataset(rc.test_dataset)
     else:
-        tr, te = split(ds, rc.train.train_fraction, seed=seeds["split"])
-    tr_n, stats = normalize(tr, rc.train.normalize)
+        tr, te = split(ds, prep.train_fraction, seed=seeds["split"])
+    tr_n, stats = normalize(tr, prep.normalize)
     te_n = stats.apply(te)
     return tr_n, te_n, stats
 
@@ -92,40 +95,26 @@ def _resolve_feature_map(rc: RunConfig, tr_x: np.ndarray, seeds: dict) -> Featur
     fs = rc.train.features
     if fs.kind == "identity":
         return FeatureMap("identity")
-    sigma = fs.sigma
-    if sigma == "median":
-        sigma = median_heuristic_bandwidth(tr_x, seed=seeds["features"])
-        rc.train.features.sigma = sigma  # freeze into the manifest
-    rc.train.features.seed = seeds["features"]
-    return FeatureMap("random_fourier", dim=fs.dim, sigma=float(sigma), seed=seeds["features"], input_dim=tr_x.shape[1])
+    if fs.sigma == "median":
+        fs.sigma = median_heuristic_bandwidth(tr_x, seed=seeds["features"])
+    fs.config = fs.build(fs.sigma, seeds["features"], tr_x.shape[1])  # freeze into the manifest
+    return fs.config
 
 
 def _cmd_train(rc: RunConfig, out: Path) -> int:
     seeds = _fan_out_seeds(rc.seed)
-    tr_n, te_n, stats = _prepare_training_data(rc, seeds)
-    fm = _resolve_feature_map(rc, tr_n.x, seeds)
-    t = rc.train
-    cfg = TrainConfig(
-        mode=t.mode,
-        params=SurrogateParams(t.alpha, t.beta, t.cost),
-        eps_train=t.eps_train,
-        lam=t.lam,
-        lam_prime=t.lam_prime,
-        epochs=t.epochs,
-        lr0=t.lr0,
-        seed=seeds["features"],
-        feature_map=fm,
-    )
+    tr_n, te_n, stats = _prepare_training_data(rc, rc.train, seeds)
+    cfg = replace(rc.train.config, feature_map=_resolve_feature_map(rc, tr_n.x, seeds))
     model, trace = train(tr_n, cfg)
     model.norm_stats = stats
-    report = evaluate_model(model, te_n, _attack_spec(rc, seeds["attack"]), cfg.params)
+    report = evaluate_model(model, te_n, replace(rc.attack, seed=seeds["attack"]), cfg.params)
     out.mkdir(parents=True, exist_ok=True)
     out.joinpath("model.json").write_text(model.to_json())
     out.joinpath("trace.csv").write_text(trace.to_csv())
     out.joinpath("report.json").write_text(report.to_json())
     _write_manifest(rc, out)
     print(
-        f"trained {t.mode} on {rc.dataset} ({len(tr_n)} samples): "
+        f"trained {cfg.mode} on {rc.dataset} ({len(tr_n)} samples): "
         f"best objective {trace.best_objective:.4f} at epoch {trace.best_epoch}; "
         f"held-out err {report.err:.4f} rej {report.rej:.4f}"
     )
@@ -134,12 +123,8 @@ def _cmd_train(rc: RunConfig, out: Path) -> int:
 
 def _cmd_eval(rc: RunConfig, out: Path) -> int:
     seeds = _fan_out_seeds(rc.seed)
-    model = _load_model(rc.model)
-    ds = _load_dataset(rc.dataset)
-    if model.norm_stats is not None:
-        ds = model.norm_stats.apply(ds)
-    params = SurrogateParams(rc.train.alpha, rc.train.beta, rc.train.cost)
-    report = evaluate_model(model, ds, _attack_spec(rc, seeds["attack"]), params)
+    model, ds = _load_model_and_data(rc)
+    report = evaluate_model(model, ds, replace(rc.attack, seed=seeds["attack"]), rc.train.params)
     out.mkdir(parents=True, exist_ok=True)
     out.joinpath("report.json").write_text(report.to_json())
     c = report.counts
@@ -156,14 +141,11 @@ def _cmd_eval(rc: RunConfig, out: Path) -> int:
 
 def _cmd_attack(rc: RunConfig, out: Path) -> int:
     seeds = _fan_out_seeds(rc.seed)
-    model = _load_model(rc.model)
-    ds = _load_dataset(rc.dataset)
-    if model.norm_stats is not None:
-        ds = model.norm_stats.apply(ds)
-    params = SurrogateParams(rc.train.alpha, rc.train.beta, rc.train.cost)
+    model, ds = _load_model_and_data(rc)
+    params = rc.train.params
     from .evaluate import _attack_and_score  # per-sample detail
 
-    spec = _attack_spec(rc, seeds["attack"])
+    spec = replace(rc.attack, seed=seeds["attack"])
     f, r, winner, names, worst = _attack_and_score(model, ds, spec, params)
     z = model.featurize(ds.x)
     f0, r0 = model.scores_features(z)
@@ -183,19 +165,14 @@ def _cmd_attack(rc: RunConfig, out: Path) -> int:
 
 def _cmd_bound(rc: RunConfig, out: Path) -> int:
     seeds = _fan_out_seeds(rc.seed)
-    model = _load_model(rc.model)
-    ds = _load_dataset(rc.dataset)
-    if model.norm_stats is not None:
-        ds = model.norm_stats.apply(ds)
-    params = SurrogateParams(rc.train.alpha, rc.train.beta, rc.train.cost)
+    model, ds = _load_model_and_data(rc)
+    params = rc.train.params
     b = rc.bound
-    w = b.w_bound
-    if w == "auto":
-        w = weight_bound(model, b.p)
-        rc.bound.w_bound = w  # freeze into the manifest
-    cfg = BoundConfig(w_bound=float(w), p=b.p, delta_conf=b.delta, eps=b.eps, params=params, mc_draws=b.mc_draws)
+    if b.w_bound == "auto":
+        b.w_bound = weight_bound(model, b.p)  # freeze into the manifest
+    cfg = b.build(b.w_bound, params)
     feats = Dataset(model.featurize(ds.x), ds.y, name=ds.name)
-    risk = clipped_adv_risk(model, ds, b.eps, params)
+    risk = clipped_adv_risk(model, ds, cfg.eps, params)
     report = generalization_bound(feats, risk, cfg, seed=seeds["mc"])
     out.mkdir(parents=True, exist_ok=True)
     out.joinpath("bound.json").write_text(report.to_json())
@@ -209,25 +186,11 @@ def _cmd_bound(rc: RunConfig, out: Path) -> int:
 
 def _cmd_bench(rc: RunConfig, out: Path) -> int:
     ds = _load_dataset(rc.dataset)
-    b = rc.bench
-    pc = ProtocolConfig(
-        methods=b.methods,
-        attack_eps=b.attack_eps,
-        eps_train=b.eps_train,
-        trials=b.trials,
-        train_size=b.train_size,
-        alpha=b.alpha,
-        beta=b.beta,
-        lam=b.lam,
-        lam_prime=b.lam_prime,
-        epochs=b.epochs,
-        lr0=b.lr0,
-        rff_dim=b.rff_dim,
-        normalize_scheme=b.normalize,
-        attack_steps=b.attack_steps,
-        seed=rc.seed,
-    )
-    rows, _ = run_protocol(ds, pc)
+    if len(ds) <= rc.bench.train_size:
+        raise ConfigError(
+            f"bench.train_size is {rc.bench.train_size}, but dataset {rc.dataset!r} has only {len(ds)} samples"
+        )
+    rows, _ = run_protocol(ds, replace(rc.bench, seed=rc.seed))
     out.mkdir(parents=True, exist_ok=True)
     out.joinpath("bench.csv").write_text(bench_to_csv(rows))
     table = bench_to_text(rows)
@@ -239,28 +202,8 @@ def _cmd_bench(rc: RunConfig, out: Path) -> int:
 
 def _cmd_neural_train(rc: RunConfig, out: Path) -> int:
     seeds = _fan_out_seeds(rc.seed)
-    ds = _load_dataset(rc.dataset)
-    if rc.test_dataset:
-        tr, te = ds, _load_dataset(rc.test_dataset)
-    else:
-        tr, te = split(ds, rc.neural.train_fraction, seed=seeds["split"])
-    if rc.neural.normalize != "none":
-        tr, stats = normalize(tr, rc.neural.normalize)
-        te = stats.apply(te)
-    n = rc.neural
-    inner = AttackSpec(method="pgd" if n.eps_train > 0 else "none", eps=n.eps_train, steps=n.steps)
-    cfg = NeuralTrainConfig(
-        params=SurrogateParams(n.alpha, n.beta, n.cost),
-        lam_w=n.lam_w,
-        attack=inner,
-        epochs=n.epochs,
-        batch_size=n.batch_size,
-        lr=n.lr,
-        hidden=n.hidden,
-        activation=n.activation,
-        seed=seeds["features"],
-    )
-    net, trace = train_neural(tr, cfg)
+    tr, te, _ = _prepare_training_data(rc, rc.neural, seeds)
+    net, trace = train_neural(tr, rc.neural.build(seeds["features"]))
     from .neural import decide_net
 
     verdict, f, r = decide_net(net, te.x)

@@ -1,16 +1,36 @@
 """Run configuration: JSON schema, validation, and manifest round-trip.
 
-A run is fully determined by one RunConfig plus the input files. Every
-validation failure names the offending path (e.g. ``train.cost``). The
-resolved config (all defaults materialized, data-derived values like the
-kernel bandwidth frozen to numbers) is written back as the manifest, and
-re-running a manifest reproduces the artifacts byte for byte.
+A run is fully determined by one RunConfig plus the input files. The
+schema is the library's: each section is a library config dataclass, or a
+section type that wraps one with the run-level settings around it, and
+that dataclass's fields, defaults and checks are the section's keys,
+defaults and checks. One generic loader walks the fields, checks each
+JSON value against the field's annotation and builds the object; a
+ValueError from the object becomes a ConfigError naming the path (e.g.
+``train.cost``). The resolved config (all defaults materialized,
+data-derived values like the kernel bandwidth frozen to numbers) is
+written back as the manifest, and re-running a manifest reproduces the
+artifacts byte for byte.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+import re
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from types import UnionType
+from typing import Literal, Union, get_args, get_origin, get_type_hints
+
+from .attacks import AttackSpec
+from .bench import ProtocolConfig
+from .bounds import BoundConfig
+from .data import check_fraction, check_scheme
+from .losses import SurrogateParams
+from .model import FeatureMap
+from .neural import NeuralTrainConfig
+from .train import TrainConfig
+
 SUBCOMMANDS = ("train", "eval", "attack", "bound", "bench", "neural-train")
 
 
@@ -18,280 +38,235 @@ class ConfigError(ValueError):
     """Invalid run configuration; message carries the field path."""
 
 
-def _require(cond: bool, path: str, message: str):
-    if not cond:
-        raise ConfigError(f"{path} {message}")
+class _Section:
+    """A section type: a library config in field ``config`` plus run-level
+    fields. The fields of the config and of its surrogate parameters read
+    as the section's own, as their keys sit in the section's JSON object."""
 
-
-def _get(section: dict, key: str, default, path: str, kind=None):
-    val = section.get(key, default)
-    if kind is not None and val is not None and not isinstance(val, kind):
-        if kind is float and isinstance(val, int) and not isinstance(val, bool):
-            return float(val)
-        names = kind.__name__ if not isinstance(kind, tuple) else "/".join(k.__name__ for k in kind)
-        raise ConfigError(f"{path}.{key} must be {names}, got {type(val).__name__}")
-    return val
-
-
-@dataclass
-class FeatureSection:
-    kind: str = "identity"
-    dim: int = 200
-    sigma: float | str = "median"  # "median" resolves from training data
-    seed: int = 0
+    def __getattr__(self, name):  # only called when the section lacks the name
+        obj = self.config if name != "config" else None
+        while obj is not None:
+            if hasattr(obj, name):
+                return getattr(obj, name)
+            obj = getattr(obj, "params", None)
+        raise AttributeError(f"{type(self).__name__} has no field {name!r}")
 
 
 @dataclass
-class TrainSection:
-    mode: str = "atro"
-    cost: float = 0.2
-    alpha: float = 1.0
-    beta: float = 1.0
-    eps_train: float = 0.0
-    lam: float = 1e-3
-    lam_prime: float = 1e-3
-    epochs: int = 2000
-    lr0: float = 3.0
+class FeatureSection(_Section):
+    """train.features: a FeatureMap whose sigma may be "median", the median
+    pairwise distance on the training split."""
+
+    config: FeatureMap = field(default_factory=lambda: FeatureMap(dim=200))
+    sigma: float | Literal["median"] = "median"
+
+    def __post_init__(self):
+        if self.sigma != "median":
+            self.build(self.sigma, seed=0, input_dim=0)
+
+    def build(self, sigma: float, seed: int, input_dim: int) -> FeatureMap:
+        return replace(self.config, sigma=sigma, seed=seed, input_dim=input_dim)
+
+
+@dataclass
+class _Prep(_Section):
+    """How a run splits and normalizes its dataset."""
+
     train_fraction: float = 0.8
     normalize: str = "minmax01"
+
+    def __post_init__(self):
+        check_fraction(self.train_fraction)
+        check_scheme(self.normalize)
+
+
+@dataclass
+class TrainSection(_Prep):
+    """train: a TrainConfig whose feature map is built from ``features``
+    and the training split."""
+
+    config: TrainConfig = field(default_factory=lambda: TrainConfig(params=SurrogateParams(cost=0.2)))
     features: FeatureSection = field(default_factory=FeatureSection)
 
 
 @dataclass
-class AttackSection:
-    method: str = "analytic_linear"
-    eps: float = 0.01
-    norm: str = "linf"
-    steps: int = 20
-    step_size: float | str = "auto"
-    random_start: bool = False
-    seed: int = 0
+class NeuralSection(_Prep):
+    """neural: a NeuralTrainConfig whose inner attack is PGD of radius
+    eps_train, or none when eps_train is 0."""
 
-
-@dataclass
-class BoundSection:
-    p: float = 2.0
-    delta: float = 0.05
-    eps: float = 0.0
-    mc_draws: int = 2000
-    w_bound: float | str = "auto"  # "auto" = largest weight norm of the model
-
-
-@dataclass
-class NeuralSection:
-    hidden: tuple = (32, 32)
-    activation: str = "relu"
-    epochs: int = 200
-    batch_size: int = 64
-    lr: float = 0.05
-    lam_w: float = 1e-3
-    cost: float = 0.3
-    alpha: float = 1.0
-    beta: float = 1.0
+    normalize: str = "none"
+    config: NeuralTrainConfig = field(default_factory=NeuralTrainConfig)
     eps_train: float = 0.0
     steps: int = 10
-    train_fraction: float = 0.8
-    normalize: str = "none"
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.build(seed=0)
+
+    def build(self, seed: int) -> NeuralTrainConfig:
+        try:
+            attack = AttackSpec(method="pgd" if self.eps_train > 0 else "none", eps=self.eps_train, steps=self.steps)
+        except ValueError as exc:  # the attack's eps is this section's eps_train
+            raise ValueError(re.sub(r"^eps\b", "eps_train", str(exc))) from None
+        return replace(self.config, attack=attack, seed=seed)
 
 
 @dataclass
-class BenchSection:
-    methods: tuple = (("svm", None), ("at", None), ("mh", 0.2), ("atro", 0.2))
-    attack_eps: tuple = (0.0, 0.001, 0.01, 0.1)
-    eps_train: float = 0.001
-    trials: int = 10
-    train_size: int = 500
-    alpha: float = 2.0
-    beta: float = 4.0
-    lam: float = 1e-3
-    lam_prime: float = 1e-3
-    epochs: int = 3000
-    lr0: float = 3.0
-    rff_dim: int = 100
-    normalize: str = "minmax01"
-    attack_steps: int = 20
+class BoundSection(_Section):
+    """bound: a BoundConfig whose w_bound may be "auto", the largest weight
+    norm of the model. The surrogate parameters are the train section's."""
+
+    config: BoundConfig = field(default_factory=BoundConfig)
+    w_bound: float | Literal["auto"] = "auto"
+
+    def __post_init__(self):
+        if self.w_bound != "auto":
+            self.build(self.w_bound, self.config.params)
+
+    def build(self, w_bound: float, params: SurrogateParams) -> BoundConfig:
+        return replace(self.config, w_bound=w_bound, params=params)
 
 
 @dataclass
 class RunConfig:
-    subcommand: str
+    subcommand: str = ""
     dataset: str = ""
     test_dataset: str | None = None
     model: str | None = None  # model JSON path for eval/attack/bound
     out: str = "out"
-    seed: int = 0
+    seed: int = 0  # the master seed; every other seed of a run derives from it
     train: TrainSection = field(default_factory=TrainSection)
-    attack: AttackSection = field(default_factory=AttackSection)
+    attack: AttackSpec = field(default_factory=lambda: AttackSpec(method="analytic_linear", eps=0.01))
     bound: BoundSection = field(default_factory=BoundSection)
     neural: NeuralSection = field(default_factory=NeuralSection)
-    bench: BenchSection = field(default_factory=BenchSection)
+    bench: ProtocolConfig = field(default_factory=ProtocolConfig)
+
+    def __post_init__(self):
+        if self.subcommand not in SUBCOMMANDS:
+            raise ValueError(f"subcommand must be one of {'/'.join(SUBCOMMANDS)}")
 
     def to_json(self) -> str:
-        obj = asdict(self)
-        return json.dumps(obj, indent=2, sort_keys=True)
+        return json.dumps(_dump(self), indent=2, sort_keys=True)
 
 
-def _validate_surrogate(path: str, cost: float, alpha: float, beta: float):
-    _require(0.0 < cost < 0.5, f"{path}.cost", "must lie in (0, 0.5)")
-    _require(alpha > 0, f"{path}.alpha", "must be positive")
-    _require(beta > 0, f"{path}.beta", "must be positive")
+# fields a run fills in itself, from the data, the master seed, another
+# section or the section's placeholder field of the same name; they are
+# neither read from the JSON nor written to the manifest
+_DERIVED = {
+    (TrainConfig, "feature_map"),
+    (FeatureMap, "sigma"),
+    (FeatureMap, "input_dim"),
+    (BoundConfig, "w_bound"),
+    (BoundConfig, "params"),
+    (NeuralTrainConfig, "attack"),
+    (NeuralTrainConfig, "seed"),
+    (ProtocolConfig, "seed"),
+}
+# dataclass fields whose keys sit directly in the enclosing JSON object
+_INLINE = ("config", "params")
 
 
-def _parse_features(section: dict, path: str) -> FeatureSection:
-    kind = _get(section, "kind", "identity", path, str)
-    _require(kind in ("identity", "random_fourier"), f"{path}.kind", "must be identity or random_fourier")
-    dim = _get(section, "dim", 200, path, int)
-    sigma = section.get("sigma", "median")
-    seed = _get(section, "seed", 0, path, int)
-    if kind == "random_fourier":
-        _require(dim > 0, f"{path}.dim", "must be positive")
-        if sigma != "median":
-            _require(isinstance(sigma, (int, float)) and sigma > 0, f"{path}.sigma", 'must be positive or "median"')
-            sigma = float(sigma)
-    return FeatureSection(kind, dim, sigma, seed)
+def _at(path: str, rest: str) -> str:
+    return f"{path}.{rest}" if path else rest
 
 
-def _parse_train(section: dict, path: str = "train") -> TrainSection:
-    out = TrainSection()
-    out.mode = _get(section, "mode", out.mode, path, str)
-    _require(out.mode in ("svm", "at", "mh", "atro"), f"{path}.mode", "must be one of svm/at/mh/atro")
-    out.cost = _get(section, "cost", out.cost, path, float)
-    out.alpha = _get(section, "alpha", out.alpha, path, float)
-    out.beta = _get(section, "beta", out.beta, path, float)
-    _validate_surrogate(path, out.cost, out.alpha, out.beta)
-    out.eps_train = _get(section, "eps_train", out.eps_train, path, float)
-    _require(out.eps_train >= 0, f"{path}.eps_train", "must be nonnegative")
-    if out.mode in ("svm", "mh"):
-        _require(out.eps_train == 0, f"{path}.eps_train", f"must be 0 for mode {out.mode}")
-    out.lam = _get(section, "lam", out.lam, path, float)
-    out.lam_prime = _get(section, "lam_prime", out.lam_prime, path, float)
-    _require(out.lam >= 0 and out.lam_prime >= 0, f"{path}.lam", "and train.lam_prime must be nonnegative")
-    out.epochs = _get(section, "epochs", out.epochs, path, int)
-    _require(out.epochs >= 1, f"{path}.epochs", "must be >= 1")
-    out.lr0 = _get(section, "lr0", out.lr0, path, float)
-    _require(out.lr0 > 0, f"{path}.lr0", "must be positive")
-    out.train_fraction = _get(section, "train_fraction", out.train_fraction, path, float)
-    _require(0.0 < out.train_fraction < 1.0, f"{path}.train_fraction", "must lie in (0, 1)")
-    out.normalize = _get(section, "normalize", out.normalize, path, str)
-    _require(out.normalize in ("minmax01", "zscore", "none"), f"{path}.normalize", "must be minmax01/zscore/none")
-    out.features = _parse_features(_get(section, "features", {}, path, dict), f"{path}.features")
-    return out
+def _settable(cls) -> list:
+    return [f for f in fields(cls) if (cls, f.name) not in _DERIVED]
 
 
-def _parse_attack(section: dict, path: str = "attack") -> AttackSection:
-    out = AttackSection()
-    out.method = _get(section, "method", out.method, path, str)
-    _require(
-        out.method in ("none", "analytic_linear", "fgsm", "pgd"),
-        f"{path}.method",
-        "must be one of none/analytic_linear/fgsm/pgd",
-    )
-    out.eps = _get(section, "eps", out.eps, path, float)
-    _require(out.eps >= 0, f"{path}.eps", "must be nonnegative")
-    out.norm = _get(section, "norm", out.norm, path, str)
-    _require(out.norm in ("linf", "l2"), f"{path}.norm", "must be linf or l2")
-    if out.method in ("analytic_linear", "fgsm"):
-        _require(out.norm == "linf", f"{path}.norm", f"must be linf for method {out.method}")
-    out.steps = _get(section, "steps", out.steps, path, int)
-    _require(out.steps >= 1, f"{path}.steps", "must be >= 1")
-    step_size = section.get("step_size", "auto")
-    if step_size != "auto":
-        _require(isinstance(step_size, (int, float)) and step_size > 0, f"{path}.step_size", 'must be positive or "auto"')
-        step_size = float(step_size)
-    out.step_size = step_size
-    out.random_start = _get(section, "random_start", False, path, bool)
-    out.seed = _get(section, "seed", 0, path, int)
-    return out
+def _keys(cls) -> set[str]:
+    hints = get_type_hints(cls)
+    keys = set()
+    for f in _settable(cls):
+        keys |= _keys(hints[f.name]) if f.name in _INLINE else {f.name}
+    return keys
 
 
-def _parse_bound(section: dict, path: str = "bound") -> BoundSection:
-    out = BoundSection()
-    p = section.get("p", out.p)
-    if p == "inf":
-        p = float("inf")
-    _require(isinstance(p, (int, float)) and p >= 1, f"{path}.p", 'must satisfy p >= 1 (use "inf" for infinity)')
-    out.p = float(p)
-    out.delta = _get(section, "delta", out.delta, path, float)
-    _require(0.0 < out.delta < 1.0, f"{path}.delta", "must lie in (0, 1)")
-    out.eps = _get(section, "eps", out.eps, path, float)
-    _require(out.eps >= 0, f"{path}.eps", "must be nonnegative")
-    out.mc_draws = _get(section, "mc_draws", out.mc_draws, path, int)
-    _require(out.mc_draws >= 1, f"{path}.mc_draws", "must be >= 1")
-    w = section.get("w_bound", "auto")
-    if w != "auto":
-        _require(isinstance(w, (int, float)) and w > 0, f"{path}.w_bound", 'must be positive or "auto"')
-        w = float(w)
-    out.w_bound = w
-    return out
+def _build(cls, obj, path: str, base=None):
+    """A config object from its JSON object. Each key sets the field of its
+    name; fields not given keep their value in ``base``, or their default."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path} must be an object, got {type(obj).__name__}")
+    unknown = sorted(set(obj) - _keys(cls))
+    if unknown:
+        raise ConfigError(f"{_at(path, unknown[0])} is not a known key")
+    return _make(cls, obj, path, base)
 
 
-def _parse_neural(section: dict, path: str = "neural") -> NeuralSection:
-    out = NeuralSection()
-    hidden = _get(section, "hidden", list(out.hidden), path, list)
-    _require(all(isinstance(h, int) and h > 0 for h in hidden), f"{path}.hidden", "must be positive integers")
-    out.hidden = tuple(hidden)
-    out.activation = _get(section, "activation", out.activation, path, str)
-    _require(out.activation in ("relu", "tanh"), f"{path}.activation", "must be relu or tanh")
-    out.epochs = _get(section, "epochs", out.epochs, path, int)
-    out.batch_size = _get(section, "batch_size", out.batch_size, path, int)
-    _require(out.epochs >= 1 and out.batch_size >= 1, f"{path}.epochs", "and batch_size must be >= 1")
-    out.lr = _get(section, "lr", out.lr, path, float)
-    _require(out.lr > 0, f"{path}.lr", "must be positive")
-    out.lam_w = _get(section, "lam_w", out.lam_w, path, float)
-    _require(out.lam_w >= 0, f"{path}.lam_w", "must be nonnegative")
-    out.cost = _get(section, "cost", out.cost, path, float)
-    out.alpha = _get(section, "alpha", out.alpha, path, float)
-    out.beta = _get(section, "beta", out.beta, path, float)
-    _validate_surrogate(path, out.cost, out.alpha, out.beta)
-    out.eps_train = _get(section, "eps_train", out.eps_train, path, float)
-    _require(out.eps_train >= 0, f"{path}.eps_train", "must be nonnegative")
-    out.steps = _get(section, "steps", out.steps, path, int)
-    _require(out.steps >= 1, f"{path}.steps", "must be >= 1")
-    out.train_fraction = _get(section, "train_fraction", out.train_fraction, path, float)
-    _require(0.0 < out.train_fraction < 1.0, f"{path}.train_fraction", "must lie in (0, 1)")
-    out.normalize = _get(section, "normalize", out.normalize, path, str)
-    _require(out.normalize in ("minmax01", "zscore", "none"), f"{path}.normalize", "must be minmax01/zscore/none")
-    return out
-
-
-def _parse_bench(section: dict, path: str = "bench") -> BenchSection:
-    out = BenchSection()
-    methods = _get(section, "methods", [list(m) for m in out.methods], path, list)
-    parsed = []
-    for i, entry in enumerate(methods):
-        _require(isinstance(entry, (list, tuple)) and len(entry) == 2, f"{path}.methods[{i}]", "must be [mode, cost]")
-        mode, cost = entry
-        _require(mode in ("svm", "at", "mh", "atro"), f"{path}.methods[{i}]", "mode must be svm/at/mh/atro")
-        if mode in ("mh", "atro"):
-            _require(isinstance(cost, (int, float)) and 0 < cost < 0.5, f"{path}.methods[{i}]", "cost must lie in (0, 0.5)")
-            cost = float(cost)
+def _make(cls, obj: dict, path: str, base):
+    hints = get_type_hints(cls)
+    values = {}
+    for f in _settable(cls):
+        if base is not None:
+            sub = getattr(base, f.name)
         else:
-            _require(cost is None, f"{path}.methods[{i}]", "cost must be null for svm/at")
-        parsed.append((mode, cost))
-    out.methods = tuple(parsed)
-    eps_list = _get(section, "attack_eps", list(out.attack_eps), path, list)
-    _require(len(eps_list) > 0, f"{path}.attack_eps", "must be non-empty")
-    _require(all(isinstance(e, (int, float)) and e >= 0 for e in eps_list), f"{path}.attack_eps", "entries must be nonnegative")
-    out.attack_eps = tuple(float(e) for e in eps_list)
-    out.eps_train = _get(section, "eps_train", out.eps_train, path, float)
-    _require(out.eps_train >= 0, f"{path}.eps_train", "must be nonnegative")
-    out.trials = _get(section, "trials", out.trials, path, int)
-    _require(out.trials >= 1, f"{path}.trials", "must be >= 1")
-    out.train_size = _get(section, "train_size", out.train_size, path, int)
-    _require(out.train_size >= 2, f"{path}.train_size", "must be >= 2")
-    out.alpha = _get(section, "alpha", out.alpha, path, float)
-    out.beta = _get(section, "beta", out.beta, path, float)
-    _require(out.alpha > 0 and out.beta > 0, f"{path}.alpha", "and bench.beta must be positive")
-    out.lam = _get(section, "lam", out.lam, path, float)
-    out.lam_prime = _get(section, "lam_prime", out.lam_prime, path, float)
-    out.epochs = _get(section, "epochs", out.epochs, path, int)
-    out.lr0 = _get(section, "lr0", out.lr0, path, float)
-    out.rff_dim = _get(section, "rff_dim", out.rff_dim, path, int)
-    _require(out.rff_dim >= 0, f"{path}.rff_dim", "must be >= 0 (0 = identity features)")
-    out.normalize = _get(section, "normalize", out.normalize, path, str)
-    _require(out.normalize in ("minmax01", "zscore", "none"), f"{path}.normalize", "must be minmax01/zscore/none")
-    out.attack_steps = _get(section, "attack_steps", out.attack_steps, path, int)
-    return out
+            sub = f.default_factory() if f.default_factory is not MISSING else f.default
+        if f.name in _INLINE:
+            values[f.name] = _make(hints[f.name], obj, path, sub)
+        elif f.name in obj:
+            values[f.name] = _coerce(obj[f.name], hints[f.name], _at(path, f.name), sub)
+    try:
+        return replace(base, **values) if base is not None else cls(**values)
+    except ValueError as exc:
+        raise ConfigError(_at(path, str(exc))) from None
+
+
+def _coerce(value, tp, path: str, base=None):
+    """A JSON value checked against the annotation ``tp``: an int becomes a
+    float, "inf" an infinite float, a list a tuple, an object a dataclass."""
+    if is_dataclass(tp):
+        return _build(tp, value, path, base)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, UnionType):
+        for arm in sorted(args, key=lambda a: a is float):  # so "auto" stays a string
+            try:
+                return _coerce(value, arm, path)
+            except ConfigError:
+                pass
+    elif origin is Literal:
+        if value in args:
+            return value
+    elif origin is tuple:
+        if isinstance(value, list):
+            if args[-1] is Ellipsis:
+                args = (args[0],) * len(value)
+            if len(value) == len(args):
+                return tuple(_coerce(v, a, f"{path}[{i}]") for i, (v, a) in enumerate(zip(value, args)))
+    elif tp is float:
+        if value == "inf":
+            return math.inf
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+    elif isinstance(value, tp) and not (tp is int and isinstance(value, bool)):
+        return value
+    raise ConfigError(f"{path} must be {_describe(tp)}, got {type(value).__name__}")
+
+
+def _describe(tp) -> str:
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, UnionType):
+        return " or ".join(_describe(a) for a in args)
+    if origin is Literal:
+        return " or ".join(json.dumps(a) for a in args)
+    if origin is tuple:
+        return "a list" if args[-1] is Ellipsis else f"a list of {len(args)}"
+    return "null" if tp is type(None) else tp.__name__
+
+
+def _dump(obj):
+    """The JSON value of a config object; the inverse of _build."""
+    if is_dataclass(obj):
+        out = {}
+        for f in _settable(type(obj)):
+            value = _dump(getattr(obj, f.name))
+            if f.name in _INLINE:
+                out.update(value)
+            else:
+                out[f.name] = value
+        return out
+    if isinstance(obj, tuple):
+        return [_dump(v) for v in obj]
+    return obj
 
 
 def validate_config(raw: str) -> RunConfig:
@@ -306,21 +281,4 @@ def validate_config(raw: str) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
-    sub = obj.get("subcommand")
-    _require(sub in SUBCOMMANDS, "subcommand", f"must be one of {'/'.join(SUBCOMMANDS)}")
-    rc = RunConfig(subcommand=sub)
-    rc.dataset = _get(obj, "dataset", "", "", str)
-    rc.test_dataset = obj.get("test_dataset")
-    if rc.test_dataset is not None and not isinstance(rc.test_dataset, str):
-        raise ConfigError("test_dataset must be a string path")
-    rc.model = obj.get("model")
-    if rc.model is not None and not isinstance(rc.model, str):
-        raise ConfigError("model must be a string path")
-    rc.out = _get(obj, "out", "out", "", str)
-    rc.seed = _get(obj, "seed", 0, "", int)
-    rc.train = _parse_train(_get(obj, "train", {}, "", dict))
-    rc.attack = _parse_attack(_get(obj, "attack", {}, "", dict))
-    rc.bound = _parse_bound(_get(obj, "bound", {}, "", dict))
-    rc.neural = _parse_neural(_get(obj, "neural", {}, "", dict))
-    rc.bench = _parse_bench(_get(obj, "bench", {}, "", dict))
-    return rc
+    return _build(RunConfig, obj, "")

@@ -22,12 +22,6 @@ class DataFormatError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    x: np.ndarray
-    y: int
-
-
 @dataclass
 class Dataset:
     """Ordered collection of labeled samples sharing one dimension."""
@@ -54,10 +48,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.x.shape[1]
-
-    @property
-    def samples(self) -> list[LabeledSample]:
-        return [LabeledSample(self.x[i], int(self.y[i])) for i in range(len(self))]
 
 
 DEFAULT_LABEL_MAP = {"+1": 1, "1": 1, "-1": -1}
@@ -195,20 +185,34 @@ class NormStats:
         return Dataset(x, ds.y.copy(), name=ds.name)
 
 
+SCHEMES = ("minmax01", "zscore", "none")
+
+
+def check_scheme(scheme: str) -> None:
+    """The normalization scheme names normalize() accepts."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"normalize must be one of {'/'.join(SCHEMES)}, got {scheme!r}")
+
+
+def check_fraction(train_fraction: float) -> None:
+    """The train fractions split() accepts."""
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError("train_fraction must lie in (0, 1)")
+
+
 def normalize(ds: Dataset, scheme: str = "minmax01") -> tuple[Dataset, NormStats]:
     """Normalize per dimension and return the stats for reuse on test data."""
     if len(ds) == 0:
         raise ValueError("cannot normalize an empty dataset")
+    check_scheme(scheme)
     if scheme == "none":
         stats = NormStats("none")
     elif scheme == "minmax01":
         lo, hi = ds.x.min(axis=0), ds.x.max(axis=0)
         stats = NormStats("minmax01", lo, hi, constant=(hi == lo))
-    elif scheme == "zscore":
+    else:
         mean, std = ds.x.mean(axis=0), ds.x.std(axis=0)
         stats = NormStats("zscore", mean, std, constant=(std == 0.0))
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
     return stats.apply(ds), stats
 
 
@@ -217,8 +221,7 @@ def split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Datas
     n = len(ds)
     if n < 2:
         raise ValueError("need at least 2 samples to split")
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must lie in (0, 1)")
+    check_fraction(train_fraction)
     n_train = int(round(train_fraction * n))
     if n_train == 0 or n_train == n:
         raise ValueError(f"fraction {train_fraction} leaves one side empty for n={n}")

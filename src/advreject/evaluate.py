@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .attacks import AttackSpec, LinearMHOracle, pgd, pgd_linear_mh_batch
 from .data import Dataset
-from .losses import SurrogateParams, loss_01c
+from .losses import NO_REJECT_COST, SurrogateParams, loss_01c
 from .model import RejectionModel
 
 
@@ -55,7 +55,7 @@ class EvalReport:
                 "rej": self.rej,
                 "pr": self.pr,
                 "counts": {"TA": self.counts.ta, "TR": self.counts.tr, "FA": self.counts.fa, "FR": self.counts.fr},
-                "attack": self.attack.to_dict(),
+                "attack": asdict(self.attack),
                 "candidate_wins": self.candidate_wins,
                 "mean_loss_01c": self.mean_loss_01c,
             },
@@ -123,6 +123,19 @@ def _attack_and_score(
     return fs[winner, cols], rs[winner, cols], winner, names, losses[winner, cols]
 
 
+def _confusion(f: np.ndarray, r: np.ndarray, y: np.ndarray) -> RejectConfusion:
+    """Counts of the decisions at scores (f, r): reject when r <= 0, else
+    predict sign(f) with f = 0 counted as +1."""
+    rejected = r <= 0.0
+    wrong = np.where(f >= 0.0, 1, -1) != y
+    return RejectConfusion(
+        ta=int(np.sum(~rejected & ~wrong)),
+        tr=int(np.sum(rejected & wrong)),
+        fa=int(np.sum(~rejected & wrong)),
+        fr=int(np.sum(rejected & ~wrong)),
+    )
+
+
 def classify_outcomes(
     m: RejectionModel, ds: Dataset, attack: AttackSpec, params: SurrogateParams | None = None
 ) -> RejectConfusion:
@@ -130,14 +143,7 @@ def classify_outcomes(
     if params is None:
         params = SurrogateParams()
     f, r, _, _, _ = _attack_and_score(m, ds, attack, params)
-    rejected = r <= 0.0
-    wrong = np.where(f >= 0.0, 1, -1) != ds.y
-    return RejectConfusion(
-        ta=int(np.sum(~rejected & ~wrong)),
-        tr=int(np.sum(rejected & wrong)),
-        fa=int(np.sum(~rejected & wrong)),
-        fr=int(np.sum(rejected & ~wrong)),
-    )
+    return _confusion(f, r, ds.y)
 
 
 def metrics(conf: RejectConfusion) -> tuple[float, float, float | None]:
@@ -157,14 +163,7 @@ def evaluate_model(
     if params is None:
         params = SurrogateParams()
     f, r, winner, names, worst = _attack_and_score(m, ds, attack, params)
-    rejected = r <= 0.0
-    wrong = np.where(f >= 0.0, 1, -1) != ds.y
-    conf = RejectConfusion(
-        ta=int(np.sum(~rejected & ~wrong)),
-        tr=int(np.sum(rejected & wrong)),
-        fa=int(np.sum(~rejected & wrong)),
-        fr=int(np.sum(rejected & ~wrong)),
-    )
+    conf = _confusion(f, r, ds.y)
     err, rej, pr = metrics(conf)
     wins = {name: int(np.sum(winner == k)) for k, name in enumerate(names)}
     return EvalReport(err, rej, pr, conf, attack, wins, float(np.mean(worst)))
@@ -214,7 +213,7 @@ def benchmark(
     keys = list(trials[0][0].keys())
     rows = []
     for method, cost in keys:
-        params = SurrogateParams(alpha=alpha, beta=beta, cost=cost if cost is not None else 0.25)
+        params = SurrogateParams(alpha=alpha, beta=beta, cost=NO_REJECT_COST if cost is None else cost)
         for eps in attack_eps:
             spec = AttackSpec(method=attack_method if eps > 0 else "none", eps=eps, steps=steps)
             errs, rejs = [], []

@@ -49,6 +49,11 @@ class SurrogateParams:
             raise ValueError("cost must lie in (0, 0.5)")
 
 
+# cost given to the no-rejection modes (svm/at): their rejector never
+# fires, so any valid cost trains the same model; evaluation charges it
+NO_REJECT_COST = 0.25
+
+
 def loss_01c(f_val, r_val, y, cost: float):
     """Zero-one loss with rejection at cost c. Accepts scalars or arrays."""
     if not 0.0 < cost < 0.5:

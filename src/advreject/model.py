@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, NormStats
+from .data import NormStats
 
 
 @dataclass(frozen=True)
@@ -42,12 +42,12 @@ class FeatureMap:
 
     def __post_init__(self):
         if self.kind not in ("identity", "random_fourier"):
-            raise ValueError(f"unknown feature map kind {self.kind!r}")
+            raise ValueError(f"kind must be identity or random_fourier, got {self.kind!r}")
         if self.kind == "random_fourier":
             if self.dim <= 0:
-                raise ValueError("random_fourier needs a positive output dimension")
+                raise ValueError("dim must be positive for random_fourier")
             if self.sigma <= 0:
-                raise ValueError("bandwidth must be positive")
+                raise ValueError("sigma must be positive")
 
     def weights(self, input_dim: int) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng(self.seed)
@@ -191,8 +191,3 @@ class RejectionModel:
             feature_map=fm,
             norm_stats=stats,
         )
-
-
-def featurize_dataset(m: RejectionModel, ds: Dataset) -> np.ndarray:
-    """Feature-space matrix for a whole dataset (attacks act on these rows)."""
-    return m.featurize(ds.x)

@@ -156,6 +156,16 @@ class NeuralTrainConfig:
             raise ValueError("inner attack must be pgd or none")
         if self.lam_w < 0:
             raise ValueError("lam_w must be nonnegative")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if not self.lr > 0:
+            raise ValueError("lr must be positive")
+        if not all(isinstance(h, int) and h > 0 for h in self.hidden):
+            raise ValueError("hidden must be positive integers")
+        if self.activation not in _ACTIVATIONS:
+            raise ValueError(f"activation must be one of {'/'.join(_ACTIVATIONS)}, got {self.activation!r}")
 
 
 def _head_grads(f, r, y, p: SurrogateParams):
@@ -210,22 +220,6 @@ def grad_input(net: ToyNet, x: np.ndarray, y: int, cfg: NeuralTrainConfig) -> np
     if not np.all(np.isfinite(dx)):
         raise FloatingPointError("non-finite input gradient")
     return dx[0]
-
-
-class NetMHOracle:
-    """Squared-MH loss/gradient oracle over inputs, for the attack module."""
-
-    def __init__(self, net: ToyNet, cfg: NeuralTrainConfig):
-        self.net = net
-        self.cfg = cfg
-
-    def loss(self, x: np.ndarray, y: int) -> float:
-        f, r = self.net.forward(x)
-        _, _, m = _head_grads(np.array([f]), np.array([r]), np.array([float(y)]), self.cfg.params)
-        return float(m[0] ** 2)
-
-    def grad(self, x: np.ndarray, y: int) -> np.ndarray:
-        return grad_input(self.net, x, y, self.cfg)
 
 
 def _inner_pgd_batch(net: ToyNet, x: np.ndarray, y: np.ndarray, cfg: NeuralTrainConfig) -> np.ndarray:

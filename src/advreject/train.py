@@ -49,18 +49,19 @@ class TrainConfig:
     lam_prime: float = 1e-3
     epochs: int = 2000
     lr0: float = 3.0  # per-sample-normalized steps; 0.1 barely moves the iterate
-    seed: int = 0
     feature_map: FeatureMap = field(default_factory=FeatureMap)
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ValueError(f"mode must be one of {'/'.join(MODES)}, got {self.mode!r}")
         if self.eps_train < 0:
             raise ValueError("eps_train must be nonnegative")
         if self.mode in ("svm", "mh") and self.eps_train != 0:
-            raise ValueError(f"mode {self.mode} requires eps_train = 0")
-        if self.lam < 0 or self.lam_prime < 0:
-            raise ValueError("regularizers must be nonnegative")
+            raise ValueError(f"eps_train must be 0 for mode {self.mode}")
+        if self.lam < 0:
+            raise ValueError("lam must be nonnegative")
+        if self.lam_prime < 0:
+            raise ValueError("lam_prime must be nonnegative")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if not self.lr0 > 0:
@@ -203,7 +204,8 @@ def _subgrad(
 
 
 def train(ds: Dataset, cfg: TrainConfig) -> tuple[RejectionModel, TrainTrace]:
-    """Subgradient descent; deterministic for a fixed seed.
+    """Subgradient descent from a deterministic warm start; the same data
+    and config always give the same model and trace.
 
     Raises FloatingPointError with the failing epoch and step size if the
     objective stops being finite.

@@ -122,7 +122,7 @@ class TestTheoremBound:
 
     def test_confidence_term_value(self, rng):
         ds = self.make_ds(rng, n=50)
-        cfg = BoundConfig(w_bound=1.0, delta_conf=0.01, params=P13, mc_draws=10)
+        cfg = BoundConfig(w_bound=1.0, delta=0.01, params=P13, mc_draws=10)
         rep = generalization_bound(ds, 0.5, cfg, seed=0)
         assert rep.conf_term == pytest.approx(0.2146, abs=5e-5)
 
@@ -169,7 +169,7 @@ class TestTheoremBound:
         with pytest.raises(ValueError):
             BoundConfig(w_bound=0.0)
         with pytest.raises(ValueError):
-            BoundConfig(w_bound=1.0, delta_conf=1.5)
+            BoundConfig(w_bound=1.0, delta=1.5)
         with pytest.raises(ValueError):
             BoundConfig(w_bound=1.0, mc_draws=0)
 

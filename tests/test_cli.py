@@ -7,7 +7,7 @@ import pytest
 from advreject.cli import main
 from advreject.config import ConfigError, validate_config
 from advreject.data import to_csv, to_libsvm
-from advreject.synth import two_clusters, two_moons
+from advreject.synth import credit_surrogate, two_clusters, two_moons
 
 
 @pytest.fixture
@@ -64,6 +64,25 @@ class TestValidateConfig:
         rc = validate_config(self.base(train={"cost": 0.25, "mode": "atro", "eps_train": 0.01}))
         again = validate_config(rc.to_json())
         assert again.to_json() == rc.to_json()
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("bench", "epochs", 0),
+            ("bench", "lr0", -1),
+            ("bench", "attack_steps", 0),
+            ("bench", "lam", -1),
+            ("train", "epochz", 5),
+        ],
+    )
+    def test_bad_field_names_its_path(self, section, key, value, data_file, tmp_path):
+        obj = {"subcommand": "bench", "dataset": str(data_file), "out": str(tmp_path / "o"), section: {key: value}}
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}\b"):
+            validate_config(json.dumps(obj))
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(obj))
+        assert main(["bench", "--config", str(p)]) == 2
+        assert not (tmp_path / "o").exists()
 
 
 class TestTrainCommand:
@@ -156,6 +175,27 @@ class TestOtherCommands:
     def test_missing_model(self, data_file, tmp_path):
         assert main(["eval", "--data", str(data_file), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command", ["eval", "attack", "bound"])
+    def test_malformed_model_json(self, command, data_file, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"theta": [1.0,')
+        assert main([command, "--model", str(bad), "--data", str(data_file), "--out", str(tmp_path / "o")]) == 2
+        assert "bad.json" in capsys.readouterr().err
+
+    def test_model_json_missing_feature_map(self, trained, data_file, tmp_path, capsys):
+        obj = json.loads(trained.read_text())
+        del obj["feature_map"]
+        bad = tmp_path / "nofm.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["eval", "--model", str(bad), "--data", str(data_file), "--out", str(tmp_path / "o")]) == 2
+        assert "feature_map" in capsys.readouterr().err
+
+    def test_dataset_dimension_mismatch(self, trained, tmp_path, capsys):
+        wide = tmp_path / "wide.libsvm"
+        wide.write_text(to_libsvm(credit_surrogate(seed=0)))
+        assert main(["eval", "--model", str(trained), "--data", str(wide), "--out", str(tmp_path / "o")]) == 2
+        assert "dimension" in capsys.readouterr().err
+
     def test_bench(self, data_file, tmp_path):
         out = tmp_path / "bench_run"
         cfg = {
@@ -178,6 +218,14 @@ class TestOtherCommands:
         csv = (out / "bench.csv").read_text().strip().splitlines()
         assert len(csv) == 1 + 2 * 2  # header + methods x eps
         assert (out / "bench.txt").is_file()
+
+    def test_bench_dataset_not_larger_than_train_size(self, data_file, tmp_path, capsys):
+        cfg = {"subcommand": "bench", "dataset": str(data_file), "out": str(tmp_path / "o"), "bench": {"train_size": 120}}
+        p = tmp_path / "bench.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["bench", "--config", str(p)]) == 2
+        assert "bench.train_size" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_neural_train(self, tmp_path):
         ds = two_moons(80, seed=1)

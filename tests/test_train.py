@@ -109,8 +109,8 @@ class TestTrain:
 
     def test_atro_eps0_identical_to_mh(self, rng):
         ds = toy_dataset(rng, n=30)
-        cfg_a = TrainConfig(mode="atro", params=P13, eps_train=0.0, epochs=120, seed=5)
-        cfg_m = TrainConfig(mode="mh", params=P13, epochs=120, seed=5)
+        cfg_a = TrainConfig(mode="atro", params=P13, eps_train=0.0, epochs=120)
+        cfg_m = TrainConfig(mode="mh", params=P13, epochs=120)
         ma, ta = train(ds, cfg_a)
         mm, tm = train(ds, cfg_m)
         assert np.array_equal(ta.objective, tm.objective)
@@ -118,14 +118,14 @@ class TestTrain:
 
     def test_at_eps0_identical_to_svm(self, rng):
         ds = toy_dataset(rng, n=30)
-        ma, ta = train(ds, TrainConfig(mode="at", eps_train=0.0, epochs=120, seed=5))
-        ms, ts = train(ds, TrainConfig(mode="svm", epochs=120, seed=5))
+        ma, ta = train(ds, TrainConfig(mode="at", eps_train=0.0, epochs=120))
+        ms, ts = train(ds, TrainConfig(mode="svm", epochs=120))
         assert np.array_equal(ta.objective, ts.objective)
         assert np.array_equal(ma.gamma, ms.gamma)
 
     def test_deterministic(self, rng):
         ds = toy_dataset(rng)
-        cfg = TrainConfig(mode="atro", epochs=100, seed=9)
+        cfg = TrainConfig(mode="atro", epochs=100)
         m1, t1 = train(ds, cfg)
         m2, t2 = train(ds, cfg)
         assert np.array_equal(m1.gamma, m2.gamma)
