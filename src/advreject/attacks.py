@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import SurrogateParams, loss_01c, loss_mh
+from .losses import SurrogateParams, loss_01c, mh_branches
 from .model import RejectionModel
 
 
@@ -58,6 +58,21 @@ class Perturbation:
     achieved_loss: float
 
 
+def linear_mh_value_grad(m: RejectionModel, z: np.ndarray, y, p: SurrogateParams, grad: bool = True):
+    """MH loss of a linear model at feature points z (a vector or rows) and,
+    if grad, its gradient in z (None otherwise). Branch A's gradient is
+    (alpha/2)(theta - y*gamma), branch B's -c*beta*theta, an inactive
+    hinge's 0."""
+    f, r = m.scores_features(z)
+    y = np.asarray(y, dtype=np.float64)
+    mh = mh_branches(r - y * f, r, p)
+    if not grad:
+        return mh.value, None
+    ga = 0.5 * p.alpha * (m.theta - y[..., None] * m.gamma)
+    gb = -p.cost * p.beta * m.theta
+    return mh.value, np.where(mh.use_a[..., None], ga, np.where(mh.use_b[..., None], gb, 0.0))
+
+
 class LinearMHOracle:
     """Loss/gradient oracle for the MH loss of a linear model, in feature
     space. At branch ties the classification branch wins."""
@@ -65,21 +80,12 @@ class LinearMHOracle:
     def __init__(self, m: RejectionModel, p: SurrogateParams):
         self.m = m
         self.p = p
-        self._grad_b = -p.cost * p.beta * m.theta
 
     def loss(self, z: np.ndarray, y: int) -> float:
-        f, r = self.m.scores_features(z)
-        return float(loss_mh(f, r, y, self.p))
+        return float(linear_mh_value_grad(self.m, z, y, self.p, grad=False)[0])
 
     def grad(self, z: np.ndarray, y: int) -> np.ndarray:
-        f, r = self.m.scores_features(z)
-        a = 1.0 + 0.5 * self.p.alpha * (float(r) - y * float(f))
-        b = self.p.cost * (1.0 - self.p.beta * float(r))
-        if a <= 0.0 and b <= 0.0:
-            return np.zeros_like(z)
-        if a >= b:
-            return 0.5 * self.p.alpha * (self.m.theta - y * self.m.gamma)
-        return self._grad_b
+        return linear_mh_value_grad(self.m, z, y, self.p)[1]
 
 
 def _check_finite(g: np.ndarray, context: str) -> None:
@@ -106,36 +112,47 @@ def pgd(oracle, x: np.ndarray, y: int, spec: AttackSpec) -> Perturbation:
     point included, so the achieved loss never falls below the clean loss.
     """
     x = np.asarray(x, dtype=np.float64)
-    eps, step = spec.eps, spec.resolved_step()
-    delta = np.zeros_like(x)
-    if spec.random_start and eps > 0:
-        rng = np.random.default_rng(spec.seed)
-        delta = rng.uniform(-eps, eps, size=x.shape)
-        if spec.norm == "l2":
-            delta = _project_l2(delta, eps)
+    delta = _start(spec, x.shape)
     best = Perturbation(delta.copy(), oracle.loss(x + delta, y))
-    if eps == 0:
+    if spec.eps == 0:
         return best
     for i in range(spec.steps):
         g = oracle.grad(x + delta, y)
         _check_finite(g, f"pgd step {i}")
-        if spec.norm == "linf":
-            delta = np.clip(delta + step * np.sign(g), -eps, eps)
-        else:
-            gn = np.linalg.norm(g)
-            if gn > 0:
-                delta = _project_l2(delta + step * g / gn, eps)
+        delta = _step(delta, g, spec)
         val = oracle.loss(x + delta, y)
         if val > best.achieved_loss:
             best = Perturbation(delta.copy(), val)
     return best
 
 
+def _start(spec: AttackSpec, shape: tuple) -> np.ndarray:
+    """The PGD start: 0, or with random_start one uniform(-eps, eps) draw
+    from the spec's seed over the last axis, projected for l2 and shared by
+    every row."""
+    if not (spec.random_start and spec.eps > 0):
+        return np.zeros(shape)
+    delta = np.random.default_rng(spec.seed).uniform(-spec.eps, spec.eps, size=shape[-1])
+    if spec.norm == "l2":
+        delta = _project_l2(delta, spec.eps)
+    return np.broadcast_to(delta, shape).copy()
+
+
+def _step(delta: np.ndarray, g: np.ndarray, spec: AttackSpec) -> np.ndarray:
+    """One ascent step per row: a sign step clipped to the box for linf, a
+    normalized-gradient step projected onto the ball for l2 (no move where
+    the gradient is 0)."""
+    eps, step = spec.eps, spec.resolved_step()
+    if spec.norm == "linf":
+        return np.clip(delta + step * np.sign(g), -eps, eps)
+    gn = np.linalg.norm(g, axis=-1, keepdims=True)
+    return np.where(gn > 0, _project_l2(delta + step * g / np.where(gn > 0, gn, 1.0), eps), delta)
+
+
 def _project_l2(delta: np.ndarray, eps: float) -> np.ndarray:
-    nrm = np.linalg.norm(delta)
-    if nrm <= eps:
-        return delta
-    return delta * (eps / nrm)
+    """Each row of delta (or delta itself) scaled into the l2 ball of radius eps."""
+    nrm = np.linalg.norm(delta, axis=-1, keepdims=True)
+    return delta * (eps / np.maximum(nrm, eps))
 
 
 def analytic_candidates(
@@ -226,48 +243,32 @@ def _exact_box_max_01c(m: RejectionModel, z: np.ndarray, y: int, eps: float, cos
     return best
 
 
-def pgd_linear_mh_batch(
-    m: RejectionModel,
-    z: np.ndarray,
-    y: np.ndarray,
-    eps: float,
-    params: SurrogateParams,
-    steps: int = 20,
-    step_size: float | str = "auto",
-) -> np.ndarray:
-    """PGD on the MH loss, vectorized over rows of z. Returns per-row deltas
-    of the best iterate (start included)."""
-    z = np.asarray(z, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if eps == 0:
-        return np.zeros_like(z)
-    step = eps / np.sqrt(steps) if step_size == "auto" else float(step_size)
-    delta = np.zeros_like(z)
-    grad_b = -params.cost * params.beta * m.theta
+def pgd_batch(value_grad, x: np.ndarray, spec: AttackSpec) -> np.ndarray:
+    """PGD ascent vectorized over the rows of x, with the steps of ``pgd``.
 
-    def mh(dl):
-        f, r = m.scores_features(z + dl)
-        return np.maximum(
-            np.maximum(1.0 + 0.5 * params.alpha * (r - y * f), params.cost * (1.0 - params.beta * r)),
-            0.0,
-        )
-
-    best_loss = mh(delta)
+    value_grad(points, grad) gives each row's objective at the points and,
+    if grad, its gradient there, so one call both scores an iterate and
+    sets the next step. Returns each row's delta at its best iterate, the
+    start included.
+    """
+    delta = _start(spec, x.shape)
+    if spec.eps == 0:
+        return delta
+    best_val, g = value_grad(x + delta, True)
     best_delta = delta.copy()
-    for _ in range(steps):
-        f, r = m.scores_features(z + delta)
-        a = 1.0 + 0.5 * params.alpha * (r - y * f)
-        b = params.cost * (1.0 - params.beta * r)
-        g = np.zeros_like(z)
-        use_a = (a >= b) & (a > 0)
-        use_b = (b > a) & (b > 0)
-        if np.any(use_a):
-            ga = 0.5 * params.alpha * (m.theta[None, :] - y[:, None] * m.gamma[None, :])
-            g[use_a] = ga[use_a]
-        g[use_b] = grad_b
-        delta = np.clip(delta + step * np.sign(g), -eps, eps)
-        cur = mh(delta)
-        improved = cur > best_loss
-        best_loss = np.where(improved, cur, best_loss)
-        best_delta[improved] = delta[improved]
+    for i in range(spec.steps):
+        delta = _step(delta, g, spec)
+        val, g = value_grad(x + delta, i + 1 < spec.steps)  # the last iterate is only scored
+        better = val > best_val
+        best_val = np.where(better, val, best_val)
+        best_delta[better] = delta[better]
     return best_delta
+
+
+def pgd_linear_mh_batch(
+    m: RejectionModel, z: np.ndarray, y: np.ndarray, spec: AttackSpec, params: SurrogateParams
+) -> np.ndarray:
+    """PGD on the MH loss of a linear model, vectorized over rows of z.
+    Returns per-row deltas of the best iterate (start included)."""
+    z = np.asarray(z, dtype=np.float64)
+    return pgd_batch(lambda zd, grad: linear_mh_value_grad(m, zd, y, params, grad), z, spec)

@@ -20,7 +20,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .attacks import AttackSpec, LinearMHOracle, pgd, pgd_linear_mh_batch
+from .attacks import AttackSpec, linear_mh_value_grad, pgd_linear_mh_batch
+from .attacks import pgd  # noqa: F401  perfbench's tracer wraps evaluate.pgd by name
 from .data import Dataset
 from .losses import NO_REJECT_COST, SurrogateParams, loss_01c
 from .model import RejectionModel
@@ -65,42 +66,22 @@ class EvalReport:
 
 def _candidate_deltas(
     m: RejectionModel, z: np.ndarray, y: np.ndarray, spec: AttackSpec, params: SurrogateParams
-) -> tuple[list[str], list[np.ndarray]]:
-    """Per-method candidate perturbations, vectorized over the rows of z."""
-    n = z.shape[0]
-    names = ["clean"]
-    deltas = [np.zeros_like(z)]
+) -> dict[str, np.ndarray]:
+    """Per-method candidate perturbations by name, in order, vectorized over
+    the rows of z."""
+    deltas = {"clean": np.zeros_like(z)}
     if spec.method == "none" or spec.eps == 0:
-        return names, deltas
+        return deltas
     eps = spec.eps
     if spec.method == "analytic_linear":
         sz = np.where(y[:, None] > 0, np.sign(m.zeta(1))[None, :], np.sign(m.zeta(-1))[None, :])
-        deltas.append(y[:, None] * eps * sz)
-        names.append("shift_margin")
-        deltas.append(np.broadcast_to(-eps * np.sign(m.theta), z.shape).copy())
-        names.append("shift_reject")
-        deltas.append(pgd_linear_mh_batch(m, z, y, eps, params, steps=spec.steps, step_size=spec.step_size))
-        names.append("pgd")
-    elif spec.method == "fgsm":
-        f, r = m.scores_features(z)
-        a = 1.0 + 0.5 * params.alpha * (r - y * f)
-        b = params.cost * (1.0 - params.beta * r)
-        g = np.zeros_like(z)
-        use_a = (a >= b) & (a > 0)
-        use_b = (b > a) & (b > 0)
-        ga = 0.5 * params.alpha * (m.theta[None, :] - y[:, None] * m.gamma[None, :])
-        g[use_a] = ga[use_a]
-        g[use_b] = -params.cost * params.beta * m.theta
-        deltas.append(eps * np.sign(g))
-        names.append("fgsm")
-    elif spec.method == "pgd":
-        if spec.norm == "linf":
-            deltas.append(pgd_linear_mh_batch(m, z, y, eps, params, steps=spec.steps, step_size=spec.step_size))
-        else:
-            oracle = LinearMHOracle(m, params)
-            deltas.append(np.stack([pgd(oracle, z[i], int(y[i]), spec).delta for i in range(n)]))
-        names.append("pgd")
-    return names, deltas
+        deltas["shift_margin"] = y[:, None] * eps * sz
+        deltas["shift_reject"] = np.broadcast_to(-eps * np.sign(m.theta), z.shape).copy()
+    if spec.method == "fgsm":
+        deltas["fgsm"] = eps * np.sign(linear_mh_value_grad(m, z, y, params)[1])
+    else:  # pgd, and the last analytic_linear candidate
+        deltas["pgd"] = pgd_linear_mh_batch(m, z, y, spec, params)
+    return deltas
 
 
 def _attack_and_score(
@@ -110,17 +91,17 @@ def _attack_and_score(
     candidate index/name, and the per-sample worst zero-one-c loss."""
     z = m.featurize(ds.x)
     y = ds.y.astype(np.float64)
-    names, deltas = _candidate_deltas(m, z, y, spec, params)
-    losses = np.empty((len(names), len(ds)))
+    deltas = _candidate_deltas(m, z, y, spec, params)
+    losses = np.empty((len(deltas), len(ds)))
     fs = np.empty_like(losses)
     rs = np.empty_like(losses)
-    for k, delta in enumerate(deltas):
+    for k, delta in enumerate(deltas.values()):
         f, r = m.scores_features(z + delta)
         fs[k], rs[k] = f, r
         losses[k] = loss_01c(f, r, y, params.cost)
     winner = np.argmax(losses, axis=0)  # first max wins; clean is index 0
     cols = np.arange(len(ds))
-    return fs[winner, cols], rs[winner, cols], winner, names, losses[winner, cols]
+    return fs[winner, cols], rs[winner, cols], winner, list(deltas), losses[winner, cols]
 
 
 def _confusion(f: np.ndarray, r: np.ndarray, y: np.ndarray) -> RejectConfusion:

@@ -26,6 +26,7 @@ perturbable weight coordinates only; biases are excluded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,14 +67,34 @@ def loss_01c(f_val, r_val, y, cost: float):
     return out if out.ndim else float(out)
 
 
+class MHBranches(NamedTuple):
+    a: np.ndarray
+    b: np.ndarray
+    value: np.ndarray  # max(a, b, 0)
+    use_a: np.ndarray  # where the loss is differentiated along branch A
+    use_b: np.ndarray
+
+
+def mh_branches(gap, r, p: SurrogateParams) -> MHBranches:
+    """The two MH branches A = 1 + (alpha/2) gap and B = c (1 - beta r), the
+    loss max(A, B, 0), and which branch is active per sample.
+
+    gap is r - y*f, plus eps*||zeta(y)||_1 for the worst case, where r is
+    lowered by eps*||theta||_1. A wins a tie; an inactive hinge (A, B <= 0)
+    activates neither branch, so it contributes no gradient.
+    """
+    a = 1.0 + 0.5 * p.alpha * gap
+    b = p.cost * (1.0 - p.beta * r)
+    value = np.maximum(np.maximum(a, b), 0.0)
+    return MHBranches(a, b, value, (a >= b) & (a > 0.0), (b > a) & (b > 0.0))
+
+
 def loss_mh(f_val, r_val, y, p: SurrogateParams):
     """Maximum-hinge surrogate. Accepts scalars or arrays."""
     f_val = np.asarray(f_val, dtype=np.float64)
     r_val = np.asarray(r_val, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    a = 1.0 + 0.5 * p.alpha * (r_val - y * f_val)
-    b = p.cost * (1.0 - p.beta * r_val)
-    out = np.maximum(np.maximum(a, b), 0.0)
+    out = mh_branches(r_val - y * f_val, r_val, p).value
     return out if out.ndim else float(out)
 
 
@@ -124,9 +145,8 @@ def adv_terms_linear(
     f, r = float(f), float(r)
     zeta_l1 = float(np.abs(m.zeta(y)).sum())
     theta_l1 = float(np.abs(m.theta).sum())
-    a = 1.0 + 0.5 * p.alpha * (r - y * f + eps * zeta_l1)
-    b = p.cost * (1.0 - p.beta * (r - eps * theta_l1))
-    return AdvTerms(a, b)
+    t = mh_branches(r - y * f + eps * zeta_l1, r - eps * theta_l1, p)
+    return AdvTerms(float(t.a), float(t.b))
 
 
 def adv_loss_mh_linear(
@@ -149,6 +169,4 @@ def adv_loss_mh_linear_batch(
         y > 0, np.abs(m.zeta(1)).sum(), np.abs(m.zeta(-1)).sum()
     )
     theta_l1 = np.abs(m.theta).sum()
-    a = 1.0 + 0.5 * p.alpha * (r - y * f + eps * zeta_l1)
-    b = p.cost * (1.0 - p.beta * (r - eps * theta_l1))
-    return np.maximum(np.maximum(a, b), 0.0)
+    return mh_branches(r - y * f + eps * zeta_l1, r - eps * theta_l1, p).value

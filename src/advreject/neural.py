@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attacks import AttackSpec
+from .attacks import AttackSpec, pgd_batch
 from .data import Dataset
-from .losses import SurrogateParams, loss_01c
+from .losses import SurrogateParams, loss_01c, mh_branches
 
 _ACTIVATIONS = {
     "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(np.float64)),
@@ -154,6 +154,8 @@ class NeuralTrainConfig:
     def __post_init__(self):
         if self.attack.method not in ("none", "pgd"):
             raise ValueError("inner attack must be pgd or none")
+        if self.attack.random_start:
+            raise ValueError("attack.random_start must be false: neural PGD starts at the clean point")
         if self.lam_w < 0:
             raise ValueError("lam_w must be nonnegative")
         if self.epochs < 1:
@@ -169,45 +171,45 @@ class NeuralTrainConfig:
 
 
 def _head_grads(f, r, y, p: SurrogateParams):
-    """d(squared MH)/df and /dr per sample; ties differentiate the first
-    (classification) branch."""
-    a = 1.0 + 0.5 * p.alpha * (r - y * f)
-    b = p.cost * (1.0 - p.beta * r)
-    m = np.maximum(np.maximum(a, b), 0.0)
-    use_a = (a >= b) & (m > 0)
-    use_b = (b > a) & (m > 0)
-    df = np.where(use_a, 2.0 * m * (-0.5 * p.alpha * y), 0.0)
-    dr = np.where(use_a, 2.0 * m * 0.5 * p.alpha, np.where(use_b, 2.0 * m * (-p.cost * p.beta), 0.0))
-    return df, dr, m
+    """Squared MH per sample and its derivatives d/df and d/dr."""
+    mh = mh_branches(r - y * f, r, p)
+    m = mh.value
+    df = np.where(mh.use_a, 2.0 * m * (-0.5 * p.alpha * y), 0.0)
+    dr = np.where(mh.use_a, 2.0 * m * 0.5 * p.alpha, np.where(mh.use_b, 2.0 * m * (-p.cost * p.beta), 0.0))
+    return m**2, df, dr
 
 
-def loss_batch(net: ToyNet, x: np.ndarray, y: np.ndarray, cfg: NeuralTrainConfig) -> float:
-    """Mean squared-MH loss plus the top-layer decay term."""
-    f, r, _, _ = net._forward_cache(np.atleast_2d(x))
-    _, _, m = _head_grads(f, r, np.asarray(y, dtype=np.float64), cfg.params)
-    w = net.top_weights
-    return float(np.mean(m**2)) + 0.5 * cfg.lam_w * float(w @ w)
-
-
-def _grads_batch(net: ToyNet, x: np.ndarray, y: np.ndarray, cfg: NeuralTrainConfig, want_input=False):
-    """Gradients of the mean batch loss: parameter grads summed over the
-    batch, input grads per sample (each carrying the 1/n factor)."""
+def _loss_grads(net: ToyNet, x: np.ndarray, y: np.ndarray, cfg: NeuralTrainConfig, want_input=False):
+    """Mean squared-MH loss plus the top-layer decay term, from one forward
+    pass, and a function backpropagating it: parameter grads summed over
+    the batch, input grads per sample (each carrying the 1/n factor)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
     n = x.shape[0]
     f, r, zs, acts = net._forward_cache(x)
-    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(r))):
-        raise FloatingPointError("non-finite network output")
-    df, dr, _ = _head_grads(f, r, y, cfg.params)
-    gws, gbs, dx = net._backward(df / n, dr / n, zs, acts, want_input)
-    gws[-1] = gws[-1].copy()
-    gws[-1][0] += cfg.lam_w * net.top_weights
-    return gws, gbs, dx
+    sq, df, dr = _head_grads(f, r, y, cfg.params)
+    w = net.top_weights
+    loss = float(np.mean(sq)) + 0.5 * cfg.lam_w * float(w @ w)
+
+    def grads():
+        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(r))):
+            raise FloatingPointError("non-finite network output")
+        gws, gbs, dx = net._backward(df / n, dr / n, zs, acts, want_input)
+        gws[-1] = gws[-1].copy()
+        gws[-1][0] += cfg.lam_w * net.top_weights
+        return gws, gbs, dx
+
+    return loss, grads
+
+
+def loss_batch(net: ToyNet, x: np.ndarray, y: np.ndarray, cfg: NeuralTrainConfig) -> float:
+    """Mean squared-MH loss plus the top-layer decay term."""
+    return _loss_grads(net, x, y, cfg)[0]
 
 
 def grad_params(net: ToyNet, x: np.ndarray, y: int, cfg: NeuralTrainConfig) -> np.ndarray:
     """Flat gradient (aligned with net.pack()) of the single-sample loss."""
-    gws, gbs, _ = _grads_batch(net, np.atleast_2d(x), np.array([y]), cfg)
+    gws, gbs, _ = _loss_grads(net, x, np.array([y]), cfg)[1]()
     out = np.concatenate([g.ravel() for g in gws] + [g.ravel() for g in gbs])
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite parameter gradient")
@@ -216,40 +218,32 @@ def grad_params(net: ToyNet, x: np.ndarray, y: int, cfg: NeuralTrainConfig) -> n
 
 def grad_input(net: ToyNet, x: np.ndarray, y: int, cfg: NeuralTrainConfig) -> np.ndarray:
     """Gradient of the single-sample loss with respect to the input."""
-    _, _, dx = _grads_batch(net, np.atleast_2d(x), np.array([y]), cfg, want_input=True)
+    _, _, dx = _loss_grads(net, x, np.array([y]), cfg, want_input=True)[1]()
     if not np.all(np.isfinite(dx)):
         raise FloatingPointError("non-finite input gradient")
     return dx[0]
 
 
-def _inner_pgd_batch(net: ToyNet, x: np.ndarray, y: np.ndarray, cfg: NeuralTrainConfig) -> np.ndarray:
-    """Vectorized linf PGD on the squared-MH loss; returns perturbed inputs
-    (best iterate per sample, the clean point included)."""
-    spec = cfg.attack
-    eps = spec.eps
-    if spec.method == "none" or eps == 0:
-        return x
-    step = spec.resolved_step()
+def _heads_pgd(net: ToyNet, x: np.ndarray, spec: AttackSpec, heads) -> np.ndarray:
+    """Batch PGD on a per-sample objective of the two heads; heads(f, r)
+    gives its value and d/df, d/dr. Each step scores and differentiates
+    from one forward pass. Returns the per-row deltas of the best iterate,
+    the clean point included."""
 
-    def batch_loss(xa):
-        f, r, _, _ = net._forward_cache(xa)
-        _, _, m = _head_grads(f, r, y, cfg.params)
-        return m**2
-
-    delta = np.zeros_like(x)
-    best_loss = batch_loss(x)
-    best_delta = delta.copy()
-    for _ in range(spec.steps):
-        xa = x + delta
+    def value_grad(xa, grad):
         f, r, zs, acts = net._forward_cache(xa)
-        df, dr, _ = _head_grads(f, r, y, cfg.params)
-        _, _, dx = net._backward(df, dr, zs, acts, want_input=True)
-        delta = np.clip(delta + step * np.sign(dx), -eps, eps)
-        cur = batch_loss(x + delta)
-        better = cur > best_loss
-        best_loss = np.where(better, cur, best_loss)
-        best_delta[better] = delta[better]
-    return x + best_delta
+        value, df, dr = heads(f, r)
+        return value, net._backward(df, dr, zs, acts, want_input=True)[2] if grad else None
+
+    return pgd_batch(value_grad, x, spec)
+
+
+def _inner_pgd_batch(net: ToyNet, x: np.ndarray, y: np.ndarray, cfg: NeuralTrainConfig) -> np.ndarray:
+    """Vectorized PGD on the squared-MH loss; returns perturbed inputs
+    (best iterate per sample, the clean point included)."""
+    if cfg.attack.method == "none" or cfg.attack.eps == 0:
+        return x
+    return x + _heads_pgd(net, x, cfg.attack, lambda f, r: _head_grads(f, r, y, cfg.params))
 
 
 def train_neural(ds: Dataset, cfg: NeuralTrainConfig) -> tuple[ToyNet, np.ndarray]:
@@ -269,11 +263,11 @@ def train_neural(ds: Dataset, cfg: NeuralTrainConfig) -> tuple[ToyNet, np.ndarra
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             xb = _inner_pgd_batch(net, x_all[idx], y_all[idx], cfg)
-            loss = loss_batch(net, xb, y_all[idx], cfg)
+            loss, grads = _loss_grads(net, xb, y_all[idx], cfg)
             if not np.isfinite(loss):
                 raise FloatingPointError(f"training loss diverged at epoch {epoch}")
             epoch_losses.append(loss)
-            gws, gbs, _ = _grads_batch(net, xb, y_all[idx], cfg)
+            gws, gbs, _ = grads()
             for w, gw in zip(net.weights, gws):
                 w -= cfg.lr * gw
             for b, gb in zip(net.biases, gbs):
@@ -287,31 +281,6 @@ def decide_net(net: ToyNet, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     f, r = net.forward(np.atleast_2d(x))
     verdict = np.where(r <= 0.0, 0, np.where(f >= 0.0, 1, -1))
     return verdict, f, r
-
-
-def _pgd_batch_heads(net: ToyNet, x, y, eps, steps, head_weights, value_fn):
-    """linf PGD maximizing a head-linear objective, vectorized over rows.
-
-    head_weights(f, r, y) -> per-sample (df, dr) ascent weights;
-    value_fn(f, r, y) -> per-sample objective value being climbed.
-    """
-    step = eps / np.sqrt(steps)
-    delta = np.zeros_like(x)
-    f, r = net.forward(x)
-    best_val = value_fn(f, r, y)
-    best_delta = delta.copy()
-    for _ in range(steps):
-        xa = x + delta
-        f, r, zs, acts = net._forward_cache(xa)
-        df, dr = head_weights(f, r, y)
-        _, _, dx = net._backward(df, dr, zs, acts, want_input=True)
-        delta = np.clip(delta + step * np.sign(dx), -eps, eps)
-        f, r = net.forward(x + delta)
-        cur = value_fn(f, r, y)
-        better = cur > best_val
-        best_val = np.where(better, cur, best_val)
-        best_delta[better] = delta[better]
-    return best_delta
 
 
 def adv_risk_01c_net(
@@ -332,14 +301,9 @@ def adv_risk_01c_net(
     if eps == 0:
         return float(np.mean(risk))
     cfg = NeuralTrainConfig(params=params, attack=AttackSpec(method="pgd", eps=eps, steps=steps))
-
-    def mh2_weights(f, r, yy):
-        df, dr, _ = _head_grads(f, r, yy, params)
-        return df, dr
-
     candidates = [
-        _pgd_batch_heads(net, x, y, eps, steps, lambda f, r, yy: (-yy, np.zeros_like(f)), lambda f, r, yy: -yy * f),
-        _pgd_batch_heads(net, x, y, eps, steps, lambda f, r, yy: (np.zeros_like(f), -np.ones_like(r)), lambda f, r, yy: -r),
+        _heads_pgd(net, x, cfg.attack, lambda f, r: (-y * f, -y, np.zeros_like(f))),
+        _heads_pgd(net, x, cfg.attack, lambda f, r: (-r, np.zeros_like(r), -np.ones_like(r))),
         _inner_pgd_batch(net, x, y, cfg) - x,
     ]
     for delta in candidates:

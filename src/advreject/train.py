@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .losses import SurrogateParams
+from .losses import SurrogateParams, mh_branches
 from .model import FeatureMap, RejectionModel, featurize
 
 MODES = ("svm", "at", "mh", "atro")
@@ -76,8 +76,6 @@ class TrainConfig:
 class TrainTrace:
     objective: np.ndarray
     best: np.ndarray
-    theta_norm: np.ndarray
-    gamma_norm: np.ndarray
     best_objective: float
     best_epoch: int
 
@@ -134,23 +132,49 @@ def _warm_start(zb: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> tuple[np.nda
 
 
 def _objective_arrays(
-    theta: np.ndarray, gamma: np.ndarray, zb: np.ndarray, y: np.ndarray, cfg: TrainConfig
-) -> float:
-    """Objective on augmented arrays (last coordinate is the bias)."""
+    theta: np.ndarray, gamma: np.ndarray, zb: np.ndarray, y: np.ndarray, cfg: TrainConfig, with_grad: bool = False
+):
+    """Objective on augmented arrays (last coordinate is the bias); with
+    with_grad, (objective, g_theta, g_gamma) with a subgradient from the
+    same pass."""
     p, eps = cfg.params, cfg.eps_train
     f = zb @ gamma
     reg = 0.5 * cfg.lam_prime * float(gamma @ gamma)
+    g_gamma = cfg.lam_prime * gamma
     if not cfg.rejection_enabled:
         margin = 1.0 - y * f + eps * np.abs(gamma[:-1]).sum()
-        return float(np.maximum(margin, 0.0).sum()) + reg
+        val = float(np.maximum(margin, 0.0).sum()) + reg
+        if not with_grad:
+            return val
+        act = margin > 0
+        if np.any(act):
+            g_gamma = g_gamma - (y[act] @ zb[act])
+            sg = np.append(np.sign(gamma[:-1]), 0.0)
+            g_gamma = g_gamma + eps * act.sum() * sg
+        return val, np.zeros_like(theta), g_gamma
     r = zb @ theta
-    zeta_l1 = np.where(
-        y > 0, np.abs(theta[:-1] - gamma[:-1]).sum(), np.abs(-theta[:-1] - gamma[:-1]).sum()
-    )
-    a = 1.0 + 0.5 * p.alpha * (r - y * f + eps * zeta_l1)
-    b = p.cost * (1.0 - p.beta * (r - eps * np.abs(theta[:-1]).sum()))
-    hinge = np.maximum(np.maximum(a, b), 0.0).sum()
-    return float(hinge) + reg + 0.5 * cfg.lam * float(theta @ theta)
+    zeta_p, zeta_m = theta[:-1] - gamma[:-1], -theta[:-1] - gamma[:-1]  # zeta(+1), zeta(-1)
+    zeta_l1 = np.where(y > 0, np.abs(zeta_p).sum(), np.abs(zeta_m).sum())
+    mh = mh_branches(r - y * f + eps * zeta_l1, r - eps * np.abs(theta[:-1]).sum(), p)
+    val = float(mh.value.sum()) + reg + 0.5 * cfg.lam * float(theta @ theta)
+    if not with_grad:
+        return val
+    g_theta = cfg.lam * theta
+    if np.any(mh.use_a):
+        ha = 0.5 * p.alpha
+        g_theta = g_theta + ha * zb[mh.use_a].sum(axis=0)
+        g_gamma = g_gamma - ha * (y[mh.use_a] @ zb[mh.use_a])
+        n_pos = int(np.sum(mh.use_a & (y > 0)))
+        n_neg = int(np.sum(mh.use_a & (y < 0)))
+        # d/dtheta eps*||zeta(y)||_1 = eps*y*sgn(zeta(y)); d/dgamma = -eps*sgn(zeta(y)); bias frozen
+        szp, szm = np.append(np.sign(zeta_p), 0.0), np.append(np.sign(zeta_m), 0.0)
+        g_theta = g_theta + ha * eps * (n_pos * szp - n_neg * szm)
+        g_gamma = g_gamma - ha * eps * (n_pos * szp + n_neg * szm)
+    if np.any(mh.use_b):
+        k = int(mh.use_b.sum())
+        st = np.append(np.sign(theta[:-1]), 0.0)
+        g_theta = g_theta - p.cost * p.beta * (zb[mh.use_b].sum(axis=0) - eps * k * st)
+    return val, g_theta, g_gamma
 
 
 def objective(m: RejectionModel, ds: Dataset, cfg: TrainConfig) -> float:
@@ -162,45 +186,6 @@ def objective(m: RejectionModel, ds: Dataset, cfg: TrainConfig) -> float:
     theta = np.append(m.theta, m.bias_theta)
     gamma = np.append(m.gamma, m.bias_gamma)
     return _objective_arrays(theta, gamma, zb, ds.y.astype(np.float64), cfg)
-
-
-def _subgrad(
-    theta: np.ndarray, gamma: np.ndarray, zb: np.ndarray, y: np.ndarray, cfg: TrainConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    p, eps = cfg.params, cfg.eps_train
-    f = zb @ gamma
-    g_gamma = cfg.lam_prime * gamma
-    if not cfg.rejection_enabled:
-        margin = 1.0 - y * f + eps * np.abs(gamma[:-1]).sum()
-        act = margin > 0
-        if np.any(act):
-            g_gamma = g_gamma - (y[act] @ zb[act])
-            sg = np.append(np.sign(gamma[:-1]), 0.0)
-            g_gamma = g_gamma + eps * act.sum() * sg
-        return np.zeros_like(theta), g_gamma
-    r = zb @ theta
-    szp = np.append(np.sign(theta[:-1] - gamma[:-1]), 0.0)  # sgn(zeta(+1)), bias frozen
-    szm = np.append(np.sign(-theta[:-1] - gamma[:-1]), 0.0)  # sgn(zeta(-1))
-    zeta_l1 = np.where(y > 0, np.abs(theta[:-1] - gamma[:-1]).sum(), np.abs(theta[:-1] + gamma[:-1]).sum())
-    a = 1.0 + 0.5 * p.alpha * (r - y * f + eps * zeta_l1)
-    b = p.cost * (1.0 - p.beta * (r - eps * np.abs(theta[:-1]).sum()))
-    mask_a = (a >= b) & (a > 0)
-    mask_b = (b > a) & (b > 0)
-    g_theta = cfg.lam * theta
-    if np.any(mask_a):
-        ha = 0.5 * p.alpha
-        g_theta = g_theta + ha * zb[mask_a].sum(axis=0)
-        g_gamma = g_gamma - ha * (y[mask_a] @ zb[mask_a])
-        n_pos = int(np.sum(mask_a & (y > 0)))
-        n_neg = int(np.sum(mask_a & (y < 0)))
-        # d/dtheta eps*||zeta(y)||_1 = eps*y*sgn(zeta(y)); d/dgamma = -eps*sgn(zeta(y))
-        g_theta = g_theta + ha * eps * (n_pos * szp - n_neg * szm)
-        g_gamma = g_gamma - ha * eps * (n_pos * szp + n_neg * szm)
-    if np.any(mask_b):
-        k = int(mask_b.sum())
-        st = np.append(np.sign(theta[:-1]), 0.0)
-        g_theta = g_theta - p.cost * p.beta * (zb[mask_b].sum(axis=0) - eps * k * st)
-    return g_theta, g_gamma
 
 
 def train(ds: Dataset, cfg: TrainConfig) -> tuple[RejectionModel, TrainTrace]:
@@ -220,13 +205,13 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[RejectionModel, TrainTrace]:
     n_evals = cfg.epochs + 1
     objs = np.empty(n_evals)
     bests = np.empty(n_evals)
-    th_norm = np.empty(n_evals)
-    ga_norm = np.empty(n_evals)
     best_val = np.inf
     best_epoch = 0
     best_theta, best_gamma = theta.copy(), gamma.copy()
     for t in range(n_evals):
-        val = _objective_arrays(theta, gamma, zb, y, cfg)
+        last = t == cfg.epochs
+        out = _objective_arrays(theta, gamma, zb, y, cfg, with_grad=not last)
+        val = out if last else out[0]
         if not np.isfinite(val):
             raise FloatingPointError(
                 f"objective diverged at epoch {t} (lr0={cfg.lr0}); lower the step size"
@@ -236,11 +221,9 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[RejectionModel, TrainTrace]:
             best_theta, best_gamma = theta.copy(), gamma.copy()
         objs[t] = val
         bests[t] = best_val
-        th_norm[t] = np.linalg.norm(theta)
-        ga_norm[t] = np.linalg.norm(gamma)
-        if t == cfg.epochs:
+        if last:
             break
-        g_theta, g_gamma = _subgrad(theta, gamma, zb, y, cfg)
+        _, g_theta, g_gamma = out
         # scale by n so lr0 means the same thing across dataset sizes
         step = cfg.lr0 / (np.sqrt(t + 1.0) * len(y))
         gamma = gamma - step * g_gamma
@@ -254,7 +237,7 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[RejectionModel, TrainTrace]:
         bias_gamma=float(best_gamma[-1]),
         feature_map=cfg.feature_map,
     )
-    trace = TrainTrace(objs, bests, th_norm, ga_norm, best_val, best_epoch)
+    trace = TrainTrace(objs, bests, best_val, best_epoch)
     return model, trace
 
 

@@ -229,19 +229,25 @@ class TestWorstCase01c:
 
 
 class TestBatchPgd:
-    def test_matches_single_sample_path(self, rng):
+    @pytest.mark.parametrize("random_start", [False, True])
+    @pytest.mark.parametrize("norm", ["linf", "l2"])
+    def test_matches_single_sample_path(self, rng, norm, random_start):
         m = random_linear_model(rng, 4)
         z = rng.standard_normal((12, 4))
         y = np.where(rng.random(12) < 0.5, 1, -1)
-        deltas = pgd_linear_mh_batch(m, z, y, 0.2, P13, steps=15)
+        # steps too short to reach a corner from any start, so the start shows
+        spec = AttackSpec(
+            method="pgd", eps=0.2, norm=norm, steps=15, step_size=0.01, random_start=random_start, seed=5
+        )
+        deltas = pgd_linear_mh_batch(m, z, y, spec, P13)
         oracle = LinearMHOracle(m, P13)
         for i in range(12):
-            single = pgd(oracle, z[i], int(y[i]), AttackSpec(method="pgd", eps=0.2, steps=15))
+            single = pgd(oracle, z[i], int(y[i]), spec)
             assert oracle.loss(z[i] + deltas[i], int(y[i])) == pytest.approx(single.achieved_loss, abs=1e-12)
 
     def test_feasible(self, rng):
         m = random_linear_model(rng, 3)
         z = rng.standard_normal((8, 3))
         y = np.ones(8)
-        deltas = pgd_linear_mh_batch(m, z, y, 0.05, P13)
+        deltas = pgd_linear_mh_batch(m, z, y, AttackSpec(method="pgd", eps=0.05), P13)
         assert np.max(np.abs(deltas)) <= 0.05 + 1e-12

@@ -10,9 +10,12 @@ from advreject.losses import (
     adv_terms_linear,
     loss_01c,
     loss_mh,
+    mh_branches,
     surrogate_conv,
 )
+from advreject.attacks import LinearMHOracle
 from advreject.model import RejectionModel
+from advreject.neural import _head_grads
 from conftest import random_linear_model
 from oracles import box_max_mh
 
@@ -58,6 +61,25 @@ class TestLossMh:
 
     def test_large_margins_zero(self):
         assert loss_mh(10, 2, 1, P13) == 0.0
+
+    def test_tie_rule(self):
+        # (f, r) with y = +1 at A == B == 0.25, at A == B == 0 and at A, B < 0;
+        # every value below is exact in binary floating point
+        p = SurrogateParams(1.0, 1.0, 0.25)
+        f, r = np.array([1.5, 3.0, 6.0]), np.array([0.0, 1.0, 2.0])
+        mh = mh_branches(r - f, r, p)
+        assert mh.a.tolist() == [0.25, 0.0, -1.0] and mh.b.tolist() == [0.25, 0.0, -0.25]
+        assert mh.use_a.tolist() == [True, False, False]
+        assert mh.use_b.tolist() == [False, False, False]
+        assert loss_mh(f, r, 1, p).tolist() == [0.25, 0.0, 0.0]
+        # f = z @ gamma and r = z @ theta give the same three points
+        oracle = LinearMHOracle(RejectionModel(theta=np.array([0.0, 1.0]), gamma=np.array([1.5, 0.0])), p)
+        assert oracle.grad(np.array([1.0, 0.0]), 1).tolist() == [-0.75, 0.5]  # (alpha/2)(theta - gamma)
+        assert oracle.grad(np.array([2.0, 1.0]), 1).tolist() == [0.0, 0.0]
+        assert oracle.grad(np.array([4.0, 2.0]), 1).tolist() == [0.0, 0.0]
+        sq, df, dr = _head_grads(f, r, np.ones(3), p)
+        assert sq.tolist() == [0.0625, 0.0, 0.0]
+        assert df.tolist() == [-0.25, 0.0, 0.0] and dr.tolist() == [0.25, 0.0, 0.0]  # 2m * dA/df, dA/dr
 
 
 class TestSurrogateConv:

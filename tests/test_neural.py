@@ -171,12 +171,16 @@ class TestTraining:
     def test_divergence_raises(self):
         ds = two_moons(40, seed=2)
         cfg = NeuralTrainConfig(params=P13, attack=AttackSpec(method="none"), epochs=50, lr=1e30)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError, match="epoch"):
             train_neural(ds, cfg)
 
     def test_inner_attack_must_be_pgd_or_none(self):
         with pytest.raises(ValueError):
             NeuralTrainConfig(attack=AttackSpec(method="fgsm", eps=0.1))
+
+    def test_random_start_rejected(self):
+        with pytest.raises(ValueError, match="attack.random_start"):
+            NeuralTrainConfig(attack=AttackSpec(method="pgd", eps=0.1, random_start=True))
 
 
 class TestNetSerialization:
