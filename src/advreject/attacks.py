@@ -59,18 +59,25 @@ class Perturbation:
 
 
 def linear_mh_value_grad(m: RejectionModel, z: np.ndarray, y, p: SurrogateParams, grad: bool = True):
-    """MH loss of a linear model at feature points z (a vector or rows) and,
-    if grad, its gradient in z (None otherwise). Branch A's gradient is
-    (alpha/2)(theta - y*gamma), branch B's -c*beta*theta, an inactive
-    hinge's 0."""
+    """MH loss of a linear model at feature points z (a vector or rows) with
+    labels y = +-1 and, if grad, its gradient in z (None otherwise).
+
+    Every row's gradient is one of four fixed vectors, so it is gathered from
+    a per-branch table: 0 for an inactive hinge, branch A's
+    (alpha/2)(theta - y*gamma) for y = +1 and for y = -1, and branch B's
+    -c*beta*theta. Beyond the two score products and the branch test, a call
+    costs one gather."""
     f, r = m.scores_features(z)
     y = np.asarray(y, dtype=np.float64)
     mh = mh_branches(r - y * f, r, p)
     if not grad:
         return mh.value, None
-    ga = 0.5 * p.alpha * (m.theta - y[..., None] * m.gamma)
-    gb = -p.cost * p.beta * m.theta
-    return mh.value, np.where(mh.use_a[..., None], ga, np.where(mh.use_b[..., None], gb, 0.0))
+    rows = np.zeros((4, m.feat_dim))
+    rows[1] = 0.5 * p.alpha * (m.theta - m.gamma)  # branch A, y = +1
+    rows[2] = 0.5 * p.alpha * (m.theta + m.gamma)  # branch A, y = -1
+    rows[3] = -p.cost * p.beta * m.theta  # branch B
+    branch = np.where(mh.use_a, np.where(y > 0, 1, 2), np.where(mh.use_b, 3, 0))
+    return mh.value, rows[branch]
 
 
 class LinearMHOracle:
@@ -116,10 +123,11 @@ def pgd(oracle, x: np.ndarray, y: int, spec: AttackSpec) -> Perturbation:
     best = Perturbation(delta.copy(), oracle.loss(x + delta, y))
     if spec.eps == 0:
         return best
+    step = _stepper(spec)
     for i in range(spec.steps):
         g = oracle.grad(x + delta, y)
         _check_finite(g, f"pgd step {i}")
-        delta = _step(delta, g, spec)
+        delta = step(delta, g)
         val = oracle.loss(x + delta, y)
         if val > best.achieved_loss:
             best = Perturbation(delta.copy(), val)
@@ -138,21 +146,36 @@ def _start(spec: AttackSpec, shape: tuple) -> np.ndarray:
     return np.broadcast_to(delta, shape).copy()
 
 
-def _step(delta: np.ndarray, g: np.ndarray, spec: AttackSpec) -> np.ndarray:
-    """One ascent step per row: a sign step clipped to the box for linf, a
-    normalized-gradient step projected onto the ball for l2 (no move where
-    the gradient is 0)."""
+def _stepper(spec: AttackSpec):
+    """The ascent step of spec as a function of (delta, g), with the radius
+    and step size resolved once: per row, a sign step clipped to the box for
+    linf, a normalized-gradient step projected onto the ball for l2 (no move
+    where the gradient is 0)."""
     eps, step = spec.eps, spec.resolved_step()
-    if spec.norm == "linf":
-        return np.clip(delta + step * np.sign(g), -eps, eps)
-    gn = np.linalg.norm(g, axis=-1, keepdims=True)
-    return np.where(gn > 0, _project_l2(delta + step * g / np.where(gn > 0, gn, 1.0), eps), delta)
+
+    def linf_step(delta, g):
+        out = np.sign(g)  # one buffer carries delta + step*sgn(g) to the clip
+        out *= step
+        out += delta
+        return np.clip(out, -eps, eps, out=out)
+
+    def l2_step(delta, g):
+        gn = np.linalg.norm(g, axis=-1, keepdims=True)
+        out = step * g
+        out /= np.where(gn > 0, gn, 1.0)
+        out += delta
+        _project_l2(out, eps)
+        np.copyto(out, delta, where=~(gn > 0))
+        return out
+
+    return linf_step if spec.norm == "linf" else l2_step
 
 
 def _project_l2(delta: np.ndarray, eps: float) -> np.ndarray:
-    """Each row of delta (or delta itself) scaled into the l2 ball of radius eps."""
-    nrm = np.linalg.norm(delta, axis=-1, keepdims=True)
-    return delta * (eps / np.maximum(nrm, eps))
+    """Each row of delta (or delta itself) scaled into the l2 ball of radius
+    eps, in place; returns delta."""
+    delta *= eps / np.maximum(np.linalg.norm(delta, axis=-1, keepdims=True), eps)
+    return delta
 
 
 def analytic_candidates(
@@ -248,16 +271,19 @@ def pgd_batch(value_grad, x: np.ndarray, spec: AttackSpec) -> np.ndarray:
 
     value_grad(points, grad) gives each row's objective at the points and,
     if grad, its gradient there, so one call both scores an iterate and
-    sets the next step. Returns each row's delta at its best iterate, the
-    start included.
+    sets the next step. One step is that call, the ascent step with the
+    radius and step size resolved once per call of pgd_batch, and the
+    best-iterate update; the last iterate is only scored. Returns each
+    row's delta at its best iterate, the start included.
     """
     delta = _start(spec, x.shape)
     if spec.eps == 0:
         return delta
+    step = _stepper(spec)
     best_val, g = value_grad(x + delta, True)
     best_delta = delta.copy()
     for i in range(spec.steps):
-        delta = _step(delta, g, spec)
+        delta = step(delta, g)
         val, g = value_grad(x + delta, i + 1 < spec.steps)  # the last iterate is only scored
         better = val > best_val
         best_val = np.where(better, val, best_val)

@@ -24,7 +24,6 @@ from .bounds import clipped_adv_risk, generalization_bound, weight_bound
 from .config import ConfigError, NeuralSection, RunConfig, TrainSection, validate_config
 from .data import DataFormatError, Dataset, normalize, parse_csv, parse_libsvm, split
 from .evaluate import bench_to_csv, bench_to_text, evaluate_model
-from .losses import loss_01c
 from .model import FeatureMap, RejectionModel
 from .neural import train_neural
 from .train import train
@@ -146,10 +145,8 @@ def _cmd_attack(rc: RunConfig, out: Path) -> int:
     from .evaluate import _attack_and_score  # per-sample detail
 
     spec = replace(rc.attack, seed=seeds["attack"])
-    f, r, winner, names, worst = _attack_and_score(model, ds, spec, params)
-    z = model.featurize(ds.x)
-    f0, r0 = model.scores_features(z)
-    clean = loss_01c(f0, r0, ds.y, params.cost)
+    _, _, winner, names, losses = _attack_and_score(model, ds, spec, params)
+    clean, worst = losses[0], losses.max(axis=0)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["index,y,clean_loss,worst_loss,winner"]
     for i in range(len(ds)):

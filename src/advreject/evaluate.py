@@ -88,7 +88,8 @@ def _attack_and_score(
     m: RejectionModel, ds: Dataset, spec: AttackSpec, params: SurrogateParams
 ):
     """Returns per-sample (f, r) at the winning perturbation, the winning
-    candidate index/name, and the per-sample worst zero-one-c loss."""
+    candidate index, the candidate names, and the zero-one-c loss of every
+    candidate per sample (row 0 is the clean point)."""
     z = m.featurize(ds.x)
     y = ds.y.astype(np.float64)
     deltas = _candidate_deltas(m, z, y, spec, params)
@@ -101,7 +102,7 @@ def _attack_and_score(
         losses[k] = loss_01c(f, r, y, params.cost)
     winner = np.argmax(losses, axis=0)  # first max wins; clean is index 0
     cols = np.arange(len(ds))
-    return fs[winner, cols], rs[winner, cols], winner, list(deltas), losses[winner, cols]
+    return fs[winner, cols], rs[winner, cols], winner, list(deltas), losses
 
 
 def _confusion(f: np.ndarray, r: np.ndarray, y: np.ndarray) -> RejectConfusion:
@@ -143,11 +144,11 @@ def evaluate_model(
 ) -> EvalReport:
     if params is None:
         params = SurrogateParams()
-    f, r, winner, names, worst = _attack_and_score(m, ds, attack, params)
+    f, r, winner, names, losses = _attack_and_score(m, ds, attack, params)
     conf = _confusion(f, r, ds.y)
     err, rej, pr = metrics(conf)
     wins = {name: int(np.sum(winner == k)) for k, name in enumerate(names)}
-    return EvalReport(err, rej, pr, conf, attack, wins, float(np.mean(worst)))
+    return EvalReport(err, rej, pr, conf, attack, wins, float(np.mean(losses.max(axis=0))))
 
 
 def adv_risk_01c(
@@ -156,8 +157,8 @@ def adv_risk_01c(
     """Mean worst-case zero-one-c loss under the candidate-set attack."""
     if params is None:
         params = SurrogateParams()
-    _, _, _, _, worst = _attack_and_score(m, ds, attack, params)
-    return float(np.mean(worst))
+    losses = _attack_and_score(m, ds, attack, params)[4]
+    return float(np.mean(losses.max(axis=0)))
 
 
 @dataclass(frozen=True)

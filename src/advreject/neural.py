@@ -86,16 +86,19 @@ class ToyNet:
             return float(f[0]), float(r[0])
         return f, r
 
-    def _backward(self, df: np.ndarray, dr: np.ndarray, zs, acts, want_input: bool):
+    def _backward(self, df: np.ndarray, dr: np.ndarray, zs, acts, want_input: bool, want_params: bool = True):
         """Backpropagate per-sample head gradients. Returns (param grads
-        summed over the batch, input gradient per sample)."""
+        summed over the batch, input gradient per sample); without
+        want_params the param-grad lists hold None and only the delta chain
+        runs."""
         _, dact = _ACTIVATIONS[self.activation]
         delta = np.stack([df, dr], axis=1)
         gws = [None] * len(self.weights)
         gbs = [None] * len(self.biases)
         for li in range(len(self.weights) - 1, -1, -1):
-            gws[li] = delta.T @ acts[li]
-            gbs[li] = delta.sum(axis=0)
+            if want_params:
+                gws[li] = delta.T @ acts[li]
+                gbs[li] = delta.sum(axis=0)
             if li > 0:
                 delta = (delta @ self.weights[li]) * dact(zs[li - 1])
             elif want_input:
@@ -173,10 +176,10 @@ class NeuralTrainConfig:
 def _head_grads(f, r, y, p: SurrogateParams):
     """Squared MH per sample and its derivatives d/df and d/dr."""
     mh = mh_branches(r - y * f, r, p)
-    m = mh.value
-    df = np.where(mh.use_a, 2.0 * m * (-0.5 * p.alpha * y), 0.0)
-    dr = np.where(mh.use_a, 2.0 * m * 0.5 * p.alpha, np.where(mh.use_b, 2.0 * m * (-p.cost * p.beta), 0.0))
-    return m**2, df, dr
+    m2 = 2.0 * mh.value
+    df = np.where(mh.use_a, m2 * (-0.5 * p.alpha * y), 0.0)
+    dr = np.where(mh.use_a, m2 * (0.5 * p.alpha), np.where(mh.use_b, m2 * (-p.cost * p.beta), 0.0))
+    return mh.value**2, df, dr
 
 
 def _loss_grads(net: ToyNet, x: np.ndarray, y: np.ndarray, cfg: NeuralTrainConfig, want_input=False):
@@ -226,14 +229,15 @@ def grad_input(net: ToyNet, x: np.ndarray, y: int, cfg: NeuralTrainConfig) -> np
 
 def _heads_pgd(net: ToyNet, x: np.ndarray, spec: AttackSpec, heads) -> np.ndarray:
     """Batch PGD on a per-sample objective of the two heads; heads(f, r)
-    gives its value and d/df, d/dr. Each step scores and differentiates
-    from one forward pass. Returns the per-row deltas of the best iterate,
-    the clean point included."""
+    gives its value and d/df, d/dr. One step is one forward pass, which
+    scores the iterate, and a backward pass to the input only (no
+    parameter gradients), which sets the next step. Returns the per-row
+    deltas of the best iterate, the clean point included."""
 
     def value_grad(xa, grad):
         f, r, zs, acts = net._forward_cache(xa)
         value, df, dr = heads(f, r)
-        return value, net._backward(df, dr, zs, acts, want_input=True)[2] if grad else None
+        return value, net._backward(df, dr, zs, acts, want_input=True, want_params=False)[2] if grad else None
 
     return pgd_batch(value_grad, x, spec)
 

@@ -26,7 +26,7 @@ like ordinary coordinates but never enter the l1/perturbation terms.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -192,12 +192,19 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[RejectionModel, TrainTrace]:
     """Subgradient descent from a deterministic warm start; the same data
     and config always give the same model and trace.
 
+    A random Fourier map without input_dim comes back pinned to ds.d, so the
+    model rejects inputs of another dimension instead of featurizing them
+    with other weights.
+
     Raises FloatingPointError with the failing epoch and step size if the
     objective stops being finite.
     """
     if len(ds) == 0:
         raise ValueError("dataset is empty")
-    z = featurize(cfg.feature_map, ds.x)
+    fm = cfg.feature_map
+    if fm.kind == "random_fourier" and not fm.input_dim:
+        fm = replace(fm, input_dim=ds.d)
+    z = featurize(fm, ds.x)
     zb = _augment(z)
     y = ds.y.astype(np.float64)
     theta, gamma = _warm_start(zb, y, cfg)
@@ -235,7 +242,7 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[RejectionModel, TrainTrace]:
         gamma=best_gamma[:-1],
         bias_theta=float(best_theta[-1]),
         bias_gamma=float(best_gamma[-1]),
-        feature_map=cfg.feature_map,
+        feature_map=fm,
     )
     trace = TrainTrace(objs, bests, best_val, best_epoch)
     return model, trace

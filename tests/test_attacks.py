@@ -6,6 +6,7 @@ from advreject.attacks import (
     LinearMHOracle,
     analytic_candidates,
     fgsm,
+    linear_mh_value_grad,
     pgd,
     pgd_linear_mh_batch,
     worst_case_01c,
@@ -13,7 +14,7 @@ from advreject.attacks import (
 from advreject.losses import SurrogateParams, adv_loss_mh_linear, loss_01c
 from advreject.model import RejectionModel
 from conftest import random_linear_model
-from oracles import box_max_01c
+from oracles import box_max_01c, central_difference
 
 P13 = SurrogateParams(1.0, 1.0, 0.3)
 
@@ -226,6 +227,51 @@ class TestWorstCase01c:
         m = RejectionModel(theta=np.zeros(7), gamma=np.ones(7))
         with pytest.raises(ValueError):
             worst_case_01c(m, np.zeros(7), 1, 0.1, 0.3, mode="exact_small_d")
+
+
+class TestLinearMhValueGrad:
+    P = SurrogateParams(alpha=2.0, beta=1.5, cost=0.3)
+
+    def rows(self, rng):
+        m = random_linear_model(rng, 4)
+        z = 3.0 * rng.standard_normal((400, 4))
+        y = np.where(rng.random(400) < 0.5, 1.0, -1.0)
+        return m, z, y
+
+    def test_rows_match_branch_formulas(self, rng):
+        m, z, y = self.rows(rng)
+        value, grad = linear_mh_value_grad(m, z, y, self.P)
+        al, be, c = self.P.alpha, self.P.beta, self.P.cost
+        seen = set()
+        for zi, yi, vi, gi in zip(z, y, value, grad):
+            f = float(zi @ m.gamma) + m.bias_gamma
+            r = float(zi @ m.theta) + m.bias_theta
+            a = 1.0 + 0.5 * al * (r - yi * f)
+            b = c * (1.0 - be * r)
+            if a >= b and a > 0:
+                state, want = "A", 0.5 * al * (m.theta - yi * m.gamma)
+            elif b > a and b > 0:
+                state, want = "B", -c * be * m.theta
+            else:
+                state, want = "inactive", np.zeros(4)
+            seen.add((yi, state))
+            assert vi == pytest.approx(max(a, b, 0.0), abs=1e-12)
+            assert np.array_equal(gi, want), (yi, state)
+        assert len(seen) == 6  # both labels in each branch state
+
+    def test_rows_match_central_differences_away_from_kinks(self, rng):
+        m, z, y = self.rows(rng)
+        _, grad = linear_mh_value_grad(m, z, y, self.P)
+        f, r = m.scores_features(z)
+        a = 1.0 + 0.5 * self.P.alpha * (r - y * f)
+        b = self.P.cost * (1.0 - self.P.beta * r)
+        away = (np.abs(a - b) > 1e-3) & (np.abs(a) > 1e-3) & (np.abs(b) > 1e-3)
+        assert away.sum() > 300
+        for i in np.flatnonzero(away):
+            num = central_difference(
+                lambda zi: float(linear_mh_value_grad(m, zi, y[i], self.P, grad=False)[0]), z[i].copy()
+            )
+            assert np.allclose(grad[i], num, rtol=0.0, atol=1e-6)
 
 
 class TestBatchPgd:

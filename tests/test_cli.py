@@ -6,7 +6,9 @@ import pytest
 
 from advreject.cli import main
 from advreject.config import ConfigError, validate_config
-from advreject.data import to_csv, to_libsvm
+from advreject.data import parse_libsvm, to_csv, to_libsvm
+from advreject.losses import loss_01c
+from advreject.model import RejectionModel
 from advreject.synth import credit_surrogate, two_clusters, two_moons
 
 
@@ -160,6 +162,13 @@ class TestOtherCommands:
         lines = (out / "attack.csv").read_text().strip().splitlines()
         assert lines[0] == "index,y,clean_loss,worst_loss,winner"
         assert len(lines) == 121
+        model = RejectionModel.from_json(trained.read_text())
+        ds = model.norm_stats.apply(parse_libsvm(data_file.read_text()))
+        f, r = model.scores(ds.x)
+        clean = loss_01c(f, r, ds.y, 0.2)  # the run-level default cost
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[2] for row in rows] == [repr(float(v)) for v in clean]
+        assert all(float(row[3]) >= float(row[2]) for row in rows)
 
     def test_bound(self, trained, data_file, tmp_path):
         out = tmp_path / "bound_run"

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from advreject import neural
 from advreject.attacks import AttackSpec
 from advreject.data import Dataset
 from advreject.losses import SurrogateParams
 from advreject.neural import (
     NeuralTrainConfig,
     ToyNet,
+    _head_grads,
     _inner_pgd_batch,
     adv_risk_01c_net,
     grad_input,
@@ -72,6 +74,27 @@ class TestGradients:
             g = grad_input(net, x, y, cfg)
             num = central_difference(lambda xv: loss_batch(net, xv, np.array([y]), cfg), x.copy())
             assert np.max(rel_err(g, num)) <= 1e-4
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_pgd_input_gradient_matches_full_backward(self, rng, monkeypatch, activation):
+        net = random_net(rng, hidden=(6, 5), activation=activation)
+        x = rng.standard_normal((20, 3))
+        y = np.where(rng.random(20) < 0.5, 1.0, -1.0)
+        captured = []
+
+        def capture(value_grad, x0, spec):
+            captured.append(value_grad)
+            return np.zeros_like(x0)
+
+        monkeypatch.setattr(neural, "pgd_batch", capture)
+        _inner_pgd_batch(net, x, y, NeuralTrainConfig(params=P13, attack=AttackSpec(method="pgd", eps=0.1)))
+        (value_grad,) = captured
+        f, r, zs, acts = net._forward_cache(x)
+        sq, df, dr = _head_grads(f, r, y, P13)
+        value, grad = value_grad(x, True)
+        assert np.array_equal(value, sq)
+        assert np.array_equal(grad, net._backward(df, dr, zs, acts, want_input=True)[2])
+        assert value_grad(x, False)[1] is None
 
     def test_inactive_hinge_leaves_only_decay(self, rng):
         cfg = NeuralTrainConfig(params=P13, lam_w=0.5)

@@ -160,6 +160,16 @@ class TestTrain:
         assert model.feat_dim == 16
         assert model.decide(ds.x[0]) is not None
 
+    def test_fourier_map_pinned_to_training_dimension(self, rng):
+        x = rng.standard_normal((40, 14))
+        ds = Dataset(x, np.where(x[:, 0] > 0, 1, -1))
+        fm = FeatureMap("random_fourier", dim=200, sigma=0.8, seed=7)  # the README quick start map
+        model, _ = train(ds, TrainConfig(mode="atro", eps_train=0.001, epochs=5, feature_map=fm))
+        assert model.feature_map.input_dim == 14
+        model.featurize(ds.x)
+        with pytest.raises(ValueError, match="input dimension 14"):
+            model.featurize(rng.standard_normal((3, 8)))
+
 
 class TestCrossValidate:
     def test_single_config(self, rng):
