@@ -53,6 +53,17 @@ class Dataset:
 DEFAULT_LABEL_MAP = {"+1": 1, "1": 1, "-1": -1}
 
 
+def _label(token: str, label_map: dict[str, int], lineno: int) -> int:
+    """The label a token maps to; a DataFormatError naming the line if the
+    token is unknown or maps outside -1/+1."""
+    if token not in label_map:
+        raise DataFormatError(f"unknown label {token!r}", lineno)
+    y = label_map[token]
+    if y not in (-1, 1):
+        raise DataFormatError(f"label map sends {token!r} to {y}, not -1/+1", lineno)
+    return y
+
+
 def parse_libsvm(text: str, label_map: dict[str, int] | None = None, name: str = "") -> Dataset:
     """Parse LIBSVM sparse text ("<label> <idx>:<val> ...") into a dense Dataset.
 
@@ -70,12 +81,7 @@ def parse_libsvm(text: str, label_map: dict[str, int] | None = None, name: str =
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        token = parts[0]
-        if token not in label_map:
-            raise DataFormatError(f"unknown label {token!r}", lineno)
-        y = label_map[token]
-        if y not in (-1, 1):
-            raise DataFormatError(f"label map sends {token!r} to {y}, not -1/+1", lineno)
+        y = _label(parts[0], label_map, lineno)
         entries: dict[int, float] = {}
         prev = 0
         for item in parts[1:]:
@@ -135,14 +141,15 @@ def parse_csv(text: str, label_map: dict[str, int] | None = None, name: str = ""
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != ncol:
             raise DataFormatError(f"expected {ncol} columns, got {len(cells)}", lineno)
-        token = cells[-1]
-        if token not in label_map:
-            raise DataFormatError(f"unknown label {token!r}", lineno)
+        y = _label(cells[-1], label_map, lineno)
         try:
-            xs.append([float(c) for c in cells[:-1]])
+            row = [float(c) for c in cells[:-1]]
         except ValueError:
             raise DataFormatError("non-numeric feature value", lineno) from None
-        ys.append(label_map[token])
+        if not np.all(np.isfinite(row)):
+            raise DataFormatError("non-finite feature value", lineno)
+        xs.append(row)
+        ys.append(y)
     return Dataset(np.array(xs), np.array(ys), name=name)
 
 

@@ -131,6 +131,18 @@ class AdvTerms:
     b_tilde: float
 
 
+def worst_case_l1(theta: np.ndarray, gamma: np.ndarray, eps: float) -> tuple[float, float, float]:
+    """The l1 terms of the worst case over the eps-ball: eps*||zeta(+1)||_1,
+    eps*||zeta(-1)||_1 and eps*||theta||_1, with zeta(+1) = theta - gamma
+    and zeta(-1) = -theta - gamma. theta and gamma are the weight
+    coordinates only; the biases are not perturbable."""
+    return (
+        eps * float(np.abs(theta - gamma).sum()),
+        eps * float(np.abs(-theta - gamma).sum()),
+        eps * float(np.abs(theta).sum()),
+    )
+
+
 def adv_terms_linear(
     m: RejectionModel, z: np.ndarray, y: int, eps: float, p: SurrogateParams
 ) -> AdvTerms:
@@ -141,11 +153,12 @@ def adv_terms_linear(
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
+    if y not in (-1, 1):
+        raise ValueError("y must be -1 or +1")
     f, r = m.scores_features(z)
     f, r = float(f), float(r)
-    zeta_l1 = float(np.abs(m.zeta(y)).sum())
-    theta_l1 = float(np.abs(m.theta).sum())
-    t = mh_branches(r - y * f + eps * zeta_l1, r - eps * theta_l1, p)
+    zeta_pos, zeta_neg, theta_l1 = worst_case_l1(m.theta, m.gamma, eps)
+    t = mh_branches(r - y * f + (zeta_pos if y > 0 else zeta_neg), r - theta_l1, p)
     return AdvTerms(float(t.a), float(t.b))
 
 
@@ -165,8 +178,5 @@ def adv_loss_mh_linear_batch(
         raise ValueError("eps must be nonnegative")
     f, r = m.scores_features(z)
     y = np.asarray(y, dtype=np.float64)
-    zeta_l1 = np.where(
-        y > 0, np.abs(m.zeta(1)).sum(), np.abs(m.zeta(-1)).sum()
-    )
-    theta_l1 = np.abs(m.theta).sum()
-    return mh_branches(r - y * f + eps * zeta_l1, r - eps * theta_l1, p).value
+    zeta_pos, zeta_neg, theta_l1 = worst_case_l1(m.theta, m.gamma, eps)
+    return mh_branches(r - y * f + np.where(y > 0, zeta_pos, zeta_neg), r - theta_l1, p).value

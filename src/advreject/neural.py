@@ -25,9 +25,10 @@ from .attacks import AttackSpec, pgd_batch
 from .data import Dataset
 from .losses import SurrogateParams, loss_01c, mh_branches
 
+# (activation, its derivative written in terms of the activation's output)
 _ACTIVATIONS = {
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(np.float64)),
-    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda a: a > 0.0),
+    "tanh": (np.tanh, lambda a: 1.0 - a**2),
 }
 
 
@@ -65,32 +66,30 @@ class ToyNet:
         return self.weights[-1][0]
 
     def _forward_cache(self, x: np.ndarray):
-        """x: (n, d). Returns (f, r, pre-activations, activations)."""
+        """x: (n, d). Returns (f, r, activations), the input first."""
         act, _ = _ACTIVATIONS[self.activation]
         a = x
-        zs, acts = [], [x]
+        acts = [x]
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            z = a @ w.T + b
-            zs.append(z)
-            a = act(z)
+            a = act(a @ w.T + b)
             acts.append(a)
         out = a @ self.weights[-1].T + self.biases[-1]
-        return out[:, 0], out[:, 1], zs, acts
+        return out[:, 0], out[:, 1], acts
 
     def forward(self, x: np.ndarray):
         """(f, r) for a single input or a batch; scalars for 1-D input."""
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
-        f, r, _, _ = self._forward_cache(np.atleast_2d(x))
+        f, r, _ = self._forward_cache(np.atleast_2d(x))
         if single:
             return float(f[0]), float(r[0])
         return f, r
 
-    def _backward(self, df: np.ndarray, dr: np.ndarray, zs, acts, want_input: bool, want_params: bool = True):
+    def _backward(self, df: np.ndarray, dr: np.ndarray, acts, want_input: bool, want_params: bool = True):
         """Backpropagate per-sample head gradients. Returns (param grads
         summed over the batch, input gradient per sample); without
         want_params the param-grad lists hold None and only the delta chain
-        runs."""
+        runs. The activation derivatives come from the cached outputs."""
         _, dact = _ACTIVATIONS[self.activation]
         delta = np.stack([df, dr], axis=1)
         gws = [None] * len(self.weights)
@@ -100,7 +99,7 @@ class ToyNet:
                 gws[li] = delta.T @ acts[li]
                 gbs[li] = delta.sum(axis=0)
             if li > 0:
-                delta = (delta @ self.weights[li]) * dact(zs[li - 1])
+                delta = (delta @ self.weights[li]) * dact(acts[li])
             elif want_input:
                 delta = delta @ self.weights[0]
         return gws, gbs, delta
@@ -189,7 +188,7 @@ def _loss_grads(net: ToyNet, x: np.ndarray, y: np.ndarray, cfg: NeuralTrainConfi
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
     n = x.shape[0]
-    f, r, zs, acts = net._forward_cache(x)
+    f, r, acts = net._forward_cache(x)
     sq, df, dr = _head_grads(f, r, y, cfg.params)
     w = net.top_weights
     loss = float(np.mean(sq)) + 0.5 * cfg.lam_w * float(w @ w)
@@ -197,7 +196,7 @@ def _loss_grads(net: ToyNet, x: np.ndarray, y: np.ndarray, cfg: NeuralTrainConfi
     def grads():
         if not (np.all(np.isfinite(f)) and np.all(np.isfinite(r))):
             raise FloatingPointError("non-finite network output")
-        gws, gbs, dx = net._backward(df / n, dr / n, zs, acts, want_input)
+        gws, gbs, dx = net._backward(df / n, dr / n, acts, want_input)
         gws[-1] = gws[-1].copy()
         gws[-1][0] += cfg.lam_w * net.top_weights
         return gws, gbs, dx
@@ -235,9 +234,9 @@ def _heads_pgd(net: ToyNet, x: np.ndarray, spec: AttackSpec, heads) -> np.ndarra
     deltas of the best iterate, the clean point included."""
 
     def value_grad(xa, grad):
-        f, r, zs, acts = net._forward_cache(xa)
+        f, r, acts = net._forward_cache(xa)
         value, df, dr = heads(f, r)
-        return value, net._backward(df, dr, zs, acts, want_input=True, want_params=False)[2] if grad else None
+        return value, net._backward(df, dr, acts, want_input=True, want_params=False)[2] if grad else None
 
     return pgd_batch(value_grad, x, spec)
 

@@ -21,17 +21,25 @@ At every kink (inactive hinge, l1 terms at 0) the chosen subgradient is
 the zero element: sgn(0) = 0 and an inactive hinge contributes nothing.
 Biases are carried as appended constant features: they are regularized
 like ordinary coordinates but never enter the l1/perturbation terms.
+
+The order of an epoch's float operations is pinned bit for bit by
+perfbench/test_perfbench.py::test_fixture_models_load_and_match_their_recipe,
+which retrains a fixture model and compares its bytes. A change that
+reassociates a sum here (one gemm for f and r, a gemv for a masked row sum)
+changes the trained models and fails that test; speed-ups must do the same
+operations with less overhead.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import Dataset
-from .losses import SurrogateParams, mh_branches
+from .losses import SurrogateParams, mh_branches, worst_case_l1
 from .model import FeatureMap, RejectionModel, featurize
 
 MODES = ("svm", "at", "mh", "atro")
@@ -136,44 +144,56 @@ def _objective_arrays(
 ):
     """Objective on augmented arrays (last coordinate is the bias); with
     with_grad, (objective, g_theta, g_gamma) with a subgradient from the
-    same pass."""
+    same pass. The gradients are fresh arrays the caller may overwrite.
+
+    y holds only -1 and +1. The l1 sign vectors are taken over the whole
+    augmented vector and their bias entry is then set to 0 (bias frozen)."""
     p, eps = cfg.params, cfg.eps_train
     f = zb @ gamma
     reg = 0.5 * cfg.lam_prime * float(gamma @ gamma)
     g_gamma = cfg.lam_prime * gamma
     if not cfg.rejection_enabled:
-        margin = 1.0 - y * f + eps * np.abs(gamma[:-1]).sum()
+        margin = y * f
+        np.subtract(1.0, margin, out=margin)
+        margin += eps * np.abs(gamma[:-1]).sum()
         val = float(np.maximum(margin, 0.0).sum()) + reg
         if not with_grad:
             return val
-        act = margin > 0
-        if np.any(act):
-            g_gamma = g_gamma - (y[act] @ zb[act])
-            sg = np.append(np.sign(gamma[:-1]), 0.0)
-            g_gamma = g_gamma + eps * act.sum() * sg
+        act = np.flatnonzero(margin > 0)
+        if act.size:
+            g_gamma -= y.take(act) @ zb.take(act, axis=0)
+            sg = np.sign(gamma)
+            sg[-1] = 0.0
+            g_gamma += eps * act.size * sg
         return val, np.zeros_like(theta), g_gamma
     r = zb @ theta
-    zeta_p, zeta_m = theta[:-1] - gamma[:-1], -theta[:-1] - gamma[:-1]  # zeta(+1), zeta(-1)
-    zeta_l1 = np.where(y > 0, np.abs(zeta_p).sum(), np.abs(zeta_m).sum())
-    mh = mh_branches(r - y * f + eps * zeta_l1, r - eps * np.abs(theta[:-1]).sum(), p)
+    zeta_pos, zeta_neg, theta_l1 = worst_case_l1(theta[:-1], gamma[:-1], eps)
+    gap = y * f
+    np.subtract(r, gap, out=gap)
+    gap += np.where(y > 0, zeta_pos, zeta_neg)
+    mh = mh_branches(gap, r - theta_l1, p)
     val = float(mh.value.sum()) + reg + 0.5 * cfg.lam * float(theta @ theta)
     if not with_grad:
         return val
     g_theta = cfg.lam * theta
-    if np.any(mh.use_a):
+    ia = np.flatnonzero(mh.use_a)
+    if ia.size:
         ha = 0.5 * p.alpha
-        g_theta = g_theta + ha * zb[mh.use_a].sum(axis=0)
-        g_gamma = g_gamma - ha * (y[mh.use_a] @ zb[mh.use_a])
-        n_pos = int(np.sum(mh.use_a & (y > 0)))
-        n_neg = int(np.sum(mh.use_a & (y < 0)))
-        # d/dtheta eps*||zeta(y)||_1 = eps*y*sgn(zeta(y)); d/dgamma = -eps*sgn(zeta(y)); bias frozen
-        szp, szm = np.append(np.sign(zeta_p), 0.0), np.append(np.sign(zeta_m), 0.0)
-        g_theta = g_theta + ha * eps * (n_pos * szp - n_neg * szm)
-        g_gamma = g_gamma - ha * eps * (n_pos * szp + n_neg * szm)
-    if np.any(mh.use_b):
-        k = int(mh.use_b.sum())
-        st = np.append(np.sign(theta[:-1]), 0.0)
-        g_theta = g_theta - p.cost * p.beta * (zb[mh.use_b].sum(axis=0) - eps * k * st)
+        za, ya = zb.take(ia, axis=0), y.take(ia)
+        g_theta += ha * za.sum(axis=0)
+        g_gamma -= ha * (ya @ za)
+        n_pos = np.count_nonzero(ya > 0)
+        n_neg = ia.size - n_pos
+        # d/dtheta eps*||zeta(y)||_1 = eps*y*sgn(zeta(y)); d/dgamma = -eps*sgn(zeta(y))
+        szp, szm = np.sign(theta - gamma), np.sign(-theta - gamma)
+        szp[-1] = szm[-1] = 0.0
+        g_theta += ha * eps * (n_pos * szp - n_neg * szm)
+        g_gamma -= ha * eps * (n_pos * szp + n_neg * szm)
+    ib = np.flatnonzero(mh.use_b)
+    if ib.size:
+        st = np.sign(theta)
+        st[-1] = 0.0
+        g_theta -= p.cost * p.beta * (zb.take(ib, axis=0).sum(axis=0) - eps * ib.size * st)
     return val, g_theta, g_gamma
 
 
@@ -214,28 +234,30 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[RejectionModel, TrainTrace]:
     bests = np.empty(n_evals)
     best_val = np.inf
     best_epoch = 0
-    best_theta, best_gamma = theta.copy(), gamma.copy()
+    best_theta, best_gamma = theta, gamma  # iterates are rebound each epoch, never mutated
     for t in range(n_evals):
         last = t == cfg.epochs
         out = _objective_arrays(theta, gamma, zb, y, cfg, with_grad=not last)
         val = out if last else out[0]
-        if not np.isfinite(val):
+        if not math.isfinite(val):
             raise FloatingPointError(
                 f"objective diverged at epoch {t} (lr0={cfg.lr0}); lower the step size"
             )
         if val < best_val:
             best_val, best_epoch = val, t
-            best_theta, best_gamma = theta.copy(), gamma.copy()
+            best_theta, best_gamma = theta, gamma
         objs[t] = val
         bests[t] = best_val
         if last:
             break
         _, g_theta, g_gamma = out
         # scale by n so lr0 means the same thing across dataset sizes
-        step = cfg.lr0 / (np.sqrt(t + 1.0) * len(y))
-        gamma = gamma - step * g_gamma
+        step = cfg.lr0 / (math.sqrt(t + 1.0) * len(y))
+        g_gamma *= step
+        gamma = gamma - g_gamma
         if cfg.rejection_enabled:
-            theta = theta - step * g_theta
+            g_theta *= step
+            theta = theta - g_theta
 
     model = RejectionModel(
         theta=best_theta[:-1],

@@ -53,6 +53,51 @@ def box_max_mh(model, z, y, eps, params, grid_points=21, grid_max_d=4):
     return best
 
 
+def train_objective_reference(theta, gamma, zb, y, cfg):
+    """The training objective and its subgradient, one sample at a time.
+
+    theta and gamma carry the bias as their last coordinate and zb ends in
+    the matching constant feature; the biases are regularized but never
+    enter the l1 terms. svm/at charge the hinge 1 - y*f + eps*||gamma||_1
+    and leave the frozen rejector without gradient; mh/atro charge
+    max(A~, B~, 0), where A wins a tie and an inactive row adds nothing.
+    Returns (value, g_theta, g_gamma, per-row branch "A", "B" or "-")."""
+    p, eps = cfg.params, cfg.eps_train
+    tw, gw = theta[:-1], gamma[:-1]
+    rejection = cfg.mode in ("mh", "atro")
+    value = 0.5 * cfg.lam_prime * float(gamma @ gamma)
+    g_gamma = cfg.lam_prime * gamma
+    g_theta = np.zeros_like(theta)
+    if rejection:
+        value += 0.5 * cfg.lam * float(theta @ theta)
+        g_theta = cfg.lam * theta
+    branches = []
+    for z, yi in zip(zb, y):
+        f, r = float(z @ gamma), float(z @ theta)
+        if not rejection:
+            hinge = 1.0 - yi * f + eps * np.abs(gw).sum()
+            value += max(hinge, 0.0)
+            if hinge > 0:
+                g_gamma = g_gamma - yi * z + eps * np.append(np.sign(gw), 0.0)
+            branches.append("A" if hinge > 0 else "-")
+            continue
+        zeta = tw / yi - gw
+        a = 1.0 + 0.5 * p.alpha * (r - yi * f + eps * np.abs(zeta).sum())
+        b = p.cost * (1.0 - p.beta * (r - eps * np.abs(tw).sum()))
+        value += max(a, b, 0.0)
+        if a >= b and a > 0:
+            # d||zeta||_1/dtheta = sgn(zeta)/y, d||zeta||_1/dgamma = -sgn(zeta)
+            g_theta = g_theta + 0.5 * p.alpha * (z + eps * np.append(np.sign(zeta) / yi, 0.0))
+            g_gamma = g_gamma + 0.5 * p.alpha * (-yi * z - eps * np.append(np.sign(zeta), 0.0))
+            branches.append("A")
+        elif b > a and b > 0:
+            g_theta = g_theta - p.cost * p.beta * (z - eps * np.append(np.sign(tw), 0.0))
+            branches.append("B")
+        else:
+            branches.append("-")
+    return value, g_theta, g_gamma, branches
+
+
 def box_max_01c(model, z, y, eps, cost, grid_points=21):
     """Max of the zero-one-c loss over the eps-box by dense grid plus
     corners. Exponential in the dimension; keep d small."""

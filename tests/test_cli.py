@@ -117,6 +117,14 @@ class TestTrainCommand:
         assert code == 2
         assert not out.exists()
 
+    def test_non_finite_csv_cell_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a,b,y\n0.1,nan,1\n0.2,0.3,-1\n")
+        out = tmp_path / "o"
+        assert main(["train", "--data", str(bad), "--out", str(out)]) == 2
+        assert "line 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_error_exit_code(self, data_file, tmp_path):
         code = main(["train", "--data", str(data_file), "--cost", "0.7", "--out", str(tmp_path / "o")])
         assert code == 2

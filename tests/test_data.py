@@ -91,6 +91,19 @@ class TestCsv:
         with pytest.raises(DataFormatError, match="line 3"):
             parse_csv("a,b,y\n1,2,+1\n1,+1\n")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_value_names_its_line(self, cell):
+        with pytest.raises(DataFormatError, match="line 2: non-finite"):
+            parse_csv(f"a,b,y\n0.1,{cell},1\n0.2,0.3,-1\n")
+
+    def test_label_map_outside_pm1(self):
+        with pytest.raises(DataFormatError, match="line 3: label map sends 'b' to 0"):
+            parse_csv("a,y\n1,a\n2,b\n", label_map={"a": 1, "b": 0})
+
+    def test_label_map(self):
+        ds = parse_csv("a,y\n1,yes\n2,no\n", label_map={"yes": 1, "no": -1})
+        assert list(ds.y) == [1, -1]
+
 
 class TestNormalize:
     def test_two_point_scaling(self):

@@ -89,12 +89,41 @@ class TestGradients:
         monkeypatch.setattr(neural, "pgd_batch", capture)
         _inner_pgd_batch(net, x, y, NeuralTrainConfig(params=P13, attack=AttackSpec(method="pgd", eps=0.1)))
         (value_grad,) = captured
-        f, r, zs, acts = net._forward_cache(x)
+        f, r, acts = net._forward_cache(x)
         sq, df, dr = _head_grads(f, r, y, P13)
         value, grad = value_grad(x, True)
         assert np.array_equal(value, sq)
-        assert np.array_equal(grad, net._backward(df, dr, zs, acts, want_input=True)[2])
+        assert np.array_equal(grad, net._backward(df, dr, acts, want_input=True)[2])
         assert value_grad(x, False)[1] is None
+
+    @pytest.mark.parametrize(
+        "activation, dact",
+        [
+            ("relu", lambda z: (z > 0.0).astype(np.float64)),
+            ("tanh", lambda z: 1.0 - np.tanh(z) ** 2),
+        ],
+    )
+    def test_backward_matches_chain_rule_on_pre_activations(self, rng, activation, dact):
+        # the derivative is taken from the cached activations; written out
+        # on the pre-activations z it must give the same bits
+        net = random_net(rng, hidden=(6, 5), activation=activation)
+        (w0, w1, w2), (b0, b1, b2) = net.weights, net.biases
+        x = rng.standard_normal((20, 3))
+        df, dr = rng.standard_normal(20), rng.standard_normal(20)
+        act = np.tanh if activation == "tanh" else (lambda z: np.maximum(z, 0.0))
+        z1 = x @ w0.T + b0
+        a1 = act(z1)
+        z2 = a1 @ w1.T + b1
+        a2 = act(z2)
+        d2 = np.stack([df, dr], axis=1)
+        d1 = (d2 @ w2) * dact(z2)
+        d0 = (d1 @ w1) * dact(z1)
+        want_w = [d0.T @ x, d1.T @ a1, d2.T @ a2]
+        want_b = [d0.sum(axis=0), d1.sum(axis=0), d2.sum(axis=0)]
+        gws, gbs, dx = net._backward(df, dr, net._forward_cache(x)[2], want_input=True)
+        assert all(np.array_equal(g, w) for g, w in zip(gws, want_w))
+        assert all(np.array_equal(g, w) for g, w in zip(gbs, want_b))
+        assert np.array_equal(dx, d0 @ w0)
 
     def test_inactive_hinge_leaves_only_decay(self, rng):
         cfg = NeuralTrainConfig(params=P13, lam_w=0.5)

@@ -5,8 +5,9 @@ from advreject.data import Dataset
 from advreject.evaluate import evaluate_model
 from advreject.attacks import AttackSpec
 from advreject.losses import SurrogateParams
-from advreject.model import FeatureMap, RejectionModel
-from advreject.train import TrainConfig, cross_validate, objective, train
+from advreject.model import FeatureMap, RejectionModel, featurize
+from advreject.train import TrainConfig, _augment, _objective_arrays, cross_validate, objective, train
+from oracles import train_objective_reference
 
 P13 = SurrogateParams(1.0, 1.0, 0.3)
 
@@ -65,6 +66,64 @@ class TestObjective:
                 Dataset(np.zeros((0, 1)), np.zeros(0, dtype=int)),
                 TrainConfig(mode="mh"),
             )
+
+
+def _reference_problem(rng, features, cfg):
+    """Dyadic weights and 40 rows of the given features labelled mostly by
+    the classifier, then four rows t*e_0 + s*e_1 with label +1 that pin
+    each branch state: an exact A~ = B~ > 0 tie, an inactive row, a B~ row
+    and an A~ row.
+
+    With alpha = 2, beta = 1, c = 1/4, theta_0 = 0, gamma_0 = 1, theta_1 =
+    1/2 and theta_b = 1, such a row has r = 1 + s/2 and f = t + gamma_1 s +
+    gamma_b. At s = -1, A~ - B~ is linear in t and, with dyadic weights and
+    eps, its root is exact in floating point. Returns (theta, gamma, zb, y)
+    with the bias last; svm/at get the sentinel rejector."""
+    x = rng.integers(-8, 9, size=(40, 3)) / 8.0
+    if features == "identity":
+        z = x
+    else:
+        z = featurize(FeatureMap("random_fourier", dim=12, sigma=0.7, seed=5, input_dim=3), x)
+    d = z.shape[1]
+    theta = rng.integers(-4, 5, size=d + 1) / 4.0
+    gamma = rng.integers(-8, 9, size=d + 1) / 2.0
+    theta[0], gamma[0], theta[1], theta[-1] = 0.0, 1.0, 0.5, 1.0
+    y = np.where(z @ gamma[:-1] + gamma[-1] >= 0, 1.0, -1.0)
+    y[::4] *= -1
+    eps = cfg.eps_train
+    zeta_l1, theta_l1 = np.abs(theta[:-1] - gamma[:-1]).sum(), np.abs(theta[:-1]).sum()
+    t_tie = 0.75 + 1.25 * 0.5 + eps * zeta_l1 - 0.25 * eps * theta_l1 + gamma[1] - gamma[-1]
+    pinned = np.zeros((4, d))
+    pinned[:, :2] = [[t_tie, -1.0], [64.0, 4.0], [64.0, -1.0], [-64.0, -1.0]]
+    if not cfg.rejection_enabled:
+        theta = np.zeros(d + 1)
+        theta[-1] = 1.0
+    return theta, gamma, _augment(np.vstack([z, pinned])), np.append(y, np.ones(4))
+
+
+class TestObjectiveAgainstReference:
+    @pytest.mark.parametrize("features", ["identity", "rff"])
+    @pytest.mark.parametrize(
+        "mode, eps", [("svm", 0.0), ("at", 0.0), ("at", 1 / 64), ("mh", 0.0), ("atro", 0.0), ("atro", 1 / 64)]
+    )
+    def test_value_and_subgradient(self, rng, features, mode, eps):
+        cfg = TrainConfig(mode=mode, params=SurrogateParams(2.0, 1.0, 0.25), eps_train=eps, lam=0.5, lam_prime=0.25)
+        theta, gamma, zb, y = _reference_problem(rng, features, cfg)
+        want_val, want_gt, want_gg, branches = train_objective_reference(theta, gamma, zb, y, cfg)
+        val, g_theta, g_gamma = _objective_arrays(theta, gamma, zb, y, cfg, with_grad=True)
+        if cfg.rejection_enabled:
+            assert branches[-4:] == ["A", "-", "B", "A"]
+            tie = zb[-4]
+            gap = float(tie @ theta - tie @ gamma) + eps * np.abs(theta[:-1] - gamma[:-1]).sum()
+            b = 0.25 * (1.0 - (float(tie @ theta) - eps * np.abs(theta[:-1]).sum()))
+            assert 1.0 + gap == b > 0
+        else:
+            assert branches[-3:] == ["-", "-", "A"]
+            assert np.all(g_theta == 0.0)
+        assert val == pytest.approx(want_val, rel=1e-12)
+        assert _objective_arrays(theta, gamma, zb, y, cfg) == val
+        np.testing.assert_allclose(g_theta, want_gt, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(g_gamma, want_gg, rtol=1e-12, atol=1e-12)
 
 
 class TestTrain:
