@@ -1,6 +1,6 @@
 """Adversarially robust binary classification with a reject option."""
 
-from .attacks import AttackSpec, Perturbation, analytic_candidates, fgsm, pgd, worst_case_01c
+from .attacks import AttackSpec, Perturbation, fgsm, pgd
 from .bench import ProtocolConfig, run_protocol
 from .bounds import BoundConfig, BoundReport, rademacher_exhaustive, rademacher_linear_mc, generalization_bound
 from .data import Dataset, NormStats, normalize, parse_csv, parse_libsvm, split, to_libsvm
@@ -17,10 +17,8 @@ __all__ = [
     "run_protocol",
     "AttackSpec",
     "Perturbation",
-    "analytic_candidates",
     "fgsm",
     "pgd",
-    "worst_case_01c",
     "BoundConfig",
     "BoundReport",
     "rademacher_exhaustive",

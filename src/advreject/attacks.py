@@ -1,5 +1,5 @@
-"""Adversarial perturbations: gradient attacks, exact linear candidates,
-and a small-dimension brute-force oracle.
+"""Adversarial perturbations: gradient attacks and the exact linf worst
+case of a linear model.
 
 All attacks act on the perturbable coordinates only. Models keep their
 biases outside the feature vector, so a perturbation has the same shape as
@@ -8,12 +8,11 @@ the (featurized) input and needs no masking.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import SurrogateParams, loss_01c, mh_branches
+from .losses import SurrogateParams, mh_branches
 from .model import RejectionModel
 
 
@@ -178,92 +177,40 @@ def _project_l2(delta: np.ndarray, eps: float) -> np.ndarray:
     return delta
 
 
-def analytic_candidates(
-    m: RejectionModel, z: np.ndarray, y: int, eps: float, cost: float
-) -> list[Perturbation]:
-    """The two corner maximizers of the linear worst case.
+def accepted_error_delta(m: RejectionModel, z: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray:
+    """Per row of z with label y = +-1, a delta in the eps-box at which the
+    model accepts z + delta with the wrong label, wherever such a delta
+    exists: the exact linf worst case of the accepted-error outcome.
 
-    delta_A = y*eps*sgn(zeta(y)) attains the branch maximum
-    r - y*f + eps*||zeta(y)||_1; delta_B = -eps*sgn(theta) attains the
-    rejection-branch maximum by driving r to r - eps*||theta||_1. The
-    achieved loss reported is the zero-one-c loss at the perturbed point.
+    First the fractional knapsack min y*<gamma, delta> subject to
+    r(z + delta) >= 0 and |delta_j| <= eps. Start at delta0 =
+    -eps*sgn(y*gamma), the minimum of y*f over the box, and raise
+    <theta, delta> by the deficit -r(z + delta0) through the coordinates in
+    ascending order of |gamma_j|/|theta_j|, the last one fractionally. A
+    coordinate has room to move toward eps*sgn(theta_j) only where
+    sgn(theta_j) = sgn(y*gamma_j) (2*eps*|theta_j|) or gamma_j = 0
+    (eps*|theta_j|). When the deficit binds, the optimum lies on r = 0,
+    where the model rejects, so the point then moves along the segment
+    toward the max-r corner eps*sgn(theta) until y*f is half its optimum
+    (or reaches the corner): where the optimum y*f < 0 and the max of r is
+    > 0, that gives r > 0 with the label still wrong.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    z = np.asarray(z, dtype=np.float64)
-    delta_a = y * eps * np.sign(m.zeta(y))
-    delta_b = -eps * np.sign(m.theta)
-    out = []
-    for delta in (delta_a, delta_b):
-        f, r = m.scores_features(z + delta)
-        out.append(Perturbation(delta, float(loss_01c(f, r, y, cost))))
-    return out
-
-
-def worst_case_01c(
-    m: RejectionModel,
-    z: np.ndarray,
-    y: int,
-    eps: float,
-    cost: float,
-    mode: str = "heuristic",
-    params: SurrogateParams | None = None,
-    steps: int = 20,
-) -> float:
-    """Max of the zero-one-c loss over the eps-box, by candidates or by force.
-
-    heuristic: max over {clean, delta_A, delta_B, PGD on the MH surrogate}.
-    exact_small_d: dense 21-point/axis grid plus every corner, d <= 6; a
-    test oracle, exponential in d.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    if mode == "heuristic":
-        if params is None:
-            params = SurrogateParams(cost=cost)
-        f, r = m.scores_features(z)
-        best = float(loss_01c(f, r, y, cost))
-        for cand in analytic_candidates(m, z, y, eps, cost):
-            best = max(best, cand.achieved_loss)
-        if eps > 0:
-            spec = AttackSpec(method="pgd", eps=eps, steps=steps)
-            pert = pgd(LinearMHOracle(m, params), z, y, spec)
-            f, r = m.scores_features(z + pert.delta)
-            best = max(best, float(loss_01c(f, r, y, cost)))
-        return best
-    if mode == "exact_small_d":
-        return _exact_box_max_01c(m, z, y, eps, cost)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _exact_box_max_01c(m: RejectionModel, z: np.ndarray, y: int, eps: float, cost: float) -> float:
-    """Grid+corner enumeration of the zero-one-c loss over the box.
-
-    The loss only depends on the two inner products <delta, gamma> and
-    <delta, theta>, so the grid is folded axis by axis instead of being
-    materialized.
-    """
-    d = z.shape[0]
-    if d > 6:
-        raise ValueError("exact_small_d oracle is limited to d <= 6")
+    y = np.asarray(y, dtype=np.float64)
+    theta, gamma = m.theta, m.gamma
     f0, r0 = m.scores_features(z)
-    f0, r0 = float(f0), float(r0)
-    axis = np.linspace(-eps, eps, 21)
-    # split axes so the vectorized inner block stays small
-    n_inner = min(d, 4)
-    inner_f = np.zeros(1)
-    inner_r = np.zeros(1)
-    for j in range(d - n_inner, d):
-        inner_f = (inner_f[:, None] + axis[None, :] * m.gamma[j]).ravel()
-        inner_r = (inner_r[:, None] + axis[None, :] * m.theta[j]).ravel()
-    best = 0.0
-    outer_axes = [axis] * (d - n_inner)
-    for combo in itertools.product(*outer_axes) if outer_axes else [()]:
-        of = sum(c * m.gamma[j] for j, c in enumerate(combo))
-        orr = sum(c * m.theta[j] for j, c in enumerate(combo))
-        f = f0 + of + inner_f
-        r = r0 + orr + inner_r
-        best = max(best, float(loss_01c(f, r, np.full_like(f, y), cost).max()))
-    return best
+    delta = -eps * np.sign(y[:, None] * gamma)
+    room = eps * np.abs(theta) - delta * theta  # how much each coordinate can still raise r
+    order = np.argsort(np.divide(np.abs(gamma), np.abs(theta), out=np.full(m.feat_dim, np.inf), where=theta != 0))
+    room = room[:, order]
+    deficit = -r0 - delta @ theta
+    raised = np.clip(deficit[:, None] - (np.cumsum(room, axis=1) - room), 0.0, room)
+    delta[:, order] += np.divide(raised, theta[order], out=np.zeros_like(raised), where=theta[order] != 0)
+    # off r = 0: toward the max-r corner until y*f is half the optimum
+    corner = eps * np.sign(theta)
+    margin = y * (f0 + delta @ gamma)
+    gain = y * (f0 + corner @ gamma) - margin
+    t = np.clip(np.divide(-0.5 * margin, gain, out=np.ones_like(gain), where=gain > 0), 0.0, 1.0)
+    return np.clip(delta + t[:, None] * (corner - delta), -eps, eps)  # rounding can leave the box by an ulp
 
 
 def pgd_batch(value_grad, x: np.ndarray, spec: AttackSpec) -> np.ndarray:

@@ -145,7 +145,7 @@ def _cmd_attack(rc: RunConfig, out: Path) -> int:
     from .evaluate import _attack_and_score  # per-sample detail
 
     spec = replace(rc.attack, seed=seeds["attack"])
-    _, _, winner, names, losses = _attack_and_score(model, ds, spec, params)
+    _, _, winner, names, losses = _attack_and_score(model, model.featurize(ds.x), ds.y, spec, params)
     clean, worst = losses[0], losses.max(axis=0)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["index,y,clean_loss,worst_loss,winner"]
@@ -254,7 +254,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cost", type=float, help="rejection cost c")
         p.add_argument("--eps", type=float, help="attack radius")
         p.add_argument("--eps-train", type=float, help="training perturbation radius")
-        p.add_argument("--attack", help="attack method: none/analytic_linear/fgsm/pgd")
+        p.add_argument(
+            "--attack",
+            help="attack method: none/analytic_linear (the exact feature-space linf worst case)/fgsm/pgd",
+        )
         p.add_argument("--steps", type=int, help="attack steps")
         p.add_argument("--norm", help="attack norm: linf/l2")
         p.add_argument("--epochs", type=int)

@@ -10,6 +10,13 @@ Every attack keeps the clean point in its candidate set and picks the
 candidate maximizing the zero-one-c loss, so the attacked loss can never
 fall below the clean one. Ties go to the earliest candidate, the clean
 point first.
+
+analytic_linear is exact for the feature-space linf ball: shift_reject
+attains the minimum of r, so it finds a rejection wherever one exists, and
+shift_margin (attacks.accepted_error_delta) finds an accepted error
+wherever one exists, so the winner's loss is the maximum of the zero-one-c
+loss over the box. fgsm and pgd ascend the MH surrogate and give lower
+bounds.
 """
 
 from __future__ import annotations
@@ -20,10 +27,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .attacks import AttackSpec, linear_mh_value_grad, pgd_linear_mh_batch
+from .attacks import AttackSpec, accepted_error_delta, linear_mh_value_grad, pgd_linear_mh_batch
 from .attacks import pgd  # noqa: F401  perfbench's tracer wraps evaluate.pgd by name
 from .data import Dataset
-from .losses import NO_REJECT_COST, SurrogateParams, loss_01c
+from .losses import NO_REJECT_COST, SurrogateParams, loss_01c, verdict
 from .model import RejectionModel
 
 
@@ -74,26 +81,26 @@ def _candidate_deltas(
         return deltas
     eps = spec.eps
     if spec.method == "analytic_linear":
-        sz = np.where(y[:, None] > 0, np.sign(m.zeta(1))[None, :], np.sign(m.zeta(-1))[None, :])
-        deltas["shift_margin"] = y[:, None] * eps * sz
-        deltas["shift_reject"] = np.broadcast_to(-eps * np.sign(m.theta), z.shape).copy()
-    if spec.method == "fgsm":
+        # shift_reject first, so shift_margin wins only where it reaches an accepted error
+        deltas["shift_reject"] = np.broadcast_to(-eps * np.sign(m.theta), z.shape)
+        deltas["shift_margin"] = accepted_error_delta(m, z, y, eps)
+    elif spec.method == "fgsm":
         deltas["fgsm"] = eps * np.sign(linear_mh_value_grad(m, z, y, params)[1])
-    else:  # pgd, and the last analytic_linear candidate
+    else:
         deltas["pgd"] = pgd_linear_mh_batch(m, z, y, spec, params)
     return deltas
 
 
 def _attack_and_score(
-    m: RejectionModel, ds: Dataset, spec: AttackSpec, params: SurrogateParams
+    m: RejectionModel, z: np.ndarray, y: np.ndarray, spec: AttackSpec, params: SurrogateParams
 ):
-    """Returns per-sample (f, r) at the winning perturbation, the winning
-    candidate index, the candidate names, and the zero-one-c loss of every
-    candidate per sample (row 0 is the clean point)."""
-    z = m.featurize(ds.x)
-    y = ds.y.astype(np.float64)
+    """Attacks the featurized rows z with labels y. Returns per-sample (f, r)
+    at the winning perturbation, the winning candidate index, the candidate
+    names, and the zero-one-c loss of every candidate per sample (row 0 is
+    the clean point)."""
+    y = np.asarray(y, dtype=np.float64)
     deltas = _candidate_deltas(m, z, y, spec, params)
-    losses = np.empty((len(deltas), len(ds)))
+    losses = np.empty((len(deltas), len(y)))
     fs = np.empty_like(losses)
     rs = np.empty_like(losses)
     for k, delta in enumerate(deltas.values()):
@@ -101,15 +108,15 @@ def _attack_and_score(
         fs[k], rs[k] = f, r
         losses[k] = loss_01c(f, r, y, params.cost)
     winner = np.argmax(losses, axis=0)  # first max wins; clean is index 0
-    cols = np.arange(len(ds))
+    cols = np.arange(len(y))
     return fs[winner, cols], rs[winner, cols], winner, list(deltas), losses
 
 
 def _confusion(f: np.ndarray, r: np.ndarray, y: np.ndarray) -> RejectConfusion:
-    """Counts of the decisions at scores (f, r): reject when r <= 0, else
-    predict sign(f) with f = 0 counted as +1."""
-    rejected = r <= 0.0
-    wrong = np.where(f >= 0.0, 1, -1) != y
+    """Counts of the verdicts at scores (f, r); a rejection is true where
+    the classifier's label would have been wrong."""
+    rejected = verdict(f, r) == 0
+    wrong = verdict(f, np.inf) != y
     return RejectConfusion(
         ta=int(np.sum(~rejected & ~wrong)),
         tr=int(np.sum(rejected & wrong)),
@@ -124,7 +131,7 @@ def classify_outcomes(
     """Confusion-with-rejection counts after the per-sample attack."""
     if params is None:
         params = SurrogateParams()
-    f, r, _, _, _ = _attack_and_score(m, ds, attack, params)
+    f, r, _, _, _ = _attack_and_score(m, m.featurize(ds.x), ds.y, attack, params)
     return _confusion(f, r, ds.y)
 
 
@@ -144,7 +151,7 @@ def evaluate_model(
 ) -> EvalReport:
     if params is None:
         params = SurrogateParams()
-    f, r, winner, names, losses = _attack_and_score(m, ds, attack, params)
+    f, r, winner, names, losses = _attack_and_score(m, m.featurize(ds.x), ds.y, attack, params)
     conf = _confusion(f, r, ds.y)
     err, rej, pr = metrics(conf)
     wins = {name: int(np.sum(winner == k)) for k, name in enumerate(names)}
@@ -154,10 +161,11 @@ def evaluate_model(
 def adv_risk_01c(
     m: RejectionModel, ds: Dataset, attack: AttackSpec, params: SurrogateParams | None = None
 ) -> float:
-    """Mean worst-case zero-one-c loss under the candidate-set attack."""
+    """Mean attacked zero-one-c loss: the worst case over the box for
+    analytic_linear, a lower bound on it for fgsm and pgd."""
     if params is None:
         params = SurrogateParams()
-    losses = _attack_and_score(m, ds, attack, params)[4]
+    losses = _attack_and_score(m, m.featurize(ds.x), ds.y, attack, params)[4]
     return float(np.mean(losses.max(axis=0)))
 
 
@@ -196,13 +204,16 @@ def benchmark(
     rows = []
     for method, cost in keys:
         params = SurrogateParams(alpha=alpha, beta=beta, cost=NO_REJECT_COST if cost is None else cost)
+        pairs = [(models[(method, cost)], test) for models, test in trials]
+        feats = [(m, m.featurize(test.x), test.y) for m, test in pairs]  # once per pair, not per eps
         for eps in attack_eps:
             spec = AttackSpec(method=attack_method if eps > 0 else "none", eps=eps, steps=steps)
             errs, rejs = [], []
-            for models, test in trials:
-                rep = evaluate_model(models[(method, cost)], test, spec, params)
-                errs.append(rep.err)
-                rejs.append(rep.rej)
+            for m, z, y in feats:
+                f, r = _attack_and_score(m, z, y, spec, params)[:2]
+                err, rej, _ = metrics(_confusion(f, r, y))
+                errs.append(err)
+                rejs.append(rej)
             rows.append(
                 BenchCell(
                     method,

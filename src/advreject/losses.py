@@ -1,14 +1,13 @@
 """Rejection-aware losses and their exact worst-case forms for linear models.
 
-The reference loss charges 1 for an accepted misclassification, c for a
-rejection, and 0 otherwise:
+The reference loss charges c for a rejection, 1 for an accepted
+misclassification, and 0 otherwise, judged by the one decision rule
+``verdict`` that the models and the evaluation also use: reject when
+r <= 0, else predict +1 when f >= 0 and -1 when f < 0.
 
-    L_01c(f, r, y) = 1{y*f <= 0} * 1{r >= 0} + c * 1{r <= 0}
+    L_01c(f, r, y) = c * 1{r <= 0} + 1{r > 0} * 1{verdict(f, r) != y}
 
-Both indicators fire at r = 0 exactly; that overlap is kept verbatim here
-and resolved at decision time (the model rejects at r = 0).
-
-The maximum-hinge surrogate jointly upper-bounds L_01c away from r = 0:
+The maximum-hinge surrogate upper-bounds L_01c everywhere:
 
     L_mh(f, r, y) = max(1 + (alpha/2) * (r - y*f), c * (1 - beta*r), 0)
 
@@ -26,11 +25,12 @@ perturbable weight coordinates only; biases are excluded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .model import RejectionModel
+if TYPE_CHECKING:
+    from .model import RejectionModel
 
 
 @dataclass(frozen=True)
@@ -55,15 +55,21 @@ class SurrogateParams:
 NO_REJECT_COST = 0.25
 
 
+def verdict(f_val, r_val) -> np.ndarray:
+    """The decision at scores (f, r): 0 (reject) where r <= 0, else the
+    label, +1 where f >= 0 and -1 where f < 0. Accepts scalars or arrays;
+    r = inf gives the classifier's label whether or not it would answer."""
+    return np.where(np.asarray(r_val) <= 0.0, 0, np.where(np.asarray(f_val) >= 0.0, 1, -1))
+
+
 def loss_01c(f_val, r_val, y, cost: float):
-    """Zero-one loss with rejection at cost c. Accepts scalars or arrays."""
+    """Zero-one loss with rejection at cost c: c where the verdict rejects,
+    1 where it answers with the wrong label, 0 otherwise. Accepts scalars or
+    arrays."""
     if not 0.0 < cost < 0.5:
         raise ValueError("cost must lie in (0, 0.5)")
-    f_val = np.asarray(f_val, dtype=np.float64)
-    r_val = np.asarray(r_val, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    wrong = (y * f_val <= 0.0) & (r_val >= 0.0)
-    out = wrong.astype(np.float64) + cost * (r_val <= 0.0)
+    v = verdict(f_val, r_val)
+    out = np.where(v == 0, cost, (v != np.asarray(y)).astype(np.float64))
     return out if out.ndim else float(out)
 
 

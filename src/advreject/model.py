@@ -2,7 +2,8 @@
 
 A model scores an input twice: f decides the label via sign, r decides
 whether to answer at all. The input is rejected when r(x) <= 0 (the
-boundary r = 0 rejects, the conservative choice). Both scores are linear
+boundary r = 0 rejects, the conservative choice) and labelled +1 at
+f(x) = 0; ``losses.verdict`` writes that rule once. Both scores are linear
 in the features, so f(x) = <phi(x), gamma> + bias_gamma and
 r(x) = <phi(x), theta> + bias_theta.
 
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import NormStats
+from .losses import verdict
 
 
 @dataclass(frozen=True)
@@ -133,9 +135,7 @@ class RejectionModel:
     def decide(self, x: np.ndarray) -> Decision:
         f, r = self.scores(np.atleast_1d(np.asarray(x, dtype=np.float64)))
         f, r = float(f), float(r)
-        if r <= 0.0:
-            return Decision(Decision.REJECT, f, r)
-        return Decision(1 if f >= 0.0 else -1, f, r)
+        return Decision(int(verdict(f, r)), f, r)
 
     def zeta(self, y: int) -> np.ndarray:
         """theta/y - gamma over the weight coordinates (bias excluded)."""

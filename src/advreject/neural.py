@@ -23,7 +23,7 @@ import numpy as np
 
 from .attacks import AttackSpec, pgd_batch
 from .data import Dataset
-from .losses import SurrogateParams, loss_01c, mh_branches
+from .losses import SurrogateParams, loss_01c, mh_branches, verdict
 
 # (activation, its derivative written in terms of the activation's output)
 _ACTIVATIONS = {
@@ -282,20 +282,20 @@ def train_neural(ds: Dataset, cfg: NeuralTrainConfig) -> tuple[ToyNet, np.ndarra
 def decide_net(net: ToyNet, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(verdict, f, r) for a batch; verdict 0 means reject (r <= 0)."""
     f, r = net.forward(np.atleast_2d(x))
-    verdict = np.where(r <= 0.0, 0, np.where(f >= 0.0, 1, -1))
-    return verdict, f, r
+    return verdict(f, r), f, r
 
 
 def adv_risk_01c_net(
     net: ToyNet, x: np.ndarray, y: np.ndarray, params: SurrogateParams, eps: float, steps: int = 20
 ) -> float:
-    """Mean worst-case zero-one-c risk of a net under PGD candidates.
+    """Mean attacked zero-one-c risk of a net under PGD candidates, a lower
+    bound on its worst case over the eps-ball.
 
     The squared hinge is flat wherever the net is confident, so PGD on the
     loss alone stalls there; candidates driving the classification margin
-    down and the rejection score down cover those points, mirroring the
-    analytic candidate pair of the linear case. The clean point stays in
-    the set, so the risk never drops below the clean risk.
+    down and the rejection score down cover those points, as shift_margin
+    and shift_reject do exactly for a linear model. The clean point stays
+    in the set, so the risk never drops below the clean risk.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)

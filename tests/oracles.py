@@ -111,9 +111,42 @@ def box_max_01c(model, z, y, eps, cost, grid_points=21):
         delta = np.array(combo)
         f = f0 + float(delta @ gamma)
         r = r0 + float(delta @ theta)
-        loss = float(y * f <= 0) * float(r >= 0) + cost * float(r <= 0)
+        loss = cost if r <= 0 else float((1 if f >= 0 else -1) != y)
         best = max(best, loss)
     return best
+
+
+def box_max_01c_vertices(model, z, y, eps, cost):
+    """Exact max of the zero-one-c loss over the eps-box, from the vertices
+    of the polytope box & {r >= 0}: every corner with r >= 0 and every point
+    where a box edge crosses r = 0. Exponential in the dimension.
+
+    An accepted error exists iff the max of r is > 0 and either some vertex
+    has y*f < 0 (one at r = 0 moves into r > 0 with y*f still < 0) or some
+    vertex with r > 0 is labelled wrong (+1 at f = 0). Otherwise the worst
+    is c where some corner has r <= 0, else 0."""
+    d = z.shape[0]
+    theta, gamma = model.theta, model.gamma
+    f0 = float(z @ gamma) + model.bias_gamma
+    r0 = float(z @ theta) + model.bias_theta
+    corners = np.array(list(itertools.product((-eps, eps), repeat=d)))
+    f_c, r_c = f0 + corners @ gamma, r0 + corners @ theta
+    fs, rs = [f_c[r_c >= 0]], [r_c[r_c >= 0]]
+    for j in range(d):
+        if theta[j] == 0:
+            continue
+        others = corners[corners[:, j] < 0]  # one corner per edge along axis j, coordinate j zeroed below
+        others[:, j] = 0.0
+        t = -(r0 + others @ theta) / theta[j]
+        cross = np.abs(t) <= eps
+        fs.append(f0 + others[cross] @ gamma + t[cross] * gamma[j])
+        rs.append(np.zeros(int(cross.sum())))
+    f, r = np.concatenate(fs), np.concatenate(rs)
+    if r_c.max() > 0:
+        label = np.where(f >= 0, 1, -1)
+        if np.any(y * f < 0) or np.any((r > 0) & (label != y)):
+            return 1.0
+    return cost if r_c.min() <= 0 else 0.0
 
 
 def ball_grid(w_bound, p, d, points_per_axis=41):

@@ -4,17 +4,18 @@ import pytest
 from advreject.attacks import (
     AttackSpec,
     LinearMHOracle,
-    analytic_candidates,
+    accepted_error_delta,
     fgsm,
     linear_mh_value_grad,
     pgd,
     pgd_linear_mh_batch,
-    worst_case_01c,
 )
+from advreject.data import Dataset
+from advreject.evaluate import RejectConfusion, _attack_and_score, _candidate_deltas, evaluate_model
 from advreject.losses import SurrogateParams, adv_loss_mh_linear, loss_01c
 from advreject.model import RejectionModel
 from conftest import random_linear_model
-from oracles import box_max_01c, central_difference
+from oracles import box_max_01c, box_max_01c_vertices, central_difference
 
 P13 = SurrogateParams(1.0, 1.0, 0.3)
 
@@ -135,98 +136,136 @@ class TestPgd:
         assert np.array_equal(p1.delta, p2.delta)
 
 
+def binding_row():
+    """One row (label +1, eps = 1) whose knapsack optimum delta = (-1, 0)
+    lies on r = 0 with f = -1: there the model rejects, but moving halfway
+    in y*f toward the max-r corner (1, 1) gives delta = (-0.8, 0.1),
+    f = -0.5 and r = 0.3, an accepted error."""
+    m = RejectionModel(theta=np.array([1.0, 1.0]), gamma=np.array([2.0, 1.0]), bias_theta=1.0, bias_gamma=1.0)
+    return m, Dataset(np.zeros((1, 2)), np.array([1]))
+
+
+def attacked_losses(m, z, y, eps, params=P13):
+    """Per-row zero-one-c loss of evaluate_model under analytic_linear."""
+    spec = AttackSpec(method="analytic_linear", eps=eps)
+    return [evaluate_model(m, Dataset(z[i : i + 1], y[i : i + 1]), spec, params).mean_loss_01c for i in range(len(y))]
+
+
 class TestAnalyticCandidates:
-    def setup_method(self):
-        self.m = RejectionModel(theta=np.array([1.0, -1.0]), gamma=np.array([2.0, 0.0]))
-        self.x = np.array([1.0, 1.0])
+    """The analytic_linear candidates: shift_reject, the minimum-r corner,
+    and shift_margin, the exact accepted-error point."""
 
     def test_frozen_deltas(self):
-        cand = analytic_candidates(self.m, self.x, 1, 0.1, 0.3)
-        assert np.allclose(cand[0].delta, [-0.1, -0.1])
-        assert np.allclose(cand[1].delta, [-0.1, 0.1])
+        m, ds = binding_row()
+        deltas = _candidate_deltas(m, ds.x, ds.y.astype(float), AttackSpec(method="analytic_linear", eps=1.0), P13)
+        assert list(deltas) == ["clean", "shift_reject", "shift_margin"]
+        assert np.allclose(deltas["shift_reject"], [[-1.0, -1.0]])
+        assert np.allclose(deltas["shift_margin"], [[-0.8, 0.1]], rtol=0.0, atol=1e-15)
 
     def test_margin_candidate_attains_closed_form(self, rng):
+        # a slack rejector budget leaves the knapsack start -eps*sgn(y*gamma),
+        # whose y*f = y*f0 - eps*||gamma||_1; a negative optimum is then
+        # halved, or replaced by the max-r corner's y*f where that is lower
         for _ in range(50):
-            m = random_linear_model(rng, 4, bias=False)
-            x = rng.standard_normal(4)
-            y = 1 if rng.random() < 0.5 else -1
-            eps = 0.2
-            delta_a = analytic_candidates(m, x, y, eps, 0.3)[0].delta
-            zeta = m.zeta(y)
-            attained = y * float((x + delta_a) @ zeta)
-            assert attained == pytest.approx(y * float(x @ zeta) + eps * np.abs(zeta).sum(), abs=1e-12)
+            m = random_linear_model(rng, 4)
+            m.bias_theta = 50.0
+            z = rng.standard_normal((8, 4))
+            y = np.where(rng.random(8) < 0.5, 1.0, -1.0)
+            eps = 0.5
+            f0, _ = m.scores_features(z)
+            opt = y * f0 - eps * np.abs(m.gamma).sum()
+            at_corner = y * (f0 + eps * np.sign(m.theta) @ m.gamma)
+            want = np.where(opt < 0, np.minimum(opt / 2, at_corner), opt)
+            f, _ = m.scores_features(z + accepted_error_delta(m, z, y, eps))
+            assert np.allclose(y * f, want, rtol=0.0, atol=1e-12)
 
     def test_reject_candidate_attains_min_r(self, rng):
         for _ in range(50):
             m = random_linear_model(rng, 4)
-            x = rng.standard_normal(4)
-            delta_b = analytic_candidates(m, x, 1, 0.15, 0.3)[1].delta
-            _, r = m.scores_features(x + delta_b)
-            _, r0 = m.scores_features(x)
-            assert float(r) == pytest.approx(float(r0) - 0.15 * np.abs(m.theta).sum(), abs=1e-12)
+            z = rng.standard_normal((3, 4))
+            deltas = _candidate_deltas(m, z, np.ones(3), AttackSpec(method="analytic_linear", eps=0.15), P13)
+            _, r = m.scores_features(z + deltas["shift_reject"])
+            _, r0 = m.scores_features(z)
+            assert np.allclose(r, r0 - 0.15 * np.abs(m.theta).sum(), rtol=0.0, atol=1e-12)
 
-    def test_eps_zero(self):
-        cand = analytic_candidates(self.m, self.x, 1, 0.0, 0.3)
-        assert np.array_equal(cand[0].delta, [0.0, 0.0])
-        assert np.array_equal(cand[1].delta, [0.0, 0.0])
+    def test_eps_zero(self, rng):
+        m = random_linear_model(rng, 3)
+        z = rng.standard_normal((5, 3))
+        y = np.where(rng.random(5) < 0.5, 1.0, -1.0)
+        assert np.array_equal(accepted_error_delta(m, z, y, 0.0), np.zeros((5, 3)))
+        assert list(_candidate_deltas(m, z, y, AttackSpec(method="analytic_linear", eps=0.0), P13)) == ["clean"]
 
-    def test_achieved_loss_is_01c(self):
-        cand = analytic_candidates(self.m, self.x, 1, 0.1, 0.3)
-        for pert in cand:
-            f, r = self.m.scores_features(self.x + pert.delta)
-            assert pert.achieved_loss == loss_01c(float(f), float(r), 1, 0.3)
+    def test_achieved_loss_is_01c(self, rng):
+        m = random_linear_model(rng, 3)
+        z = rng.standard_normal((20, 3))
+        y = np.where(rng.random(20) < 0.5, 1.0, -1.0)
+        spec = AttackSpec(method="analytic_linear", eps=0.3)
+        losses = _attack_and_score(m, z, y, spec, P13)[4]
+        for k, delta in enumerate(_candidate_deltas(m, z, y, spec, P13).values()):
+            f, r = m.scores_features(z + delta)
+            assert np.array_equal(losses[k], loss_01c(f, r, y, P13.cost))
 
 
 class TestWorstCase01c:
+    """analytic_linear's attacked zero-one-c loss is the exact worst case
+    over the feature-space linf box."""
+
     def test_reject_everything_model(self):
         m = RejectionModel(theta=np.array([0.0, 0.0]), gamma=np.array([1.0, 0.0]), bias_theta=-50.0)
-        x = np.array([0.2, 0.1])
-        for mode in ("heuristic", "exact_small_d"):
-            assert worst_case_01c(m, x, 1, 0.1, 0.3, mode=mode) == pytest.approx(0.3)
+        assert attacked_losses(m, np.array([[0.2, 0.1]]), np.array([1]), 0.1) == [pytest.approx(0.3)]
 
     def test_wide_margins_are_safe(self):
         m = RejectionModel(theta=np.array([1.0]), gamma=np.array([1.0]), bias_theta=5.0, bias_gamma=5.0)
-        x = np.array([1.0])
-        for mode in ("heuristic", "exact_small_d"):
-            assert worst_case_01c(m, x, 1, 0.1, 0.3, mode=mode) == 0.0
+        assert attacked_losses(m, np.array([[1.0]]), np.array([1]), 0.1) == [0.0]
 
-    def test_heuristic_below_exact(self, rng):
-        hits = 0
-        trials = 40
-        for _ in range(trials):
-            d = int(rng.integers(1, 5))
+    def test_matches_vertex_oracle(self, rng):
+        rows = 0
+        for _ in range(240):
+            d = int(rng.integers(1, 7))
             m = random_linear_model(rng, d)
-            x = rng.standard_normal(d)
-            y = 1 if rng.random() < 0.5 else -1
-            heur = worst_case_01c(m, x, y, 0.2, 0.3, mode="heuristic")
-            exact = worst_case_01c(m, x, y, 0.2, 0.3, mode="exact_small_d")
-            assert heur <= exact + 1e-12
-            if heur == pytest.approx(exact, abs=1e-12):
-                hits += 1
-        print(f"\nheuristic matched the exact oracle on {hits}/{trials} instances")
+            z = rng.standard_normal((4, d))
+            y = np.array([1, -1, 1, -1])
+            for eps in (0.05, 0.3, 1.0):
+                got = attacked_losses(m, z, y, eps)
+                for i in range(4):
+                    want = box_max_01c_vertices(m, z[i], y[i], eps, P13.cost)
+                    assert got[i] == want, (d, eps, i)
+                    if d <= 3:
+                        assert got[i] >= box_max_01c(m, z[i], y[i], eps, P13.cost, grid_points=5)
+                    rows += 1
+        assert rows >= 200 * 3 * 4
 
-    def test_exact_matches_independent_grid(self, rng):
-        for _ in range(10):
+    def test_dominates_independent_grid(self, rng):
+        # the grid is a subset of the box, so it can only fall short of the
+        # exact value, and it reaches it on most rows
+        hits = 0
+        for _ in range(30):
             d = int(rng.integers(1, 4))
             m = random_linear_model(rng, d)
-            x = rng.standard_normal(d)
-            got = worst_case_01c(m, x, 1, 0.3, 0.25, mode="exact_small_d")
-            want = box_max_01c(m, x, 1, 0.3, 0.25)
-            assert got == pytest.approx(want, abs=1e-12)
+            x = rng.standard_normal((1, d))
+            y = np.array([1 if rng.random() < 0.5 else -1])
+            grid = box_max_01c(m, x[0], y[0], 0.3, 0.25)
+            exact = attacked_losses(m, x, y, 0.3, SurrogateParams(cost=0.25))[0]
+            assert exact == box_max_01c_vertices(m, x[0], y[0], 0.3, 0.25)
+            assert grid <= exact
+            hits += grid == exact
+        assert hits >= 20
 
     def test_dominates_clean(self, rng):
         for _ in range(50):
             m = random_linear_model(rng, 3)
-            x = rng.standard_normal(3)
-            y = 1 if rng.random() < 0.5 else -1
+            x = rng.standard_normal((1, 3))
+            y = np.array([1 if rng.random() < 0.5 else -1])
             f, r = m.scores_features(x)
-            clean = loss_01c(float(f), float(r), y, 0.3)
-            assert worst_case_01c(m, x, y, 0.1, 0.3, mode="heuristic") >= clean
+            clean = loss_01c(float(f[0]), float(r[0]), y[0], 0.3)
+            assert attacked_losses(m, x, y, 0.1)[0] >= clean
 
-    def test_exact_dimension_limit(self):
-        m = RejectionModel(theta=np.zeros(7), gamma=np.ones(7))
-        with pytest.raises(ValueError):
-            worst_case_01c(m, np.zeros(7), 1, 0.1, 0.3, mode="exact_small_d")
+    def test_binding_row_counts_as_false_accept(self):
+        m, ds = binding_row()
+        rep = evaluate_model(m, ds, AttackSpec(method="analytic_linear", eps=1.0), P13)
+        assert rep.counts == RejectConfusion(ta=0, tr=0, fa=1, fr=0)
+        assert rep.candidate_wins == {"clean": 0, "shift_reject": 0, "shift_margin": 1}
+        assert rep.mean_loss_01c == 1.0
 
 
 class TestLinearMhValueGrad:

@@ -113,7 +113,7 @@ class TestEvaluateModel:
         m = random_linear_model(rng, 2)
         ds = Dataset(rng.standard_normal((10, 2)), np.where(rng.random(10) < 0.5, 1, -1))
         rep = evaluate_model(m, ds, AttackSpec(method="analytic_linear", eps=0.1), P13)
-        assert set(rep.candidate_wins) == {"clean", "shift_margin", "shift_reject", "pgd"}
+        assert set(rep.candidate_wins) == {"clean", "shift_margin", "shift_reject"}
         rep = evaluate_model(m, ds, AttackSpec(method="fgsm", eps=0.1), P13)
         assert set(rep.candidate_wins) == {"clean", "fgsm"}
         rep = evaluate_model(m, ds, AttackSpec(method="none"), P13)

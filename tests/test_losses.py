@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advreject.losses import (
@@ -35,8 +35,12 @@ class TestLoss01c:
         assert loss_01c(-2, 1, 1, 0.3) == 1.0
 
     def test_overlap_at_zero(self):
-        # both indicators fire at r = 0 when the label is wrong
-        assert loss_01c(-1, 0, 1, 0.3) == pytest.approx(1.3)
+        # no overlap on the boundaries: r = 0 rejects (c only, even with a
+        # wrong label) and f = 0 answers +1
+        assert loss_01c(-1, 0, 1, 0.3) == 0.3
+        assert loss_01c(0, 1, 1, 0.3) == 0.0
+        assert loss_01c(0, 1, -1, 0.3) == 1.0
+        assert loss_01c(0, 0, -1, 0.3) == 0.3
 
     def test_cost_range(self):
         with pytest.raises(ValueError):
@@ -121,7 +125,6 @@ class TestDominance:
            st.floats(0.1, 4), st.floats(0.1, 4), st.floats(0.01, 0.49))
     @settings(max_examples=300, deadline=None)
     def test_property(self, f, r, y, alpha, beta, cost):
-        assume(r != 0.0)  # at r = 0 both indicators fire; dominance holds a.e.
         p = SurrogateParams(alpha, beta, cost)
         l01 = loss_01c(f, r, y, cost)
         assert loss_mh(f, r, y, p) >= l01
