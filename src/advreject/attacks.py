@@ -8,6 +8,7 @@ the (featurized) input and needs no masking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,16 +35,16 @@ class AttackSpec:
     def __post_init__(self):
         if self.method not in ("none", "analytic_linear", "fgsm", "pgd"):
             raise ValueError(f"method must be one of none/analytic_linear/fgsm/pgd, got {self.method!r}")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
+        if not 0 <= self.eps < math.inf:
+            raise ValueError("eps must be finite and nonnegative")
         if self.norm not in ("linf", "l2"):
             raise ValueError(f"norm must be linf or l2, got {self.norm!r}")
         if self.method in ("analytic_linear", "fgsm") and self.norm != "linf":
             raise ValueError(f"norm must be linf for method {self.method}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.step_size != "auto" and not (isinstance(self.step_size, (int, float)) and self.step_size > 0):
-            raise ValueError("step_size must be positive or 'auto'")
+        if self.step_size != "auto" and not (isinstance(self.step_size, (int, float)) and 0 < self.step_size < math.inf):
+            raise ValueError("step_size must be finite and positive, or 'auto'")
 
     def resolved_step(self) -> float:
         if self.step_size == "auto":
@@ -77,21 +78,6 @@ def linear_mh_value_grad(m: RejectionModel, z: np.ndarray, y, p: SurrogateParams
     rows[3] = -p.cost * p.beta * m.theta  # branch B
     branch = np.where(mh.use_a, np.where(y > 0, 1, 2), np.where(mh.use_b, 3, 0))
     return mh.value, rows[branch]
-
-
-class LinearMHOracle:
-    """Loss/gradient oracle for the MH loss of a linear model, in feature
-    space. At branch ties the classification branch wins."""
-
-    def __init__(self, m: RejectionModel, p: SurrogateParams):
-        self.m = m
-        self.p = p
-
-    def loss(self, z: np.ndarray, y: int) -> float:
-        return float(linear_mh_value_grad(self.m, z, y, self.p, grad=False)[0])
-
-    def grad(self, z: np.ndarray, y: int) -> np.ndarray:
-        return linear_mh_value_grad(self.m, z, y, self.p)[1]
 
 
 def _check_finite(g: np.ndarray, context: str) -> None:
@@ -156,7 +142,8 @@ def _stepper(spec: AttackSpec):
         out = np.sign(g)  # one buffer carries delta + step*sgn(g) to the clip
         out *= step
         out += delta
-        return np.clip(out, -eps, eps, out=out)
+        np.minimum(out, eps, out=out)
+        return np.maximum(out, -eps, out=out)
 
     def l2_step(delta, g):
         gn = np.linalg.norm(g, axis=-1, keepdims=True)
@@ -218,23 +205,37 @@ def pgd_batch(value_grad, x: np.ndarray, spec: AttackSpec) -> np.ndarray:
 
     value_grad(points, grad) gives each row's objective at the points and,
     if grad, its gradient there, so one call both scores an iterate and
-    sets the next step. One step is that call, the ascent step with the
-    radius and step size resolved once per call of pgd_batch, and the
+    sets the next step. One step is the ascent step with the radius and
+    step size resolved once per call of pgd_batch, that call, and the
     best-iterate update; the last iterate is only scored. Returns each
     row's delta at its best iterate, the start included.
+
+    The loop stops at its first fixed point: when a step leaves every row
+    where it is. That is exact, not a tolerance. The gradient that set the
+    step came from this very iterate, and value_grad is deterministic, so
+    every later step would rescore the same points with the same values
+    and gradients, and the best iterate (updated only on a strict gain)
+    can no longer change. From the zero start with the automatic step
+    size, sign steps on a linear model whose rows keep their MH branch
+    reach such a point, a box corner, after ceil(sqrt(steps)) steps (one
+    more where rounding leaves that many steps an ulp short of eps).
     """
     delta = _start(spec, x.shape)
     if spec.eps == 0:
         return delta
     step = _stepper(spec)
     best_val, g = value_grad(x + delta, True)
+    best_val = np.array(best_val, dtype=np.float64)  # updated in place below
     best_delta = delta.copy()
     for i in range(spec.steps):
-        delta = step(delta, g)
+        moved = step(delta, g)
+        if np.array_equal(moved, delta):
+            break
+        delta = moved
         val, g = value_grad(x + delta, i + 1 < spec.steps)  # the last iterate is only scored
         better = val > best_val
-        best_val = np.where(better, val, best_val)
-        best_delta[better] = delta[better]
+        np.copyto(best_val, val, where=better)
+        np.copyto(best_delta, delta, where=better[..., None])
     return best_delta
 
 

@@ -9,6 +9,7 @@ distance on the training split.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +66,8 @@ class ProtocolConfig:
         if self.rff_dim < 0:
             raise ValueError("rff_dim must be >= 0 (0 = identity features)")
         check_scheme(self.normalize)
-        if not self.attack_eps or min(self.attack_eps) < 0:
-            raise ValueError("attack_eps must be a non-empty list of nonnegative radii")
+        if not self.attack_eps or not all(0 <= eps < math.inf for eps in self.attack_eps):
+            raise ValueError("attack_eps must be a non-empty list of finite nonnegative radii")
         if self.attack_steps < 1:
             raise ValueError("attack_steps must be >= 1")
         # the settings every method shares, checked first so their errors name their own keys

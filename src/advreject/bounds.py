@@ -62,13 +62,13 @@ class BoundConfig:
     mc_draws: int = 2000
 
     def __post_init__(self):
-        if not self.w_bound > 0:
-            raise ValueError("w_bound must be positive")
+        if not 0 < self.w_bound < math.inf:
+            raise ValueError("w_bound must be finite and positive")
         dual_exponent(self.p)  # validates p
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
+        if not 0 <= self.eps < math.inf:
+            raise ValueError("eps must be finite and nonnegative")
         if self.mc_draws < 1:
             raise ValueError("mc_draws must be >= 1")
 

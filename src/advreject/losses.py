@@ -24,6 +24,7 @@ perturbable weight coordinates only; biases are excluded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -42,10 +43,10 @@ class SurrogateParams:
     cost: float = 0.3
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be finite and positive")
+        if not 0 < self.beta < math.inf:
+            raise ValueError("beta must be finite and positive")
         if not 0.0 < self.cost < 0.5:
             raise ValueError("cost must lie in (0, 0.5)")
 

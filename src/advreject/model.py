@@ -20,6 +20,7 @@ input-space attacks that keeps the linear worst-case algebra exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,8 +49,8 @@ class FeatureMap:
         if self.kind == "random_fourier":
             if self.dim <= 0:
                 raise ValueError("dim must be positive for random_fourier")
-            if self.sigma <= 0:
-                raise ValueError("sigma must be positive")
+            if not 0 < self.sigma < math.inf:
+                raise ValueError("sigma must be finite and positive")
 
     def weights(self, input_dim: int) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng(self.seed)
@@ -70,7 +71,11 @@ def featurize(fm: FeatureMap, x: np.ndarray) -> np.ndarray:
     if fm.kind == "identity":
         return x
     w, b = fm.weights(d)
-    return np.sqrt(2.0 / fm.dim) * np.cos(x @ w + b)
+    u = x @ w  # one buffer, worked in place
+    u += b
+    np.cos(u, out=u)
+    u *= np.sqrt(2.0 / fm.dim)
+    return u
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ outer gradient step is taken at those points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,14 +159,14 @@ class NeuralTrainConfig:
             raise ValueError("inner attack must be pgd or none")
         if self.attack.random_start:
             raise ValueError("attack.random_start must be false: neural PGD starts at the clean point")
-        if self.lam_w < 0:
-            raise ValueError("lam_w must be nonnegative")
+        if not 0 <= self.lam_w < math.inf:
+            raise ValueError("lam_w must be finite and nonnegative")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not self.lr > 0:
-            raise ValueError("lr must be positive")
+        if not 0 < self.lr < math.inf:
+            raise ValueError("lr must be finite and positive")
         if not all(isinstance(h, int) and h > 0 for h in self.hidden):
             raise ValueError("hidden must be positive integers")
         if self.activation not in _ACTIVATIONS:

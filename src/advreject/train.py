@@ -62,18 +62,18 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {'/'.join(MODES)}, got {self.mode!r}")
-        if self.eps_train < 0:
-            raise ValueError("eps_train must be nonnegative")
+        if not 0 <= self.eps_train < math.inf:
+            raise ValueError("eps_train must be finite and nonnegative")
         if self.mode in ("svm", "mh") and self.eps_train != 0:
             raise ValueError(f"eps_train must be 0 for mode {self.mode}")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
-        if self.lam_prime < 0:
-            raise ValueError("lam_prime must be nonnegative")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lam must be finite and nonnegative")
+        if not 0 <= self.lam_prime < math.inf:
+            raise ValueError("lam_prime must be finite and nonnegative")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if not self.lr0 > 0:
-            raise ValueError("lr0 must be positive")
+        if not 0 < self.lr0 < math.inf:
+            raise ValueError("lr0 must be finite and positive")
 
     @property
     def rejection_enabled(self) -> bool:

@@ -3,11 +3,16 @@
 These deliberately avoid the library's closed-form code paths: box maxima
 are taken by enumerating corners and dense grids, suprema over norm balls
 by dense direction/volume grids, and gradients by central differences.
+Two references at the end are not independent: ``LinearMHOracle`` adapts
+the library's MH value/gradient to the single-sample attacks, and
+``pgd_batch_full`` is the batched PGD loop without its early exit.
 """
 
 import itertools
 
 import numpy as np
+
+from advreject.attacks import linear_mh_value_grad
 
 
 def mh_loss_scalar(f, r, y, alpha, beta, cost):
@@ -187,3 +192,53 @@ def central_difference(fun, x, h=1e-5):
 
 def rel_err(a, b, floor=1e-8):
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+
+
+class LinearMHOracle:
+    """Loss/gradient oracle for the MH loss of a linear model, in feature
+    space, one sample at a time: the single-sample interface of
+    ``attacks.fgsm`` and ``attacks.pgd``. Unlike the oracles above it wraps
+    the library's ``linear_mh_value_grad``; the tests use it to compare the
+    single-sample attacks with the batched ones. At branch ties the
+    classification branch wins."""
+
+    def __init__(self, m, p):
+        self.m = m
+        self.p = p
+
+    def loss(self, z: np.ndarray, y: int) -> float:
+        return float(linear_mh_value_grad(self.m, z, y, self.p, grad=False)[0])
+
+    def grad(self, z: np.ndarray, y: int) -> np.ndarray:
+        return linear_mh_value_grad(self.m, z, y, self.p)[1]
+
+
+def pgd_batch_full(value_grad, x, spec):
+    """Batched PGD run for all spec.steps steps, with no early exit: the
+    reference that ``attacks.pgd_batch`` must match bit for bit. The start,
+    the steps and the best-iterate update are written out with the float
+    operations of the library, in the same order."""
+    eps, step = spec.eps, spec.resolved_step()
+    delta = np.zeros(x.shape)
+    if spec.random_start and eps > 0:
+        start = np.random.default_rng(spec.seed).uniform(-eps, eps, size=x.shape[-1])
+        if spec.norm == "l2":
+            start *= eps / np.maximum(np.linalg.norm(start, axis=-1, keepdims=True), eps)
+        delta[:] = start
+    if eps == 0:
+        return delta
+    best_val, g = value_grad(x + delta, True)
+    best_delta = delta.copy()
+    for i in range(spec.steps):
+        if spec.norm == "linf":
+            delta = np.clip(delta + step * np.sign(g), -eps, eps)
+        else:
+            gn = np.linalg.norm(g, axis=-1, keepdims=True)
+            moved = delta + step * g / np.where(gn > 0, gn, 1.0)
+            moved *= eps / np.maximum(np.linalg.norm(moved, axis=-1, keepdims=True), eps)
+            delta = np.where(gn > 0, moved, delta)
+        val, g = value_grad(x + delta, i + 1 < spec.steps)
+        better = val > best_val
+        best_val = np.where(better, val, best_val)
+        best_delta[better] = delta[better]
+    return best_delta

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from advreject.attacks import AttackSpec, LinearMHOracle, pgd
+from advreject.attacks import AttackSpec, pgd
 from advreject.bench import ProtocolConfig, run_protocol
 from advreject.bounds import (
     BoundConfig,
@@ -36,7 +36,7 @@ from advreject.neural import NeuralTrainConfig, adv_risk_01c_net, grad_input, gr
 from advreject.synth import clinical_surrogate, credit_surrogate, two_clusters
 from advreject.train import TrainConfig, train
 from conftest import random_linear_model
-from oracles import central_difference, rel_err
+from oracles import LinearMHOracle, central_difference, rel_err
 
 
 def report(num, ok, detail):

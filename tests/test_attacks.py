@@ -1,21 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 
 from advreject.attacks import (
     AttackSpec,
-    LinearMHOracle,
     accepted_error_delta,
     fgsm,
     linear_mh_value_grad,
     pgd,
+    pgd_batch,
     pgd_linear_mh_batch,
 )
 from advreject.data import Dataset
 from advreject.evaluate import RejectConfusion, _attack_and_score, _candidate_deltas, evaluate_model
 from advreject.losses import SurrogateParams, adv_loss_mh_linear, loss_01c
-from advreject.model import RejectionModel
+from advreject.model import FeatureMap, RejectionModel
 from conftest import random_linear_model
-from oracles import box_max_01c, box_max_01c_vertices, central_difference
+from oracles import LinearMHOracle, box_max_01c, box_max_01c_vertices, central_difference, pgd_batch_full
 
 P13 = SurrogateParams(1.0, 1.0, 0.3)
 
@@ -336,3 +338,86 @@ class TestBatchPgd:
         y = np.ones(8)
         deltas = pgd_linear_mh_batch(m, z, y, AttackSpec(method="pgd", eps=0.05), P13)
         assert np.max(np.abs(deltas)) <= 0.05 + 1e-12
+
+
+class CountingObjective:
+    """value_grad for pgd_batch that counts its calls and records every
+    gradient it returns."""
+
+    def __init__(self, value_grad):
+        self.value_grad = value_grad
+        self.grads = []
+
+    def __call__(self, points, grad):
+        value, g = self.value_grad(points, grad)
+        self.grads.append(g)
+        return value, g
+
+    @property
+    def calls(self):
+        return len(self.grads)
+
+
+class TestPgdEarlyExit:
+    """pgd_batch stops at its first fixed point, and the result is the one
+    of the full-length loop bit for bit."""
+
+    @staticmethod
+    def linear_problem(rng, features):
+        x = rng.standard_normal((30, 3))
+        y = np.where(rng.random(30) < 0.5, 1.0, -1.0)
+        if features == "identity":
+            return random_linear_model(rng, 3), x, y
+        fm = FeatureMap("random_fourier", dim=16, sigma=1.5, seed=int(rng.integers(0, 2**31)))
+        m = RejectionModel(theta=rng.standard_normal(16), gamma=rng.standard_normal(16),
+                           bias_theta=0.1, bias_gamma=-0.2, feature_map=fm)
+        return m, m.featurize(x), y
+
+    @pytest.mark.parametrize("eps", [1e-9, 0.01, 0.2, 1.0])  # 1e-9: steps far below np.allclose's tolerances
+    @pytest.mark.parametrize("random_start", [False, True])
+    @pytest.mark.parametrize("norm", ["linf", "l2"])
+    @pytest.mark.parametrize("features", ["identity", "random_fourier"])
+    def test_matches_full_length_loop(self, rng, features, norm, random_start, eps):
+        for _ in range(3):
+            m, z, y = self.linear_problem(rng, features)
+            spec = AttackSpec(method="pgd", eps=eps, norm=norm, steps=20, random_start=random_start, seed=3)
+            full = pgd_batch_full(lambda zd, grad: linear_mh_value_grad(m, zd, y, P13, grad), z, spec)
+            assert np.array_equal(pgd_linear_mh_batch(m, z, y, spec, P13), full)
+
+    @pytest.mark.parametrize("steps", [10, 20, 50])
+    def test_linf_stops_at_the_corner(self, steps):
+        # every row deep in the classification branch, which it keeps over
+        # the box: each gradient is fixed, so sign steps reach the corner in
+        # ceil(sqrt(steps)) steps and the next step moves nothing
+        m = RejectionModel(theta=np.array([0.5, -1.0, 2.0]), gamma=np.array([1.0, 0.5, -0.25]))
+        z = np.array([[-3.0, 0.2, 0.1], [4.0, -1.0, 0.3], [-2.5, 1.0, -0.4]])
+        y = np.array([1.0, -1.0, 1.0])
+        spec = AttackSpec(method="pgd", eps=0.05, steps=steps)
+        objective = CountingObjective(lambda zd, grad: linear_mh_value_grad(m, zd, y, P13, grad))
+        deltas = pgd_batch(objective, z, spec)
+        assert all(np.array_equal(g, objective.grads[0]) for g in objective.grads)
+        assert objective.calls == math.ceil(math.sqrt(steps)) + 1 < steps + 1
+        assert np.array_equal(deltas, 0.05 * np.sign(objective.grads[0]))
+
+    def test_zero_gradient_stops_at_the_start(self):
+        objective = CountingObjective(lambda xd, grad: (np.zeros(len(xd)), np.zeros_like(xd)))
+        deltas = pgd_batch(objective, np.ones((4, 2)), AttackSpec(method="pgd", eps=0.1, steps=20))
+        assert objective.calls == 1
+        assert np.array_equal(deltas, np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("norm", ["linf", "l2"])
+    def test_flipping_gradient_runs_every_step(self, norm):
+        # the gradient's sign flips on every call, so no step is a fixed point
+        flips = []
+
+        def value_grad(xd, grad):
+            flips.append(len(flips) % 2)
+            return -np.abs(xd).sum(axis=1), (1.0 - 2.0 * flips[-1]) * np.ones_like(xd)
+
+        x = np.zeros((5, 3))
+        spec = AttackSpec(method="pgd", eps=0.3, norm=norm, steps=20, step_size=0.1)
+        objective = CountingObjective(value_grad)
+        deltas = pgd_batch(objective, x, spec)
+        assert objective.calls == spec.steps + 1
+        flips.clear()
+        assert np.array_equal(deltas, pgd_batch_full(value_grad, x, spec))

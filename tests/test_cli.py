@@ -87,6 +87,45 @@ class TestValidateConfig:
         assert not (tmp_path / "o").exists()
 
 
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("command", ["eval", "bound"])
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_eps_flag(self, command, eps, data_file, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main([command, "--data", str(data_file), "--eps", eps, "--out", str(out)]) == 2
+        assert "attack.eps must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("attack", "eps", float("nan")),
+            ("attack", "eps", "inf"),
+            ("attack", "step_size", float("nan")),
+            ("attack", "step_size", "inf"),
+            ("train", "eps_train", float("nan")),
+            ("train", "lam", float("nan")),
+            ("train", "lam_prime", "inf"),
+            ("train", "lr0", float("nan")),
+            ("train", "alpha", "inf"),
+            ("bench", "attack_eps", [0.0, float("nan")]),
+            ("bench", "lam", float("nan")),
+            ("bound", "eps", float("nan")),
+            ("bound", "w_bound", "inf"),
+            ("neural", "eps_train", float("nan")),
+            ("neural", "lr", "inf"),
+        ],
+    )
+    def test_config_value_names_its_field(self, section, key, value, data_file, tmp_path, capsys):
+        obj = {"subcommand": "train", "dataset": str(data_file), "out": str(tmp_path / "o"), section: {key: value}}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(obj))  # NaN is written as the JSON extension NaN
+        assert main(["train", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert f"{section}.{key} must" in err and "finite" in err
+        assert not (tmp_path / "o").exists()
+
+
 class TestTrainCommand:
     def test_end_to_end_and_reproducible(self, data_file, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

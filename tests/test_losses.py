@@ -13,11 +13,10 @@ from advreject.losses import (
     mh_branches,
     surrogate_conv,
 )
-from advreject.attacks import LinearMHOracle
 from advreject.model import RejectionModel
 from advreject.neural import _head_grads
 from conftest import random_linear_model
-from oracles import box_max_mh
+from oracles import LinearMHOracle, box_max_mh
 
 P13 = SurrogateParams(1.0, 1.0, 0.3)
 

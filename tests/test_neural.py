@@ -17,7 +17,7 @@ from advreject.neural import (
     train_neural,
 )
 from advreject.synth import two_moons
-from oracles import central_difference, rel_err
+from oracles import central_difference, pgd_batch_full, rel_err
 
 P13 = SurrogateParams(1.0, 1.0, 0.3)
 
@@ -212,6 +212,30 @@ class TestTraining:
         y = ds.y.astype(float)
         xa = _inner_pgd_batch(net, ds.x, y, cfg)
         assert loss_batch(net, xa, y, cfg) >= loss_batch(net, ds.x, y, cfg) - 1e-12
+
+    @pytest.mark.parametrize("eps", [0.01, 0.2])
+    @pytest.mark.parametrize("norm", ["linf", "l2"])
+    def test_pgd_matches_full_length_loop(self, monkeypatch, norm, eps):
+        # the inner max and the two heads adv_risk_01c_net attacks; a relu
+        # net's head gradients are piecewise constant, so at eps = 0.01 the
+        # sign steps on -y*f reach a fixed point and stop after 5 steps
+        ds = two_moons(80, seed=5)
+        net = ToyNet.init(2, (8,), "relu", seed=2)
+        y = ds.y.astype(float)
+        spec = AttackSpec(method="pgd", eps=eps, norm=norm, steps=20)
+        cfg = NeuralTrainConfig(params=P13, attack=spec)
+
+        def attacks():
+            return [
+                _inner_pgd_batch(net, ds.x, y, cfg),
+                neural._heads_pgd(net, ds.x, spec, lambda f, r: (-y * f, -y, np.zeros_like(f))),
+                neural._heads_pgd(net, ds.x, spec, lambda f, r: (-r, np.zeros_like(r), -np.ones_like(r))),
+            ]
+
+        early = attacks()
+        monkeypatch.setattr(neural, "pgd_batch", pgd_batch_full)
+        for got, full in zip(early, attacks()):
+            assert np.array_equal(got, full)
 
     def test_adv_risk_includes_clean_point(self, rng):
         ds = two_moons(50, seed=6)
