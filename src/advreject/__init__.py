@@ -2,7 +2,8 @@
 
 from .attacks import AttackSpec, Perturbation, fgsm, pgd
 from .bench import ProtocolConfig, run_protocol
-from .bounds import BoundConfig, BoundReport, rademacher_exhaustive, rademacher_linear_mc, generalization_bound
+from .bounds import BoundConfig, BoundReport, generalization_bound, rademacher_exhaustive
+from .bounds import rademacher_linear_mc, rademacher_linear_upper
 from .data import Dataset, NormStats, normalize, parse_csv, parse_libsvm, split, to_libsvm
 from .evaluate import EvalReport, RejectConfusion, benchmark, classify_outcomes, evaluate_model, metrics
 from .losses import AdvTerms, SurrogateParams, adv_loss_mh_linear, adv_terms_linear, loss_01c, loss_mh, surrogate_conv
@@ -23,6 +24,7 @@ __all__ = [
     "BoundReport",
     "rademacher_exhaustive",
     "rademacher_linear_mc",
+    "rademacher_linear_upper",
     "generalization_bound",
     "Dataset",
     "NormStats",

@@ -1,10 +1,20 @@
-"""Rademacher-complexity estimates and the generalization bound report.
+"""Rademacher-complexity bounds and the generalization bound report.
 
 For the norm-bounded linear class {x -> <x, w> : ||w||_p <= W} the inner
 supremum of the empirical Rademacher complexity has the closed form
-W * ||sum_i sigma_i x_i||_q (Hoelder, 1/p + 1/q = 1); the outer expectation
-is taken by Monte Carlo, or exhaustively over all 2^n sign vectors for
-small n.
+W * ||sum_i sigma_i x_i||_q (Hoelder, 1/p + 1/q = 1). The report bounds the
+outer expectation from above in closed form, from the column norms
+c_j = ||x_{:,j}||_2 of the sample:
+
+    1 <= q <= 2   (sum_j c_j^q)^(1/q)          Jensen per column
+    q > 2         sqrt(sum_j c_j^2)            ||.||_q <= ||.||_2, then Jensen
+    q = inf       min of the above and         Massart's finite-class lemma
+                  sqrt(2 log 2d) * max_j c_j
+
+each times W / n. These are certified upper bounds, and deterministic.
+``rademacher_linear_mc`` (a Monte-Carlo estimate) and
+``rademacher_exhaustive`` (all 2^n sign vectors, small n) compute the
+complexity itself; the report uses neither.
 
 The adversarial linear class replaces the margin by its worst case over
 the eps-ball, shifting every function by -eps * ||w||_1:
@@ -13,10 +23,8 @@ the eps-ball, shifting every function by -eps * ||w||_1:
 
 Its exhaustive complexity needs sup_{||w||_p <= W} [<v, w> - nu ||w||_1]
 per sign vector (v the sign-weighted sample sum, nu = eps * sum sigma_i).
-The objective is positively homogeneous and linear on each orthant, so the
-supremum is exact by enumerating the 2^d orthant sign patterns (p = 2:
-cone projection; p = inf: per-coordinate thresholding; p = 1: vertices).
-A dense directional grid cross-checks these formulas in the tests.
+Each |w_j| is best spent with the sign of v_j, where it earns |v_j| - nu,
+so the supremum is W * ||(|v| - nu)_+||_q.
 
 The bound report itemizes
 
@@ -59,6 +67,8 @@ class BoundConfig:
     delta: float = 0.05  # the bound holds with probability 1 - delta
     eps: float = 0.0
     params: SurrogateParams = field(default_factory=SurrogateParams)
+    # Ignored since the report's Rademacher terms are closed-form; kept so
+    # that existing configs and callers that pass it keep working.
     mc_draws: int = 2000
 
     def __post_init__(self):
@@ -86,7 +96,9 @@ def _qnorm(v: np.ndarray, q: float, axis=None):
 
 
 def rademacher_linear_mc(x: np.ndarray, w_bound: float, q: float, mc_draws: int, seed: int) -> float:
-    """Monte-Carlo empirical Rademacher complexity of the linear class."""
+    """Monte-Carlo estimate of the empirical Rademacher complexity of the
+    linear class: a diagnostic, not an upper bound; the report does not
+    use it."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n = x.shape[0]
     if n == 0:
@@ -97,32 +109,40 @@ def rademacher_linear_mc(x: np.ndarray, w_bound: float, q: float, mc_draws: int,
     return w_bound / n * float(np.mean(_qnorm(sums, q, axis=1)))
 
 
+def rademacher_linear_upper(x: np.ndarray, w_bound: float, q: float) -> tuple[float, str]:
+    """Closed-form upper bound on the empirical Rademacher complexity of the
+    linear class, and the name of the inequality that gave it (see the
+    module docstring)."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    n, d = x.shape
+    if n == 0:
+        raise ValueError("need a non-empty sample")
+    cols = np.sqrt(np.einsum("ij,ij->j", x, x))
+    if q <= 2:
+        return w_bound / n * float(_qnorm(cols, q)), "jensen_columns"
+    l2 = float(np.sqrt(cols @ cols))
+    if q == np.inf:
+        massart = math.sqrt(2.0 * math.log(2 * d)) * float(cols.max())
+        if massart < l2:
+            return w_bound / n * massart, "massart"
+    return w_bound / n * l2, "l2_domination"
+
+
 def _all_signs(n: int) -> np.ndarray:
     """All 2^n sign vectors, shape (2^n, n)."""
     bits = (np.arange(2**n)[:, None] >> np.arange(n)[None, :]) & 1
     return 2.0 * bits - 1.0
 
 
-def sup_shifted_linear(v: np.ndarray, nu: float, w_bound: float, p: float) -> float:
-    """Exact sup of <v, w> - nu * ||w||_1 over the p-ball of radius w_bound.
-
-    Positively homogeneous, so the sup is w_bound * max(0, sup over the
-    unit sphere); the orthant decomposition makes each piece linear.
-    """
+def sup_shifted_linear(v: np.ndarray, nu, w_bound: float, p: float):
+    """Exact sup of <v, w> - nu * ||w||_1 over the p-ball of radius w_bound,
+    W * ||(|v| - nu)_+||_q. v may be a stack of shape (..., d) with nu of
+    shape (...); the result then has shape (...)."""
+    if p not in (1, 2, np.inf):
+        raise ValueError("adversarial class supports p in {1, 2, inf}")
     v = np.asarray(v, dtype=np.float64)
-    d = v.shape[0]
-    if p == np.inf:
-        return w_bound * float(np.maximum(np.abs(v) - nu, 0.0).sum())
-    if p == 1:
-        return w_bound * max(0.0, float(np.max(np.abs(v)) - nu))
-    if p == 2:
-        best = 0.0
-        for s in _all_signs(d):
-            a = v - nu * s
-            a = np.where(a * s > 0, a, 0.0)  # cone projection onto the orthant
-            best = max(best, float(np.linalg.norm(a)))
-        return w_bound * best
-    raise ValueError("adversarial class supports p in {1, 2, inf}")
+    gain = np.maximum(np.abs(v) - np.asarray(nu, dtype=np.float64)[..., None], 0.0)
+    return w_bound * _qnorm(gain, dual_exponent(p), axis=-1)
 
 
 def rademacher_exhaustive(
@@ -131,10 +151,9 @@ def rademacher_exhaustive(
     """Exhaustive empirical Rademacher complexity (all 2^n sign vectors).
 
     kind "standard_linear" is the plain margin class; "adversarial_linear"
-    uses the eps-shifted worst-case margins. Limited to n <= 12 and, for
-    the adversarial class, d <= 3.
+    uses the eps-shifted worst-case margins. Limited to n <= 12.
     """
-    n, d = len(ds), ds.d
+    n = len(ds)
     if n > 12:
         raise ValueError("exhaustive enumeration is limited to n <= 12")
     sigmas = _all_signs(n)
@@ -142,16 +161,8 @@ def rademacher_exhaustive(
         sums = sigmas @ ds.x
         return w_bound / n * float(np.mean(_qnorm(sums, q, axis=1)))
     if kind == "adversarial_linear":
-        if d > 3:
-            raise ValueError("adversarial enumeration is limited to d <= 3")
-        p = dual_exponent(q)
-        yx = ds.y[:, None] * ds.x
-        total = 0.0
-        for s in sigmas:
-            v = s @ yx
-            nu = eps * float(s.sum())
-            total += sup_shifted_linear(v, nu, w_bound, p)
-        return total / (n * len(sigmas))
+        v = sigmas @ (ds.y[:, None] * ds.x)
+        return float(np.mean(sup_shifted_linear(v, eps * sigmas.sum(axis=1), w_bound, dual_exponent(q)))) / n
     raise ValueError(f"unknown class kind {kind!r}")
 
 
@@ -160,6 +171,7 @@ class BoundReport:
     empirical_risk: float
     rad_zeta: float
     rad_gamma: float
+    rad_inequality: str  # the inequality behind both Rademacher terms
     eps_term: float
     conf_term: float
     total: float
@@ -176,29 +188,29 @@ class BoundReport:
 def generalization_bound(ds: Dataset, empirical_risk: float, cfg: BoundConfig, seed: int = 0) -> BoundReport:
     """Itemized high-probability bound on the adversarial surrogate risk.
 
-    Both Rademacher terms use the same norm bound W; they are estimated
-    with independently seeded Monte-Carlo draws, so they differ by MC noise
-    only. The zeta term is scaled by alpha*L/2, the gamma term by
-    beta*c*L.
+    Both Rademacher terms use the same norm bound W, so both get the one
+    closed-form upper bound of ``rademacher_linear_upper``: Jensen per
+    column for q <= 2, l2 domination for q > 2, and at q = inf the smaller
+    of that and Massart's lemma. The zeta term is scaled by alpha*L/2, the
+    gamma term by beta*c*L. The report is deterministic; ``seed`` (like
+    ``cfg.mc_draws``) is ignored and kept for existing callers.
     """
     if empirical_risk < 0:
         raise ValueError("empirical risk must be nonnegative")
     n, d = len(ds), ds.d
-    seeds = np.random.SeedSequence(seed).spawn(2)
-    rad_zeta = rademacher_linear_mc(ds.x, cfg.w_bound, cfg.q, cfg.mc_draws, seeds[0])
-    rad_gamma = rademacher_linear_mc(ds.x, cfg.w_bound, cfg.q, cfg.mc_draws, seeds[1])
+    rad, inequality = rademacher_linear_upper(ds.x, cfg.w_bound, cfg.q)
     d_pow = 1.0 if cfg.q == np.inf else float(d) ** (1.0 / cfg.q)
     eps_term = 2.0 * cfg.eps * cfg.w_bound * d_pow / np.sqrt(n)
     conf_term = float(np.sqrt(np.log(1.0 / cfg.delta) / (2.0 * n)))
     p = cfg.params
     total = (
         empirical_risk
-        + 0.5 * p.alpha * HINGE_LIPSCHITZ * rad_zeta
-        + p.beta * p.cost * HINGE_LIPSCHITZ * rad_gamma
+        + 0.5 * p.alpha * HINGE_LIPSCHITZ * rad
+        + p.beta * p.cost * HINGE_LIPSCHITZ * rad
         + eps_term
         + conf_term
     )
-    return BoundReport(empirical_risk, rad_zeta, rad_gamma, eps_term, conf_term, total, cfg.w_bound, n, d, cfg.q)
+    return BoundReport(empirical_risk, rad, rad, inequality, eps_term, conf_term, total, cfg.w_bound, n, d, cfg.q)
 
 
 def weight_bound(m: RejectionModel, p: float) -> float:

@@ -4,7 +4,7 @@ Subcommands: train, eval, attack, bound, bench, neural-train. Every run is
 driven by a RunConfig (JSON via --config, overridable by flags) plus the
 input files; the resolved config is echoed to <out>/manifest.json so a
 single file reproduces the run. One master seed fans out deterministically
-into split/feature/attack/Monte-Carlo seeds.
+into split/feature/attack seeds.
 
 Exit codes: 0 ok, 2 configuration or input error, 3 numeric failure.
 """
@@ -34,10 +34,10 @@ EXIT_NUMERIC = 3
 
 
 def _fan_out_seeds(master: int) -> dict[str, int]:
-    """split/feature/attack/mc seeds derived from one master seed."""
+    """split/feature/attack seeds derived from one master seed."""
     ss = np.random.SeedSequence(master)
-    vals = [int(c.generate_state(1)[0] % 2**31) for c in ss.spawn(4)]
-    return {"split": vals[0], "features": vals[1], "attack": vals[2], "mc": vals[3]}
+    vals = [int(c.generate_state(1)[0] % 2**31) for c in ss.spawn(3)]
+    return {"split": vals[0], "features": vals[1], "attack": vals[2]}
 
 
 def _load_dataset(path: str) -> Dataset:
@@ -161,7 +161,6 @@ def _cmd_attack(rc: RunConfig, out: Path) -> int:
 
 
 def _cmd_bound(rc: RunConfig, out: Path) -> int:
-    seeds = _fan_out_seeds(rc.seed)
     model, ds = _load_model_and_data(rc)
     params = rc.train.params
     b = rc.bound
@@ -170,7 +169,7 @@ def _cmd_bound(rc: RunConfig, out: Path) -> int:
     cfg = b.build(b.w_bound, params)
     feats = Dataset(model.featurize(ds.x), ds.y, name=ds.name)
     risk = clipped_adv_risk(model, ds, cfg.eps, params)
-    report = generalization_bound(feats, risk, cfg, seed=seeds["mc"])
+    report = generalization_bound(feats, risk, cfg)
     out.mkdir(parents=True, exist_ok=True)
     out.joinpath("bound.json").write_text(report.to_json())
     _write_manifest(rc, out)

@@ -178,6 +178,24 @@ def sup_shifted_linear_grid(v, nu, w_bound, p, points_per_axis=41):
     return max(0.0, float(vals.max())), slack
 
 
+def sup_shifted_linear_orthants(v, nu, w_bound, p):
+    """Exact sup of <v, w> - nu * ||w||_1 over the p-ball by enumerating the
+    2^d orthants. On the orthant with sign pattern s the objective is the
+    linear <v - nu * s, w>, whose sup over the ball within the orthant keeps
+    the coordinates with (v_j - nu * s_j) * s_j > 0 (the cone projection)
+    and takes their dual norm. Exponential in the dimension."""
+    v = np.asarray(v, dtype=np.float64)
+    q = np.inf if p == 1 else (1.0 if p == np.inf else p / (p - 1.0))
+    best = 0.0
+    for signs in itertools.product((-1.0, 1.0), repeat=len(v)):
+        s = np.array(signs)
+        a = v - nu * s
+        a = np.where(a * s > 0, np.abs(a), 0.0)
+        val = a.max() if q == np.inf else (a**q).sum() ** (1.0 / q)
+        best = max(best, float(val))
+    return w_bound * best
+
+
 def central_difference(fun, x, h=1e-5):
     """Central-difference gradient of a scalar function of a flat vector."""
     g = np.zeros_like(x)

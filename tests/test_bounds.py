@@ -7,6 +7,7 @@ from advreject.bounds import (
     dual_exponent,
     rademacher_exhaustive,
     rademacher_linear_mc,
+    rademacher_linear_upper,
     sup_shifted_linear,
     generalization_bound,
     weight_bound,
@@ -14,7 +15,7 @@ from advreject.bounds import (
 from advreject.data import Dataset
 from advreject.losses import SurrogateParams
 from conftest import random_linear_model
-from oracles import sup_shifted_linear_grid
+from oracles import sup_shifted_linear_grid, sup_shifted_linear_orthants
 
 P13 = SurrogateParams(1.0, 1.0, 0.3)
 
@@ -75,6 +76,16 @@ class TestSupShiftedLinear:
             assert exact >= grid - 1e-9  # grid is a lower bound
             assert exact <= grid + slack  # within the grid's Lipschitz slack
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+    def test_matches_orthant_enumeration(self, p, rng):
+        for _ in range(200):
+            d = int(rng.integers(1, 8))
+            v = 3 * rng.standard_normal(d)
+            nu = float(rng.uniform(-2.0, 2.0))
+            w = float(rng.uniform(0.5, 2.0))
+            want = sup_shifted_linear_orthants(v, nu, w, p)
+            assert sup_shifted_linear(v, nu, w, p) == pytest.approx(want, rel=1e-12)
+
     def test_eps_zero_recovers_q_norm(self, rng):
         v = rng.standard_normal(3)
         assert sup_shifted_linear(v, 0.0, 1.0, 2.0) == pytest.approx(np.linalg.norm(v))
@@ -111,9 +122,82 @@ class TestRademacherExhaustive:
         big = Dataset(rng.standard_normal((13, 2)), np.ones(13, dtype=int))
         with pytest.raises(ValueError):
             rademacher_exhaustive(big, "standard_linear", 1.0, 2.0)
-        wide = Dataset(rng.standard_normal((4, 4)), np.ones(4, dtype=int))
+        for d in (4, 5, 6):  # no dimension limit: the wide adversarial class satisfies the sandwich
+            wide = Dataset(rng.standard_normal((6, d)), np.where(rng.random(6) < 0.5, 1, -1))
+            std = rademacher_exhaustive(wide, "standard_linear", 1.0, 2.0)
+            adv = rademacher_exhaustive(wide, "adversarial_linear", 1.0, 2.0, eps=0.1)
+            assert std - 1e-9 <= adv <= std + 0.1 * d**0.5 / np.sqrt(6) + 1e-9
+
+
+Q_VALUES = [1.0, 4.0 / 3.0, 2.0, 3.0, np.inf]
+
+
+class TestRademacherUpper:
+    """rademacher_linear_upper is a certified upper bound on the exact
+    (exhaustive) empirical Rademacher complexity of the linear class."""
+
+    @pytest.mark.parametrize("q", Q_VALUES)
+    def test_dominates_exhaustive(self, q, rng):
+        for _ in range(30):
+            n, d = int(rng.integers(1, 13)), int(rng.integers(1, 7))
+            scale = float(10.0 ** rng.uniform(-2, 1))
+            ds = Dataset(scale * rng.standard_normal((n, d)), np.ones(n, dtype=int))
+            w = float(rng.uniform(0.5, 2.0))
+            exact = rademacher_exhaustive(ds, "standard_linear", w, q)
+            upper, _ = rademacher_linear_upper(ds.x, w, q)
+            assert upper >= exact * (1 - 1e-12)
+
+    @pytest.mark.parametrize("q", [1.0, 4.0 / 3.0, 2.0])
+    def test_exact_for_one_sample(self, q, rng):
+        for _ in range(10):
+            ds = Dataset(rng.standard_normal((1, int(rng.integers(1, 7)))), np.ones(1, dtype=int))
+            exact = rademacher_exhaustive(ds, "standard_linear", 1.3, q)
+            assert rademacher_linear_upper(ds.x, 1.3, q)[0] == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("q", Q_VALUES)
+    def test_exact_for_one_sample_in_one_dimension(self, q, rng):
+        x = rng.standard_normal((1, 1))
+        exact = rademacher_exhaustive(Dataset(x, np.ones(1, dtype=int)), "standard_linear", 1.0, q)
+        assert rademacher_linear_upper(x, 1.0, q)[0] == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("q", Q_VALUES)
+    def test_homogeneous_in_scale_and_w(self, q, rng):
+        x = rng.standard_normal((7, 5))
+        base, rule = rademacher_linear_upper(x, 1.0, q)
+        assert rademacher_linear_upper(3.0 * x, 1.0, q) == (pytest.approx(3.0 * base, rel=1e-12), rule)
+        assert rademacher_linear_upper(0.01 * x, 2.0, q) == (pytest.approx(0.02 * base, rel=1e-12), rule)
+
+    def test_inequality_per_q(self, rng):
+        x = rng.standard_normal((20, 3))
+        assert rademacher_linear_upper(x, 1.0, 1.0)[1] == "jensen_columns"
+        assert rademacher_linear_upper(x, 1.0, 2.0)[1] == "jensen_columns"
+        assert rademacher_linear_upper(x, 1.0, 3.0)[1] == "l2_domination"
+        assert rademacher_linear_upper(x[:, :1], 1.0, np.inf)[1] == "l2_domination"
+        assert rademacher_linear_upper(rng.standard_normal((20, 50)), 1.0, np.inf)[1] == "massart"
+
+    def test_massart_branch_dominates_exhaustive(self, rng):
+        for _ in range(10):
+            x = rng.standard_normal((12, 6))
+            x /= np.linalg.norm(x, axis=0)  # equal column norms: Massart beats l2 at d = 6
+            exact = rademacher_exhaustive(Dataset(x, np.ones(12, dtype=int)), "standard_linear", 1.0, np.inf)
+            upper, rule = rademacher_linear_upper(x, 1.0, np.inf)
+            assert rule == "massart" and upper >= exact
+
+    def test_infinity_takes_the_smaller_bound(self, rng):
+        for d in (1, 2, 5, 50):
+            x = rng.standard_normal((9, d))
+            cols = np.linalg.norm(x, axis=0)
+            l2, massart = np.linalg.norm(cols), np.sqrt(2 * np.log(2 * d)) * cols.max()
+            assert rademacher_linear_upper(x, 1.0, np.inf)[0] == pytest.approx(min(l2, massart) / 9, rel=1e-12)
+
+    def test_q2_is_root_sum_of_squared_row_norms(self, rng):
+        x = rng.standard_normal((11, 4))
+        want = np.sqrt(np.sum(np.linalg.norm(x, axis=1) ** 2)) / 11
+        assert rademacher_linear_upper(x, 1.0, 2.0)[0] == pytest.approx(want, rel=1e-12)
+
+    def test_empty_sample(self):
         with pytest.raises(ValueError):
-            rademacher_exhaustive(wide, "adversarial_linear", 1.0, 2.0, eps=0.1)
+            rademacher_linear_upper(np.zeros((0, 3)), 1.0, 2.0)
 
 
 class TestTheoremBound:
@@ -163,7 +247,21 @@ class TestTheoremBound:
         import json
 
         obj = json.loads(rep.to_json())
-        assert set(obj) >= {"empirical_risk", "rad_zeta", "rad_gamma", "eps_term", "conf_term", "total"}
+        assert set(obj) >= {"empirical_risk", "rad_zeta", "rad_gamma", "rad_inequality", "eps_term", "conf_term",
+                            "total"}
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, np.inf])
+    def test_deterministic_and_certified(self, p, rng):
+        ds = self.make_ds(rng, n=10, d=3)
+        cfg = BoundConfig(w_bound=1.2, p=p, eps=0.1, params=P13)
+        rep = generalization_bound(ds, 0.2, cfg, seed=0)
+        for seed, draws in ((1, 2000), (99, 10), (0, 1)):
+            other = generalization_bound(ds, 0.2, BoundConfig(w_bound=1.2, p=p, eps=0.1, params=P13, mc_draws=draws),
+                                         seed=seed)
+            assert other.to_json() == rep.to_json()
+        assert rep.rad_zeta == rep.rad_gamma
+        assert rep.rad_zeta >= rademacher_exhaustive(ds, "standard_linear", 1.2, cfg.q)
+        assert (rep.rad_zeta, rep.rad_inequality) == rademacher_linear_upper(ds.x, 1.2, cfg.q)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
