@@ -69,7 +69,7 @@ def _load_model_and_data(rc: RunConfig) -> tuple[RejectionModel, Dataset]:
     try:
         if model.norm_stats is not None:
             ds = model.norm_stats.apply(ds)
-        model.featurize(ds.x[:1])  # raises on an input dimension the model does not take
+        model.featurize(ds.x)  # raises on an input dimension the model does not take; later calls reuse it
     except ValueError as exc:
         raise ConfigError(f"dataset {rc.dataset!r} does not fit model {rc.model!r}: {exc}") from None
     return model, ds

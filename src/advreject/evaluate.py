@@ -205,13 +205,12 @@ def benchmark(
     for method, cost in keys:
         params = SurrogateParams(alpha=alpha, beta=beta, cost=NO_REJECT_COST if cost is None else cost)
         pairs = [(models[(method, cost)], test) for models, test in trials]
-        feats = [(m, m.featurize(test.x), test.y) for m, test in pairs]  # once per pair, not per eps
         for eps in attack_eps:
             spec = AttackSpec(method=attack_method if eps > 0 else "none", eps=eps, steps=steps)
             errs, rejs = [], []
-            for m, z, y in feats:
-                f, r = _attack_and_score(m, z, y, spec, params)[:2]
-                err, rej, _ = metrics(_confusion(f, r, y))
+            for m, test in pairs:
+                f, r = _attack_and_score(m, m.featurize(test.x), test.y, spec, params)[:2]
+                err, rej, _ = metrics(_confusion(f, r, test.y))
                 errs.append(err)
                 rejs.append(rej)
             rows.append(

@@ -103,6 +103,8 @@ class RejectionModel:
     bias_gamma: float = 0.0
     feature_map: FeatureMap = field(default_factory=FeatureMap)
     norm_stats: NormStats | None = None
+    # (feature map, copy of x, read-only z) of the last random-Fourier batch
+    _last_features: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=np.float64)
@@ -122,7 +124,25 @@ class RejectionModel:
         return self.theta.shape[0]
 
     def featurize(self, x: np.ndarray) -> np.ndarray:
-        z = featurize(self.feature_map, x)
+        """Features of one vector or a (n, d) batch under this model's map.
+
+        The model remembers its last random-Fourier batch, one copy of x
+        and its z, and returns that z while the map is equal and x has the
+        same shape and contents. That is exact: the features are a pure
+        function of the map and x, and comparing contents also catches an
+        x changed in place. The features come back read-only, so no caller
+        can corrupt the remembered array. The identity map returns x.
+        """
+        fm = self.feature_map
+        x = np.asarray(x, dtype=np.float64)
+        last = self._last_features
+        if last is not None and last[0] == fm and np.array_equal(last[1], x):
+            z = last[2]
+        else:
+            z = featurize(fm, x)
+            if fm.kind != "identity":
+                z.flags.writeable = False
+                self._last_features = (fm, x.copy(), z)
         if z.shape[-1] != self.feat_dim:
             raise ValueError(f"expected feature dimension {self.feat_dim}, got {z.shape[-1]}")
         return z

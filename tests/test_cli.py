@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import advreject.model
 from advreject.cli import main
 from advreject.config import ConfigError, validate_config
 from advreject.data import parse_libsvm, to_csv, to_libsvm
@@ -227,6 +228,24 @@ class TestOtherCommands:
         assert rep["total"] >= rep["empirical_risk"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert isinstance(manifest["bound"]["w_bound"], float)  # "auto" resolved
+
+    @pytest.mark.parametrize("command", ["eval", "attack", "bound"])
+    def test_dataset_featurized_once(self, command, data_file, tmp_path, monkeypatch):
+        run = tmp_path / "rff_run"
+        assert main(["train", "--data", str(data_file), "--rff-dim", "16", "--epochs", "60", "--out", str(run)]) == 0
+        rows = []
+        inner = advreject.model.featurize
+
+        def counting(fm, x):
+            rows.append(len(x))
+            return inner(fm, x)
+
+        monkeypatch.setattr(advreject.model, "featurize", counting)
+        assert main([
+            command, "--model", str(run / "model.json"), "--data", str(data_file),
+            "--eps", "0.05", "--out", str(tmp_path / "o"),
+        ]) == 0
+        assert rows == [120]
 
     def test_missing_model(self, data_file, tmp_path):
         assert main(["eval", "--data", str(data_file), "--out", str(tmp_path / "o")]) == 2

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,81 @@ class TestFeaturize:
         featurize(fm, rng.standard_normal(3))
         with pytest.raises(ValueError, match="dimension"):
             featurize(fm, rng.standard_normal(4))
+
+
+class TestLastFeatures:
+    """RejectionModel.featurize remembers its last random-Fourier batch."""
+
+    @staticmethod
+    def rff_model(rng, dim=16):
+        fm = FeatureMap("random_fourier", dim=dim, sigma=0.8, seed=4, input_dim=3)
+        return RejectionModel(rng.standard_normal(dim), rng.standard_normal(dim), 0.1, -0.2, feature_map=fm)
+
+    def test_hit_returns_the_stored_array(self, rng):
+        m = self.rff_model(rng)
+        x = rng.standard_normal((10, 3))
+        z = m.featurize(x)
+        assert np.array_equal(z, featurize(m.feature_map, x))
+        assert m.featurize(x) is z
+        assert m.featurize(x.copy()) is z  # equal contents, another array
+
+    def test_input_changed_in_place_recomputes(self, rng):
+        m = self.rff_model(rng)
+        x = rng.standard_normal((10, 3))
+        z = m.featurize(x)
+        x[4, 1] += 0.5
+        z2 = m.featurize(x)
+        assert z2 is not z and not np.array_equal(z2, z)
+        assert np.array_equal(z2, featurize(m.feature_map, x))
+
+    def test_input_of_another_shape_recomputes(self, rng):
+        m = self.rff_model(rng)
+        x = rng.standard_normal((10, 3))
+        m.featurize(x)
+        for other in (x[:6], x[0]):
+            z = m.featurize(other)
+            assert z.shape == other.shape[:-1] + (16,)
+            assert np.array_equal(z, featurize(m.feature_map, other))
+
+    def test_reassigned_feature_map_recomputes(self, rng):
+        m = self.rff_model(rng)
+        x = rng.standard_normal((10, 3))
+        z = m.featurize(x)
+        m.feature_map = replace(m.feature_map, seed=5)
+        z2 = m.featurize(x)
+        assert not np.array_equal(z2, z)
+        assert np.array_equal(z2, featurize(m.feature_map, x))
+        m.feature_map = replace(m.feature_map)  # an equal map hits
+        assert m.featurize(x) is z2
+
+    def test_features_are_read_only(self, rng):
+        m = self.rff_model(rng)
+        x = rng.standard_normal((10, 3))
+        with pytest.raises(ValueError, match="read-only"):
+            m.featurize(x)[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            m.featurize(x)[1] += 1.0
+        assert np.array_equal(m.featurize(x), featurize(m.feature_map, x))
+
+    def test_identity_returns_the_input(self, rng):
+        m = random_linear_model(rng, 4)
+        x = rng.standard_normal((5, 4))
+        assert m.featurize(x) is x and x.flags.writeable
+        assert m._last_features is None
+
+    def test_not_part_of_json_eq_or_repr(self, rng):
+        m = self.rff_model(rng, dim=1)  # one feature: == on the arrays is a plain bool
+        text, shown, cold = m.to_json(), repr(m), replace(m)
+        m.featurize(rng.standard_normal((10, 3)))
+        assert m.to_json() == text and repr(m) == shown
+        assert m == cold and cold == m
+
+    def test_copies_start_cold(self, rng):
+        m = self.rff_model(rng)
+        m.featurize(rng.standard_normal((10, 3)))
+        assert m._last_features is not None
+        assert replace(m)._last_features is None
+        assert RejectionModel.from_json(m.to_json())._last_features is None
 
 
 class TestDecide:
