@@ -44,7 +44,10 @@ def _load_dataset(path: str) -> Dataset:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"dataset path {path!r} does not exist")
-    text = p.read_text()
+    try:
+        text = p.read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"dataset {path!r} cannot be decoded as text: {exc}") from None
     if p.suffix == ".csv":
         return parse_csv(text, name=p.stem)
     return parse_libsvm(text, name=p.stem)
@@ -320,6 +323,9 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
         try:
             raw = json.loads(path.read_text())
+        except UnicodeDecodeError as exc:
+            print(f"error: config file {args.config!r} cannot be decoded as text: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         except json.JSONDecodeError as exc:
             print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
             return EXIT_CONFIG

@@ -7,6 +7,7 @@ final column is the label.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,13 +68,22 @@ def _label(token: str, label_map: dict[str, int], lineno: int) -> int:
 def parse_libsvm(text: str, label_map: dict[str, int] | None = None, name: str = "") -> Dataset:
     """Parse LIBSVM sparse text ("<label> <idx>:<val> ...") into a dense Dataset.
 
-    Indices are 1-based and must be strictly increasing within a line. The
-    dimension is the maximum index seen anywhere. ``label_map`` translates
-    label tokens to {-1, +1}; by default only "+1"/"1"/"-1" are accepted.
+    Blank lines and lines starting with "#" are skipped. The dimension is
+    the maximum index seen anywhere. ``label_map`` translates label tokens
+    to {-1, +1}; by default only "+1"/"1"/"-1" are accepted. Each line is
+    checked in this order, and the first failure raises a DataFormatError
+    naming the line:
+
+    1. the label is in ``label_map`` and maps to -1 or +1;
+    2. then, entry by entry: it has the ``idx:val`` separator, both parts
+       are numeric, the value is finite, and the index is 1-based and
+       strictly greater than the one before it.
+
+    A text without data lines is an error too.
     """
     if label_map is None:
         label_map = DEFAULT_LABEL_MAP
-    rows: list[dict[int, float]] = []
+    rows: list[tuple[list[int], list[float]]] = []  # 0-based columns and values per line
     labels: list[int] = []
     max_idx = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -82,7 +92,8 @@ def parse_libsvm(text: str, label_map: dict[str, int] | None = None, name: str =
             continue
         parts = line.split()
         y = _label(parts[0], label_map, lineno)
-        entries: dict[int, float] = {}
+        cols: list[int] = []
+        vals: list[float] = []
         prev = 0
         for item in parts[1:]:
             idx_s, sep, val_s = item.partition(":")
@@ -93,7 +104,7 @@ def parse_libsvm(text: str, label_map: dict[str, int] | None = None, name: str =
                 val = float(val_s)
             except ValueError:
                 raise DataFormatError(f"non-numeric entry {item!r}", lineno) from None
-            if not np.isfinite(val):
+            if not math.isfinite(val):
                 raise DataFormatError(f"non-finite value {item!r}", lineno)
             if idx <= prev:
                 raise DataFormatError(
@@ -101,28 +112,34 @@ def parse_libsvm(text: str, label_map: dict[str, int] | None = None, name: str =
                     lineno,
                 )
             prev = idx
-            entries[idx] = val
+            cols.append(idx - 1)
+            vals.append(val)
         max_idx = max(max_idx, prev)
-        rows.append(entries)
+        rows.append((cols, vals))
         labels.append(y)
     if not rows:
         raise DataFormatError("empty dataset")
     x = np.zeros((len(rows), max_idx))
-    for i, entries in enumerate(rows):
-        for idx, val in entries.items():
-            x[i, idx - 1] = val
+    for i, (cols, vals) in enumerate(rows):
+        x[i, cols] = vals
     return Dataset(x, np.array(labels), name=name)
 
 
 def to_libsvm(ds: Dataset) -> str:
-    """Serialize to LIBSVM text. Zero coordinates are omitted; re-parsing a
-    parsed dataset reproduces it exactly (floats written with repr)."""
+    """Serialize to LIBSVM text, one line per row: the label as "+1"/"-1",
+    then " j:v" for each nonzero coordinate in increasing j (1-based).
+
+    The text is byte-stable: each value is written as its shortest repr,
+    which re-parses to the same double, and zero coordinates, -0.0
+    included, are omitted (an all-zero row is its label alone). So
+    re-parsing a parsed dataset reproduces it exactly.
+    """
+    prefixes = [f" {j}:" for j in range(1, ds.d + 1)]
     lines = []
-    for i in range(len(ds)):
-        fields = [f"{'+1' if ds.y[i] > 0 else '-1'}"]
-        for j in np.nonzero(ds.x[i])[0]:
-            fields.append(f"{j + 1}:{float(ds.x[i, j])!r}")
-        lines.append(" ".join(fields))
+    for label, row in zip(ds.y.tolist(), ds.x.tolist()):
+        fields = ["+1" if label > 0 else "-1"]
+        fields += [k + repr(v) for k, v in zip(prefixes, row) if v != 0]
+        lines.append("".join(fields))
     return "\n".join(lines) + "\n"
 
 
@@ -174,6 +191,14 @@ class NormStats:
     lo: np.ndarray = field(default_factory=lambda: np.zeros(0))
     hi: np.ndarray = field(default_factory=lambda: np.zeros(0))
     constant: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.scheme == other.scheme and all(
+            np.array_equal(a, b)
+            for a, b in ((self.lo, other.lo), (self.hi, other.hi), (self.constant, other.constant))
+        )
 
     def apply(self, ds: Dataset) -> Dataset:
         if self.scheme == "none":

@@ -119,6 +119,17 @@ class RejectionModel:
         ):
             raise ValueError("parameters must be finite")
 
+    def __eq__(self, other):
+        """Equal weights, biases, map and stats; the remembered features are ignored."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            np.array_equal(self.theta, other.theta)
+            and np.array_equal(self.gamma, other.gamma)
+            and (self.bias_theta, self.bias_gamma, self.feature_map, self.norm_stats)
+            == (other.bias_theta, other.bias_gamma, other.feature_map, other.norm_stats)
+        )
+
     @property
     def feat_dim(self) -> int:
         return self.theta.shape[0]

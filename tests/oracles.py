@@ -3,9 +3,12 @@
 These deliberately avoid the library's closed-form code paths: box maxima
 are taken by enumerating corners and dense grids, suprema over norm balls
 by dense direction/volume grids, and gradients by central differences.
-Two references at the end are not independent: ``LinearMHOracle`` adapts
-the library's MH value/gradient to the single-sample attacks, and
-``pgd_batch_full`` is the batched PGD loop without its early exit.
+Four references at the end are not independent: ``LinearMHOracle`` adapts
+the library's MH value/gradient to the single-sample attacks,
+``pgd_batch_full`` is the batched PGD loop without its early exit, and
+``to_libsvm_reference``/``parse_libsvm_reference`` are the LIBSVM codec
+written value by value with numpy scalars, which the library's codec must
+match byte for byte.
 """
 
 import itertools
@@ -13,6 +16,7 @@ import itertools
 import numpy as np
 
 from advreject.attacks import linear_mh_value_grad
+from advreject.data import DEFAULT_LABEL_MAP, DataFormatError, Dataset, _label
 
 
 def mh_loss_scalar(f, r, y, alpha, beta, cost):
@@ -260,3 +264,61 @@ def pgd_batch_full(value_grad, x, spec):
         best_val = np.where(better, val, best_val)
         best_delta[better] = delta[better]
     return best_delta
+
+
+def parse_libsvm_reference(text, label_map=None, name=""):
+    """``data.parse_libsvm`` with a dict per row, a numpy finiteness test
+    and one scalar store per value: the same checks in the same order."""
+    if label_map is None:
+        label_map = DEFAULT_LABEL_MAP
+    rows: list[dict[int, float]] = []
+    labels: list[int] = []
+    max_idx = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        y = _label(parts[0], label_map, lineno)
+        entries: dict[int, float] = {}
+        prev = 0
+        for item in parts[1:]:
+            idx_s, sep, val_s = item.partition(":")
+            if not sep:
+                raise DataFormatError(f"expected idx:val, got {item!r}", lineno)
+            try:
+                idx = int(idx_s)
+                val = float(val_s)
+            except ValueError:
+                raise DataFormatError(f"non-numeric entry {item!r}", lineno) from None
+            if not np.isfinite(val):
+                raise DataFormatError(f"non-finite value {item!r}", lineno)
+            if idx <= prev:
+                raise DataFormatError(
+                    f"indices must be strictly increasing and 1-based, got {idx} after {prev}",
+                    lineno,
+                )
+            prev = idx
+            entries[idx] = val
+        max_idx = max(max_idx, prev)
+        rows.append(entries)
+        labels.append(y)
+    if not rows:
+        raise DataFormatError("empty dataset")
+    x = np.zeros((len(rows), max_idx))
+    for i, entries in enumerate(rows):
+        for idx, val in entries.items():
+            x[i, idx - 1] = val
+    return Dataset(x, np.array(labels), name=name)
+
+
+def to_libsvm_reference(ds):
+    """``data.to_libsvm`` with ``np.nonzero`` per row and the repr of each
+    numpy scalar converted to a Python float."""
+    lines = []
+    for i in range(len(ds)):
+        fields = [f"{'+1' if ds.y[i] > 0 else '-1'}"]
+        for j in np.nonzero(ds.x[i])[0]:
+            fields.append(f"{j + 1}:{float(ds.x[i, j])!r}")
+        lines.append(" ".join(fields))
+    return "\n".join(lines) + "\n"

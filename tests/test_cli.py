@@ -165,6 +165,24 @@ class TestTrainCommand:
         assert "line 2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_undecodable_data_file_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bom.libsvm"
+        bad.write_bytes(b"\xff\xfe\x00+\x001\x00")
+        out = tmp_path / "o"
+        assert main(["train", "--data", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bom.libsvm" in err and "cannot be decoded as text" in err
+        assert not out.exists()
+
+    def test_undecodable_config_file_exit_code(self, data_file, tmp_path, capsys):
+        bad = tmp_path / "bom.json"
+        bad.write_bytes(b"\xff\xfe\x00{\x00}\x00")
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(bad), "--data", str(data_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "bom.json" in err and "cannot be decoded as text" in err
+        assert not out.exists()
+
     def test_config_error_exit_code(self, data_file, tmp_path):
         code = main(["train", "--data", str(data_file), "--cost", "0.7", "--out", str(tmp_path / "o")])
         assert code == 2

@@ -13,6 +13,8 @@ from advreject.data import (
     to_csv,
     to_libsvm,
 )
+from advreject.synth import clinical_surrogate, credit_surrogate
+from oracles import parse_libsvm_reference, to_libsvm_reference
 
 
 class TestParseLibsvm:
@@ -54,6 +56,90 @@ class TestParseLibsvm:
     def test_comments_and_blanks_skipped(self):
         ds = parse_libsvm("# header\n\n+1 1:1\n")
         assert len(ds) == 1
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("1:nan", "non-finite value '1:nan'"),
+            ("1:inf", "non-finite value '1:inf'"),
+            ("1:-inf", "non-finite value '1:-inf'"),
+            ("1:1e400", "non-finite value '1:1e400'"),
+            ("1", "expected idx:val, got '1'"),
+            ("0:1", "indices must be strictly increasing and 1-based, got 0 after 0"),
+        ],
+    )
+    def test_bad_entry_names_its_line(self, entry, message):
+        with pytest.raises(DataFormatError) as info:
+            parse_libsvm(f"-1 1:0.5\n# note\n\n+1 {entry}\n-1 1:1\n")
+        assert str(info.value) == f"line 4: {message}" and info.value.line == 4
+
+    def test_bad_label_is_reported_before_a_bad_entry(self):
+        with pytest.raises(DataFormatError) as info:
+            parse_libsvm("+1 1:1\n2 1:nan 0:x")
+        assert str(info.value) == "line 2: unknown label '2'"
+
+
+# doubles whose text is easy to get wrong: both zeros, the smallest
+# subnormal, huge magnitudes and values that need all 17 digits
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1 + 0.2, 1 / 3, -2 / 3,
+                  1.7976931348623157e308, 2.2250738585072014e-308]
+
+
+@st.composite
+def libsvm_datasets(draw):
+    n, d = draw(st.integers(1, 8)), draw(st.integers(1, 20))
+    value = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats(allow_nan=False, allow_infinity=False))
+    x = np.array(draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=n, max_size=n)))
+    x[np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))] = 0.0  # all-zero rows
+    y = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    return Dataset(x, y)
+
+
+# tokens of LIBSVM lines, valid and not, for comparing whole texts
+LINE_TOKENS = ["+1", "-1", "1", "0", "2", "1:0.5", "2:-3", "3:1e-3", "3:5e-324", "20:1e300",
+               "1:-0.0", "0:1", "1:nan", "2:inf", "1:1e400", "x:1", "1:x", "1", "3:", ":2", "4:0"]
+
+
+class TestCodecMatchesReference:
+    """The codec is pinned, byte for byte, to the value-by-value reference
+    in tests/oracles.py."""
+
+    @given(libsvm_datasets())
+    @settings(max_examples=150, deadline=None)
+    def test_text_and_arrays_are_byte_identical(self, ds):
+        text = to_libsvm(ds)
+        assert text == to_libsvm_reference(ds)
+        got, want = parse_libsvm(text), parse_libsvm_reference(text)
+        assert got.x.shape == want.x.shape and got.x.tobytes() == want.x.tobytes()
+        assert got.y.dtype == want.y.dtype and got.y.tobytes() == want.y.tobytes()
+
+    @given(st.lists(st.one_of(st.lists(st.sampled_from(LINE_TOKENS), max_size=6).map(" ".join),
+                              st.sampled_from(["", "  ", "# note"])), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_same_outcome_on_any_text(self, lines):
+        text = "\n".join(lines)
+        try:
+            want = parse_libsvm_reference(text)
+        except DataFormatError as exc:
+            with pytest.raises(DataFormatError) as info:
+                parse_libsvm(text)
+            assert str(info.value) == str(exc) and info.value.line == exc.line
+            return
+        got = parse_libsvm(text)
+        assert got.x.shape == want.x.shape and got.x.tobytes() == want.x.tobytes()
+        assert got.y.tobytes() == want.y.tobytes()
+
+    def test_zeros_are_omitted_and_values_written_shortest(self):
+        ds = Dataset([[-0.0, 0.1 + 0.2, 0.0], [0.0, 0.0, 0.0], [5e-324, 0.0, -1e300]], [1, -1, -1])
+        text = "+1 2:0.30000000000000004\n-1\n-1 1:5e-324 3:-1e+300\n"
+        assert to_libsvm(ds) == text == to_libsvm_reference(ds)
+
+    def test_surrogates(self):
+        for make in (credit_surrogate, clinical_surrogate):
+            ds = make(seed=3)
+            text = to_libsvm(ds)
+            assert text == to_libsvm_reference(ds)
+            assert parse_libsvm(text).x.tobytes() == parse_libsvm_reference(text).x.tobytes()
 
 
 class TestRoundTrip:

@@ -105,7 +105,7 @@ class TestLastFeatures:
         assert m._last_features is None
 
     def test_not_part_of_json_eq_or_repr(self, rng):
-        m = self.rff_model(rng, dim=1)  # one feature: == on the arrays is a plain bool
+        m = self.rff_model(rng)
         text, shown, cold = m.to_json(), repr(m), replace(m)
         m.featurize(rng.standard_normal((10, 3)))
         assert m.to_json() == text and repr(m) == shown
@@ -117,6 +117,57 @@ class TestLastFeatures:
         assert m._last_features is not None
         assert replace(m)._last_features is None
         assert RejectionModel.from_json(m.to_json())._last_features is None
+
+
+class TestEquality:
+    """Models and their stats compare by value, array fields included."""
+
+    @staticmethod
+    def model(**over):
+        stats = NormStats("minmax01", lo=np.array([0.0, 1.0]), hi=np.array([2.0, 3.0]),
+                          constant=np.array([False, True]))
+        fields = dict(
+            theta=np.array([0.5, -1.0, 2.0]), gamma=np.array([1.0, 0.0, -0.25]),
+            bias_theta=0.1, bias_gamma=-0.2,
+            feature_map=FeatureMap("random_fourier", dim=3, sigma=1.0, seed=7, input_dim=2),
+            norm_stats=stats,
+        )
+        return RejectionModel(**{**fields, **over})
+
+    def test_equal_copies_compare_equal(self):
+        a, b = self.model(), self.model()
+        assert a.theta is not b.theta and a.norm_stats.lo is not b.norm_stats.lo
+        assert a == b and b == a and not a != b
+        assert a == RejectionModel.from_json(a.to_json())
+
+    @pytest.mark.parametrize(
+        "over",
+        [
+            {"theta": np.array([0.5, -1.0, 2.5])},
+            {"gamma": np.array([1.0, 0.0, 0.25])},
+            {"theta": np.array([0.5, -1.0]), "gamma": np.array([1.0, 0.0])},
+            {"bias_theta": 0.0},
+            {"bias_gamma": 0.2},
+            {"feature_map": FeatureMap("random_fourier", dim=3, sigma=1.0, seed=8, input_dim=2)},
+            {"feature_map": FeatureMap("identity")},
+            {"norm_stats": None},
+            {"norm_stats": NormStats("zscore", lo=np.array([0.0, 1.0]), hi=np.array([2.0, 3.0]),
+                                     constant=np.array([False, True]))},
+            {"norm_stats": NormStats("minmax01", lo=np.array([0.0, 1.5]), hi=np.array([2.0, 3.0]),
+                                     constant=np.array([False, True]))},
+            {"norm_stats": NormStats("minmax01", lo=np.array([0.0, 1.0]), hi=np.array([2.0, 4.0]),
+                                     constant=np.array([False, True]))},
+            {"norm_stats": NormStats("minmax01", lo=np.array([0.0, 1.0]), hi=np.array([2.0, 3.0]),
+                                     constant=np.array([False, False]))},
+        ],
+    )
+    def test_a_differing_field_compares_unequal(self, over):
+        a, b = self.model(), self.model(**over)
+        assert a != b and b != a and not a == b
+
+    def test_other_types_are_unequal(self):
+        a = self.model()
+        assert a != "model" and a.norm_stats != "stats"
 
 
 class TestDecide:
