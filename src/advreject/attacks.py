@@ -229,7 +229,7 @@ def pgd_batch(value_grad, x: np.ndarray, spec: AttackSpec) -> np.ndarray:
     best_delta = delta.copy()
     for i in range(spec.steps):
         moved = step(delta, g)
-        if np.array_equal(moved, delta):
+        if (moved == delta).all():
             break
         delta = moved
         val, g = value_grad(x + delta, i + 1 < spec.steps)  # the last iterate is only scored

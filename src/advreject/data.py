@@ -40,7 +40,7 @@ class Dataset:
             raise ValueError("y length must match number of rows in x")
         if not np.all(np.isfinite(self.x)):
             raise ValueError("features must be finite")
-        if not np.all(np.isin(self.y, (-1, 1))):
+        if not ((self.y == 1) | (self.y == -1)).all():
             raise ValueError("labels must be -1 or +1")
 
     def __len__(self) -> int:
@@ -83,7 +83,9 @@ def parse_libsvm(text: str, label_map: dict[str, int] | None = None, name: str =
     """
     if label_map is None:
         label_map = DEFAULT_LABEL_MAP
-    rows: list[tuple[list[int], list[float]]] = []  # 0-based columns and values per line
+    cols: list[int] = []  # 0-based column and value of every entry, line after line
+    vals: list[float] = []
+    counts: list[int] = []  # entries per data line
     labels: list[int] = []
     max_idx = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -92,8 +94,6 @@ def parse_libsvm(text: str, label_map: dict[str, int] | None = None, name: str =
             continue
         parts = line.split()
         y = _label(parts[0], label_map, lineno)
-        cols: list[int] = []
-        vals: list[float] = []
         prev = 0
         for item in parts[1:]:
             idx_s, sep, val_s = item.partition(":")
@@ -115,13 +115,12 @@ def parse_libsvm(text: str, label_map: dict[str, int] | None = None, name: str =
             cols.append(idx - 1)
             vals.append(val)
         max_idx = max(max_idx, prev)
-        rows.append((cols, vals))
+        counts.append(len(parts) - 1)
         labels.append(y)
-    if not rows:
+    if not labels:
         raise DataFormatError("empty dataset")
-    x = np.zeros((len(rows), max_idx))
-    for i, (cols, vals) in enumerate(rows):
-        x[i, cols] = vals
+    x = np.zeros((len(labels), max_idx))
+    x[np.repeat(np.arange(len(labels)), counts), cols] = vals
     return Dataset(x, np.array(labels), name=name)
 
 

@@ -89,11 +89,24 @@ def mh_branches(gap, r, p: SurrogateParams) -> MHBranches:
     gap is r - y*f, plus eps*||zeta(y)||_1 for the worst case, where r is
     lowered by eps*||theta||_1. A wins a tie; an inactive hinge (A, B <= 0)
     activates neither branch, so it contributes no gradient.
+
+    Accepts scalars or arrays. A, B and the masks are built in place after
+    their first step. The masks use_a = (A >= B) & (A > 0) and
+    use_b = (B > A) & (B > 0) come from value > 0, which holds exactly
+    where one of them does: value is max(A, 0) where A >= B, max(B, 0)
+    where B > A, and NaN where A or B is.
     """
-    a = 1.0 + 0.5 * p.alpha * gap
-    b = p.cost * (1.0 - p.beta * r)
+    a = 0.5 * p.alpha * gap
+    a += 1.0
+    b = -p.beta * r  # 1 + (-beta r) is 1 - beta r, bit for bit
+    b += 1.0
+    b *= p.cost
     value = np.maximum(np.maximum(a, b), 0.0)
-    return MHBranches(a, b, value, (a >= b) & (a > 0.0), (b > a) & (b > 0.0))
+    use_a = a >= b
+    use_b = value > 0.0
+    use_a &= use_b  # where A >= B, value = max(A, 0)
+    use_b ^= use_a  # the rest of value > 0, where B > A
+    return MHBranches(a, b, value, use_a, use_b)
 
 
 def loss_mh(f_val, r_val, y, p: SurrogateParams):

@@ -9,6 +9,9 @@ weight-decays only the f head's final-layer weights:
 Gradients are hand-written reverse mode (no autodiff dependency) and are
 checked against central finite differences in the tests. At a tie between
 the two hinge branches the classification branch is differentiated.
+``_head_grads`` is the one squared-MH head kernel: it gives the loss per
+sample and its d/df and d/dr, for the outer step and for every inner PGD
+step alike, and ``ToyNet._backward`` takes them as one (n, 2) array.
 
 Training is a min-max loop: each minibatch is first pushed to the worst
 point the inner PGD attack can find at the current parameters, then one
@@ -26,10 +29,11 @@ from .attacks import AttackSpec, pgd_batch
 from .data import Dataset
 from .losses import SurrogateParams, loss_01c, mh_branches, verdict
 
-# (activation, its derivative written in terms of the activation's output)
+# (activation applied in place, its derivative written in terms of the
+# activation's output)
 _ACTIVATIONS = {
-    "relu": (lambda z: np.maximum(z, 0.0), lambda a: a > 0.0),
-    "tanh": (np.tanh, lambda a: 1.0 - a**2),
+    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda a: a > 0.0),
+    "tanh": (lambda z: np.tanh(z, out=z), lambda a: 1.0 - a**2),
 }
 
 
@@ -72,9 +76,12 @@ class ToyNet:
         a = x
         acts = [x]
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = act(a @ w.T + b)
+            a = a @ w.T
+            a += b
+            act(a)
             acts.append(a)
-        out = a @ self.weights[-1].T + self.biases[-1]
+        out = a @ self.weights[-1].T
+        out += self.biases[-1]
         return out[:, 0], out[:, 1], acts
 
     def forward(self, x: np.ndarray):
@@ -86,13 +93,14 @@ class ToyNet:
             return float(f[0]), float(r[0])
         return f, r
 
-    def _backward(self, df: np.ndarray, dr: np.ndarray, acts, want_input: bool, want_params: bool = True):
-        """Backpropagate per-sample head gradients. Returns (param grads
+    def _backward(self, head: np.ndarray, acts, want_input: bool, want_params: bool = True):
+        """Backpropagate per-sample head gradients, an (n, 2) array with
+        columns d/df and d/dr, which is left unchanged. Returns (param grads
         summed over the batch, input gradient per sample); without
         want_params the param-grad lists hold None and only the delta chain
         runs. The activation derivatives come from the cached outputs."""
         _, dact = _ACTIVATIONS[self.activation]
-        delta = np.stack([df, dr], axis=1)
+        delta = head
         gws = [None] * len(self.weights)
         gbs = [None] * len(self.biases)
         for li in range(len(self.weights) - 1, -1, -1):
@@ -100,7 +108,8 @@ class ToyNet:
                 gws[li] = delta.T @ acts[li]
                 gbs[li] = delta.sum(axis=0)
             if li > 0:
-                delta = (delta @ self.weights[li]) * dact(acts[li])
+                delta = delta @ self.weights[li]
+                delta *= dact(acts[li])
             elif want_input:
                 delta = delta @ self.weights[0]
         return gws, gbs, delta
@@ -174,12 +183,17 @@ class NeuralTrainConfig:
 
 
 def _head_grads(f, r, y, p: SurrogateParams):
-    """Squared MH per sample and its derivatives d/df and d/dr."""
+    """The squared-MH head kernel: the loss per sample and its derivatives
+    d/df and d/dr. With m = max(A, B, 0) they are 2m (-(alpha/2) y) and
+    2m (alpha/2) where branch A is active, 0 and 2m (-c beta) where B is,
+    and 0 elsewhere."""
     mh = mh_branches(r - y * f, r, p)
     m2 = 2.0 * mh.value
-    df = np.where(mh.use_a, m2 * (-0.5 * p.alpha * y), 0.0)
-    dr = np.where(mh.use_a, m2 * (0.5 * p.alpha), np.where(mh.use_b, m2 * (-p.cost * p.beta), 0.0))
-    return mh.value**2, df, dr
+    df, dr = np.zeros(m2.shape), np.zeros(m2.shape)
+    np.multiply(m2, -0.5 * p.alpha * y, out=df, where=mh.use_a)
+    np.multiply(m2, 0.5 * p.alpha, out=dr, where=mh.use_a)
+    np.multiply(m2, -p.cost * p.beta, out=dr, where=mh.use_b)
+    return np.square(mh.value, out=mh.value), df, dr
 
 
 def _loss_grads(net: ToyNet, x: np.ndarray, y: np.ndarray, cfg: NeuralTrainConfig, want_input=False):
@@ -190,15 +204,16 @@ def _loss_grads(net: ToyNet, x: np.ndarray, y: np.ndarray, cfg: NeuralTrainConfi
     y = np.asarray(y, dtype=np.float64)
     n = x.shape[0]
     f, r, acts = net._forward_cache(x)
-    sq, df, dr = _head_grads(f, r, y, cfg.params)
+    head = np.empty((n, 2))
+    sq, head[:, 0], head[:, 1] = _head_grads(f, r, y, cfg.params)
+    head /= n
     w = net.top_weights
     loss = float(np.mean(sq)) + 0.5 * cfg.lam_w * float(w @ w)
 
     def grads():
         if not (np.all(np.isfinite(f)) and np.all(np.isfinite(r))):
             raise FloatingPointError("non-finite network output")
-        gws, gbs, dx = net._backward(df / n, dr / n, acts, want_input)
-        gws[-1] = gws[-1].copy()
+        gws, gbs, dx = net._backward(head, acts, want_input)
         gws[-1][0] += cfg.lam_w * net.top_weights
         return gws, gbs, dx
 
@@ -229,15 +244,17 @@ def grad_input(net: ToyNet, x: np.ndarray, y: int, cfg: NeuralTrainConfig) -> np
 
 def _heads_pgd(net: ToyNet, x: np.ndarray, spec: AttackSpec, heads) -> np.ndarray:
     """Batch PGD on a per-sample objective of the two heads; heads(f, r)
-    gives its value and d/df, d/dr. One step is one forward pass, which
-    scores the iterate, and a backward pass to the input only (no
-    parameter gradients), which sets the next step. Returns the per-row
-    deltas of the best iterate, the clean point included."""
+    gives its value and its d/df and d/dr, each an array or a scalar. One
+    step is one forward pass, which scores the iterate, and a backward pass
+    to the input only (no parameter gradients), which sets the next step.
+    Returns the per-row deltas of the best iterate, the clean point
+    included."""
+    head = np.empty((x.shape[0], 2))  # d/df, d/dr: the backward pass's input
 
     def value_grad(xa, grad):
         f, r, acts = net._forward_cache(xa)
-        value, df, dr = heads(f, r)
-        return value, net._backward(df, dr, acts, want_input=True, want_params=False)[2] if grad else None
+        value, head[:, 0], head[:, 1] = heads(f, r)
+        return value, net._backward(head, acts, want_input=True, want_params=False)[2] if grad else None
 
     return pgd_batch(value_grad, x, spec)
 
@@ -272,10 +289,9 @@ def train_neural(ds: Dataset, cfg: NeuralTrainConfig) -> tuple[ToyNet, np.ndarra
                 raise FloatingPointError(f"training loss diverged at epoch {epoch}")
             epoch_losses.append(loss)
             gws, gbs, _ = grads()
-            for w, gw in zip(net.weights, gws):
-                w -= cfg.lr * gw
-            for b, gb in zip(net.biases, gbs):
-                b -= cfg.lr * gb
+            for w, gw in zip(net.weights + net.biases, gws + gbs):
+                gw *= cfg.lr
+                w -= gw
         trace[epoch] = float(np.mean(epoch_losses))
     return net, trace
 
@@ -306,8 +322,8 @@ def adv_risk_01c_net(
         return float(np.mean(risk))
     cfg = NeuralTrainConfig(params=params, attack=AttackSpec(method="pgd", eps=eps, steps=steps))
     candidates = [
-        _heads_pgd(net, x, cfg.attack, lambda f, r: (-y * f, -y, np.zeros_like(f))),
-        _heads_pgd(net, x, cfg.attack, lambda f, r: (-r, np.zeros_like(r), -np.ones_like(r))),
+        _heads_pgd(net, x, cfg.attack, lambda f, r: (-y * f, -y, 0.0)),
+        _heads_pgd(net, x, cfg.attack, lambda f, r: (-r, 0.0, -1.0)),
         _inner_pgd_batch(net, x, y, cfg) - x,
     ]
     for delta in candidates:

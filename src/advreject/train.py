@@ -159,7 +159,7 @@ def _objective_arrays(
         val = float(np.maximum(margin, 0.0).sum()) + reg
         if not with_grad:
             return val
-        act = np.flatnonzero(margin > 0)
+        act = (margin > 0).nonzero()[0]
         if act.size:
             g_gamma -= y.take(act) @ zb.take(act, axis=0)
             sg = np.sign(gamma)
@@ -176,7 +176,7 @@ def _objective_arrays(
     if not with_grad:
         return val
     g_theta = cfg.lam * theta
-    ia = np.flatnonzero(mh.use_a)
+    ia = mh.use_a.nonzero()[0]
     if ia.size:
         ha = 0.5 * p.alpha
         za, ya = zb.take(ia, axis=0), y.take(ia)
@@ -189,7 +189,7 @@ def _objective_arrays(
         szp[-1] = szm[-1] = 0.0
         g_theta += ha * eps * (n_pos * szp - n_neg * szm)
         g_gamma -= ha * eps * (n_pos * szp + n_neg * szm)
-    ib = np.flatnonzero(mh.use_b)
+    ib = mh.use_b.nonzero()[0]
     if ib.size:
         st = np.sign(theta)
         st[-1] = 0.0

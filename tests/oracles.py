@@ -3,12 +3,14 @@
 These deliberately avoid the library's closed-form code paths: box maxima
 are taken by enumerating corners and dense grids, suprema over norm balls
 by dense direction/volume grids, and gradients by central differences.
-Four references at the end are not independent: ``LinearMHOracle`` adapts
+Five references at the end are not independent: ``LinearMHOracle`` adapts
 the library's MH value/gradient to the single-sample attacks,
-``pgd_batch_full`` is the batched PGD loop without its early exit, and
+``pgd_batch_full`` is the batched PGD loop without its early exit,
+``squared_mh_head_reference`` is the squared-MH head of the toy network
+written with ``np.where`` over fresh temporaries, and
 ``to_libsvm_reference``/``parse_libsvm_reference`` are the LIBSVM codec
-written value by value with numpy scalars, which the library's codec must
-match byte for byte.
+written value by value with numpy scalars; the library's code must match
+each of the last three bit for bit.
 """
 
 import itertools
@@ -264,6 +266,22 @@ def pgd_batch_full(value_grad, x, spec):
         best_val = np.where(better, val, best_val)
         best_delta[better] = delta[better]
     return best_delta
+
+
+def squared_mh_head_reference(f, r, y, p):
+    """The squared MH loss per sample and its d/df and d/dr, written with
+    fresh temporaries and ``np.where``; ``neural._head_grads`` must give
+    the same bits. A wins a tie, and an inactive hinge (A, B <= 0) gets
+    zero derivatives."""
+    a = 1.0 + 0.5 * p.alpha * (r - y * f)
+    b = p.cost * (1.0 - p.beta * r)
+    value = np.maximum(np.maximum(a, b), 0.0)
+    use_a = (a >= b) & (a > 0.0)
+    use_b = (b > a) & (b > 0.0)
+    m2 = 2.0 * value
+    df = np.where(use_a, m2 * (-0.5 * p.alpha * y), 0.0)
+    dr = np.where(use_a, m2 * (0.5 * p.alpha), np.where(use_b, m2 * (-p.cost * p.beta), 0.0))
+    return value**2, df, dr
 
 
 def parse_libsvm_reference(text, label_map=None, name=""):

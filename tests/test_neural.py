@@ -17,7 +17,7 @@ from advreject.neural import (
     train_neural,
 )
 from advreject.synth import two_moons
-from oracles import central_difference, pgd_batch_full, rel_err
+from oracles import central_difference, pgd_batch_full, rel_err, squared_mh_head_reference
 
 P13 = SurrogateParams(1.0, 1.0, 0.3)
 
@@ -75,8 +75,29 @@ class TestGradients:
             num = central_difference(lambda xv: loss_batch(net, xv, np.array([y]), cfg), x.copy())
             assert np.max(rel_err(g, num)) <= 1e-4
 
+    def test_head_kernel_matches_where_reference(self, rng):
+        # y = +1 unless noted, alpha = beta = 1, c = 0.25, every value exact:
+        # A == B > 0 (y = +1 and y = -1), A == 0 < B, A == 0 > B, B == 0 < A,
+        # A == B == 0, both < 0, then non-finite scores
+        ties = (
+            np.array([1.5, -1.5, 2.5, 4.0, 1.0, 3.0, 6.0, np.inf, np.nan, 0.0, 1.0]),
+            np.array([0.0, 0.0, 0.5, 2.0, 1.0, 1.0, 2.0, np.inf, 0.0, np.nan, -np.inf]),
+            np.array([1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1.0]),
+            SurrogateParams(1.0, 1.0, 0.25),
+        )
+        cases = [ties] + [
+            (3 * rng.standard_normal(500), 3 * rng.standard_normal(500), np.where(rng.random(500) < 0.5, 1.0, -1.0), p)
+            for p in (P13, SurrogateParams(1.5, 0.7, 0.3))
+        ]
+        with np.errstate(invalid="ignore"):
+            for f, r, y, p in cases:
+                got, want = _head_grads(f, r, y, p), squared_mh_head_reference(f, r, y, p)
+                assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_pgd_input_gradient_matches_full_backward(self, rng, monkeypatch, activation):
+        # the inner max's squared MH, then the three heads adv_risk_01c_net
+        # attacks: -y*f, -r and the squared MH again
         net = random_net(rng, hidden=(6, 5), activation=activation)
         x = rng.standard_normal((20, 3))
         y = np.where(rng.random(20) < 0.5, 1.0, -1.0)
@@ -88,13 +109,17 @@ class TestGradients:
 
         monkeypatch.setattr(neural, "pgd_batch", capture)
         _inner_pgd_batch(net, x, y, NeuralTrainConfig(params=P13, attack=AttackSpec(method="pgd", eps=0.1)))
-        (value_grad,) = captured
+        adv_risk_01c_net(net, x, y, P13, eps=0.1)
         f, r, acts = net._forward_cache(x)
         sq, df, dr = _head_grads(f, r, y, P13)
-        value, grad = value_grad(x, True)
-        assert np.array_equal(value, sq)
-        assert np.array_equal(grad, net._backward(df, dr, acts, want_input=True)[2])
-        assert value_grad(x, False)[1] is None
+        zero = np.zeros_like(y)
+        expected = [(sq, df, dr), (-y * f, -y, zero), (-r, zero, -np.ones_like(y)), (sq, df, dr)]
+        assert len(captured) == len(expected)
+        for value_grad, (want, df, dr) in zip(captured, expected):
+            value, grad = value_grad(x, True)
+            assert np.array_equal(value, want)
+            assert np.array_equal(grad, net._backward(np.stack([df, dr], axis=1), acts, want_input=True)[2])
+            assert value_grad(x, False)[1] is None
 
     @pytest.mark.parametrize(
         "activation, dact",
@@ -120,7 +145,7 @@ class TestGradients:
         d0 = (d1 @ w1) * dact(z1)
         want_w = [d0.T @ x, d1.T @ a1, d2.T @ a2]
         want_b = [d0.sum(axis=0), d1.sum(axis=0), d2.sum(axis=0)]
-        gws, gbs, dx = net._backward(df, dr, net._forward_cache(x)[2], want_input=True)
+        gws, gbs, dx = net._backward(d2, net._forward_cache(x)[2], want_input=True)
         assert all(np.array_equal(g, w) for g, w in zip(gws, want_w))
         assert all(np.array_equal(g, w) for g, w in zip(gbs, want_b))
         assert np.array_equal(dx, d0 @ w0)
