@@ -154,7 +154,9 @@ class RunConfig:
 # neither read from the JSON nor written to the manifest
 _DERIVED = {
     (TrainConfig, "feature_map"),
+    (AttackSpec, "seed"),
     (FeatureMap, "sigma"),
+    (FeatureMap, "seed"),
     (FeatureMap, "input_dim"),
     (BoundConfig, "w_bound"),
     (BoundConfig, "params"),
@@ -269,16 +271,22 @@ def _dump(obj):
     return obj
 
 
-def validate_config(raw: str) -> RunConfig:
-    """Parse and validate JSON text into a RunConfig.
-
-    Raises ConfigError naming the offending path, e.g.
-    "train.cost must lie in (0, 0.5)".
-    """
+def config_object(raw: str) -> dict:
+    """The JSON object of a config text; ConfigError when the text is not
+    JSON or not an object."""
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
-    return _build(RunConfig, obj, "")
+    return obj
+
+
+def validate_config(raw: str) -> RunConfig:
+    """Parse and validate JSON text into a RunConfig.
+
+    Raises ConfigError naming the offending path, e.g.
+    "train.cost must lie in (0, 0.5)".
+    """
+    return _build(RunConfig, config_object(raw), "")

@@ -207,12 +207,9 @@ def benchmark(
         pairs = [(models[(method, cost)], test) for models, test in trials]
         for eps in attack_eps:
             spec = AttackSpec(method=attack_method if eps > 0 else "none", eps=eps, steps=steps)
-            errs, rejs = [], []
-            for m, test in pairs:
-                f, r = _attack_and_score(m, m.featurize(test.x), test.y, spec, params)[:2]
-                err, rej, _ = metrics(_confusion(f, r, test.y))
-                errs.append(err)
-                rejs.append(rej)
+            reports = [evaluate_model(m, test, spec, params) for m, test in pairs]
+            errs = [rep.err for rep in reports]
+            rejs = [rep.rej for rep in reports]
             rows.append(
                 BenchCell(
                     method,

@@ -58,9 +58,6 @@ class FeatureMap:
         b = rng.uniform(0.0, 2.0 * np.pi, size=self.dim)
         return w, b
 
-    def output_dim(self, input_dim: int) -> int:
-        return input_dim if self.kind == "identity" else self.dim
-
 
 def featurize(fm: FeatureMap, x: np.ndarray) -> np.ndarray:
     """Apply the feature map to one vector or a (n, d) batch."""

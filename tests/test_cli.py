@@ -76,6 +76,8 @@ class TestValidateConfig:
             ("bench", "attack_steps", 0),
             ("bench", "lam", -1),
             ("train", "epochz", 5),
+            ("attack", "seed", 123),  # derived from the master seed
+            ("train", "features", {"seed": 123}),
         ],
     )
     def test_bad_field_names_its_path(self, section, key, value, data_file, tmp_path):
@@ -86,6 +88,44 @@ class TestValidateConfig:
         p.write_text(json.dumps(obj))
         assert main(["bench", "--config", str(p)]) == 2
         assert not (tmp_path / "o").exists()
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "config,flag,message",
+        [
+            ({"train": 5}, ["--cost", "0.1"], "train must be an object, got int"),
+            ({"bench": []}, ["--trials", "1"], "bench must be an object, got list"),
+            ({"train": {"features": 3}}, ["--rff-dim", "10"], "train.features must be an object, got int"),
+            ({"attack": "pgd"}, ["--eps", "0.1"], "attack must be an object, got str"),
+        ],
+    )
+    def test_flag_under_a_non_object_section(self, config, flag, message, data_file, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(p), "--data", str(data_file), "--out", str(out), *flag]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_flags_set_every_key_they_name(self, data_file, tmp_path):
+        out = tmp_path / "o"
+        assert main([
+            "train", "--data", str(data_file), "--features", "identity", "--rff-dim", "16",
+            "--eps", "0.03", "--epochs", "7", "--out", str(out),
+        ]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["train"]["features"]["kind"] == "random_fourier"
+        assert manifest["train"]["features"]["dim"] == manifest["bench"]["rff_dim"] == 16
+        assert manifest["attack"]["eps"] == manifest["bound"]["eps"] == 0.03
+        assert manifest["train"]["epochs"] == manifest["neural"]["epochs"] == 7
+
+    def test_help_names_the_keys_a_flag_sets(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["eval", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "attack radius; sets attack.eps, bound.eps" in text
+        assert "sets train.features.dim, train.features.kind=random_fourier, bench.rff_dim" in text
 
 
 class TestNonFiniteValues:
@@ -264,6 +304,28 @@ class TestOtherCommands:
             "--eps", "0.05", "--out", str(tmp_path / "o"),
         ]) == 0
         assert rows == [120]
+
+    @pytest.mark.parametrize(
+        "command,files",
+        [
+            ("train", {"model.json", "trace.csv", "report.json"}),
+            ("eval", {"report.json", "report.csv"}),
+            ("attack", {"attack.csv"}),
+            ("bound", {"bound.json"}),
+            ("bench", {"bench.csv", "bench.txt"}),
+            ("neural-train", {"net.json", "trace.csv"}),
+        ],
+    )
+    def test_out_holds_the_command_files(self, command, files, trained, data_file, tmp_path):
+        cfg = {"bench": {"methods": [["mh", 0.2]], "attack_eps": [0.0], "trials": 1, "train_size": 60, "rff_dim": 0}}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert main([
+            command, "--config", str(p), "--data", str(data_file), "--model", str(trained),
+            "--epochs", "20", "--out", str(out),
+        ]) == 0
+        assert {f.name for f in out.iterdir()} == files | {"manifest.json"}
 
     def test_missing_model(self, data_file, tmp_path):
         assert main(["eval", "--data", str(data_file), "--out", str(tmp_path / "o")]) == 2
