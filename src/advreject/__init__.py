@@ -1,13 +1,13 @@
 """Adversarially robust binary classification with a reject option."""
 
-from .attacks import AttackSpec, Perturbation, fgsm, pgd
+from .attacks import AttackSpec, pgd
 from .bench import ProtocolConfig, run_protocol
 from .bounds import BoundConfig, BoundReport, generalization_bound, rademacher_exhaustive
 from .bounds import rademacher_linear_mc, rademacher_linear_upper
 from .data import Dataset, NormStats, normalize, parse_csv, parse_libsvm, split, to_libsvm
-from .evaluate import EvalReport, RejectConfusion, benchmark, classify_outcomes, evaluate_model, metrics
-from .losses import AdvTerms, SurrogateParams, adv_loss_mh_linear, adv_terms_linear, loss_01c, loss_mh, surrogate_conv
-from .model import Decision, FeatureMap, RejectionModel, featurize
+from .evaluate import EvalReport, RejectConfusion, benchmark, evaluate_model, metrics
+from .losses import SurrogateParams, adv_loss_mh_linear_batch, loss_01c, loss_mh, surrogate_conv, verdict
+from .model import FeatureMap, RejectionModel, featurize
 from .neural import NeuralTrainConfig, ToyNet, grad_input, grad_params, train_neural
 from .train import TrainConfig, TrainTrace, cross_validate, objective, train
 
@@ -17,8 +17,6 @@ __all__ = [
     "ProtocolConfig",
     "run_protocol",
     "AttackSpec",
-    "Perturbation",
-    "fgsm",
     "pgd",
     "BoundConfig",
     "BoundReport",
@@ -36,17 +34,14 @@ __all__ = [
     "EvalReport",
     "RejectConfusion",
     "benchmark",
-    "classify_outcomes",
     "evaluate_model",
     "metrics",
-    "AdvTerms",
     "SurrogateParams",
-    "adv_loss_mh_linear",
-    "adv_terms_linear",
+    "adv_loss_mh_linear_batch",
     "loss_01c",
     "loss_mh",
     "surrogate_conv",
-    "Decision",
+    "verdict",
     "FeatureMap",
     "RejectionModel",
     "featurize",

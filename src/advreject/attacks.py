@@ -1,5 +1,7 @@
-"""Adversarial perturbations: gradient attacks and the exact linf worst
-case of a linear model.
+"""Adversarial perturbations: PGD and the exact linf worst case of a
+linear model, each vectorized over the rows of a batch (a single sample is
+a batch of one row). The FGSM candidate of ``evaluate`` is one sign step
+along ``linear_mh_value_grad``.
 
 All attacks act on the perturbable coordinates only. Models keep their
 biases outside the feature vector, so a perturbation has the same shape as
@@ -52,12 +54,6 @@ class AttackSpec:
         return float(self.step_size)
 
 
-@dataclass(frozen=True)
-class Perturbation:
-    delta: np.ndarray
-    achieved_loss: float
-
-
 def linear_mh_value_grad(m: RejectionModel, z: np.ndarray, y, p: SurrogateParams, grad: bool = True):
     """MH loss of a linear model at feature points z (a vector or rows) with
     labels y = +-1 and, if grad, its gradient in z (None otherwise).
@@ -78,45 +74,6 @@ def linear_mh_value_grad(m: RejectionModel, z: np.ndarray, y, p: SurrogateParams
     rows[3] = -p.cost * p.beta * m.theta  # branch B
     branch = np.where(mh.use_a, np.where(y > 0, 1, 2), np.where(mh.use_b, 3, 0))
     return mh.value, rows[branch]
-
-
-def _check_finite(g: np.ndarray, context: str) -> None:
-    if not np.all(np.isfinite(g)):
-        raise FloatingPointError(f"non-finite gradient during {context}")
-
-
-def fgsm(oracle, x: np.ndarray, y: int, eps: float) -> Perturbation:
-    """Single sign-of-gradient step: delta = eps * sgn(grad), sgn(0) = 0."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    x = np.asarray(x, dtype=np.float64)
-    g = oracle.grad(x, y)
-    _check_finite(g, "fgsm")
-    delta = eps * np.sign(g)
-    return Perturbation(delta, oracle.loss(x + delta, y))
-
-
-def pgd(oracle, x: np.ndarray, y: int, spec: AttackSpec) -> Perturbation:
-    """Iterated projected gradient ascent on the oracle's loss.
-
-    linf takes sign steps with box clipping; l2 takes normalized-gradient
-    steps with ball projection. Returns the best iterate seen, the start
-    point included, so the achieved loss never falls below the clean loss.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    delta = _start(spec, x.shape)
-    best = Perturbation(delta.copy(), oracle.loss(x + delta, y))
-    if spec.eps == 0:
-        return best
-    step = _stepper(spec)
-    for i in range(spec.steps):
-        g = oracle.grad(x + delta, y)
-        _check_finite(g, f"pgd step {i}")
-        delta = step(delta, g)
-        val = oracle.loss(x + delta, y)
-        if val > best.achieved_loss:
-            best = Perturbation(delta.copy(), val)
-    return best
 
 
 def _start(spec: AttackSpec, shape: tuple) -> np.ndarray:
@@ -200,15 +157,18 @@ def accepted_error_delta(m: RejectionModel, z: np.ndarray, y: np.ndarray, eps: f
     return np.clip(delta + t[:, None] * (corner - delta), -eps, eps)  # rounding can leave the box by an ulp
 
 
-def pgd_batch(value_grad, x: np.ndarray, spec: AttackSpec) -> np.ndarray:
-    """PGD ascent vectorized over the rows of x, with the steps of ``pgd``.
+def pgd(value_grad, x: np.ndarray, spec: AttackSpec) -> np.ndarray:
+    """Projected gradient ascent, vectorized over the rows of x; a single
+    sample is a batch of one row. linf takes sign steps clipped to the box,
+    l2 normalized-gradient steps projected onto the ball.
 
     value_grad(points, grad) gives each row's objective at the points and,
     if grad, its gradient there, so one call both scores an iterate and
     sets the next step. One step is the ascent step with the radius and
-    step size resolved once per call of pgd_batch, that call, and the
+    step size resolved once per call of pgd, that call, and the
     best-iterate update; the last iterate is only scored. Returns each
-    row's delta at its best iterate, the start included.
+    row's delta at its best iterate, the start included, so no row's
+    objective falls below its value at the start.
 
     The loop stops at its first fixed point: when a step leaves every row
     where it is. That is exact, not a tolerance. The gradient that set the
@@ -245,4 +205,4 @@ def pgd_linear_mh_batch(
     """PGD on the MH loss of a linear model, vectorized over rows of z.
     Returns per-row deltas of the best iterate (start included)."""
     z = np.asarray(z, dtype=np.float64)
-    return pgd_batch(lambda zd, grad: linear_mh_value_grad(m, zd, y, params, grad), z, spec)
+    return pgd(lambda zd, grad: linear_mh_value_grad(m, zd, y, params, grad), z, spec)

@@ -286,7 +286,7 @@ def main(argv=None) -> int:
         if not rc.dataset:
             raise ConfigError("dataset path is required (--data or config.dataset)")
         run(rc)
-    except (ConfigError, DataFormatError) as exc:
+    except (ConfigError, DataFormatError, OSError) as exc:  # an OSError's message names its path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FloatingPointError as exc:

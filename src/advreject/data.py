@@ -143,17 +143,19 @@ def to_libsvm(ds: Dataset) -> str:
 
 
 def parse_csv(text: str, label_map: dict[str, int] | None = None, name: str = "") -> Dataset:
-    """Parse CSV with a header row; the final column is the label."""
+    """Parse CSV with a header row; the final column is the label. Blank
+    lines are skipped, and an error names the line of the text it is on."""
     if label_map is None:
         label_map = DEFAULT_LABEL_MAP
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if len(lines) < 2:
         raise DataFormatError("need a header row and at least one data row")
-    ncol = len(lines[0].split(","))
+    header_lineno, header = lines[0]
+    ncol = len(header.split(","))
     if ncol < 2:
-        raise DataFormatError("need at least one feature column plus the label", 1)
+        raise DataFormatError("need at least one feature column plus the label", header_lineno)
     xs, ys = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != ncol:
             raise DataFormatError(f"expected {ncol} columns, got {len(cells)}", lineno)

@@ -1,5 +1,10 @@
 """Rejection-aware evaluation: confusion counts, Err/Rej/PR, benchmarks.
 
+``evaluate_model`` attacks a whole dataset at once and reports the
+confusion counts, Err/Rej/PR, which candidate won on how many rows, and
+the mean attacked zero-one-c loss; a single sample is a dataset of one
+row.
+
 Outcomes are counted on the perturbed input: a rejection is "true" when
 the classifier would have been wrong there (the rejection prevented an
 error), "false" when it would have been right. Err is the accepted-and-
@@ -125,16 +130,6 @@ def _confusion(f: np.ndarray, r: np.ndarray, y: np.ndarray) -> RejectConfusion:
     )
 
 
-def classify_outcomes(
-    m: RejectionModel, ds: Dataset, attack: AttackSpec, params: SurrogateParams | None = None
-) -> RejectConfusion:
-    """Confusion-with-rejection counts after the per-sample attack."""
-    if params is None:
-        params = SurrogateParams()
-    f, r, _, _, _ = _attack_and_score(m, m.featurize(ds.x), ds.y, attack, params)
-    return _confusion(f, r, ds.y)
-
-
 def metrics(conf: RejectConfusion) -> tuple[float, float, float | None]:
     """(err, rej, pr); pr is None when nothing was rejected."""
     total = conf.total
@@ -156,17 +151,6 @@ def evaluate_model(
     err, rej, pr = metrics(conf)
     wins = {name: int(np.sum(winner == k)) for k, name in enumerate(names)}
     return EvalReport(err, rej, pr, conf, attack, wins, float(np.mean(losses.max(axis=0))))
-
-
-def adv_risk_01c(
-    m: RejectionModel, ds: Dataset, attack: AttackSpec, params: SurrogateParams | None = None
-) -> float:
-    """Mean attacked zero-one-c loss: the worst case over the box for
-    analytic_linear, a lower bound on it for fgsm and pgd."""
-    if params is None:
-        params = SurrogateParams()
-    losses = _attack_and_score(m, m.featurize(ds.x), ds.y, attack, params)[4]
-    return float(np.mean(losses.max(axis=0)))
 
 
 @dataclass(frozen=True)

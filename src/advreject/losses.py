@@ -18,7 +18,8 @@ in the input, so its maximum sits at a corner of the box, giving
     A~ = 1 + (alpha/2) * (r - y*f + eps * ||zeta(y)||_1)
     B~ = c * (1 - beta * (r - eps * ||theta||_1))
 
-and the worst-case loss max(A~, B~, 0). The l1 norms run over the
+and the worst-case loss max(A~, B~, 0), which ``adv_loss_mh_linear_batch``
+gives for one vector or each row of a batch. The l1 norms run over the
 perturbable weight coordinates only; biases are excluded.
 """
 
@@ -143,14 +144,6 @@ def surrogate_conv(f_val, r_val, y, p: SurrogateParams, phi: str = "hinge", psi:
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class AdvTerms:
-    """Worst-case values of the two hinge branches over the eps-ball."""
-
-    a_tilde: float
-    b_tilde: float
-
-
 def worst_case_l1(theta: np.ndarray, gamma: np.ndarray, eps: float) -> tuple[float, float, float]:
     """The l1 terms of the worst case over the eps-ball: eps*||zeta(+1)||_1,
     eps*||zeta(-1)||_1 and eps*||theta||_1, with zeta(+1) = theta - gamma
@@ -163,37 +156,12 @@ def worst_case_l1(theta: np.ndarray, gamma: np.ndarray, eps: float) -> tuple[flo
     )
 
 
-def adv_terms_linear(
-    m: RejectionModel, z: np.ndarray, y: int, eps: float, p: SurrogateParams
-) -> AdvTerms:
-    """Closed-form branch maxima for a linear model at a feature-space point.
-
-    ``z`` is already featurized; ``eps`` bounds the attacker in the same
-    space. The bias coordinates never enter the l1 terms.
-    """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    if y not in (-1, 1):
-        raise ValueError("y must be -1 or +1")
-    f, r = m.scores_features(z)
-    f, r = float(f), float(r)
-    zeta_pos, zeta_neg, theta_l1 = worst_case_l1(m.theta, m.gamma, eps)
-    t = mh_branches(r - y * f + (zeta_pos if y > 0 else zeta_neg), r - theta_l1, p)
-    return AdvTerms(float(t.a), float(t.b))
-
-
-def adv_loss_mh_linear(
-    m: RejectionModel, z: np.ndarray, y: int, eps: float, p: SurrogateParams
-) -> float:
-    """Exact max of the MH loss over the eps-ball around z (linear model)."""
-    t = adv_terms_linear(m, z, y, eps, p)
-    return max(t.a_tilde, t.b_tilde, 0.0)
-
-
 def adv_loss_mh_linear_batch(
     m: RejectionModel, z: np.ndarray, y: np.ndarray, eps: float, p: SurrogateParams
 ) -> np.ndarray:
-    """Vectorized adv_loss_mh_linear over rows of z."""
+    """Exact max of the MH loss of a linear model over the eps-ball around
+    z, for one feature vector z with label y or for each row of z with its
+    label in y. eps bounds the attacker in feature space."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     f, r = m.scores_features(z)

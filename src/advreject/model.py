@@ -3,9 +3,10 @@
 A model scores an input twice: f decides the label via sign, r decides
 whether to answer at all. The input is rejected when r(x) <= 0 (the
 boundary r = 0 rejects, the conservative choice) and labelled +1 at
-f(x) = 0; ``losses.verdict`` writes that rule once. Both scores are linear
-in the features, so f(x) = <phi(x), gamma> + bias_gamma and
-r(x) = <phi(x), theta> + bias_theta.
+f(x) = 0; ``losses.verdict`` writes that rule once, and
+``verdict(*m.scores(x))`` applies it to one vector or each row of a batch.
+Both scores are linear in the features, so
+f(x) = <phi(x), gamma> + bias_gamma and r(x) = <phi(x), theta> + bias_theta.
 
 The combined vector zeta(y) = theta/y - gamma turns the margin gap into a
 single linear form: r(x) - y*f(x) = y*(<phi(x), zeta(y)> + zeta_bias(y)).
@@ -26,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import NormStats
-from .losses import verdict
 
 
 @dataclass(frozen=True)
@@ -73,19 +73,6 @@ def featurize(fm: FeatureMap, x: np.ndarray) -> np.ndarray:
     np.cos(u, out=u)
     u *= np.sqrt(2.0 / fm.dim)
     return u
-
-
-@dataclass(frozen=True)
-class Decision:
-    verdict: int  # +1, -1, or 0 for reject
-    f_value: float
-    r_value: float
-
-    REJECT = 0
-
-    @property
-    def rejected(self) -> bool:
-        return self.verdict == 0
 
 
 @dataclass
@@ -164,11 +151,6 @@ class RejectionModel:
 
     def scores(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.scores_features(self.featurize(x))
-
-    def decide(self, x: np.ndarray) -> Decision:
-        f, r = self.scores(np.atleast_1d(np.asarray(x, dtype=np.float64)))
-        f, r = float(f), float(r)
-        return Decision(int(verdict(f, r)), f, r)
 
     def zeta(self, y: int) -> np.ndarray:
         """theta/y - gamma over the weight coordinates (bias excluded)."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attacks import AttackSpec, pgd_batch
+from .attacks import AttackSpec, pgd
 from .data import Dataset
 from .losses import SurrogateParams, loss_01c, mh_branches, verdict
 
@@ -256,7 +256,7 @@ def _heads_pgd(net: ToyNet, x: np.ndarray, spec: AttackSpec, heads) -> np.ndarra
         value, head[:, 0], head[:, 1] = heads(f, r)
         return value, net._backward(head, acts, want_input=True, want_params=False)[2] if grad else None
 
-    return pgd_batch(value_grad, x, spec)
+    return pgd(value_grad, x, spec)
 
 
 def _inner_pgd_batch(net: ToyNet, x: np.ndarray, y: np.ndarray, cfg: NeuralTrainConfig) -> np.ndarray:

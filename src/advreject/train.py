@@ -281,13 +281,13 @@ def cross_validate(
     risk. Evaluation eps defaults to each config's own eps_train. Ties go
     to the earlier grid entry."""
     from .attacks import AttackSpec
-    from .evaluate import adv_risk_01c
+    from .evaluate import evaluate_model
 
-    if folds < 2:
-        raise ValueError("folds must be >= 2")
+    n = len(ds)
+    if not 2 <= folds <= n:
+        raise ValueError(f"folds must lie in [2, {n}] (the dataset size), got {folds}")
     if not cfg_grid:
         raise ValueError("empty config grid")
-    n = len(ds)
     perm = np.random.default_rng(seed).permutation(n)
     fold_idx = np.array_split(perm, folds)
     table = []
@@ -302,7 +302,7 @@ def cross_validate(
             va = Dataset(ds.x[val_ids], ds.y[val_ids], name=ds.name)
             model, _ = train(tr, cfg)
             spec = AttackSpec(method="analytic_linear" if eps_eval > 0 else "none", eps=eps_eval)
-            risks.append(adv_risk_01c(model, va, spec, cfg.params))
+            risks.append(evaluate_model(model, va, spec, cfg.params).mean_loss_01c)
         mean_risk = float(np.mean(risks))
         table.append(
             {

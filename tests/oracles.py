@@ -3,21 +3,18 @@
 These deliberately avoid the library's closed-form code paths: box maxima
 are taken by enumerating corners and dense grids, suprema over norm balls
 by dense direction/volume grids, and gradients by central differences.
-Five references at the end are not independent: ``LinearMHOracle`` adapts
-the library's MH value/gradient to the single-sample attacks,
-``pgd_batch_full`` is the batched PGD loop without its early exit,
-``squared_mh_head_reference`` is the squared-MH head of the toy network
-written with ``np.where`` over fresh temporaries, and
-``to_libsvm_reference``/``parse_libsvm_reference`` are the LIBSVM codec
-written value by value with numpy scalars; the library's code must match
-each of the last three bit for bit.
+Four references at the end are not independent: ``pgd_full`` is the
+batched PGD loop without its early exit, ``squared_mh_head_reference`` is
+the squared-MH head of the toy network written with ``np.where`` over
+fresh temporaries, and ``to_libsvm_reference``/``parse_libsvm_reference``
+are the LIBSVM codec written value by value with numpy scalars; the
+library's code must match each of them bit for bit.
 """
 
 import itertools
 
 import numpy as np
 
-from advreject.attacks import linear_mh_value_grad
 from advreject.data import DEFAULT_LABEL_MAP, DataFormatError, Dataset, _label
 
 
@@ -218,28 +215,9 @@ def rel_err(a, b, floor=1e-8):
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
 
 
-class LinearMHOracle:
-    """Loss/gradient oracle for the MH loss of a linear model, in feature
-    space, one sample at a time: the single-sample interface of
-    ``attacks.fgsm`` and ``attacks.pgd``. Unlike the oracles above it wraps
-    the library's ``linear_mh_value_grad``; the tests use it to compare the
-    single-sample attacks with the batched ones. At branch ties the
-    classification branch wins."""
-
-    def __init__(self, m, p):
-        self.m = m
-        self.p = p
-
-    def loss(self, z: np.ndarray, y: int) -> float:
-        return float(linear_mh_value_grad(self.m, z, y, self.p, grad=False)[0])
-
-    def grad(self, z: np.ndarray, y: int) -> np.ndarray:
-        return linear_mh_value_grad(self.m, z, y, self.p)[1]
-
-
-def pgd_batch_full(value_grad, x, spec):
+def pgd_full(value_grad, x, spec):
     """Batched PGD run for all spec.steps steps, with no early exit: the
-    reference that ``attacks.pgd_batch`` must match bit for bit. The start,
+    reference that ``attacks.pgd`` must match bit for bit. The start,
     the steps and the best-iterate update are written out with the float
     operations of the library, in the same order."""
     eps, step = spec.eps, spec.resolved_step()

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from advreject.attacks import AttackSpec, pgd
+from advreject.attacks import AttackSpec, pgd_linear_mh_batch
 from advreject.bench import ProtocolConfig, run_protocol
 from advreject.bounds import (
     BoundConfig,
@@ -23,10 +23,10 @@ from advreject.bounds import (
     weight_bound,
 )
 from advreject.data import Dataset
-from advreject.evaluate import adv_risk_01c
+from advreject.evaluate import evaluate_model
 from advreject.losses import (
     SurrogateParams,
-    adv_loss_mh_linear,
+    adv_loss_mh_linear_batch,
     loss_01c,
     loss_mh,
     surrogate_conv,
@@ -36,7 +36,7 @@ from advreject.neural import NeuralTrainConfig, adv_risk_01c_net, grad_input, gr
 from advreject.synth import clinical_surrogate, credit_surrogate, two_clusters
 from advreject.train import TrainConfig, train
 from conftest import random_linear_model
-from oracles import LinearMHOracle, central_difference, rel_err
+from oracles import central_difference, rel_err
 
 
 def report(num, ok, detail):
@@ -92,7 +92,7 @@ def test_criterion_1_closed_form_oracle_equivalence():
         y = 1 if rng.random() < 0.5 else -1
         eps = float(rng.choice([0.01, 0.1, 1.0]))
         p = SurrogateParams(rng.uniform(0.3, 3), rng.uniform(0.3, 3), rng.uniform(0.05, 0.45))
-        got = adv_loss_mh_linear(m, z, y, eps, p)
+        got = float(adv_loss_mh_linear_batch(m, z, y, eps, p))
         # brute force: every corner of the box; each MH branch is affine in
         # the input so the true max sits at a corner; a dense 21-point grid
         # cross-checks that up to d = 4
@@ -129,7 +129,7 @@ def test_criterion_3_reduction_identities(rng):
         y = 1 if rng.random() < 0.5 else -1
         p = SurrogateParams(1.3, 0.7, 0.2)
         f, r = m.scores_features(z)
-        if adv_loss_mh_linear(m, z, y, 0.0, p) != loss_mh(float(f), float(r), y, p):
+        if adv_loss_mh_linear_batch(m, z, y, 0.0, p) != loss_mh(float(f), float(r), y, p):
             exact_a = False
             break
     # (b) atro at eps_train = 0 is trace-identical to mh
@@ -139,8 +139,10 @@ def test_criterion_3_reduction_identities(rng):
     exact_b = np.array_equal(t_atro.objective, t_mh.objective)
     # (c) pgd at eps = 0 returns the zero perturbation
     m = random_linear_model(rng, 4)
-    pert = pgd(LinearMHOracle(m, SurrogateParams()), rng.standard_normal(4), 1, AttackSpec(method="pgd", eps=0.0))
-    exact_c = bool(np.all(pert.delta == 0.0))
+    delta = pgd_linear_mh_batch(
+        m, rng.standard_normal((1, 4)), np.ones(1), AttackSpec(method="pgd", eps=0.0), SurrogateParams()
+    )
+    exact_c = bool(np.all(delta == 0.0))
     report(3, exact_a and exact_b and exact_c, f"eps0-loss {exact_a}, atro==mh traces {exact_b}, pgd eps0 {exact_c}")
 
 
@@ -221,7 +223,7 @@ def test_criterion_8_attack_loss_monotonicity(aus_results, dia_results):
                 clean = float(np.mean(loss_01c(f, r, test_ds.y, 0.2)))
                 for eps in pc.attack_eps:
                     spec = AttackSpec(method="analytic_linear" if eps > 0 else "none", eps=eps)
-                    attacked = adv_risk_01c(model, test_ds, spec, params02)
+                    attacked = evaluate_model(model, test_ds, spec, params02).mean_loss_01c
                     checked += 1
                     if attacked < clean:
                         violations += 1

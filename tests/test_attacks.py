@@ -3,38 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from advreject.attacks import (
-    AttackSpec,
-    accepted_error_delta,
-    fgsm,
-    linear_mh_value_grad,
-    pgd,
-    pgd_batch,
-    pgd_linear_mh_batch,
-)
+from advreject.attacks import AttackSpec, accepted_error_delta, linear_mh_value_grad, pgd, pgd_linear_mh_batch
 from advreject.data import Dataset
 from advreject.evaluate import RejectConfusion, _attack_and_score, _candidate_deltas, evaluate_model
-from advreject.losses import SurrogateParams, adv_loss_mh_linear, loss_01c
+from advreject.losses import SurrogateParams, adv_loss_mh_linear_batch, loss_01c
 from advreject.model import FeatureMap, RejectionModel
 from conftest import random_linear_model
-from oracles import LinearMHOracle, box_max_01c, box_max_01c_vertices, central_difference, pgd_batch_full
+from oracles import box_max_01c, box_max_01c_vertices, central_difference, pgd_full
 
 P13 = SurrogateParams(1.0, 1.0, 0.3)
 
 
-class HingeOracle:
-    """Plain hinge max(0, 1 - y <x, w>) with hand-written gradient."""
+def mh_value(m, z, y):
+    """MH loss of a linear model at the rows of z."""
+    return linear_mh_value_grad(m, z, y, P13, grad=False)[0]
 
-    def __init__(self, w):
-        self.w = np.asarray(w, dtype=np.float64)
 
-    def loss(self, x, y):
-        return max(0.0, 1.0 - y * float(x @ self.w))
-
-    def grad(self, x, y):
-        if 1.0 - y * float(x @ self.w) > 0:
-            return -y * self.w
-        return np.zeros_like(self.w)
+def one_row(rng, d):
+    """A random linear model, one feature row and its label."""
+    return random_linear_model(rng, d), rng.standard_normal((1, d)), np.array([1.0 if rng.random() < 0.5 else -1.0])
 
 
 class TestAttackSpec:
@@ -56,86 +43,71 @@ class TestAttackSpec:
 
 
 class TestFgsm:
+    """The fgsm candidate of evaluate: one sign step along the MH gradient."""
+
+    @staticmethod
+    def fgsm_delta(m, z, y, eps):
+        return _candidate_deltas(m, z, y, AttackSpec(method="fgsm", eps=eps), P13)["fgsm"]
+
     def test_hand_derived_hinge_gradient(self):
-        # active hinge at the origin: grad = -y*w = (-3, 1), delta = eps*sgn
-        oracle = HingeOracle([3.0, -1.0])
-        pert = fgsm(oracle, np.zeros(2), 1, 0.25)
-        assert np.array_equal(pert.delta, [-0.25, 0.25])
+        # branch A active at the origin (A = 1, B = 0.3): grad = (alpha/2)(theta - gamma) = (3, -1)
+        m = RejectionModel(theta=np.array([1.0, 1.0]), gamma=np.array([-5.0, 3.0]))
+        assert np.array_equal(self.fgsm_delta(m, np.zeros((1, 2)), np.ones(1), 0.25), [[0.25, -0.25]])
 
     def test_eps_zero(self):
-        pert = fgsm(HingeOracle([1.0, 1.0]), np.zeros(2), 1, 0.0)
-        assert np.array_equal(pert.delta, [0.0, 0.0])
+        m = RejectionModel(theta=np.array([1.0, 1.0]), gamma=np.array([-5.0, 3.0]))
+        deltas = _candidate_deltas(m, np.zeros((1, 2)), np.ones(1), AttackSpec(method="fgsm", eps=0.0), P13)
+        assert list(deltas) == ["clean"] and np.array_equal(deltas["clean"], [[0.0, 0.0]])
 
     def test_inactive_hinge_zero_gradient(self):
-        oracle = HingeOracle([1.0, 0.0])
-        pert = fgsm(oracle, np.array([10.0, 0.0]), 1, 0.5)
-        assert np.array_equal(pert.delta, [0.0, 0.0])
-
-    def test_nonfinite_gradient(self):
-        class Bad:
-            def loss(self, x, y):
-                return 0.0
-
-            def grad(self, x, y):
-                return np.array([np.nan, 0.0])
-
-        with pytest.raises(FloatingPointError):
-            fgsm(Bad(), np.zeros(2), 1, 0.1)
+        # f = 20, r = 10: A = -4 and B = -2.7, so no branch has a gradient
+        m = RejectionModel(theta=np.array([1.0, 0.0]), gamma=np.array([2.0, 0.0]))
+        assert np.array_equal(self.fgsm_delta(m, np.array([[10.0, 0.0]]), np.ones(1), 0.5), [[0.0, 0.0]])
 
 
 class TestPgd:
-    def test_eps_zero_returns_clean(self):
-        oracle = HingeOracle([1.0, 1.0])
-        x = np.array([0.3, -0.2])
-        pert = pgd(oracle, x, 1, AttackSpec(method="pgd", eps=0.0))
-        assert np.array_equal(pert.delta, [0.0, 0.0])
-        assert pert.achieved_loss == oracle.loss(x, 1)
+    def test_eps_zero_returns_clean(self, rng):
+        m, z, y = one_row(rng, 2)
+        delta = pgd(lambda zd, grad: linear_mh_value_grad(m, zd, y, P13, grad), z, AttackSpec(method="pgd", eps=0.0))
+        assert np.array_equal(delta, [[0.0, 0.0]])
+        assert mh_value(m, z + delta, y) == mh_value(m, z, y)
 
     def test_achieves_at_least_clean(self, rng):
         for _ in range(30):
-            m = random_linear_model(rng, 3)
-            oracle = LinearMHOracle(m, P13)
-            x = rng.standard_normal(3)
-            y = 1 if rng.random() < 0.5 else -1
-            pert = pgd(oracle, x, y, AttackSpec(method="pgd", eps=0.2, steps=10))
-            assert pert.achieved_loss >= oracle.loss(x, y) - 1e-15
+            m, z, y = one_row(rng, 3)
+            delta = pgd_linear_mh_batch(m, z, y, AttackSpec(method="pgd", eps=0.2, steps=10), P13)
+            assert mh_value(m, z + delta, y)[0] >= mh_value(m, z, y)[0] - 1e-15
 
     def test_never_exceeds_closed_form(self, rng):
         # the closed form is the true max; PGD must stay at or below it
         reached = 0
         for _ in range(50):
-            m = random_linear_model(rng, 4)
-            oracle = LinearMHOracle(m, P13)
-            x = rng.standard_normal(4)
-            y = 1 if rng.random() < 0.5 else -1
-            pert = pgd(oracle, x, y, AttackSpec(method="pgd", eps=0.3, steps=25))
-            exact = adv_loss_mh_linear(m, x, y, 0.3, P13)
-            assert pert.achieved_loss <= exact + 1e-9
-            if pert.achieved_loss >= exact - 1e-6:
+            m, z, y = one_row(rng, 4)
+            delta = pgd_linear_mh_batch(m, z, y, AttackSpec(method="pgd", eps=0.3, steps=25), P13)
+            achieved = mh_value(m, z + delta, y)[0]
+            exact = adv_loss_mh_linear_batch(m, z, y, 0.3, P13)[0]
+            assert achieved <= exact + 1e-9
+            if achieved >= exact - 1e-6:
                 reached += 1
         # heuristic lower direction: reported, not asserted
         print(f"\npgd reached the closed-form max on {reached}/50 instances")
 
     def test_feasibility(self, rng):
-        m = random_linear_model(rng, 5)
-        oracle = LinearMHOracle(m, P13)
-        x = rng.standard_normal(5)
+        m, z, _ = one_row(rng, 5)
         for norm in ("linf", "l2"):
             spec = AttackSpec(method="pgd", eps=0.4, norm=norm, steps=15)
-            pert = pgd(oracle, x, 1, spec)
+            delta = pgd_linear_mh_batch(m, z, np.ones(1), spec, P13)
             if norm == "linf":
-                assert np.max(np.abs(pert.delta)) <= 0.4 + 1e-12
+                assert np.max(np.abs(delta)) <= 0.4 + 1e-12
             else:
-                assert np.linalg.norm(pert.delta) <= 0.4 + 1e-12
+                assert np.linalg.norm(delta) <= 0.4 + 1e-12
 
     def test_random_start_deterministic(self, rng):
-        m = random_linear_model(rng, 3)
-        oracle = LinearMHOracle(m, P13)
-        x = rng.standard_normal(3)
+        m, z, _ = one_row(rng, 3)
         spec = AttackSpec(method="pgd", eps=0.2, steps=5, random_start=True, seed=42)
-        p1 = pgd(oracle, x, 1, spec)
-        p2 = pgd(oracle, x, 1, spec)
-        assert np.array_equal(p1.delta, p2.delta)
+        d1 = pgd_linear_mh_batch(m, z, np.ones(1), spec, P13)
+        d2 = pgd_linear_mh_batch(m, z, np.ones(1), spec, P13)
+        assert np.array_equal(d1, d2)
 
 
 def binding_row():
@@ -319,18 +291,19 @@ class TestBatchPgd:
     @pytest.mark.parametrize("random_start", [False, True])
     @pytest.mark.parametrize("norm", ["linf", "l2"])
     def test_matches_single_sample_path(self, rng, norm, random_start):
+        # each row of a batch gets the attack it gets as a batch of one row
         m = random_linear_model(rng, 4)
         z = rng.standard_normal((12, 4))
-        y = np.where(rng.random(12) < 0.5, 1, -1)
+        y = np.where(rng.random(12) < 0.5, 1.0, -1.0)
         # steps too short to reach a corner from any start, so the start shows
         spec = AttackSpec(
             method="pgd", eps=0.2, norm=norm, steps=15, step_size=0.01, random_start=random_start, seed=5
         )
         deltas = pgd_linear_mh_batch(m, z, y, spec, P13)
-        oracle = LinearMHOracle(m, P13)
         for i in range(12):
-            single = pgd(oracle, z[i], int(y[i]), spec)
-            assert oracle.loss(z[i] + deltas[i], int(y[i])) == pytest.approx(single.achieved_loss, abs=1e-12)
+            single = pgd_linear_mh_batch(m, z[i : i + 1], y[i : i + 1], spec, P13)
+            want = mh_value(m, z[i : i + 1] + single, y[i : i + 1])[0]
+            assert mh_value(m, z[i] + deltas[i], y[i]) == pytest.approx(want, abs=1e-12)
 
     def test_feasible(self, rng):
         m = random_linear_model(rng, 3)
@@ -341,7 +314,7 @@ class TestBatchPgd:
 
 
 class CountingObjective:
-    """value_grad for pgd_batch that counts its calls and records every
+    """value_grad for pgd that counts its calls and records every
     gradient it returns."""
 
     def __init__(self, value_grad):
@@ -359,7 +332,7 @@ class CountingObjective:
 
 
 class TestPgdEarlyExit:
-    """pgd_batch stops at its first fixed point, and the result is the one
+    """pgd stops at its first fixed point, and the result is the one
     of the full-length loop bit for bit."""
 
     @staticmethod
@@ -381,7 +354,7 @@ class TestPgdEarlyExit:
         for _ in range(3):
             m, z, y = self.linear_problem(rng, features)
             spec = AttackSpec(method="pgd", eps=eps, norm=norm, steps=20, random_start=random_start, seed=3)
-            full = pgd_batch_full(lambda zd, grad: linear_mh_value_grad(m, zd, y, P13, grad), z, spec)
+            full = pgd_full(lambda zd, grad: linear_mh_value_grad(m, zd, y, P13, grad), z, spec)
             assert np.array_equal(pgd_linear_mh_batch(m, z, y, spec, P13), full)
 
     @pytest.mark.parametrize("steps", [10, 20, 50])
@@ -394,14 +367,14 @@ class TestPgdEarlyExit:
         y = np.array([1.0, -1.0, 1.0])
         spec = AttackSpec(method="pgd", eps=0.05, steps=steps)
         objective = CountingObjective(lambda zd, grad: linear_mh_value_grad(m, zd, y, P13, grad))
-        deltas = pgd_batch(objective, z, spec)
+        deltas = pgd(objective, z, spec)
         assert all(np.array_equal(g, objective.grads[0]) for g in objective.grads)
         assert objective.calls == math.ceil(math.sqrt(steps)) + 1 < steps + 1
         assert np.array_equal(deltas, 0.05 * np.sign(objective.grads[0]))
 
     def test_zero_gradient_stops_at_the_start(self):
         objective = CountingObjective(lambda xd, grad: (np.zeros(len(xd)), np.zeros_like(xd)))
-        deltas = pgd_batch(objective, np.ones((4, 2)), AttackSpec(method="pgd", eps=0.1, steps=20))
+        deltas = pgd(objective, np.ones((4, 2)), AttackSpec(method="pgd", eps=0.1, steps=20))
         assert objective.calls == 1
         assert np.array_equal(deltas, np.zeros((4, 2)))
 
@@ -417,7 +390,7 @@ class TestPgdEarlyExit:
         x = np.zeros((5, 3))
         spec = AttackSpec(method="pgd", eps=0.3, norm=norm, steps=20, step_size=0.1)
         objective = CountingObjective(value_grad)
-        deltas = pgd_batch(objective, x, spec)
+        deltas = pgd(objective, x, spec)
         assert objective.calls == spec.steps + 1
         flips.clear()
-        assert np.array_equal(deltas, pgd_batch_full(value_grad, x, spec))
+        assert np.array_equal(deltas, pgd_full(value_grad, x, spec))

@@ -330,6 +330,17 @@ class TestOtherCommands:
     def test_missing_model(self, data_file, tmp_path):
         assert main(["eval", "--data", str(data_file), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("below", [False, True])
+    def test_out_that_cannot_be_a_directory(self, below, trained, data_file, tmp_path, capsys):
+        # --out names an existing file, or a path below one
+        afile = tmp_path / "afile"
+        afile.write_text("x")
+        out = afile / "sub" if below else afile
+        assert main(["eval", "--model", str(trained), "--data", str(data_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+        assert afile.read_text() == "x"
+
     @pytest.mark.parametrize("command", ["eval", "attack", "bound"])
     def test_malformed_model_json(self, command, data_file, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -182,6 +182,14 @@ class TestCsv:
         with pytest.raises(DataFormatError, match="line 2: non-finite"):
             parse_csv(f"a,b,y\n0.1,{cell},1\n0.2,0.3,-1\n")
 
+    def test_blank_lines_count_toward_line_numbers(self):
+        with pytest.raises(DataFormatError, match="line 5: non-numeric"):
+            parse_csv("x1,y\n\n1.0,+1\n\nbad,+1\n")
+        with pytest.raises(DataFormatError, match="line 2: need at least one feature column"):
+            parse_csv("\ny\n+1\n")
+        ds = parse_csv("\nx1,y\n\n1.0,+1\n  \n2.0,-1\n\n")
+        assert np.array_equal(ds.x, [[1.0], [2.0]]) and list(ds.y) == [1, -1]
+
     def test_label_map_outside_pm1(self):
         with pytest.raises(DataFormatError, match="line 3: label map sends 'b' to 0"):
             parse_csv("a,y\n1,a\n2,b\n", label_map={"a": 1, "b": 0})

@@ -6,11 +6,9 @@ from advreject.data import Dataset
 from advreject.evaluate import (
     BenchCell,
     RejectConfusion,
-    adv_risk_01c,
     bench_to_csv,
     bench_to_text,
     benchmark,
-    classify_outcomes,
     evaluate_model,
     metrics,
 )
@@ -30,7 +28,7 @@ class TestClassifyOutcomes:
     def test_all_true_accepts(self, rng):
         x = np.sign(rng.standard_normal((20, 1))) * (1 + rng.random((20, 1)))
         ds = Dataset(x, np.where(x[:, 0] > 0, 1, -1))
-        conf = classify_outcomes(accept_all_correct_model(), ds, AttackSpec(method="none"), P13)
+        conf = evaluate_model(accept_all_correct_model(), ds, AttackSpec(method="none"), P13).counts
         assert conf == RejectConfusion(ta=20, tr=0, fa=0, fr=0)
 
     def test_all_true_rejects(self, rng):
@@ -38,23 +36,23 @@ class TestClassifyOutcomes:
         x = np.abs(rng.standard_normal((15, 1))) + 0.5
         ds = Dataset(x, np.ones(15, dtype=int))
         m = RejectionModel(theta=np.array([0.0]), gamma=np.array([-5.0]), bias_theta=-1.0)
-        conf = classify_outcomes(m, ds, AttackSpec(method="none"), P13)
+        conf = evaluate_model(m, ds, AttackSpec(method="none"), P13).counts
         assert conf == RejectConfusion(ta=0, tr=15, fa=0, fr=0)
 
     def test_partition(self, rng):
         for _ in range(20):
             m = random_linear_model(rng, 3)
             ds = Dataset(rng.standard_normal((30, 3)), np.where(rng.random(30) < 0.5, 1, -1))
-            conf = classify_outcomes(m, ds, AttackSpec(method="analytic_linear", eps=0.1), P13)
+            conf = evaluate_model(m, ds, AttackSpec(method="analytic_linear", eps=0.1), P13).counts
             assert conf.total == 30
 
     def test_outcomes_counted_on_perturbed_point(self):
         # clean point is correct&accepted; attack at eps=1 flips it
         m = RejectionModel(theta=np.array([0.0]), gamma=np.array([1.0]), bias_theta=1.0)
         ds = Dataset(np.array([[0.5]]), np.array([1]))
-        clean = classify_outcomes(m, ds, AttackSpec(method="none"), P13)
+        clean = evaluate_model(m, ds, AttackSpec(method="none"), P13).counts
         assert clean.ta == 1
-        attacked = classify_outcomes(m, ds, AttackSpec(method="analytic_linear", eps=1.0), P13)
+        attacked = evaluate_model(m, ds, AttackSpec(method="analytic_linear", eps=1.0), P13).counts
         assert attacked.fa == 1
 
 
@@ -88,7 +86,7 @@ class TestAttackMonotonicity:
                 f, r = m.scores_features(z)
                 clean = float(np.mean(loss_01c(f, r, ds.y, P13.cost)))
                 spec = AttackSpec(method=method, eps=0.2, steps=5)
-                assert adv_risk_01c(m, ds, spec, P13) >= clean
+                assert evaluate_model(m, ds, spec, P13).mean_loss_01c >= clean
 
     def test_l2_pgd_path(self, rng):
         m = random_linear_model(rng, 3)
@@ -97,7 +95,7 @@ class TestAttackMonotonicity:
         f, r = m.scores_features(z)
         clean = float(np.mean(loss_01c(f, r, ds.y, P13.cost)))
         spec = AttackSpec(method="pgd", eps=0.3, norm="l2", steps=8)
-        assert adv_risk_01c(m, ds, spec, P13) >= clean
+        assert evaluate_model(m, ds, spec, P13).mean_loss_01c >= clean
 
 
 class TestEvaluateModel:

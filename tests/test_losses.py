@@ -3,20 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advreject.losses import (
-    SurrogateParams,
-    adv_loss_mh_linear,
-    adv_loss_mh_linear_batch,
-    adv_terms_linear,
-    loss_01c,
-    loss_mh,
-    mh_branches,
-    surrogate_conv,
-)
+from advreject.attacks import linear_mh_value_grad
+from advreject.losses import SurrogateParams, adv_loss_mh_linear_batch, loss_01c, loss_mh, mh_branches, surrogate_conv
 from advreject.model import RejectionModel
 from advreject.neural import _head_grads
 from conftest import random_linear_model
-from oracles import LinearMHOracle, box_max_mh
+from oracles import box_max_mh
 
 P13 = SurrogateParams(1.0, 1.0, 0.3)
 
@@ -76,10 +68,9 @@ class TestLossMh:
         assert mh.use_b.tolist() == [False, False, False]
         assert loss_mh(f, r, 1, p).tolist() == [0.25, 0.0, 0.0]
         # f = z @ gamma and r = z @ theta give the same three points
-        oracle = LinearMHOracle(RejectionModel(theta=np.array([0.0, 1.0]), gamma=np.array([1.5, 0.0])), p)
-        assert oracle.grad(np.array([1.0, 0.0]), 1).tolist() == [-0.75, 0.5]  # (alpha/2)(theta - gamma)
-        assert oracle.grad(np.array([2.0, 1.0]), 1).tolist() == [0.0, 0.0]
-        assert oracle.grad(np.array([4.0, 2.0]), 1).tolist() == [0.0, 0.0]
+        m = RejectionModel(theta=np.array([0.0, 1.0]), gamma=np.array([1.5, 0.0]))
+        grad = linear_mh_value_grad(m, np.array([[1.0, 0.0], [2.0, 1.0], [4.0, 2.0]]), np.ones(3), p)[1]
+        assert grad.tolist() == [[-0.75, 0.5], [0.0, 0.0], [0.0, 0.0]]  # row 0: (alpha/2)(theta - gamma)
         sq, df, dr = _head_grads(f, r, np.ones(3), p)
         assert sq.tolist() == [0.0625, 0.0, 0.0]
         assert df.tolist() == [-0.25, 0.0, 0.0] and dr.tolist() == [0.25, 0.0, 0.0]  # 2m * dA/df, dA/dr
@@ -131,48 +122,49 @@ class TestDominance:
 
 
 class TestAdvTermsLinear:
+    """The worst-case branches A~ and B~ of adv_loss_mh_linear_batch on one
+    feature vector; a small enough cost lets A~ win, showing it."""
+
     def setup_method(self):
         self.m = RejectionModel(theta=np.array([1.0, -1.0]), gamma=np.array([2.0, 0.0]))
         self.x = np.array([1.0, 1.0])
 
     def test_frozen_example(self):
-        t = adv_terms_linear(self.m, self.x, 1, 0.1, P13)
-        assert t.a_tilde == pytest.approx(0.1)
-        assert t.b_tilde == pytest.approx(0.36)
+        # A~ = 0.1 and B~ = 1.2 c
+        assert adv_loss_mh_linear_batch(self.m, self.x, 1, 0.1, P13) == pytest.approx(0.36)
+        assert adv_loss_mh_linear_batch(self.m, self.x, 1, 0.1, SurrogateParams(1.0, 1.0, 0.05)) == pytest.approx(0.1)
 
     def test_example_matches_bruteforce(self):
-        got = adv_loss_mh_linear(self.m, self.x, 1, 0.1, P13)
+        got = adv_loss_mh_linear_batch(self.m, self.x, 1, 0.1, P13)
         want = box_max_mh(self.m, self.x, 1, 0.1, P13)
         assert got == pytest.approx(want, abs=1e-9)
         assert got == pytest.approx(0.36)
 
     def test_eps_zero_reduces_to_clean(self):
-        t = adv_terms_linear(self.m, self.x, 1, 0.0, P13)
         f, r = self.m.scores_features(self.x)
-        assert t.a_tilde == 1.0 + 0.5 * (r - f)
-        assert t.b_tilde == 0.3 * (1.0 - r)
+        got = adv_loss_mh_linear_batch(self.m, self.x, 1, 0.0, P13)
+        assert got == max(1.0 + 0.5 * (r - f), 0.3 * (1.0 - r), 0.0)
 
     def test_negative_label(self):
-        t = adv_terms_linear(self.m, self.x, -1, 0.1, P13)
-        assert t.a_tilde == pytest.approx(2.2)
-        got = adv_loss_mh_linear(self.m, self.x, -1, 0.1, P13)
+        got = adv_loss_mh_linear_batch(self.m, self.x, -1, 0.1, P13)
+        assert got == pytest.approx(2.2)  # A~ wins over B~ = 0.36
         assert got == pytest.approx(box_max_mh(self.m, self.x, -1, 0.1, P13), abs=1e-9)
 
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
-            adv_terms_linear(self.m, self.x, 1, -0.1, P13)
+            adv_loss_mh_linear_batch(self.m, self.x, 1, -0.1, P13)
 
     def test_bias_not_perturbable(self, rng):
         # adding biases shifts scores but never the l1 attack terms
         m0 = random_linear_model(rng, 3, bias=False)
         m1 = RejectionModel(theta=m0.theta, gamma=m0.gamma, bias_theta=0.7, bias_gamma=-0.4)
         x = rng.standard_normal(3)
-        t0 = adv_terms_linear(m0, x, 1, 0.5, P13)
-        t1 = adv_terms_linear(m1, x, 1, 0.5, P13)
-        f0, r0 = m0.scores_features(x)
-        f1, r1 = m1.scores_features(x)
-        assert t1.a_tilde - t0.a_tilde == pytest.approx(0.5 * ((r1 - f1) - (r0 - f0)))
-        assert t1.b_tilde - t0.b_tilde == pytest.approx(0.3 * (-(r1 - r0)))
+        a_l1 = 0.5 * np.abs(m0.theta - m0.gamma).sum()
+        b_l1 = 0.5 * np.abs(m0.theta).sum()
+        for m in (m0, m1):
+            f, r = m.scores_features(x)
+            want = max(1.0 + 0.5 * (r - f + a_l1), 0.3 * (1.0 - (r - b_l1)), 0.0)
+            assert adv_loss_mh_linear_batch(m, x, 1, 0.5, P13) == pytest.approx(want)
 
 
 class TestClosedFormAgainstBruteForce:
@@ -185,16 +177,17 @@ class TestClosedFormAgainstBruteForce:
             y = 1 if rng.random() < 0.5 else -1
             eps = float(rng.choice([0.01, 0.1, 1.0]))
             p = SurrogateParams(rng.uniform(0.5, 3), rng.uniform(0.5, 3), rng.uniform(0.05, 0.45))
-            got = adv_loss_mh_linear(m, x, y, eps, p)
+            got = adv_loss_mh_linear_batch(m, x, y, eps, p)
             want = box_max_mh(m, x, y, eps, p, grid_max_d=3)
             assert got == pytest.approx(want, abs=1e-6)
 
     def test_batch_matches_scalar(self, rng):
+        # each row of a batch gets its value as one vector
         m = random_linear_model(rng, 5)
         z = rng.standard_normal((40, 5))
         y = np.where(rng.random(40) < 0.5, 1, -1)
         batch = adv_loss_mh_linear_batch(m, z, y, 0.2, P13)
-        singles = [adv_loss_mh_linear(m, z[i], int(y[i]), 0.2, P13) for i in range(40)]
+        singles = [adv_loss_mh_linear_batch(m, z[i], int(y[i]), 0.2, P13) for i in range(40)]
         assert np.allclose(batch, singles, atol=1e-14)
 
 
@@ -207,7 +200,7 @@ class TestMonotonicityInEps:
         m = random_linear_model(r, 4)
         x = r.standard_normal(4)
         y = 1 if r.random() < 0.5 else -1
-        assert adv_loss_mh_linear(m, x, y, lo, P13) <= adv_loss_mh_linear(m, x, y, hi, P13) + 1e-12
+        assert adv_loss_mh_linear_batch(m, x, y, lo, P13) <= adv_loss_mh_linear_batch(m, x, y, hi, P13) + 1e-12
 
     def test_eps_zero_identity_exact(self, rng):
         for _ in range(100):
@@ -215,4 +208,4 @@ class TestMonotonicityInEps:
             x = rng.standard_normal(3)
             y = 1 if rng.random() < 0.5 else -1
             f, r = m.scores_features(x)
-            assert adv_loss_mh_linear(m, x, y, 0.0, P13) == loss_mh(float(f), float(r), y, P13)
+            assert adv_loss_mh_linear_batch(m, x, y, 0.0, P13) == loss_mh(float(f), float(r), y, P13)

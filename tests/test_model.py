@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from advreject.data import NormStats
-from advreject.model import Decision, FeatureMap, RejectionModel, featurize
+from advreject.losses import verdict
+from advreject.model import FeatureMap, RejectionModel, featurize
 from conftest import random_linear_model
 
 
@@ -171,35 +172,36 @@ class TestEquality:
 
 
 class TestDecide:
+    """The decision rule on a one-row batch: verdict(*m.scores(x))."""
+
     def setup_method(self):
         self.m = RejectionModel(theta=np.array([0.0]), gamma=np.array([1.0]))
 
     def test_reject_wins_regardless_of_f(self):
         m = RejectionModel(theta=np.array([0.0]), gamma=np.array([5.0]), bias_theta=-1.0)
-        d = m.decide(np.array([3.0]))
-        assert d.verdict == Decision.REJECT and d.rejected
+        assert verdict(*m.scores(np.array([[3.0]]))).tolist() == [0]
 
     def test_negative_label(self):
         m = RejectionModel(theta=np.array([0.0]), gamma=np.array([1.0]), bias_theta=1.0)
-        d = m.decide(np.array([-3.0]))
-        assert d.verdict == -1 and d.f_value == -3.0
+        f, r = m.scores(np.array([[-3.0]]))
+        assert verdict(f, r).tolist() == [-1] and f.tolist() == [-3.0]
 
     def test_boundary_rejects(self):
         m = RejectionModel(theta=np.array([0.0]), gamma=np.array([1.0]), bias_theta=0.0)
-        assert m.decide(np.array([1.0])).verdict == Decision.REJECT
+        assert verdict(*m.scores(np.array([[1.0]]))).tolist() == [0]
 
     def test_sign_zero_is_positive(self):
         m = RejectionModel(theta=np.array([0.0]), gamma=np.array([0.0]), bias_theta=1.0)
-        assert m.decide(np.array([7.0])).verdict == 1
+        assert verdict(*m.scores(np.array([[7.0]]))).tolist() == [1]
 
     def test_pure(self):
         m = RejectionModel(theta=np.array([0.5]), gamma=np.array([1.0]), bias_theta=0.2)
-        x = np.array([0.3])
-        assert m.decide(x) == m.decide(x)
+        x = np.array([[0.3]])
+        assert np.array_equal(m.scores(x), m.scores(x))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            self.m.decide(np.array([1.0, 2.0]))
+            self.m.scores(np.array([[1.0, 2.0]]))
 
 
 class TestZeta:
@@ -265,7 +267,7 @@ class TestSerialization:
         )
         m2 = RejectionModel.from_json(m.to_json())
         x = rng.standard_normal(3)
-        assert m.decide(x) == m2.decide(x)
+        assert np.array_equal(m.scores(x), m2.scores(x))
 
     def test_invariant_validation(self):
         with pytest.raises(ValueError):

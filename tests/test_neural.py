@@ -17,7 +17,7 @@ from advreject.neural import (
     train_neural,
 )
 from advreject.synth import two_moons
-from oracles import central_difference, pgd_batch_full, rel_err, squared_mh_head_reference
+from oracles import central_difference, pgd_full, rel_err, squared_mh_head_reference
 
 P13 = SurrogateParams(1.0, 1.0, 0.3)
 
@@ -107,7 +107,7 @@ class TestGradients:
             captured.append(value_grad)
             return np.zeros_like(x0)
 
-        monkeypatch.setattr(neural, "pgd_batch", capture)
+        monkeypatch.setattr(neural, "pgd", capture)
         _inner_pgd_batch(net, x, y, NeuralTrainConfig(params=P13, attack=AttackSpec(method="pgd", eps=0.1)))
         adv_risk_01c_net(net, x, y, P13, eps=0.1)
         f, r, acts = net._forward_cache(x)
@@ -258,7 +258,7 @@ class TestTraining:
             ]
 
         early = attacks()
-        monkeypatch.setattr(neural, "pgd_batch", pgd_batch_full)
+        monkeypatch.setattr(neural, "pgd", pgd_full)
         for got, full in zip(early, attacks()):
             assert np.array_equal(got, full)
 

@@ -4,7 +4,7 @@ import pytest
 from advreject.data import Dataset
 from advreject.evaluate import evaluate_model
 from advreject.attacks import AttackSpec
-from advreject.losses import SurrogateParams
+from advreject.losses import SurrogateParams, verdict
 from advreject.model import FeatureMap, RejectionModel, featurize
 from advreject.train import TrainConfig, _augment, _objective_arrays, cross_validate, objective, train
 from oracles import train_objective_reference
@@ -217,7 +217,7 @@ class TestTrain:
         cfg = TrainConfig(mode="atro", eps_train=0.01, epochs=150, feature_map=fm)
         model, _ = train(ds, cfg)
         assert model.feat_dim == 16
-        assert model.decide(ds.x[0]) is not None
+        assert verdict(*model.scores(ds.x[:1])).tolist()[0] in (-1, 0, 1)
 
     def test_fourier_map_pinned_to_training_dimension(self, rng):
         x = rng.standard_normal((40, 14))
@@ -256,3 +256,11 @@ class TestCrossValidate:
     def test_bad_folds(self, rng):
         with pytest.raises(ValueError):
             cross_validate(toy_dataset(rng), [TrainConfig(mode="svm")], folds=1, seed=0)
+
+    def test_more_folds_than_samples(self, rng):
+        # every validation fold needs a sample: folds may reach len(ds), not exceed it
+        ds = toy_dataset(rng, n=5)
+        with pytest.raises(ValueError, match=r"folds must lie in \[2, 5\].*got 6"):
+            cross_validate(ds, [TrainConfig(mode="svm", epochs=5)], folds=6, seed=0)
+        _, table = cross_validate(ds, [TrainConfig(mode="svm", epochs=5)], folds=5, seed=0)
+        assert len(table[0]["fold_risks"]) == 5
