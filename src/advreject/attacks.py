@@ -3,6 +3,12 @@ linear model, each vectorized over the rows of a batch (a single sample is
 a batch of one row). The FGSM candidate of ``evaluate`` is one sign step
 along ``linear_mh_value_grad``.
 
+On a linear model, what depends only on a row's MH branch or label is
+computed once per call on a small table and read with one gather. Only
+elementwise operations and per-row reductions move onto a table; every
+score product keeps its n-row operand, so the results are those of the
+per-row computation bit for bit. Labels must be +1 or -1.
+
 All attacks act on the perturbable coordinates only. Models keep their
 biases outside the feature vector, so a perturbation has the same shape as
 the (featurized) input and needs no masking.
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import SurrogateParams, mh_branches
+from .losses import SurrogateParams, mh_branches, pm1_labels
 from .model import RejectionModel
 
 
@@ -56,24 +62,28 @@ class AttackSpec:
 
 def linear_mh_value_grad(m: RejectionModel, z: np.ndarray, y, p: SurrogateParams, grad: bool = True):
     """MH loss of a linear model at feature points z (a vector or rows) with
-    labels y = +-1 and, if grad, its gradient in z (None otherwise).
+    labels y = +-1 (ValueError otherwise) and, if grad, its gradient in z as
+    a pair (table, index): row i's gradient is table[index[i]]. None
+    otherwise.
 
-    Every row's gradient is one of four fixed vectors, so it is gathered from
-    a per-branch table: 0 for an inactive hinge, branch A's
-    (alpha/2)(theta - y*gamma) for y = +1 and for y = -1, and branch B's
-    -c*beta*theta. Beyond the two score products and the branch test, a call
-    costs one gather."""
+    Every row's gradient is one of four fixed vectors, the rows of the
+    table: 0 for an inactive hinge, branch A's (alpha/2)(theta - y*gamma)
+    for y = +1 and for y = -1, and branch B's -c*beta*theta. Beyond the two
+    score products and the branch test, a call costs a 4 x D table."""
+    return _linear_mh(m, z, pm1_labels(y), p, grad)
+
+
+def _linear_mh(m: RejectionModel, z: np.ndarray, y: np.ndarray, p: SurrogateParams, grad: bool):
+    """linear_mh_value_grad on float labels already checked to be +-1."""
     f, r = m.scores_features(z)
-    y = np.asarray(y, dtype=np.float64)
     mh = mh_branches(r - y * f, r, p)
     if not grad:
         return mh.value, None
-    rows = np.zeros((4, m.feat_dim))
-    rows[1] = 0.5 * p.alpha * (m.theta - m.gamma)  # branch A, y = +1
-    rows[2] = 0.5 * p.alpha * (m.theta + m.gamma)  # branch A, y = -1
-    rows[3] = -p.cost * p.beta * m.theta  # branch B
-    branch = np.where(mh.use_a, np.where(y > 0, 1, 2), np.where(mh.use_b, 3, 0))
-    return mh.value, rows[branch]
+    table = np.zeros((4, m.feat_dim))
+    table[1] = 0.5 * p.alpha * (m.theta - m.gamma)  # branch A, y = +1
+    table[2] = 0.5 * p.alpha * (m.theta + m.gamma)  # branch A, y = -1
+    table[3] = -p.cost * p.beta * m.theta  # branch B
+    return mh.value, (table, np.where(mh.use_a, np.where(y > 0, 1, 2), np.where(mh.use_b, 3, 0)))
 
 
 def _start(spec: AttackSpec, shape: tuple) -> np.ndarray:
@@ -89,29 +99,39 @@ def _start(spec: AttackSpec, shape: tuple) -> np.ndarray:
 
 
 def _stepper(spec: AttackSpec):
-    """The ascent step of spec as a function of (delta, g), with the radius
-    and step size resolved once: per row, a sign step clipped to the box for
-    linf, a normalized-gradient step projected onto the ball for l2 (no move
-    where the gradient is 0)."""
+    """The ascent step of spec as a function of (delta, table, index), the
+    gradient in the (table, index) form of pgd, with the radius and step
+    size resolved once: per row, a sign step clipped to the box for linf, a
+    normalized-gradient step projected onto the ball for l2 (no move where
+    the gradient is 0). The direction of a step is computed on the table and
+    then gathered, so rows that share a gradient share its arithmetic."""
     eps, step = spec.eps, spec.resolved_step()
 
-    def linf_step(delta, g):
-        out = np.sign(g)  # one buffer carries delta + step*sgn(g) to the clip
+    def linf_step(delta, table, index):
+        out = np.sign(table)
         out *= step
+        out = _gather(out, index)  # one buffer carries delta + step*sgn(g) to the clip
         out += delta
         np.minimum(out, eps, out=out)
         return np.maximum(out, -eps, out=out)
 
-    def l2_step(delta, g):
-        gn = np.linalg.norm(g, axis=-1, keepdims=True)
-        out = step * g
-        out /= np.where(gn > 0, gn, 1.0)
+    def l2_step(delta, table, index):
+        gn = np.linalg.norm(table, axis=-1, keepdims=True)
+        moving = gn > 0
+        out = step * table
+        out /= np.where(moving, gn, 1.0)
+        out = _gather(out, index)
         out += delta
         _project_l2(out, eps)
-        np.copyto(out, delta, where=~(gn > 0))
+        np.copyto(out, delta, where=~_gather(moving, index))
         return out
 
     return linf_step if spec.norm == "linf" else l2_step
+
+
+def _gather(table: np.ndarray, index) -> np.ndarray:
+    """The rows table[index], or table itself where index is None."""
+    return table if index is None else table.take(index, axis=0)
 
 
 def _project_l2(delta: np.ndarray, eps: float) -> np.ndarray:
@@ -139,22 +159,31 @@ def accepted_error_delta(m: RejectionModel, z: np.ndarray, y: np.ndarray, eps: f
     (or reaches the corner): where the optimum y*f < 0 and the max of r is
     > 0, that gives r > 0 with the label still wrong.
     """
-    y = np.asarray(y, dtype=np.float64)
+    y = pm1_labels(y)
     theta, gamma = m.theta, m.gamma
     f0, r0 = m.scores_features(z)
-    delta = -eps * np.sign(y[:, None] * gamma)
-    room = eps * np.abs(theta) - delta * theta  # how much each coordinate can still raise r
+    # per label, row 0 for y = +1 and row 1 for y = -1: the start, each
+    # coordinate's room and the room of the coordinates before it in order
+    start = -eps * np.sign(np.array([[1.0], [-1.0]]) * gamma)
+    room = eps * np.abs(theta) - start * theta  # how much each coordinate can still raise r
     order = np.argsort(np.divide(np.abs(gamma), np.abs(theta), out=np.full(m.feat_dim, np.inf), where=theta != 0))
-    room = room[:, order]
+    before = np.empty_like(room)
+    before[:, order] = np.cumsum(room[:, order], axis=1) - room[:, order]
+    label = np.where(y > 0, 0, 1)
+    delta = start[label]
     deficit = -r0 - delta @ theta
-    raised = np.clip(deficit[:, None] - (np.cumsum(room, axis=1) - room), 0.0, room)
-    delta[:, order] += np.divide(raised, theta[order], out=np.zeros_like(raised), where=theta[order] != 0)
+    raised = deficit[:, None] - before[label]
+    np.clip(raised, 0.0, room[label], out=raised)
+    delta += np.divide(raised, theta, out=np.zeros_like(raised), where=theta != 0)
     # off r = 0: toward the max-r corner until y*f is half the optimum
     corner = eps * np.sign(theta)
     margin = y * (f0 + delta @ gamma)
     gain = y * (f0 + corner @ gamma) - margin
     t = np.clip(np.divide(-0.5 * margin, gain, out=np.ones_like(gain), where=gain > 0), 0.0, 1.0)
-    return np.clip(delta + t[:, None] * (corner - delta), -eps, eps)  # rounding can leave the box by an ulp
+    out = corner - delta
+    out *= t[:, None]
+    out += delta
+    return np.clip(out, -eps, eps, out=out)  # rounding can leave the box by an ulp
 
 
 def pgd(value_grad, x: np.ndarray, spec: AttackSpec) -> np.ndarray:
@@ -163,12 +192,16 @@ def pgd(value_grad, x: np.ndarray, spec: AttackSpec) -> np.ndarray:
     l2 normalized-gradient steps projected onto the ball.
 
     value_grad(points, grad) gives each row's objective at the points and,
-    if grad, its gradient there, so one call both scores an iterate and
-    sets the next step. One step is the ascent step with the radius and
-    step size resolved once per call of pgd, that call, and the
-    best-iterate update; the last iterate is only scored. Returns each
-    row's delta at its best iterate, the start included, so no row's
-    objective falls below its value at the start.
+    if grad, its gradient there as a pair (table, index): row i's gradient
+    is table[index[i]], or table[i] where index is None. One call both
+    scores an iterate and sets the next step. A linear model's gradient
+    takes one of four values, so its table has four rows and each step's
+    direction is computed on them; a network's gradient is its own table.
+    One step is the ascent step with the radius and step size resolved
+    once per call of pgd, that call, and the best-iterate update; the last
+    iterate is only scored. Returns each row's delta at its best iterate,
+    the start included, so no row's objective falls below its value at the
+    start.
 
     The loop stops at its first fixed point: when a step leaves every row
     where it is. That is exact, not a tolerance. The gradient that set the
@@ -188,7 +221,7 @@ def pgd(value_grad, x: np.ndarray, spec: AttackSpec) -> np.ndarray:
     best_val = np.array(best_val, dtype=np.float64)  # updated in place below
     best_delta = delta.copy()
     for i in range(spec.steps):
-        moved = step(delta, g)
+        moved = step(delta, *g)
         if (moved == delta).all():
             break
         delta = moved
@@ -205,4 +238,5 @@ def pgd_linear_mh_batch(
     """PGD on the MH loss of a linear model, vectorized over rows of z.
     Returns per-row deltas of the best iterate (start included)."""
     z = np.asarray(z, dtype=np.float64)
-    return pgd(lambda zd, grad: linear_mh_value_grad(m, zd, y, params, grad), z, spec)
+    y = pm1_labels(y)
+    return pgd(lambda zd, grad: _linear_mh(m, zd, y, params, grad), z, spec)

@@ -12,8 +12,12 @@ Exit codes: 0 ok, 2 configuration or input error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import os
+import shutil
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -197,15 +201,42 @@ _DISPATCH = {
 
 def run(rc: RunConfig) -> None:
     """Execute a validated RunConfig: its files and manifest.json land in
-    rc.out and its summary goes to stdout. Nothing is written when the
-    command raises."""
+    rc.out and its summary goes to stdout. No new file is left when the
+    command or a write raises."""
     files, summary = _DISPATCH[rc.subcommand](rc)
-    out = Path(rc.out)
-    out.mkdir(parents=True, exist_ok=True)
     files["manifest.json"] = rc.to_json()  # after the command, which may freeze values into rc
-    for name, text in files.items():
-        out.joinpath(name).write_text(text)
+    _write_all(Path(rc.out), files)
     print(summary)
+
+
+def _write_all(out: Path, files: dict[str, str]) -> None:
+    """Writes files (name -> text) into out, all or nothing. They are
+    written to a staging directory inside out, then renamed into place.
+    If any step raises, the files and directories this call created are
+    removed; a file it had already renamed over an older one keeps the
+    new text."""
+    made = list(itertools.takewhile(lambda d: not d.exists(), (out, *out.parents)))  # innermost first
+    placed = []
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+        try:
+            for name, text in files.items():
+                stage.joinpath(name).write_text(text)
+            for name in files:
+                target = out / name
+                is_new = not target.exists()
+                os.replace(stage / name, target)
+                if is_new:
+                    placed.append(target)
+        finally:
+            shutil.rmtree(stage, ignore_errors=True)
+    except BaseException:
+        for path in placed:
+            path.unlink(missing_ok=True)
+        if made:
+            shutil.rmtree(made[-1], ignore_errors=True)
+        raise
 
 
 # (flag, type, help, the config paths it sets); a path "key=value" sets key

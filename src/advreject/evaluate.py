@@ -81,7 +81,7 @@ def _candidate_deltas(
 ) -> dict[str, np.ndarray]:
     """Per-method candidate perturbations by name, in order, vectorized over
     the rows of z."""
-    deltas = {"clean": np.zeros_like(z)}
+    deltas = {"clean": np.zeros(z.shape, z.dtype)}
     if spec.method == "none" or spec.eps == 0:
         return deltas
     eps = spec.eps
@@ -90,7 +90,8 @@ def _candidate_deltas(
         deltas["shift_reject"] = np.broadcast_to(-eps * np.sign(m.theta), z.shape)
         deltas["shift_margin"] = accepted_error_delta(m, z, y, eps)
     elif spec.method == "fgsm":
-        deltas["fgsm"] = eps * np.sign(linear_mh_value_grad(m, z, y, params)[1])
+        table, branch = linear_mh_value_grad(m, z, y, params)[1]
+        deltas["fgsm"] = (eps * np.sign(table))[branch]
     else:
         deltas["pgd"] = pgd_linear_mh_batch(m, z, y, spec, params)
     return deltas
@@ -109,7 +110,7 @@ def _attack_and_score(
     fs = np.empty_like(losses)
     rs = np.empty_like(losses)
     for k, delta in enumerate(deltas.values()):
-        f, r = m.scores_features(z + delta)
+        f, r = m.scores_features(z + delta if k else z)  # candidate 0 is the clean point
         fs[k], rs[k] = f, r
         losses[k] = loss_01c(f, r, y, params.cost)
     winner = np.argmax(losses, axis=0)  # first max wins; clean is index 0

@@ -64,6 +64,16 @@ def verdict(f_val, r_val) -> np.ndarray:
     return np.where(np.asarray(r_val) <= 0.0, 0, np.where(np.asarray(f_val) >= 0.0, 1, -1))
 
 
+def pm1_labels(y) -> np.ndarray:
+    """y as float64, after checking that every label is +1 or -1: the
+    linear attacks and worst cases pick per-label rows by the sign of y."""
+    y = np.asarray(y, dtype=np.float64)
+    bad = (y != 1.0) & (y != -1.0)
+    if bad.any():
+        raise ValueError(f"labels must be +1 or -1, got {y[bad][0]:g}")
+    return y
+
+
 def loss_01c(f_val, r_val, y, cost: float):
     """Zero-one loss with rejection at cost c: c where the verdict rejects,
     1 where it answers with the wrong label, 0 otherwise. Accepts scalars or
@@ -161,10 +171,11 @@ def adv_loss_mh_linear_batch(
 ) -> np.ndarray:
     """Exact max of the MH loss of a linear model over the eps-ball around
     z, for one feature vector z with label y or for each row of z with its
-    label in y. eps bounds the attacker in feature space."""
+    label in y (ValueError unless +-1). eps bounds the attacker in feature
+    space."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
+    y = pm1_labels(y)
     f, r = m.scores_features(z)
-    y = np.asarray(y, dtype=np.float64)
     zeta_pos, zeta_neg, theta_l1 = worst_case_l1(m.theta, m.gamma, eps)
     return mh_branches(r - y * f + np.where(y > 0, zeta_pos, zeta_neg), r - theta_l1, p).value

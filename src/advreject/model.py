@@ -9,8 +9,8 @@ Both scores are linear in the features, so
 f(x) = <phi(x), gamma> + bias_gamma and r(x) = <phi(x), theta> + bias_theta.
 
 The combined vector zeta(y) = theta/y - gamma turns the margin gap into a
-single linear form: r(x) - y*f(x) = y*(<phi(x), zeta(y)> + zeta_bias(y)).
-That identity is what makes the worst-case linear losses tractable.
+single linear form: r(x) - y*f(x) = y*(<phi(x), zeta(y)> + bias_theta/y -
+bias_gamma). That identity is what makes the worst-case linear losses tractable.
 
 The feature map is either the identity or random Fourier features
 (cosine features approximating a Gaussian kernel). With Fourier features
@@ -157,11 +157,6 @@ class RejectionModel:
         if y not in (-1, 1):
             raise ValueError("y must be -1 or +1")
         return self.theta / y - self.gamma
-
-    def zeta_bias(self, y: int) -> float:
-        if y not in (-1, 1):
-            raise ValueError("y must be -1 or +1")
-        return self.bias_theta / y - self.bias_gamma
 
     def to_json(self) -> str:
         fm = self.feature_map

@@ -254,7 +254,9 @@ def _heads_pgd(net: ToyNet, x: np.ndarray, spec: AttackSpec, heads) -> np.ndarra
     def value_grad(xa, grad):
         f, r, acts = net._forward_cache(xa)
         value, head[:, 0], head[:, 1] = heads(f, r)
-        return value, net._backward(head, acts, want_input=True, want_params=False)[2] if grad else None
+        if not grad:
+            return value, None
+        return value, (net._backward(head, acts, want_input=True, want_params=False)[2], None)  # dense: no index
 
     return pgd(value_grad, x, spec)
 

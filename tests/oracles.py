@@ -3,8 +3,11 @@
 These deliberately avoid the library's closed-form code paths: box maxima
 are taken by enumerating corners and dense grids, suprema over norm balls
 by dense direction/volume grids, and gradients by central differences.
-Four references at the end are not independent: ``pgd_full`` is the
-batched PGD loop without its early exit, ``squared_mh_head_reference`` is
+Six references at the end are not independent: ``pgd_full`` is the
+batched PGD loop without its early exit and on dense gradients,
+``linear_mh_dense`` the MH gradient of a linear model built row by row,
+``accepted_error_delta_dense`` the exact linf attack on per-row arrays
+instead of per-label tables, ``squared_mh_head_reference`` is
 the squared-MH head of the toy network written with ``np.where`` over
 fresh temporaries, and ``to_libsvm_reference``/``parse_libsvm_reference``
 are the LIBSVM codec written value by value with numpy scalars; the
@@ -16,6 +19,7 @@ import itertools
 import numpy as np
 
 from advreject.data import DEFAULT_LABEL_MAP, DataFormatError, Dataset, _label
+from advreject.losses import mh_branches
 
 
 def mh_loss_scalar(f, r, y, alpha, beta, cost):
@@ -215,12 +219,32 @@ def rel_err(a, b, floor=1e-8):
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
 
 
+def dense_gradient(g):
+    """The per-row gradient of a value_grad's (table, index) pair."""
+    table, index = g
+    return table if index is None else table[index]
+
+
+def dense_step(spec, delta, g):
+    """One PGD step of spec from delta along the per-row gradient g: a sign
+    step clipped to the box for linf, a normalized step projected onto the
+    ball for l2, with no move where a row's gradient is 0."""
+    eps, step = spec.eps, spec.resolved_step()
+    if spec.norm == "linf":
+        return np.clip(delta + step * np.sign(g), -eps, eps)
+    gn = np.linalg.norm(g, axis=-1, keepdims=True)
+    moved = delta + step * g / np.where(gn > 0, gn, 1.0)
+    moved *= eps / np.maximum(np.linalg.norm(moved, axis=-1, keepdims=True), eps)
+    return np.where(gn > 0, moved, delta)
+
+
 def pgd_full(value_grad, x, spec):
     """Batched PGD run for all spec.steps steps, with no early exit: the
     reference that ``attacks.pgd`` must match bit for bit. The start,
     the steps and the best-iterate update are written out with the float
-    operations of the library, in the same order."""
-    eps, step = spec.eps, spec.resolved_step()
+    operations of the library, in the same order, on the dense per-row
+    gradient rather than on the gradient table."""
+    eps = spec.eps
     delta = np.zeros(x.shape)
     if spec.random_start and eps > 0:
         start = np.random.default_rng(spec.seed).uniform(-eps, eps, size=x.shape[-1])
@@ -232,13 +256,7 @@ def pgd_full(value_grad, x, spec):
     best_val, g = value_grad(x + delta, True)
     best_delta = delta.copy()
     for i in range(spec.steps):
-        if spec.norm == "linf":
-            delta = np.clip(delta + step * np.sign(g), -eps, eps)
-        else:
-            gn = np.linalg.norm(g, axis=-1, keepdims=True)
-            moved = delta + step * g / np.where(gn > 0, gn, 1.0)
-            moved *= eps / np.maximum(np.linalg.norm(moved, axis=-1, keepdims=True), eps)
-            delta = np.where(gn > 0, moved, delta)
+        delta = dense_step(spec, delta, dense_gradient(g))
         val, g = value_grad(x + delta, i + 1 < spec.steps)
         better = val > best_val
         best_val = np.where(better, val, best_val)
@@ -318,3 +336,41 @@ def to_libsvm_reference(ds):
             fields.append(f"{j + 1}:{float(ds.x[i, j])!r}")
         lines.append(" ".join(fields))
     return "\n".join(lines) + "\n"
+
+
+def linear_mh_dense(m, z, y, p, grad):
+    """A value_grad for pgd: the MH loss of a linear model at the rows of z
+    and, if grad, its gradient built per row from the branch formulas, as
+    a dense (table, None) pair: (alpha/2)(theta - y*gamma) on branch A,
+    -c*beta*theta on branch B, 0 for an inactive hinge."""
+    y = np.asarray(y, dtype=np.float64)
+    f, r = m.scores_features(z)
+    mh = mh_branches(r - y * f, r, p)
+    if not grad:
+        return mh.value, None
+    branch_a = 0.5 * p.alpha * (m.theta - y[:, None] * m.gamma)
+    branch_b = np.broadcast_to(-p.cost * p.beta * m.theta, z.shape)
+    g = np.where(mh.use_a[:, None], branch_a, np.where(mh.use_b[:, None], branch_b, 0.0))
+    return mh.value, (g, None)
+
+
+def accepted_error_delta_dense(m, z, y, eps):
+    """``attacks.accepted_error_delta`` written with one n x D array per
+    step: the start, the room and its cumulative sums are built per row,
+    in fill order, rather than on the two per-label rows. The library must
+    give the same bits."""
+    y = np.asarray(y, dtype=np.float64)
+    theta, gamma = m.theta, m.gamma
+    f0, r0 = m.scores_features(z)
+    delta = -eps * np.sign(y[:, None] * gamma)
+    room = eps * np.abs(theta) - delta * theta
+    order = np.argsort(np.divide(np.abs(gamma), np.abs(theta), out=np.full(m.feat_dim, np.inf), where=theta != 0))
+    room = room[:, order]
+    deficit = -r0 - delta @ theta
+    raised = np.clip(deficit[:, None] - (np.cumsum(room, axis=1) - room), 0.0, room)
+    delta[:, order] += np.divide(raised, theta[order], out=np.zeros_like(raised), where=theta[order] != 0)
+    corner = eps * np.sign(theta)
+    margin = y * (f0 + delta @ gamma)
+    gain = y * (f0 + corner @ gamma) - margin
+    t = np.clip(np.divide(-0.5 * margin, gain, out=np.ones_like(gain), where=gain > 0), 0.0, 1.0)
+    return np.clip(delta + t[:, None] * (corner - delta), -eps, eps)

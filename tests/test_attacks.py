@@ -3,13 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from advreject import attacks
 from advreject.attacks import AttackSpec, accepted_error_delta, linear_mh_value_grad, pgd, pgd_linear_mh_batch
 from advreject.data import Dataset
 from advreject.evaluate import RejectConfusion, _attack_and_score, _candidate_deltas, evaluate_model
-from advreject.losses import SurrogateParams, adv_loss_mh_linear_batch, loss_01c
+from advreject.losses import SurrogateParams, adv_loss_mh_linear_batch, loss_01c, pm1_labels
 from advreject.model import FeatureMap, RejectionModel
 from conftest import random_linear_model
-from oracles import box_max_01c, box_max_01c_vertices, central_difference, pgd_full
+from oracles import (
+    accepted_error_delta_dense,
+    box_max_01c,
+    box_max_01c_vertices,
+    central_difference,
+    dense_gradient,
+    dense_step,
+    linear_mh_dense,
+    pgd_full,
+)
 
 P13 = SurrogateParams(1.0, 1.0, 0.3)
 
@@ -253,7 +263,9 @@ class TestLinearMhValueGrad:
 
     def test_rows_match_branch_formulas(self, rng):
         m, z, y = self.rows(rng)
-        value, grad = linear_mh_value_grad(m, z, y, self.P)
+        value, (table, index) = linear_mh_value_grad(m, z, y, self.P)
+        assert table.shape == (4, 4) and index.shape == (400,)
+        grad = table[index]
         al, be, c = self.P.alpha, self.P.beta, self.P.cost
         seen = set()
         for zi, yi, vi, gi in zip(z, y, value, grad):
@@ -274,7 +286,7 @@ class TestLinearMhValueGrad:
 
     def test_rows_match_central_differences_away_from_kinks(self, rng):
         m, z, y = self.rows(rng)
-        _, grad = linear_mh_value_grad(m, z, y, self.P)
+        grad = dense_gradient(linear_mh_value_grad(m, z, y, self.P)[1])
         f, r = m.scores_features(z)
         a = 1.0 + 0.5 * self.P.alpha * (r - y * f)
         b = self.P.cost * (1.0 - self.P.beta * r)
@@ -315,7 +327,7 @@ class TestBatchPgd:
 
 class CountingObjective:
     """value_grad for pgd that counts its calls and records every
-    gradient it returns."""
+    gradient it returns, as one dense row per point."""
 
     def __init__(self, value_grad):
         self.value_grad = value_grad
@@ -323,7 +335,7 @@ class CountingObjective:
 
     def __call__(self, points, grad):
         value, g = self.value_grad(points, grad)
-        self.grads.append(g)
+        self.grads.append(None if g is None else dense_gradient(g))
         return value, g
 
     @property
@@ -373,7 +385,7 @@ class TestPgdEarlyExit:
         assert np.array_equal(deltas, 0.05 * np.sign(objective.grads[0]))
 
     def test_zero_gradient_stops_at_the_start(self):
-        objective = CountingObjective(lambda xd, grad: (np.zeros(len(xd)), np.zeros_like(xd)))
+        objective = CountingObjective(lambda xd, grad: (np.zeros(len(xd)), (np.zeros_like(xd), None)))
         deltas = pgd(objective, np.ones((4, 2)), AttackSpec(method="pgd", eps=0.1, steps=20))
         assert objective.calls == 1
         assert np.array_equal(deltas, np.zeros((4, 2)))
@@ -385,7 +397,7 @@ class TestPgdEarlyExit:
 
         def value_grad(xd, grad):
             flips.append(len(flips) % 2)
-            return -np.abs(xd).sum(axis=1), (1.0 - 2.0 * flips[-1]) * np.ones_like(xd)
+            return -np.abs(xd).sum(axis=1), ((1.0 - 2.0 * flips[-1]) * np.ones_like(xd), None)
 
         x = np.zeros((5, 3))
         spec = AttackSpec(method="pgd", eps=0.3, norm=norm, steps=20, step_size=0.1)
@@ -394,3 +406,117 @@ class TestPgdEarlyExit:
         assert objective.calls == spec.steps + 1
         flips.clear()
         assert np.array_equal(deltas, pgd_full(value_grad, x, spec))
+
+
+class TestLabelCheck:
+    """The linear attacks and the linear worst case pick per-label table
+    rows by the sign of y, so a label other than +-1 is an error."""
+
+    m = RejectionModel(theta=np.array([1.0, -1.0]), gamma=np.array([2.0, 0.0]))
+    z = np.array([[1.0, 1.0]])
+
+    def entry_points(self, y):
+        spec = AttackSpec(method="pgd", eps=0.1)
+        yield lambda: adv_loss_mh_linear_batch(self.m, self.z[0], y, 0.1, P13)
+        yield lambda: adv_loss_mh_linear_batch(self.m, self.z, np.array([y]), 0.1, P13)
+        yield lambda: linear_mh_value_grad(self.m, self.z, np.array([y]), P13)
+        yield lambda: linear_mh_value_grad(self.m, self.z[0], y, P13, grad=False)
+        yield lambda: accepted_error_delta(self.m, self.z, np.array([y]), 0.1)
+        yield lambda: pgd_linear_mh_batch(self.m, self.z, np.array([y]), spec, P13)
+
+    @pytest.mark.parametrize("y", [0, 7])
+    def test_bad_label_is_named(self, y):
+        for call in self.entry_points(y):
+            with pytest.raises(ValueError, match=f"labels must be \\+1 or -1, got {y}$"):
+                call()
+
+    def test_good_labels_pass(self):
+        for y in (1, -1):
+            for call in self.entry_points(y):
+                call()
+        # the worst case of the example: A~ is 0.36 for y = +1 and 2.2 for y = -1
+        got = adv_loss_mh_linear_batch(self.m, np.vstack([self.z, self.z]), np.array([1, -1]), 0.1, P13)
+        assert np.allclose(got, [0.36, 2.2], rtol=0.0, atol=1e-12)
+
+    def test_checked_once_per_pgd_call(self, monkeypatch):
+        checks = []
+
+        def counting(y):
+            checks.append(y)
+            return pm1_labels(y)
+
+        monkeypatch.setattr(attacks, "pm1_labels", counting)
+        spec = AttackSpec(method="pgd", eps=0.1, norm="l2", steps=20, step_size=0.001)
+        pgd_linear_mh_batch(self.m, self.z, np.ones(1), spec, P13)
+        assert len(checks) == 1
+
+
+class TestTablesMatchDense:
+    """The attacks that read per-branch and per-label tables give the bytes
+    of the same attacks written with one n x D array per quantity."""
+
+    @staticmethod
+    def problem(rng, kind):
+        """A model, feature rows and labels. The rows mix both labels with
+        every MH branch, inactive hinges included; theta = 0 makes the B
+        branch's gradient 0, so l2 steps hit their no-move rule there."""
+        n, d = 40, 4
+        x = 3.0 * rng.standard_normal((n, d))
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        if kind == "random_fourier":
+            fm = FeatureMap("random_fourier", dim=24, sigma=1.5, seed=int(rng.integers(0, 2**31)))
+            m = RejectionModel(theta=rng.standard_normal(24), gamma=3.0 * rng.standard_normal(24),
+                               bias_theta=0.2, bias_gamma=-0.1, feature_map=fm)
+            return m, m.featurize(x), y
+        m = random_linear_model(rng, d)
+        if kind == "zero_theta":
+            m.theta = np.zeros(d)
+            m.bias_theta = -0.5  # every row rejects; branch A or B by its margin
+        return m, x, y
+
+    KINDS = ["identity", "random_fourier", "zero_theta"]
+    EPS = [1e-9, 0.01, 0.2, 1.0]
+
+    @pytest.mark.parametrize("eps", EPS)
+    @pytest.mark.parametrize("random_start", [False, True])
+    @pytest.mark.parametrize("norm", ["linf", "l2"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_pgd(self, rng, kind, norm, random_start, eps):
+        branches = set()
+        for _ in range(3):
+            m, z, y = self.problem(rng, kind)
+            branches.update(linear_mh_value_grad(m, z, y, P13)[1][1].tolist())
+            spec = AttackSpec(method="pgd", eps=eps, norm=norm, steps=20, random_start=random_start, seed=7)
+            full = pgd_full(lambda zd, grad: linear_mh_dense(m, zd, y, P13, grad), z, spec)
+            assert pgd_linear_mh_batch(m, z, y, spec, P13).tobytes() == full.tobytes()
+        assert 3 in branches and branches & {1, 2}  # B and A rows
+        assert (0 in branches) == (kind != "zero_theta")  # inactive hinges, where r can be > 0
+
+    @pytest.mark.parametrize("norm", ["linf", "l2"])
+    def test_one_step_from_any_point(self, rng, norm):
+        # points inside, on and outside the ball; a zero gradient moves no point
+        spec = AttackSpec(method="pgd", eps=0.3, norm=norm, step_size=0.1)
+        table = rng.standard_normal((4, 5))
+        table[0] = 0.0
+        index = rng.integers(0, 4, 300)
+        delta = rng.uniform(-1.0, 1.0, (300, 5)) * rng.choice([0.1, 0.3, 1.0], (300, 1))
+        if norm == "l2":
+            delta[::3] *= 0.3 / np.linalg.norm(delta[::3], axis=1, keepdims=True)
+        got = attacks._stepper(spec)(delta, table, index)
+        assert got.tobytes() == dense_step(spec, delta, table[index]).tobytes()
+
+    @pytest.mark.parametrize("eps", EPS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fgsm(self, rng, kind, eps):
+        for _ in range(3):
+            m, z, y = self.problem(rng, kind)
+            got = _candidate_deltas(m, z, y, AttackSpec(method="fgsm", eps=eps), P13)["fgsm"]
+            assert got.tobytes() == (eps * np.sign(linear_mh_dense(m, z, y, P13, True)[1][0])).tobytes()
+
+    @pytest.mark.parametrize("eps", EPS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_accepted_error_delta(self, rng, kind, eps):
+        for _ in range(3):
+            m, z, y = self.problem(rng, kind)
+            got = accepted_error_delta(m, z, y, eps)
+            assert got.tobytes() == accepted_error_delta_dense(m, z, y, eps).tobytes()

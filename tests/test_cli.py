@@ -1,9 +1,11 @@
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import advreject.cli
 import advreject.model
 from advreject.cli import main
 from advreject.config import ConfigError, validate_config
@@ -340,6 +342,26 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
         assert afile.read_text() == "x"
+
+    def test_failed_write_leaves_no_new_file(self, trained, data_file, tmp_path, capsys):
+        # report.csv cannot be written, as a directory holds its name: the
+        # run fails, and report.json and manifest.json are not left behind
+        out = tmp_path / "partial"
+        (out / "report.csv").mkdir(parents=True)
+        assert main(["eval", "--model", str(trained), "--data", str(data_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "report.csv" in err and "Traceback" not in err
+        assert [p.name for p in out.iterdir()] == ["report.csv"]
+        assert list((out / "report.csv").iterdir()) == []
+
+    def test_failed_rename_removes_the_directories_it_made(self, trained, data_file, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError(f"cannot rename to {dst}")
+
+        monkeypatch.setattr(advreject.cli, "os", SimpleNamespace(replace=fail))
+        out = tmp_path / "new" / "run"
+        assert main(["eval", "--model", str(trained), "--data", str(data_file), "--out", str(out)]) == 2
+        assert not (tmp_path / "new").exists()
 
     @pytest.mark.parametrize("command", ["eval", "attack", "bound"])
     def test_malformed_model_json(self, command, data_file, tmp_path, capsys):

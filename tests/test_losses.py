@@ -69,7 +69,8 @@ class TestLossMh:
         assert loss_mh(f, r, 1, p).tolist() == [0.25, 0.0, 0.0]
         # f = z @ gamma and r = z @ theta give the same three points
         m = RejectionModel(theta=np.array([0.0, 1.0]), gamma=np.array([1.5, 0.0]))
-        grad = linear_mh_value_grad(m, np.array([[1.0, 0.0], [2.0, 1.0], [4.0, 2.0]]), np.ones(3), p)[1]
+        table, index = linear_mh_value_grad(m, np.array([[1.0, 0.0], [2.0, 1.0], [4.0, 2.0]]), np.ones(3), p)[1]
+        grad = table[index]
         assert grad.tolist() == [[-0.75, 0.5], [0.0, 0.0], [0.0, 0.0]]  # row 0: (alpha/2)(theta - gamma)
         sq, df, dr = _head_grads(f, r, np.ones(3), p)
         assert sq.tolist() == [0.0625, 0.0, 0.0]

@@ -223,7 +223,7 @@ class TestZeta:
             m.zeta(0)
 
     def test_margin_identity(self, rng):
-        # r(x) - y f(x) = y * (<x, zeta(y)> + zeta_bias(y)) for all x, y
+        # r(x) - y f(x) = y * (<x, zeta(y)> + bias_theta/y - bias_gamma) for all x, y
         for _ in range(200):
             d = int(rng.integers(1, 8))
             m = random_linear_model(rng, d, scale=3.0)
@@ -231,7 +231,7 @@ class TestZeta:
             for y in (-1, 1):
                 f, r = m.scores(x)
                 lhs = float(r) - y * float(f)
-                rhs = y * (float(x @ m.zeta(y)) + m.zeta_bias(y))
+                rhs = y * (float(x @ m.zeta(y)) + m.bias_theta / y - m.bias_gamma)
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
