@@ -1,14 +1,14 @@
 """Adversarially robust binary classification with a reject option."""
 
 from .attacks import AttackSpec, pgd
-from .bench import ProtocolConfig, run_protocol
+from .bench import ProtocolConfig, benchmark, run_protocol
 from .bounds import BoundConfig, BoundReport, generalization_bound, rademacher_exhaustive
 from .bounds import rademacher_linear_mc, rademacher_linear_upper
 from .data import Dataset, NormStats, normalize, parse_csv, parse_libsvm, split, to_libsvm
-from .evaluate import EvalReport, RejectConfusion, benchmark, evaluate_model, metrics
+from .evaluate import EvalReport, RejectConfusion, evaluate_model, metrics
 from .losses import SurrogateParams, adv_loss_mh_linear_batch, loss_01c, loss_mh, surrogate_conv, verdict
 from .model import FeatureMap, RejectionModel, featurize
-from .neural import NeuralTrainConfig, ToyNet, grad_input, grad_params, train_neural
+from .neural import NeuralTrainConfig, ToyNet, train_neural
 from .train import TrainConfig, TrainTrace, cross_validate, objective, train
 
 __version__ = "0.1.0"
@@ -47,8 +47,6 @@ __all__ = [
     "featurize",
     "NeuralTrainConfig",
     "ToyNet",
-    "grad_input",
-    "grad_params",
     "train_neural",
     "TrainConfig",
     "TrainTrace",

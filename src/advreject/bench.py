@@ -1,21 +1,25 @@
 """Multi-trial benchmark protocol: split, normalize, train every method,
-evaluate under an attack grid, aggregate mean/std.
+evaluate under an attack grid, aggregate mean/std, write the table.
 
 Each trial draws a fresh train/test split and fresh kernel features from
 the trial seed, trains one model per (mode, cost) cell, and evaluates the
-whole grid of attack radii. Kernel bandwidth uses the median pairwise
-distance on the training split.
+whole grid of attack radii with the exact analytic_linear attack. Kernel
+bandwidth uses the median pairwise distance on the training split.
+``ProtocolConfig.params`` gives each method's surrogate parameters, for
+training and scoring alike.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import evaluate  # called as evaluate.evaluate_model, the name perfbench's tracer wraps
+from .attacks import AttackSpec
 from .data import Dataset, check_scheme, normalize, split
-from .evaluate import BenchCell, benchmark
 from .losses import NO_REJECT_COST, SurrogateParams
 from .model import FeatureMap, RejectionModel
 from .train import TrainConfig, train
@@ -39,7 +43,8 @@ class ProtocolConfig:
     """One Table-style experiment: methods x costs x attack radii.
 
     A method is (mode, cost) with cost None exactly for the modes without
-    rejection (svm/at).
+    rejection (svm/at). ``attack_steps`` has no effect: the protocol attacks
+    with the exact analytic_linear, which takes no steps.
     """
 
     methods: tuple[tuple[str, float | None], ...] = (("svm", None), ("at", None), ("mh", 0.2), ("atro", 0.2))
@@ -80,11 +85,15 @@ class ProtocolConfig:
             if (cost is None) == cfg.rejection_enabled:
                 raise ValueError(f"methods[{i}] cost must be null for svm/at and a number for mh/atro")
 
+    def params(self, cost: float | None) -> SurrogateParams:
+        """The surrogate parameters of a method with rejection cost ``cost``."""
+        return SurrogateParams(self.alpha, self.beta, NO_REJECT_COST if cost is None else cost)
+
     def train_config(self, mode: str, cost: float | None, feature_map: FeatureMap) -> TrainConfig:
         """The TrainConfig of one method."""
         return TrainConfig(
             mode=mode,
-            params=SurrogateParams(self.alpha, self.beta, NO_REJECT_COST if cost is None else cost),
+            params=self.params(cost),
             eps_train=self.eps_train if mode in ("at", "atro") else 0.0,
             lam=self.lam,
             lam_prime=self.lam_prime,
@@ -92,6 +101,18 @@ class ProtocolConfig:
             lr0=self.lr0,
             feature_map=feature_map,
         )
+
+
+@dataclass(frozen=True)
+class BenchCell:
+    method: str
+    cost: float | None
+    attack_eps: float
+    err_mean: float
+    err_std: float
+    rej_mean: float
+    rej_std: float
+    trials: int
 
 
 def _trial_seeds(master: int, trials: int) -> list[tuple[int, int]]:
@@ -130,7 +151,66 @@ def run_protocol(ds: Dataset, pc: ProtocolConfig) -> tuple[list[BenchCell], list
             model.norm_stats = stats
             models[(mode, cost)] = model
         trials.append((models, te_n))
-    rows = benchmark(
-        trials, list(pc.attack_eps), alpha=pc.alpha, beta=pc.beta, steps=pc.attack_steps
-    )
-    return rows, trials
+    return benchmark(trials, pc), trials
+
+
+def benchmark(trials: list[tuple[dict, Dataset]], pc: ProtocolConfig) -> list[BenchCell]:
+    """Mean/std of Err and Rej across trials, one row per (method, cost,
+    attack eps), each model attacked with analytic_linear at every radius
+    of ``pc.attack_eps`` and scored with ``pc.params(cost)``.
+
+    ``trials`` is a list of (models, test set) pairs where models maps
+    (method, cost) to a trained model; cost is None for methods without
+    rejection. Single-trial std is 0 by construction (population std).
+    """
+    if not trials:
+        raise ValueError("need at least one trial")
+    rows = []
+    for method, cost in trials[0][0]:
+        params = pc.params(cost)
+        pairs = [(models[(method, cost)], test) for models, test in trials]
+        for eps in pc.attack_eps:
+            spec = AttackSpec(method="analytic_linear" if eps > 0 else "none", eps=eps, steps=pc.attack_steps)
+            reports = [evaluate.evaluate_model(m, test, spec, params) for m, test in pairs]
+            errs, rejs = [rep.err for rep in reports], [rep.rej for rep in reports]
+            moments = float(np.mean(errs)), float(np.std(errs)), float(np.mean(rejs)), float(np.std(rejs))
+            rows.append(BenchCell(method, cost, eps, *moments, len(trials)))
+    return rows
+
+
+def bench_to_csv(rows: list[BenchCell]) -> str:
+    buf = io.StringIO()
+    buf.write("method,cost,attack_eps,err_mean,err_std,rej_mean,rej_std,trials\n")
+    for r in rows:
+        cost = "" if r.cost is None else repr(r.cost)
+        buf.write(
+            f"{r.method},{cost},{r.attack_eps!r},{r.err_mean!r},{r.err_std!r},"
+            f"{r.rej_mean!r},{r.rej_std!r},{r.trials}\n"
+        )
+    return buf.getvalue()
+
+
+def bench_to_text(rows: list[BenchCell]) -> str:
+    """Table-style text: one row per method/cost, Err and Rej per attack."""
+    eps_values = sorted({r.attack_eps for r in rows})
+    by_key: dict[tuple, dict[float, BenchCell]] = {}
+    for r in rows:
+        by_key.setdefault((r.method, r.cost), {})[r.attack_eps] = r
+    head = f"{'Method':>6} {'Cost':>5}"
+    for e in eps_values:
+        head += f" | {'eps=' + str(e):^27}"
+    sub = f"{'':>6} {'':>5}"
+    for _ in eps_values:
+        sub += f" | {'Err(mean/std)':>13} {'Rej(mean/std)':>13}"
+    lines = [head, sub, "-" * len(sub)]
+    for (method, cost), cells in by_key.items():
+        line = f"{method:>6} {('-' if cost is None else f'{cost:.2f}'):>5}"
+        for e in eps_values:
+            c = cells.get(e)
+            if c is None:
+                line += f" | {'':>13} {'':>13}"
+                continue
+            rej = f"{c.rej_mean:.3f}/{c.rej_std:.3f}" if cost is not None else "   -    "
+            line += f" | {c.err_mean:.3f}/{c.err_std:.3f} {rej:>13}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"

@@ -23,13 +23,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import median_heuristic_bandwidth, run_protocol
+from .bench import bench_to_csv, bench_to_text, median_heuristic_bandwidth, run_protocol
 from .bounds import clipped_adv_risk, generalization_bound, weight_bound
 from .config import ConfigError, NeuralSection, RunConfig, TrainSection, config_object, validate_config
 from .data import DataFormatError, Dataset, normalize, parse_csv, parse_libsvm, split
-from .evaluate import _attack_and_score, bench_to_csv, bench_to_text, evaluate_model
+from .evaluate import _attack_and_score, _confusion, evaluate_model, metrics
 from .model import FeatureMap, RejectionModel
-from .neural import decide_net, train_neural
+from .neural import train_neural
 from .train import train
 
 EXIT_OK = 0
@@ -86,6 +86,10 @@ def _prepare_training_data(rc: RunConfig, prep: TrainSection | NeuralSection, se
     ds = _load_dataset(rc.dataset)
     if rc.test_dataset:
         tr, te = ds, _load_dataset(rc.test_dataset)
+        if te.d != tr.d:
+            raise ConfigError(
+                f"test dataset {rc.test_dataset!r} has dimension {te.d}, but dataset {rc.dataset!r} has {tr.d}"
+            )
     else:
         tr, te = split(ds, prep.train_fraction, seed=seeds["split"])
     tr_n, stats = normalize(tr, prep.normalize)
@@ -95,7 +99,7 @@ def _prepare_training_data(rc: RunConfig, prep: TrainSection | NeuralSection, se
 
 def _resolve_feature_map(rc: RunConfig, tr_x: np.ndarray, seeds: dict) -> FeatureMap:
     fs = rc.train.features
-    if fs.kind == "identity":
+    if fs.config.kind == "identity":
         return FeatureMap("identity")
     if fs.sigma == "median":
         fs.sigma = median_heuristic_bandwidth(tr_x, seed=seeds["features"])
@@ -121,7 +125,7 @@ def _cmd_train(rc: RunConfig) -> tuple[dict[str, str], str]:
 def _cmd_eval(rc: RunConfig) -> tuple[dict[str, str], str]:
     seeds = _fan_out_seeds(rc.seed)
     model, ds = _load_model_and_data(rc)
-    report = evaluate_model(model, ds, replace(rc.attack, seed=seeds["attack"]), rc.train.params)
+    report = evaluate_model(model, ds, replace(rc.attack, seed=seeds["attack"]), rc.train.config.params)
     c = report.counts
     csv = (
         "err,rej,pr,ta,tr,fa,fr,mean_loss_01c\n"
@@ -138,7 +142,7 @@ def _cmd_attack(rc: RunConfig) -> tuple[dict[str, str], str]:
     seeds = _fan_out_seeds(rc.seed)
     model, ds = _load_model_and_data(rc)
     spec = replace(rc.attack, seed=seeds["attack"])
-    _, _, winner, names, losses = _attack_and_score(model, model.featurize(ds.x), ds.y, spec, rc.train.params)
+    _, _, winner, names, losses = _attack_and_score(model, model.featurize(ds.x), ds.y, spec, rc.train.config.params)
     clean, worst = losses[0], losses.max(axis=0)
     lines = ["index,y,clean_loss,worst_loss,winner"]
     for i in range(len(ds)):
@@ -151,10 +155,10 @@ def _cmd_attack(rc: RunConfig) -> tuple[dict[str, str], str]:
 
 def _cmd_bound(rc: RunConfig) -> tuple[dict[str, str], str]:
     model, ds = _load_model_and_data(rc)
-    params = rc.train.params
+    params = rc.train.config.params
     b = rc.bound
     if b.w_bound == "auto":
-        b.w_bound = weight_bound(model, b.p)  # freeze into the manifest
+        b.w_bound = weight_bound(model, b.config.p)  # freeze into the manifest
     cfg = b.build(b.w_bound, params)
     feats = Dataset(model.featurize(ds.x), ds.y, name=ds.name)
     risk = clipped_adv_risk(model, ds, cfg.eps, params)
@@ -180,9 +184,7 @@ def _cmd_neural_train(rc: RunConfig) -> tuple[dict[str, str], str]:
     seeds = _fan_out_seeds(rc.seed)
     tr, te, _ = _prepare_training_data(rc, rc.neural, seeds)
     net, trace = train_neural(tr, rc.neural.build(seeds["features"]))
-    verdict, f, r = decide_net(net, te.x)
-    rej = float(np.mean(verdict == 0))
-    err = float(np.mean((verdict != 0) & (verdict != te.y)))
+    err, rej, _ = metrics(_confusion(*net.forward(te.x), te.y))
     csv = "epoch,mean_loss\n" + "".join(f"{i},{float(v)!r}\n" for i, v in enumerate(trace))
     return {"net.json": net.to_json(), "trace.csv": csv}, (
         f"neural-train on {rc.dataset}: final loss {trace[-1]:.4f}; held-out err {err:.4f} rej {rej:.4f}"
@@ -241,7 +243,8 @@ def _write_all(out: Path, files: dict[str, str]) -> None:
 
 # (flag, type, help, the config paths it sets); a path "key=value" sets key
 # to that fixed value. A later flag overwrites what an earlier one set, so
-# --rff-dim decides train.features.kind over --features.
+# --rff-dim decides train.features.kind over --features. bench reads only
+# its own section, so there a flag with bench keys sets only those.
 _FLAGS = (
     ("--data", str, "dataset path (.libsvm or .csv)", ("dataset",)),
     ("--test-data", str, "held-out dataset path", ("test_dataset",)),
@@ -286,6 +289,8 @@ def _merge_flags(obj: dict, args: argparse.Namespace) -> dict:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is None:
             continue
+        if args.subcommand == "bench":
+            paths = [p for p in paths if p.startswith("bench.")] or paths
         for spec in paths:
             path, sep, fixed = spec.partition("=")
             *sections, key = path.split(".")

@@ -2,7 +2,8 @@
 
 A run is fully determined by one RunConfig plus the input files. The
 schema is the library's: each section is a library config dataclass, or a
-section type that wraps one with the run-level settings around it, and
+section type that holds one in its field ``config`` (read as
+``rc.train.config.params``) with the run-level settings around it, and
 that dataclass's fields, defaults and checks are the section's keys,
 defaults and checks. One generic loader walks the fields, checks each
 JSON value against the field's annotation and builds the object; a
@@ -38,22 +39,8 @@ class ConfigError(ValueError):
     """Invalid run configuration; message carries the field path."""
 
 
-class _Section:
-    """A section type: a library config in field ``config`` plus run-level
-    fields. The fields of the config and of its surrogate parameters read
-    as the section's own, as their keys sit in the section's JSON object."""
-
-    def __getattr__(self, name):  # only called when the section lacks the name
-        obj = self.config if name != "config" else None
-        while obj is not None:
-            if hasattr(obj, name):
-                return getattr(obj, name)
-            obj = getattr(obj, "params", None)
-        raise AttributeError(f"{type(self).__name__} has no field {name!r}")
-
-
 @dataclass
-class FeatureSection(_Section):
+class FeatureSection:
     """train.features: a FeatureMap whose sigma may be "median", the median
     pairwise distance on the training split."""
 
@@ -69,7 +56,7 @@ class FeatureSection(_Section):
 
 
 @dataclass
-class _Prep(_Section):
+class _Prep:
     """How a run splits and normalizes its dataset."""
 
     train_fraction: float = 0.8
@@ -112,7 +99,7 @@ class NeuralSection(_Prep):
 
 
 @dataclass
-class BoundSection(_Section):
+class BoundSection:
     """bound: a BoundConfig whose w_bound may be "auto", the largest weight
     norm of the model. The surrogate parameters are the train section's."""
 

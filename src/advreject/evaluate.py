@@ -1,4 +1,4 @@
-"""Rejection-aware evaluation: confusion counts, Err/Rej/PR, benchmarks.
+"""Rejection-aware evaluation: confusion counts and Err/Rej/PR under attack.
 
 ``evaluate_model`` attacks a whole dataset at once and reports the
 confusion counts, Err/Rej/PR, which candidate won on how many rows, and
@@ -26,7 +26,6 @@ bounds.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -35,7 +34,7 @@ import numpy as np
 from .attacks import AttackSpec, accepted_error_delta, linear_mh_value_grad, pgd_linear_mh_batch
 from .attacks import pgd  # noqa: F401  perfbench's tracer wraps evaluate.pgd by name
 from .data import Dataset
-from .losses import NO_REJECT_COST, SurrogateParams, loss_01c, verdict
+from .losses import SurrogateParams, loss_01c, verdict
 from .model import RejectionModel
 
 
@@ -152,97 +151,3 @@ def evaluate_model(
     err, rej, pr = metrics(conf)
     wins = {name: int(np.sum(winner == k)) for k, name in enumerate(names)}
     return EvalReport(err, rej, pr, conf, attack, wins, float(np.mean(losses.max(axis=0))))
-
-
-@dataclass(frozen=True)
-class BenchCell:
-    method: str
-    cost: float | None
-    attack_eps: float
-    err_mean: float
-    err_std: float
-    rej_mean: float
-    rej_std: float
-    trials: int
-
-
-def benchmark(
-    trials: list[tuple[dict, Dataset]],
-    attack_eps: list[float],
-    alpha: float = 1.0,
-    beta: float = 1.0,
-    attack_method: str = "analytic_linear",
-    steps: int = 20,
-) -> list[BenchCell]:
-    """Mean/std of Err and Rej across trials, one row per (method, cost,
-    attack eps).
-
-    ``trials`` is a list of (models, test set) pairs where models maps
-    (method, cost) to a trained model; cost is None for methods without
-    rejection. Single-trial std is 0 by construction (population std).
-    """
-    if not trials:
-        raise ValueError("need at least one trial")
-    if not attack_eps:
-        raise ValueError("empty attack grid")
-    keys = list(trials[0][0].keys())
-    rows = []
-    for method, cost in keys:
-        params = SurrogateParams(alpha=alpha, beta=beta, cost=NO_REJECT_COST if cost is None else cost)
-        pairs = [(models[(method, cost)], test) for models, test in trials]
-        for eps in attack_eps:
-            spec = AttackSpec(method=attack_method if eps > 0 else "none", eps=eps, steps=steps)
-            reports = [evaluate_model(m, test, spec, params) for m, test in pairs]
-            errs = [rep.err for rep in reports]
-            rejs = [rep.rej for rep in reports]
-            rows.append(
-                BenchCell(
-                    method,
-                    cost,
-                    eps,
-                    float(np.mean(errs)),
-                    float(np.std(errs)),
-                    float(np.mean(rejs)),
-                    float(np.std(rejs)),
-                    len(trials),
-                )
-            )
-    return rows
-
-
-def bench_to_csv(rows: list[BenchCell]) -> str:
-    buf = io.StringIO()
-    buf.write("method,cost,attack_eps,err_mean,err_std,rej_mean,rej_std,trials\n")
-    for r in rows:
-        cost = "" if r.cost is None else repr(r.cost)
-        buf.write(
-            f"{r.method},{cost},{r.attack_eps!r},{r.err_mean!r},{r.err_std!r},"
-            f"{r.rej_mean!r},{r.rej_std!r},{r.trials}\n"
-        )
-    return buf.getvalue()
-
-
-def bench_to_text(rows: list[BenchCell]) -> str:
-    """Table-style text: one row per method/cost, Err and Rej per attack."""
-    eps_values = sorted({r.attack_eps for r in rows})
-    by_key: dict[tuple, dict[float, BenchCell]] = {}
-    for r in rows:
-        by_key.setdefault((r.method, r.cost), {})[r.attack_eps] = r
-    head = f"{'Method':>6} {'Cost':>5}"
-    for e in eps_values:
-        head += f" | {'eps=' + str(e):^27}"
-    sub = f"{'':>6} {'':>5}"
-    for _ in eps_values:
-        sub += f" | {'Err(mean/std)':>13} {'Rej(mean/std)':>13}"
-    lines = [head, sub, "-" * len(sub)]
-    for (method, cost), cells in by_key.items():
-        line = f"{method:>6} {('-' if cost is None else f'{cost:.2f}'):>5}"
-        for e in eps_values:
-            c = cells.get(e)
-            if c is None:
-                line += f" | {'':>13} {'':>13}"
-                continue
-            rej = f"{c.rej_mean:.3f}/{c.rej_std:.3f}" if cost is not None else "   -    "
-            line += f" | {c.err_mean:.3f}/{c.err_std:.3f} {rej:>13}"
-        lines.append(line)
-    return "\n".join(lines) + "\n"

@@ -6,12 +6,14 @@ weight-decays only the f head's final-layer weights:
 
     loss = max(1 + (alpha/2)(r - y f), c (1 - beta r), 0)^2 + (lam_w/2) ||w_f||^2
 
-Gradients are hand-written reverse mode (no autodiff dependency) and are
-checked against central finite differences in the tests. At a tie between
-the two hinge branches the classification branch is differentiated.
+Gradients are hand-written reverse mode (no autodiff dependency); the
+tests check those of ``_loss_grads``, the one gradient path, which
+training runs, against central finite differences. At a tie between the
+two hinge branches the classification branch is differentiated.
 ``_head_grads`` is the one squared-MH head kernel: it gives the loss per
 sample and its d/df and d/dr, for the outer step and for every inner PGD
 step alike, and ``ToyNet._backward`` takes them as one (n, 2) array.
+Inputs are rows; one input is a batch of one row.
 
 Training is a min-max loop: each minibatch is first pushed to the worst
 point the inner PGD attack can find at the current parameters, then one
@@ -27,7 +29,7 @@ import numpy as np
 
 from .attacks import AttackSpec, pgd
 from .data import Dataset
-from .losses import SurrogateParams, loss_01c, mh_branches, verdict
+from .losses import SurrogateParams, loss_01c, mh_branches
 
 # (activation applied in place, its derivative written in terms of the
 # activation's output)
@@ -62,10 +64,6 @@ class ToyNet:
         return cls(ws, bs, activation)
 
     @property
-    def input_dim(self) -> int:
-        return self.weights[0].shape[1]
-
-    @property
     def top_weights(self) -> np.ndarray:
         """Final-layer weight vector of the f head (the decayed one)."""
         return self.weights[-1][0]
@@ -85,12 +83,8 @@ class ToyNet:
         return out[:, 0], out[:, 1], acts
 
     def forward(self, x: np.ndarray):
-        """(f, r) for a single input or a batch; scalars for 1-D input."""
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        f, r, _ = self._forward_cache(np.atleast_2d(x))
-        if single:
-            return float(f[0]), float(r[0])
+        """(f, r) for the rows of x; one input is a batch of one row."""
+        f, r, _ = self._forward_cache(np.asarray(x, dtype=np.float64))
         return f, r
 
     def _backward(self, head: np.ndarray, acts, want_input: bool, want_params: bool = True):
@@ -113,20 +107,6 @@ class ToyNet:
             elif want_input:
                 delta = delta @ self.weights[0]
         return gws, gbs, delta
-
-    def pack(self) -> np.ndarray:
-        return np.concatenate([w.ravel() for w in self.weights] + [b.ravel() for b in self.biases])
-
-    def unpack(self, flat: np.ndarray) -> "ToyNet":
-        ws, bs = [], []
-        i = 0
-        for w in self.weights:
-            ws.append(flat[i : i + w.size].reshape(w.shape).copy())
-            i += w.size
-        for b in self.biases:
-            bs.append(flat[i : i + b.size].copy())
-            i += b.size
-        return ToyNet(ws, bs, self.activation)
 
     def to_json(self) -> str:
         import json
@@ -200,7 +180,7 @@ def _loss_grads(net: ToyNet, x: np.ndarray, y: np.ndarray, cfg: NeuralTrainConfi
     """Mean squared-MH loss plus the top-layer decay term, from one forward
     pass, and a function backpropagating it: parameter grads summed over
     the batch, input grads per sample (each carrying the 1/n factor)."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = x.shape[0]
     f, r, acts = net._forward_cache(x)
@@ -223,23 +203,6 @@ def _loss_grads(net: ToyNet, x: np.ndarray, y: np.ndarray, cfg: NeuralTrainConfi
 def loss_batch(net: ToyNet, x: np.ndarray, y: np.ndarray, cfg: NeuralTrainConfig) -> float:
     """Mean squared-MH loss plus the top-layer decay term."""
     return _loss_grads(net, x, y, cfg)[0]
-
-
-def grad_params(net: ToyNet, x: np.ndarray, y: int, cfg: NeuralTrainConfig) -> np.ndarray:
-    """Flat gradient (aligned with net.pack()) of the single-sample loss."""
-    gws, gbs, _ = _loss_grads(net, x, np.array([y]), cfg)[1]()
-    out = np.concatenate([g.ravel() for g in gws] + [g.ravel() for g in gbs])
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError("non-finite parameter gradient")
-    return out
-
-
-def grad_input(net: ToyNet, x: np.ndarray, y: int, cfg: NeuralTrainConfig) -> np.ndarray:
-    """Gradient of the single-sample loss with respect to the input."""
-    _, _, dx = _loss_grads(net, x, np.array([y]), cfg, want_input=True)[1]()
-    if not np.all(np.isfinite(dx)):
-        raise FloatingPointError("non-finite input gradient")
-    return dx[0]
 
 
 def _heads_pgd(net: ToyNet, x: np.ndarray, spec: AttackSpec, heads) -> np.ndarray:
@@ -296,12 +259,6 @@ def train_neural(ds: Dataset, cfg: NeuralTrainConfig) -> tuple[ToyNet, np.ndarra
                 w -= gw
         trace[epoch] = float(np.mean(epoch_losses))
     return net, trace
-
-
-def decide_net(net: ToyNet, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(verdict, f, r) for a batch; verdict 0 means reject (r <= 0)."""
-    f, r = net.forward(np.atleast_2d(x))
-    return verdict(f, r), f, r
 
 
 def adv_risk_01c_net(

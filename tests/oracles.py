@@ -14,6 +14,7 @@ are the LIBSVM codec written value by value with numpy scalars; the
 library's code must match each of them bit for bit.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -204,15 +205,36 @@ def sup_shifted_linear_orthants(v, nu, w_bound, p):
 
 
 def central_difference(fun, x, h=1e-5):
-    """Central-difference gradient of a scalar function of a flat vector."""
+    """Central-difference gradient of a scalar function of an array, shaped
+    like x; each entry is perturbed in turn through ``.flat``."""
     g = np.zeros_like(x)
     for i in range(x.size):
         xp = x.copy()
         xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        g[i] = (fun(xp) - fun(xm)) / (2.0 * h)
+        xp.flat[i] += h
+        xm.flat[i] -= h
+        g.flat[i] = (fun(xp) - fun(xm)) / (2.0 * h)
     return g
+
+
+def net_central_differences(loss, net, x):
+    """Central differences of loss(net, x) over every weight, bias and input
+    entry of a ToyNet: (weight grads, bias grads, input grad), each shaped
+    like what it differentiates."""
+
+    def with_array(name, i, a):
+        arrays = list(getattr(net, name))
+        arrays[i] = a
+        return dataclasses.replace(net, **{name: arrays})
+
+    grads = {
+        name: [
+            central_difference(lambda a: loss(with_array(name, i, a), x), arr)
+            for i, arr in enumerate(getattr(net, name))
+        ]
+        for name in ("weights", "biases")
+    }
+    return grads["weights"], grads["biases"], central_difference(lambda xv: loss(net, xv), x)
 
 
 def rel_err(a, b, floor=1e-8):

@@ -32,11 +32,11 @@ from advreject.losses import (
     surrogate_conv,
 )
 from advreject.model import RejectionModel
-from advreject.neural import NeuralTrainConfig, adv_risk_01c_net, grad_input, grad_params, loss_batch, train_neural
+from advreject.neural import NeuralTrainConfig, _loss_grads, adv_risk_01c_net, loss_batch, train_neural
 from advreject.synth import clinical_surrogate, credit_surrogate, two_clusters
 from advreject.train import TrainConfig, train
 from conftest import random_linear_model
-from oracles import central_difference, rel_err
+from oracles import net_central_differences, rel_err
 
 
 def report(num, ok, detail):
@@ -156,14 +156,13 @@ def test_criterion_4_neural_gradient_checks():
         from advreject.neural import ToyNet
 
         net = ToyNet.init(3, hidden, act, seed=int(rng.integers(0, 2**31)))
-        x = rng.standard_normal(3)
-        y = 1 if rng.random() < 0.5 else -1
+        x = rng.standard_normal((1, 3))
+        y = np.array([1 if rng.random() < 0.5 else -1])
         cfg = NeuralTrainConfig(params=SurrogateParams(1.5, 0.8, 0.25), lam_w=0.01)
-        gp = grad_params(net, x, y, cfg)
-        np_num = central_difference(lambda th: loss_batch(net.unpack(th), x, np.array([y]), cfg), net.pack())
-        worst_p = max(worst_p, float(np.max(rel_err(gp, np_num))))
-        gi = grad_input(net, x, y, cfg)
-        ni = central_difference(lambda xv: loss_batch(net, xv, np.array([y]), cfg), x.copy())
+        gws, gbs, gi = _loss_grads(net, x, y, cfg, want_input=True)[1]()
+        nws, nbs, ni = net_central_differences(lambda n, xv: loss_batch(n, xv, y, cfg), net, x)
+        for g, num in zip(gws + gbs, nws + nbs):
+            worst_p = max(worst_p, float(np.max(rel_err(g, num))))
         worst_i = max(worst_i, float(np.max(rel_err(gi, ni))))
     dt = time.time() - t0
     report(4, worst_p <= 1e-4 and worst_i <= 1e-4 and dt < 60,

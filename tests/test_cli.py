@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -31,7 +32,7 @@ class TestValidateConfig:
 
     def test_minimal_ok(self):
         rc = validate_config(self.base())
-        assert rc.subcommand == "train" and rc.train.cost == 0.2
+        assert rc.subcommand == "train" and rc.train.config.params.cost == 0.2
 
     def test_cost_out_of_range(self):
         with pytest.raises(ConfigError, match=r"train.cost must lie in \(0, 0.5\)"):
@@ -43,11 +44,11 @@ class TestValidateConfig:
 
     def test_p_one_maps_to_dual_infinity(self):
         rc = validate_config(self.base(bound={"p": 1}))
-        assert rc.bound.p == 1.0
+        assert rc.bound.config.p == 1.0
 
     def test_p_inf_accepted(self):
         rc = validate_config(self.base(bound={"p": "inf"}))
-        assert rc.bound.p == np.inf
+        assert rc.bound.config.p == np.inf
 
     def test_mode_eps_constraint(self):
         with pytest.raises(ConfigError, match="train.eps_train"):
@@ -128,6 +129,17 @@ class TestFlags:
         text = " ".join(capsys.readouterr().out.split())
         assert "attack radius; sets attack.eps, bound.eps" in text
         assert "sets train.features.dim, train.features.kind=random_fourier, bench.rff_dim" in text
+
+    def test_readme_flag_table_matches_the_flags(self):
+        # the same flags in the same order, each with the keys it sets; a fixed value shows as `key` = `value`
+        lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+        start = lines.index("| flag | config keys |") + 2
+        rows = list(itertools.takewhile(lambda line: line.startswith("|"), lines[start:]))
+
+        def keys(paths):
+            return ", ".join("`{}` = `{}`".format(*p.split("=")) if "=" in p else f"`{p}`" for p in paths)
+
+        assert rows == [f"| `{flag}` | {keys(paths)} |" for flag, _, _, paths in advreject.cli._FLAGS]
 
 
 class TestNonFiniteValues:
@@ -414,6 +426,37 @@ class TestOtherCommands:
         assert main(["bench", "--config", str(p)]) == 2
         assert "bench.train_size" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_bench_rff_dim_flag_zero_is_identity_features(self, data_file, tmp_path):
+        # bench reads only its own section: --rff-dim 0 there is bench.rff_dim 0, as from --config
+        bench = {"methods": [["mh", 0.2]], "attack_eps": [0.0, 0.05], "trials": 1, "train_size": 60, "epochs": 20}
+        cfg, cfg_zero = tmp_path / "bench.json", tmp_path / "bench-zero.json"
+        run = {"subcommand": "bench", "dataset": str(data_file)}
+        cfg.write_text(json.dumps({**run, "bench": bench}))
+        cfg_zero.write_text(json.dumps({**run, "bench": {**bench, "rff_dim": 0}}))
+        by_config, by_flag = tmp_path / "by-config", tmp_path / "by-flag"
+        assert main(["bench", "--config", str(cfg_zero), "--out", str(by_config)]) == 0
+        assert main(["bench", "--config", str(cfg), "--rff-dim", "0", "--out", str(by_flag)]) == 0
+        assert (by_flag / "bench.csv").read_bytes() == (by_config / "bench.csv").read_bytes()
+        assert json.loads((by_flag / "manifest.json").read_text())["bench"]["rff_dim"] == 0
+
+    def test_train_rff_dim_flag_zero_is_an_error(self, data_file, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["train", "--data", str(data_file), "--rff-dim", "0", "--out", str(out)]) == 2
+        assert "train.features.dim must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "neural-train"])
+    def test_test_data_of_another_dimension(self, command, data_file, tmp_path, capsys, monkeypatch):
+        wide = tmp_path / "wide.libsvm"
+        wide.write_text(to_libsvm(credit_surrogate(seed=0)))
+        monkeypatch.setattr(advreject.cli, "train", None)  # fails the run if training starts
+        monkeypatch.setattr(advreject.cli, "train_neural", None)
+        out = tmp_path / "o"
+        assert main([command, "--data", str(data_file), "--test-data", str(wide), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"test dataset {str(wide)!r} has dimension 14, but dataset {str(data_file)!r} has 2" in err
+        assert not out.exists()
 
     def test_neural_train(self, tmp_path):
         ds = two_moons(80, seed=1)

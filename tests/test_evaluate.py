@@ -2,13 +2,10 @@ import numpy as np
 import pytest
 
 from advreject.attacks import AttackSpec
+from advreject.bench import ProtocolConfig, bench_to_csv, bench_to_text, benchmark
 from advreject.data import Dataset
 from advreject.evaluate import (
-    BenchCell,
     RejectConfusion,
-    bench_to_csv,
-    bench_to_text,
-    benchmark,
     evaluate_model,
     metrics,
 )
@@ -142,19 +139,22 @@ class TestBenchmark:
             trials.append(({("mh", 0.3): m}, ds))
         return trials
 
+    def protocol(self, attack_eps):
+        return ProtocolConfig(alpha=1.0, beta=1.0, attack_eps=attack_eps)
+
     def test_single_trial_std_zero(self, rng):
-        rows = benchmark(self.make_trials(rng, 1), [0.0, 0.1])
+        rows = benchmark(self.make_trials(rng, 1), self.protocol((0.0, 0.1)))
         assert all(r.err_std == 0.0 and r.rej_std == 0.0 for r in rows)
         assert len(rows) == 2
 
     def test_empty_grid_errors(self, rng):
+        with pytest.raises(ValueError, match="attack_eps"):
+            ProtocolConfig(attack_eps=())
         with pytest.raises(ValueError):
-            benchmark(self.make_trials(rng, 1), [])
-        with pytest.raises(ValueError):
-            benchmark([], [0.0])
+            benchmark([], self.protocol((0.0,)))
 
     def test_csv_and_text(self, rng):
-        rows = benchmark(self.make_trials(rng, 2), [0.0, 0.01])
+        rows = benchmark(self.make_trials(rng, 2), self.protocol((0.0, 0.01)))
         csv = bench_to_csv(rows)
         assert csv.splitlines()[0].startswith("method,cost,attack_eps")
         assert len(csv.strip().splitlines()) == 1 + len(rows)

@@ -10,14 +10,13 @@ from advreject.neural import (
     ToyNet,
     _head_grads,
     _inner_pgd_batch,
+    _loss_grads,
     adv_risk_01c_net,
-    grad_input,
-    grad_params,
     loss_batch,
     train_neural,
 )
 from advreject.synth import two_moons
-from oracles import central_difference, pgd_full, rel_err, squared_mh_head_reference
+from oracles import central_difference, net_central_differences, pgd_full, rel_err, squared_mh_head_reference
 
 P13 = SurrogateParams(1.0, 1.0, 0.3)
 
@@ -26,11 +25,18 @@ def random_net(rng, d=3, hidden=(5, 4), activation="tanh"):
     return ToyNet.init(d, hidden, activation, seed=int(rng.integers(0, 2**31)))
 
 
+def grads_at(net, x, y, cfg):
+    """The weight, bias and input gradients of the loss at one input x, from
+    the kernel training runs."""
+    gws, gbs, dx = _loss_grads(net, x[None], np.array([y]), cfg, want_input=True)[1]()
+    return gws, gbs, dx[0]
+
+
 class TestForward:
     def test_zero_net(self):
         net = ToyNet([np.zeros((2, 3))], [np.zeros(2)])
-        f, r = net.forward(np.array([1.0, -2.0, 3.0]))
-        assert f == 0.0 and r == 0.0
+        f, r = net.forward(np.array([[1.0, -2.0, 3.0]]))
+        assert f.tolist() == [0.0] and r.tolist() == [0.0]
 
     def test_tanh_boundedness(self, rng):
         net = random_net(rng, d=4, activation="tanh")
@@ -44,8 +50,8 @@ class TestForward:
     def test_deterministic_init(self):
         a = ToyNet.init(3, (8,), "relu", seed=4)
         b = ToyNet.init(3, (8,), "relu", seed=4)
-        x = np.array([0.3, -0.4, 0.9])
-        assert a.forward(x) == b.forward(x)
+        x = np.array([[0.3, -0.4, 0.9]])
+        assert np.array_equal(a.forward(x), b.forward(x))
 
     def test_final_layer_must_have_two_heads(self):
         with pytest.raises(ValueError):
@@ -57,22 +63,23 @@ class TestGradients:
         cfg = NeuralTrainConfig(params=SurrogateParams(1.5, 0.8, 0.25), lam_w=0.01)
         for _ in range(10):
             net = random_net(rng)
-            x = rng.standard_normal(3)
-            y = 1 if rng.random() < 0.5 else -1
-            g = grad_params(net, x, y, cfg)
-            num = central_difference(
-                lambda th: loss_batch(net.unpack(th), x, np.array([y]), cfg), net.pack()
-            )
-            assert np.max(rel_err(g, num)) <= 1e-4
+            x = rng.standard_normal((1, 3))
+            y = np.array([1 if rng.random() < 0.5 else -1])
+            gws, gbs, _ = _loss_grads(net, x, y, cfg)[1]()
+            nws, nbs, _ = net_central_differences(lambda n, xv: loss_batch(n, xv, y, cfg), net, x)
+            for g, num in zip(gws + gbs, nws + nbs):
+                assert g.shape == num.shape
+                assert np.max(rel_err(g, num)) <= 1e-4
 
     def test_input_gradients_match_finite_differences(self, rng):
         cfg = NeuralTrainConfig(params=P13)
         for _ in range(10):
             net = random_net(rng)
-            x = rng.standard_normal(3)
-            y = 1 if rng.random() < 0.5 else -1
-            g = grad_input(net, x, y, cfg)
-            num = central_difference(lambda xv: loss_batch(net, xv, np.array([y]), cfg), x.copy())
+            x = rng.standard_normal((1, 3))
+            y = np.array([1 if rng.random() < 0.5 else -1])
+            g = _loss_grads(net, x, y, cfg, want_input=True)[1]()[2]
+            num = central_difference(lambda xv: loss_batch(net, xv, y, cfg), x)
+            assert g.shape == num.shape
             assert np.max(rel_err(g, num)) <= 1e-4
 
     def test_head_kernel_matches_where_reference(self, rng):
@@ -155,15 +162,14 @@ class TestGradients:
         cfg = NeuralTrainConfig(params=P13, lam_w=0.5)
         # f = 10 + x1, r = 2 + x2: A = 1 + (r - f)/2 < 0, B = 0.3(1 - r) < 0
         net = ToyNet([np.array([[1.0, 0.0], [0.0, 1.0]])], [np.array([10.0, 2.0])])
-        g = grad_params(net, np.array([0.1, 0.1]), 1, cfg)
-        expected = np.zeros_like(g)
-        expected[:2] = 0.5 * net.top_weights  # only the f-head row decays
-        assert np.allclose(g, expected)
+        gws, gbs, _ = grads_at(net, np.array([0.1, 0.1]), 1, cfg)
+        assert np.allclose(gws[0][0], 0.5 * net.top_weights)  # only the f-head row decays
+        assert np.allclose(gws[0][1], 0.0) and np.allclose(gbs[0], 0.0)
 
     def test_zero_net_zero_input_gradient(self):
         cfg = NeuralTrainConfig(params=P13, lam_w=0.1)
         net = ToyNet([np.zeros((2, 2))], [np.zeros(2)])
-        g = grad_input(net, np.array([0.5, -0.5]), 1, cfg)
+        g = grads_at(net, np.array([0.5, -0.5]), 1, cfg)[2]
         # max(1, c, 0) is the active branch but its input gradient is zero
         assert np.array_equal(g, [0.0, 0.0])
 
@@ -174,7 +180,7 @@ class TestGradients:
         net = ToyNet([w.copy()], [b.copy()])
         x = rng.standard_normal(3)
         y = 1
-        f, r = net.forward(x)
+        (f,), (r,) = net.forward(x[None])
         a = 1 + 0.5 * 2.0 * (r - y * f)
         bb = 0.3 * (1 - r)
         m = max(a, bb, 0.0)
@@ -184,7 +190,7 @@ class TestGradients:
             want = 2 * m * (-0.3) * w[1]
         else:
             want = np.zeros(3)
-        assert np.allclose(grad_input(net, x, y, cfg), want, atol=1e-12)
+        assert np.allclose(grads_at(net, x, y, cfg)[2], want, atol=1e-12)
 
     def test_tie_uses_classification_branch(self):
         # craft f, r with the two branches exactly equal and positive
@@ -194,11 +200,11 @@ class TestGradients:
         w = np.array([[1.0, 0.0], [0.0, 1.0]])
         net = ToyNet([w], [np.zeros(2)])
         x = np.array([1.4, 0.0])
-        f, r = net.forward(x)
+        (f,), (r,) = net.forward(x[None])
         a = 1 + 0.5 * (r - f)
         b = 0.3 * (1 - r)
         assert a == pytest.approx(b)
-        g = grad_input(net, x, 1, cfg)
+        g = grads_at(net, x, 1, cfg)[2]
         m = a
         want = 2 * m * 0.5 * (w[1] - w[0])  # classification branch
         assert np.allclose(g, want)
@@ -289,6 +295,6 @@ class TestNetSerialization:
     def test_roundtrip(self, rng):
         net = random_net(rng, d=4, hidden=(6, 5), activation="relu")
         again = ToyNet.from_json(net.to_json())
-        x = rng.standard_normal(4)
-        assert net.forward(x) == again.forward(x)
+        x = rng.standard_normal((1, 4))
+        assert np.array_equal(net.forward(x), again.forward(x))
         assert again.activation == "relu"

@@ -9,7 +9,7 @@ PUBLIC = [
     "EvalReport", "RejectConfusion", "benchmark", "evaluate_model", "metrics",
     "SurrogateParams", "adv_loss_mh_linear_batch", "loss_01c", "loss_mh", "surrogate_conv", "verdict",
     "FeatureMap", "RejectionModel", "featurize",
-    "NeuralTrainConfig", "ToyNet", "grad_input", "grad_params", "train_neural",
+    "NeuralTrainConfig", "ToyNet", "train_neural",
     "TrainConfig", "TrainTrace", "cross_validate", "objective", "train",
 ]
 
