@@ -244,7 +244,8 @@ def _write_all(out: Path, files: dict[str, str]) -> None:
 # (flag, type, help, the config paths it sets); a path "key=value" sets key
 # to that fixed value. A later flag overwrites what an earlier one set, so
 # --rff-dim decides train.features.kind over --features. bench reads only
-# its own section, so there a flag with bench keys sets only those.
+# the roots in _BENCH_READS, so there a flag sets only its paths under them,
+# and a flag with none is an error.
 _FLAGS = (
     ("--data", str, "dataset path (.libsvm or .csv)", ("dataset",)),
     ("--test-data", str, "held-out dataset path", ("test_dataset",)),
@@ -269,6 +270,7 @@ _FLAGS = (
     ),
     ("--trials", int, "benchmark trials", ("bench.trials",)),
 )
+_BENCH_READS = ("dataset", "out", "seed", "bench")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -290,7 +292,13 @@ def _merge_flags(obj: dict, args: argparse.Namespace) -> dict:
         if value is None:
             continue
         if args.subcommand == "bench":
-            paths = [p for p in paths if p.startswith("bench.")] or paths
+            read = [p for p in paths if p.split(".")[0] in _BENCH_READS]
+            if not read:
+                raise ConfigError(
+                    f"{flag} has no effect on bench: it sets {', '.join(paths)}, "
+                    f"and bench reads only the keys under {'/'.join(_BENCH_READS)}"
+                )
+            paths = read
         for spec in paths:
             path, sep, fixed = spec.partition("=")
             *sections, key = path.split(".")

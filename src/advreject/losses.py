@@ -154,16 +154,19 @@ def surrogate_conv(f_val, r_val, y, p: SurrogateParams, phi: str = "hinge", psi:
     return out if out.ndim else float(out)
 
 
-def worst_case_l1(theta: np.ndarray, gamma: np.ndarray, eps: float) -> tuple[float, float, float]:
-    """The l1 terms of the worst case over the eps-ball: eps*||zeta(+1)||_1,
-    eps*||zeta(-1)||_1 and eps*||theta||_1, with zeta(+1) = theta - gamma
-    and zeta(-1) = -theta - gamma. theta and gamma are the weight
-    coordinates only; the biases are not perturbable."""
-    return (
-        eps * float(np.abs(theta - gamma).sum()),
-        eps * float(np.abs(-theta - gamma).sum()),
-        eps * float(np.abs(theta).sum()),
-    )
+def worst_case_l1(theta: np.ndarray, gamma: np.ndarray, eps: float) -> tuple[np.ndarray, tuple[float, float, float]]:
+    """The l1 terms of the worst case over the eps-ball and the vectors
+    they are taken of. Returns (zeta, l1): zeta stacks zeta(+1) = theta -
+    gamma, zeta(-1) = -theta - gamma and theta as its rows, whose signs are
+    the worst-case directions and the l1 subgradients, and l1 holds
+    eps*||zeta(+1)||_1, eps*||zeta(-1)||_1 and eps*||theta||_1. theta and
+    gamma are the weight coordinates only; the biases are not perturbable."""
+    zeta = np.empty((3, theta.size))
+    np.subtract(theta, gamma, out=zeta[0])
+    np.negative(theta, out=zeta[1])
+    zeta[1] -= gamma
+    zeta[2] = theta
+    return zeta, tuple((eps * np.abs(zeta).sum(axis=1)).tolist())
 
 
 def adv_loss_mh_linear_batch(
@@ -177,5 +180,5 @@ def adv_loss_mh_linear_batch(
         raise ValueError("eps must be nonnegative")
     y = pm1_labels(y)
     f, r = m.scores_features(z)
-    zeta_pos, zeta_neg, theta_l1 = worst_case_l1(m.theta, m.gamma, eps)
+    _, (zeta_pos, zeta_neg, theta_l1) = worst_case_l1(m.theta, m.gamma, eps)
     return mh_branches(r - y * f + np.where(y > 0, zeta_pos, zeta_neg), r - theta_l1, p).value

@@ -22,12 +22,28 @@ the zero element: sgn(0) = 0 and an inactive hinge contributes nothing.
 Biases are carried as appended constant features: they are regularized
 like ordinary coordinates but never enter the l1/perturbation terms.
 
-The order of an epoch's float operations is pinned bit for bit by
+An epoch's float operations are pinned bit for bit, for all four modes,
+by tests/test_train.py::TestEpochAgainstOracle and TestTrainAgainstOracle,
+which compare it with a reference in tests/oracles.py that computes every
+eps term at every eps, and by
 perfbench/test_perfbench.py::test_fixture_models_load_and_match_their_recipe,
-which retrains a fixture model and compares its bytes. A change that
+which retrains an mh fixture model and compares its bytes. A change that
 reassociates a sum here (one gemm for f and r, a gemv for a masked row sum)
-changes the trained models and fails that test; speed-ups must do the same
+changes the trained models and fails them; speed-ups must do the same
 operations with less overhead.
+
+At eps = 0 the epoch skips the l1 norms, the eps*||zeta(y)||_1 shift of
+the gap, the eps*||theta||_1 shift of r and every eps*sgn term of the
+subgradient. For finite weights each would add or subtract an exact 0.0,
+which leaves every number as it is, so the value keeps its bits. A
+subgradient entry that is exactly 0 can come out as -0.0 where the full
+sum gave +0.0. For gamma this needs a gamma coordinate of -0.0, or lam' = 0
+and a negative one, on a feature whose label-weighted sum over the active
+rows is exactly 0; for theta it needs feature values of -0.0. Such an
+entry moves its weight by a zero, so the iterate keeps its bits unless
+that weight is itself -0.0. An update never turns another value into
+-0.0, and the warm start does not return one in practice, so trained
+models and traces keep their bits.
 """
 
 from __future__ import annotations
@@ -146,8 +162,8 @@ def _objective_arrays(
     with_grad, (objective, g_theta, g_gamma) with a subgradient from the
     same pass. The gradients are fresh arrays the caller may overwrite.
 
-    y holds only -1 and +1. The l1 sign vectors are taken over the whole
-    augmented vector and their bias entry is then set to 0 (bias frozen)."""
+    y holds only -1 and +1. The l1 terms and their sign vectors cover the
+    weight coordinates only (bias frozen); at eps = 0 they are not formed."""
     p, eps = cfg.params, cfg.eps_train
     f = zb @ gamma
     reg = 0.5 * cfg.lam_prime * float(gamma @ gamma)
@@ -155,45 +171,56 @@ def _objective_arrays(
     if not cfg.rejection_enabled:
         margin = y * f
         np.subtract(1.0, margin, out=margin)
-        margin += eps * np.abs(gamma[:-1]).sum()
+        if eps:
+            margin += eps * np.abs(gamma[:-1]).sum()
         val = float(np.maximum(margin, 0.0).sum()) + reg
         if not with_grad:
             return val
         act = (margin > 0).nonzero()[0]
         if act.size:
             g_gamma -= y.take(act) @ zb.take(act, axis=0)
-            sg = np.sign(gamma)
-            sg[-1] = 0.0
-            g_gamma += eps * act.size * sg
+            if eps:
+                sg = np.sign(gamma)
+                sg[-1] = 0.0
+                g_gamma += eps * act.size * sg
         return val, np.zeros_like(theta), g_gamma
     r = zb @ theta
-    zeta_pos, zeta_neg, theta_l1 = worst_case_l1(theta[:-1], gamma[:-1], eps)
     gap = y * f
     np.subtract(r, gap, out=gap)
-    gap += np.where(y > 0, zeta_pos, zeta_neg)
-    mh = mh_branches(gap, r - theta_l1, p)
+    if eps:
+        zeta, (zeta_pos, zeta_neg, theta_l1) = worst_case_l1(theta[:-1], gamma[:-1], eps)
+        gap += np.where(y > 0, zeta_pos, zeta_neg)
+        mh = mh_branches(gap, r - theta_l1, p)
+    else:
+        mh = mh_branches(gap, r, p)
     val = float(mh.value.sum()) + reg + 0.5 * cfg.lam * float(theta @ theta)
     if not with_grad:
         return val
     g_theta = cfg.lam * theta
+    if eps:
+        signs = np.sign(zeta)
     ia = mh.use_a.nonzero()[0]
     if ia.size:
         ha = 0.5 * p.alpha
         za, ya = zb.take(ia, axis=0), y.take(ia)
         g_theta += ha * za.sum(axis=0)
-        g_gamma -= ha * (ya @ za)
-        n_pos = np.count_nonzero(ya > 0)
-        n_neg = ia.size - n_pos
-        # d/dtheta eps*||zeta(y)||_1 = eps*y*sgn(zeta(y)); d/dgamma = -eps*sgn(zeta(y))
-        szp, szm = np.sign(theta - gamma), np.sign(-theta - gamma)
-        szp[-1] = szm[-1] = 0.0
-        g_theta += ha * eps * (n_pos * szp - n_neg * szm)
-        g_gamma -= ha * eps * (n_pos * szp + n_neg * szm)
+        ysum = ya @ za
+        g_gamma -= ha * ysum
+        if eps:
+            # d/dtheta eps*||zeta(y)||_1 = eps*y*sgn(zeta(y)); d/dgamma = -eps*sgn(zeta(y)),
+            # summed over the rows as n+ sgn zeta(+1) -/+ n- sgn zeta(-1), where
+            # n+ - n- is the bias entry of ysum (the bias feature is 1)
+            n_pos = (ia.size + int(ysum[-1])) // 2
+            signs[0] *= n_pos
+            signs[1] *= ia.size - n_pos
+            g_theta[:-1] += ha * eps * (signs[0] - signs[1])
+            g_gamma[:-1] -= ha * eps * (signs[0] + signs[1])
     ib = mh.use_b.nonzero()[0]
     if ib.size:
-        st = np.sign(theta)
-        st[-1] = 0.0
-        g_theta -= p.cost * p.beta * (zb.take(ib, axis=0).sum(axis=0) - eps * ib.size * st)
+        zsum = zb.take(ib, axis=0).sum(axis=0)
+        if eps:
+            zsum[:-1] -= eps * ib.size * signs[2]
+        g_theta -= p.cost * p.beta * zsum
     return val, g_theta, g_gamma
 
 
@@ -229,13 +256,13 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[RejectionModel, TrainTrace]:
     y = ds.y.astype(np.float64)
     theta, gamma = _warm_start(zb, y, cfg)
 
-    n_evals = cfg.epochs + 1
-    objs = np.empty(n_evals)
-    bests = np.empty(n_evals)
+    objs = np.empty(cfg.epochs + 1)
+    # scale by n so lr0 means the same thing across dataset sizes
+    steps = cfg.lr0 / (np.sqrt(np.arange(1.0, cfg.epochs + 1)) * len(y))
     best_val = np.inf
     best_epoch = 0
     best_theta, best_gamma = theta, gamma  # iterates are rebound each epoch, never mutated
-    for t in range(n_evals):
+    for t in range(cfg.epochs + 1):
         last = t == cfg.epochs
         out = _objective_arrays(theta, gamma, zb, y, cfg, with_grad=not last)
         val = out if last else out[0]
@@ -247,17 +274,14 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[RejectionModel, TrainTrace]:
             best_val, best_epoch = val, t
             best_theta, best_gamma = theta, gamma
         objs[t] = val
-        bests[t] = best_val
         if last:
             break
-        _, g_theta, g_gamma = out
-        # scale by n so lr0 means the same thing across dataset sizes
-        step = cfg.lr0 / (math.sqrt(t + 1.0) * len(y))
-        g_gamma *= step
-        gamma = gamma - g_gamma
+        _, g_theta, g_gamma = out  # fresh arrays: each becomes the next iterate
+        g_gamma *= steps[t]
+        gamma = np.subtract(gamma, g_gamma, out=g_gamma)
         if cfg.rejection_enabled:
-            g_theta *= step
-            theta = theta - g_theta
+            g_theta *= steps[t]
+            theta = np.subtract(theta, g_theta, out=g_theta)
 
     model = RejectionModel(
         theta=best_theta[:-1],
@@ -266,7 +290,7 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[RejectionModel, TrainTrace]:
         bias_gamma=float(best_gamma[-1]),
         feature_map=fm,
     )
-    trace = TrainTrace(objs, bests, best_val, best_epoch)
+    trace = TrainTrace(objs, np.minimum.accumulate(objs), best_val, best_epoch)
     return model, trace
 
 

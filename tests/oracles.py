@@ -3,15 +3,17 @@
 These deliberately avoid the library's closed-form code paths: box maxima
 are taken by enumerating corners and dense grids, suprema over norm balls
 by dense direction/volume grids, and gradients by central differences.
-Six references at the end are not independent: ``pgd_full`` is the
+Seven references at the end are not independent: ``pgd_full`` is the
 batched PGD loop without its early exit and on dense gradients,
 ``linear_mh_dense`` the MH gradient of a linear model built row by row,
 ``accepted_error_delta_dense`` the exact linf attack on per-row arrays
 instead of per-label tables, ``squared_mh_head_reference`` is
 the squared-MH head of the toy network written with ``np.where`` over
-fresh temporaries, and ``to_libsvm_reference``/``parse_libsvm_reference``
-are the LIBSVM codec written value by value with numpy scalars; the
-library's code must match each of them bit for bit.
+fresh temporaries, ``to_libsvm_reference``/``parse_libsvm_reference``
+are the LIBSVM codec written value by value with numpy scalars, and
+``objective_arrays_reference`` is the training epoch with every eps term
+computed at every eps; the library's code must match each of them bit for
+bit.
 """
 
 import dataclasses
@@ -396,3 +398,61 @@ def accepted_error_delta_dense(m, z, y, eps):
     gain = y * (f0 + corner @ gamma) - margin
     t = np.clip(np.divide(-0.5 * margin, gain, out=np.ones_like(gain), where=gain > 0), 0.0, 1.0)
     return np.clip(delta + t[:, None] * (corner - delta), -eps, eps)
+
+
+def objective_arrays_reference(theta, gamma, zb, y, cfg, with_grad=False):
+    """``train._objective_arrays`` without its shortcuts: every eps term is
+    computed at every eps, eps = 0 included, each l1 norm is its own sum
+    over the weight coordinates, and each sign vector is taken of a freshly
+    formed theta - gamma, -theta - gamma or theta. The library must give
+    the same bits."""
+    p, eps = cfg.params, cfg.eps_train
+    f = zb @ gamma
+    reg = 0.5 * cfg.lam_prime * float(gamma @ gamma)
+    g_gamma = cfg.lam_prime * gamma
+    if not cfg.rejection_enabled:
+        margin = y * f
+        np.subtract(1.0, margin, out=margin)
+        margin += eps * np.abs(gamma[:-1]).sum()
+        val = float(np.maximum(margin, 0.0).sum()) + reg
+        if not with_grad:
+            return val
+        act = (margin > 0).nonzero()[0]
+        if act.size:
+            g_gamma -= y.take(act) @ zb.take(act, axis=0)
+            sg = np.sign(gamma)
+            sg[-1] = 0.0
+            g_gamma += eps * act.size * sg
+        return val, np.zeros_like(theta), g_gamma
+    r = zb @ theta
+    tw, gw = theta[:-1], gamma[:-1]
+    zeta_pos = eps * float(np.abs(tw - gw).sum())
+    zeta_neg = eps * float(np.abs(-tw - gw).sum())
+    theta_l1 = eps * float(np.abs(tw).sum())
+    gap = y * f
+    np.subtract(r, gap, out=gap)
+    gap += np.where(y > 0, zeta_pos, zeta_neg)
+    mh = mh_branches(gap, r - theta_l1, p)
+    val = float(mh.value.sum()) + reg + 0.5 * cfg.lam * float(theta @ theta)
+    if not with_grad:
+        return val
+    g_theta = cfg.lam * theta
+    ia = mh.use_a.nonzero()[0]
+    if ia.size:
+        ha = 0.5 * p.alpha
+        za, ya = zb.take(ia, axis=0), y.take(ia)
+        g_theta += ha * za.sum(axis=0)
+        g_gamma -= ha * (ya @ za)
+        n_pos = np.count_nonzero(ya > 0)
+        n_neg = ia.size - n_pos
+        # d/dtheta eps*||zeta(y)||_1 = eps*y*sgn(zeta(y)); d/dgamma = -eps*sgn(zeta(y))
+        szp, szm = np.sign(theta - gamma), np.sign(-theta - gamma)
+        szp[-1] = szm[-1] = 0.0
+        g_theta += ha * eps * (n_pos * szp - n_neg * szm)
+        g_gamma -= ha * eps * (n_pos * szp + n_neg * szm)
+    ib = mh.use_b.nonzero()[0]
+    if ib.size:
+        st = np.sign(theta)
+        st[-1] = 0.0
+        g_theta -= p.cost * p.beta * (zb.take(ib, axis=0).sum(axis=0) - eps * ib.size * st)
+    return val, g_theta, g_gamma

@@ -331,14 +331,13 @@ class TestOtherCommands:
         ],
     )
     def test_out_holds_the_command_files(self, command, files, trained, data_file, tmp_path):
-        cfg = {"bench": {"methods": [["mh", 0.2]], "attack_eps": [0.0], "trials": 1, "train_size": 60, "rff_dim": 0}}
+        bench = {"methods": [["mh", 0.2]], "attack_eps": [0.0], "trials": 1, "train_size": 60, "rff_dim": 0, "epochs": 20}
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(cfg))
+        p.write_text(json.dumps({"bench": bench}))
         out = tmp_path / "o"
-        assert main([
-            command, "--config", str(p), "--data", str(data_file), "--model", str(trained),
-            "--epochs", "20", "--out", str(out),
-        ]) == 0
+        # bench takes neither --model nor --epochs (it exits 2 on flags it does not read)
+        flags = [] if command == "bench" else ["--model", str(trained), "--epochs", "20"]
+        assert main([command, "--config", str(p), "--data", str(data_file), *flags, "--out", str(out)]) == 0
         assert {f.name for f in out.iterdir()} == files | {"manifest.json"}
 
     def test_missing_model(self, data_file, tmp_path):
@@ -439,6 +438,35 @@ class TestOtherCommands:
         assert main(["bench", "--config", str(cfg), "--rff-dim", "0", "--out", str(by_flag)]) == 0
         assert (by_flag / "bench.csv").read_bytes() == (by_config / "bench.csv").read_bytes()
         assert json.loads((by_flag / "manifest.json").read_text())["bench"]["rff_dim"] == 0
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--test-data", "held-out.libsvm"), ("--model", "model.json"), ("--mode", "mh"), ("--cost", "0.2"),
+            ("--eps", "0.1"), ("--eps-train", "0.01"), ("--attack", "fgsm"), ("--steps", "5"), ("--norm", "l2"),
+            ("--epochs", "50"), ("--features", "identity"),
+        ],
+    )
+    def test_bench_rejects_a_flag_it_does_not_read(self, flag, value, data_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(advreject.cli, "run_protocol", None)  # fails the run if the protocol starts
+        out = tmp_path / "o"
+        assert main(["bench", "--data", str(data_file), "--out", str(out), flag, value]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} has no effect on bench: it sets ")
+        assert not out.exists()
+
+    def test_bench_takes_the_flags_it_reads(self, data_file, tmp_path):
+        bench = {"methods": [["mh", 0.2]], "attack_eps": [0.0], "train_size": 60, "epochs": 10}
+        p = tmp_path / "bench.json"
+        p.write_text(json.dumps({"bench": bench}))
+        out = tmp_path / "o"
+        assert main([
+            "bench", "--config", str(p), "--data", str(data_file), "--out", str(out), "--seed", "3",
+            "--rff-dim", "8", "--trials", "2",
+        ]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["dataset"], manifest["out"], manifest["seed"]) == (str(data_file), str(out), 3)
+        assert (manifest["bench"]["rff_dim"], manifest["bench"]["trials"]) == (8, 2)
+        assert manifest["train"]["features"]["kind"] == "identity"  # --rff-dim sets only bench.rff_dim here
 
     def test_train_rff_dim_flag_zero_is_an_error(self, data_file, tmp_path, capsys):
         out = tmp_path / "o"

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from advreject.attacks import AttackSpec
 from advreject.losses import SurrogateParams, verdict
 from advreject.model import FeatureMap, RejectionModel, featurize
 from advreject.train import TrainConfig, _augment, _objective_arrays, cross_validate, objective, train
-from oracles import train_objective_reference
+from oracles import objective_arrays_reference, train_objective_reference
 
 P13 = SurrogateParams(1.0, 1.0, 0.3)
 
@@ -124,6 +126,111 @@ class TestObjectiveAgainstReference:
         assert _objective_arrays(theta, gamma, zb, y, cfg) == val
         np.testing.assert_allclose(g_theta, want_gt, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(g_gamma, want_gg, rtol=1e-12, atol=1e-12)
+
+
+# eps = 0.01 and the parameters below are not powers of two, so a reordered
+# product of them changes bits; the tie state needs the reference problem's
+MODES_EPS = [
+    ("svm", 0.0), ("at", 0.0), ("at", 1 / 64), ("at", 0.01), ("mh", 0.0), ("atro", 0.0), ("atro", 1 / 64), ("atro", 0.01)
+]
+EDGES = ("random", "theta_zero", "theta_pm_gamma", "tie", "inactive", "all_b", "zero_column")
+EPOCH_PARAMS = {"params": SurrogateParams(1.7, 3.1, 0.23), "lam": 0.3, "lam_prime": 0.7}
+TIE_PARAMS = {"params": SurrogateParams(2.0, 1.0, 0.25), "lam": 0.5, "lam_prime": 0.25}
+
+
+def _epoch_state(rng, features, cfg, edge):
+    """(theta, gamma, zb, y) for one probe of the epoch: random weights and
+    labels, or a pinned edge state. theta_j = 0 and theta_j = +-gamma_j put
+    zeros into sgn(theta) and sgn(zeta); "tie" is the reference problem's
+    A~ = B~ row (exact at eps 0 and 1/64); "inactive" puts every row past
+    both hinges; "all_b"
+    puts every row of the rejection modes on branch B; "zero_column" zeroes
+    one feature."""
+    if edge == "tie":
+        return _reference_problem(rng, features, cfg)
+    x = rng.standard_normal((40, 3))
+    z = x if features == "identity" else featurize(FeatureMap("random_fourier", dim=12, sigma=0.7, seed=5, input_dim=3), x)
+    d = z.shape[1]
+    theta, gamma = rng.standard_normal(d + 1), rng.standard_normal(d + 1)
+    y = np.where(rng.random(len(z)) < 0.5, 1.0, -1.0)
+    if edge == "theta_zero":
+        theta[:2] = 0.0
+    elif edge == "theta_pm_gamma":
+        theta[0], theta[1] = gamma[0], -gamma[1]
+    elif edge == "inactive":  # r about 2 > 1/beta, and y*f about 1000 > r + 2/alpha + eps*||zeta(y)||_1
+        theta[:-1] *= 1e-3
+        theta[-1], gamma[-1], y[:] = 2.0, 1e3, 1.0
+    elif edge == "all_b":  # r about -1000
+        theta[-1] = -1e3
+    elif edge == "zero_column":
+        z = z.copy()
+        z[:, 0] = 0.0
+    if not cfg.rejection_enabled:
+        theta = np.zeros(d + 1)
+        theta[-1] = 1.0
+    return theta, gamma, _augment(z), y
+
+
+def _bytes(values):
+    return [np.asarray(v, dtype=np.float64).tobytes() for v in values]
+
+
+class TestEpochAgainstOracle:
+    """The epoch against ``objective_arrays_reference``, which computes every
+    eps term at every eps: the same bits for the value and both
+    subgradients."""
+
+    @pytest.mark.parametrize("edge", EDGES)
+    @pytest.mark.parametrize("features", ["identity", "rff"])
+    @pytest.mark.parametrize("mode, eps", MODES_EPS)
+    def test_same_bits(self, rng, mode, eps, features, edge):
+        cfg = TrainConfig(mode=mode, eps_train=eps, **(TIE_PARAMS if edge == "tie" else EPOCH_PARAMS))
+        theta, gamma, zb, y = _epoch_state(rng, features, cfg, edge)
+        branches = train_objective_reference(theta, gamma, zb, y, cfg)[3]
+        if edge == "inactive":
+            assert set(branches) == {"-"}
+        if edge == "all_b" and cfg.rejection_enabled:
+            assert set(branches) == {"B"}
+        want = objective_arrays_reference(theta, gamma, zb, y, cfg, with_grad=True)
+        assert _bytes(_objective_arrays(theta, gamma, zb, y, cfg, with_grad=True)) == _bytes(want)
+        assert _bytes([_objective_arrays(theta, gamma, zb, y, cfg)]) == _bytes(want[:1])
+
+    @pytest.mark.parametrize("mode", ["svm", "mh"])
+    def test_eps0_changes_at_most_the_sign_of_a_zero_subgradient(self, rng, mode):
+        # gamma_0 = -0.0 on an all-zero feature column makes the gamma_0 entry
+        # -0.0 before the eps*sgn terms, which add +0.0 here (for mh: every
+        # label +1, theta_0 < 0 and rows on branch A). The skip keeps -0.0:
+        # the same number, and gamma - s*g keeps the bits of every weight
+        # that is not -0.0.
+        cfg = TrainConfig(mode=mode, **EPOCH_PARAMS)
+        theta, gamma, zb, y = _epoch_state(rng, "identity", cfg, "zero_column")
+        y[:] = 1.0
+        gamma[0] = -0.0
+        if cfg.rejection_enabled:
+            theta[0], theta[-1], gamma[-1] = -1.0, 2.0, -2.0
+            assert "A" in train_objective_reference(theta, gamma, zb, y, cfg)[3]
+        want = objective_arrays_reference(theta, gamma, zb, y, cfg, with_grad=True)
+        got = _objective_arrays(theta, gamma, zb, y, cfg, with_grad=True)
+        assert _bytes(got[:2]) == _bytes(want[:2])
+        assert np.array_equal(got[2], want[2])
+        assert np.signbit(got[2][0]) and not np.signbit(want[2][0])  # the probe reaches the case
+        assert _bytes([got[2][1:]]) == _bytes([want[2][1:]])
+        assert _bytes([(gamma - 0.125 * got[2])[1:]]) == _bytes([(gamma - 0.125 * want[2])[1:]])
+
+
+class TestTrainAgainstOracle:
+    @pytest.mark.parametrize("features", ["identity", "rff"])
+    @pytest.mark.parametrize("mode, eps", MODES_EPS)
+    def test_model_and_trace_bytes(self, rng, monkeypatch, mode, eps, features):
+        ds = toy_dataset(rng, n=60)
+        fm = FeatureMap("identity") if features == "identity" else FeatureMap("random_fourier", dim=16, sigma=1.0, seed=0)
+        cfg = TrainConfig(mode=mode, eps_train=eps, epochs=20, feature_map=fm, **EPOCH_PARAMS)
+        model, trace = train(ds, cfg)
+        # the package re-exports the function train, so import the module by name
+        monkeypatch.setattr(importlib.import_module("advreject.train"), "_objective_arrays", objective_arrays_reference)
+        want_model, want_trace = train(ds, cfg)
+        assert model.to_json() == want_model.to_json()
+        assert trace.to_csv() == want_trace.to_csv()
 
 
 class TestTrain:
