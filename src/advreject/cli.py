@@ -191,13 +191,15 @@ def _cmd_neural_train(rc: RunConfig) -> tuple[dict[str, str], str]:
     )
 
 
+# subcommand -> (command, the config keys and whole sections it reads)
+_SCORED = ("dataset", "model", "out", "train.alpha", "train.beta", "train.cost")  # a model scored at train's params
 _DISPATCH = {
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "attack": _cmd_attack,
-    "bound": _cmd_bound,
-    "bench": _cmd_bench,
-    "neural-train": _cmd_neural_train,
+    "train": (_cmd_train, ("dataset", "test_dataset", "out", "seed", "train", "attack")),
+    "eval": (_cmd_eval, (*_SCORED, "seed", "attack")),
+    "attack": (_cmd_attack, (*_SCORED, "seed", "attack")),
+    "bound": (_cmd_bound, (*_SCORED, "bound")),  # deterministic: no seed
+    "bench": (_cmd_bench, ("dataset", "out", "seed", "bench")),
+    "neural-train": (_cmd_neural_train, ("dataset", "test_dataset", "out", "seed", "neural")),
 }
 
 
@@ -205,7 +207,7 @@ def run(rc: RunConfig) -> None:
     """Execute a validated RunConfig: its files and manifest.json land in
     rc.out and its summary goes to stdout. No new file is left when the
     command or a write raises."""
-    files, summary = _DISPATCH[rc.subcommand](rc)
+    files, summary = _DISPATCH[rc.subcommand][0](rc)
     files["manifest.json"] = rc.to_json()  # after the command, which may freeze values into rc
     _write_all(Path(rc.out), files)
     print(summary)
@@ -243,9 +245,9 @@ def _write_all(out: Path, files: dict[str, str]) -> None:
 
 # (flag, type, help, the config paths it sets); a path "key=value" sets key
 # to that fixed value. A later flag overwrites what an earlier one set, so
-# --rff-dim decides train.features.kind over --features. bench reads only
-# the roots in _BENCH_READS, so there a flag sets only its paths under them,
-# and a flag with none is an error.
+# --rff-dim decides train.features.kind over --features. A subcommand offers
+# a flag only if some of its paths lie under its reads in _DISPATCH, and
+# sets only those; any other flag is an unrecognized argument (exit 2).
 _FLAGS = (
     ("--data", str, "dataset path (.libsvm or .csv)", ("dataset",)),
     ("--test-data", str, "held-out dataset path", ("test_dataset",)),
@@ -253,14 +255,14 @@ _FLAGS = (
     ("--out", str, "output directory", ("out",)),
     ("--seed", int, "master seed", ("seed",)),
     ("--mode", str, "training mode: svm/at/mh/atro", ("train.mode",)),
-    ("--cost", float, "rejection cost c", ("train.cost",)),
+    ("--cost", float, "rejection cost c", ("train.cost", "neural.cost")),
     ("--eps", float, "attack radius", ("attack.eps", "bound.eps")),
-    ("--eps-train", float, "training perturbation radius", ("train.eps_train",)),
+    ("--eps-train", float, "training perturbation radius", ("train.eps_train", "neural.eps_train")),
     (
         "--attack", str, "attack method: none/analytic_linear (the exact feature-space linf worst case)/fgsm/pgd",
         ("attack.method",),
     ),
-    ("--steps", int, "attack steps", ("attack.steps",)),
+    ("--steps", int, "attack steps", ("attack.steps", "neural.steps")),
     ("--norm", str, "attack norm: linf/l2", ("attack.norm",)),
     ("--epochs", int, "training epochs", ("train.epochs", "neural.epochs")),
     ("--features", str, "feature map kind: identity/random_fourier", ("train.features.kind",)),
@@ -270,16 +272,24 @@ _FLAGS = (
     ),
     ("--trials", int, "benchmark trials", ("bench.trials",)),
 )
-_BENCH_READS = ("dataset", "out", "seed", "bench")
+
+
+def _flags_of(subcommand: str):
+    """The _FLAGS entries the subcommand offers, each with only the paths it reads."""
+    reads = _DISPATCH[subcommand][1]
+    for flag, tp, text, paths in _FLAGS:
+        mine = tuple(p for p in paths if any(f"{p.partition('=')[0]}.".startswith(f"{r}.") for r in reads))
+        if mine:
+            yield flag, tp, text, mine
 
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="advreject", description=__doc__)
     sub = ap.add_subparsers(dest="subcommand", required=True)
     for name in _DISPATCH:
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)  # so --eps is not taken for --eps-train
         p.add_argument("--config", help="RunConfig JSON file")
-        for flag, tp, text, paths in _FLAGS:
+        for flag, tp, text, paths in _flags_of(name):
             p.add_argument(flag, type=tp, help=f"{text}; sets {', '.join(paths)}")
     return ap
 
@@ -287,18 +297,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _merge_flags(obj: dict, args: argparse.Namespace) -> dict:
     """Overlay CLI flags onto the raw config dict (flags win)."""
     obj["subcommand"] = args.subcommand
-    for flag, _, _, paths in _FLAGS:
+    for flag, _, _, paths in _flags_of(args.subcommand):
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is None:
             continue
-        if args.subcommand == "bench":
-            read = [p for p in paths if p.split(".")[0] in _BENCH_READS]
-            if not read:
-                raise ConfigError(
-                    f"{flag} has no effect on bench: it sets {', '.join(paths)}, "
-                    f"and bench reads only the keys under {'/'.join(_BENCH_READS)}"
-                )
-            paths = read
         for spec in paths:
             path, sep, fixed = spec.partition("=")
             *sections, key = path.split(".")

@@ -200,11 +200,6 @@ def _loss_grads(net: ToyNet, x: np.ndarray, y: np.ndarray, cfg: NeuralTrainConfi
     return loss, grads
 
 
-def loss_batch(net: ToyNet, x: np.ndarray, y: np.ndarray, cfg: NeuralTrainConfig) -> float:
-    """Mean squared-MH loss plus the top-layer decay term."""
-    return _loss_grads(net, x, y, cfg)[0]
-
-
 def _heads_pgd(net: ToyNet, x: np.ndarray, spec: AttackSpec, heads) -> np.ndarray:
     """Batch PGD on a per-sample objective of the two heads; heads(f, r)
     gives its value and its d/df and d/dr, each an array or a scalar. One

@@ -9,7 +9,7 @@ import pytest
 import advreject.cli
 import advreject.model
 from advreject.cli import main
-from advreject.config import ConfigError, validate_config
+from advreject.config import ConfigError, RunConfig, validate_config
 from advreject.data import parse_libsvm, to_csv, to_libsvm
 from advreject.losses import loss_01c
 from advreject.model import RejectionModel
@@ -93,6 +93,40 @@ class TestValidateConfig:
         assert not (tmp_path / "o").exists()
 
 
+def _under(path: str, reads) -> bool:
+    """Whether a config path lies under one of the keys or sections in reads."""
+    return any(f"{path}.".startswith(f"{r}.") for r in reads)
+
+
+def _leaves(obj: dict, prefix: str = ""):
+    """(path, value) of each leaf key of a JSON object."""
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+def _nested(flat: dict) -> dict:
+    """The JSON object of {path: value}."""
+    obj = {}
+    for path, value in flat.items():
+        *sections, key = path.split(".")
+        node = obj
+        for name in sections:
+            node = node.setdefault(name, {})
+        node[key] = value
+    return obj
+
+
+@pytest.fixture
+def stubbed(monkeypatch):
+    """Every command replaced by one that computes nothing: a run validates
+    its config and writes only manifest.json."""
+    for name, (_, reads) in list(advreject.cli._DISPATCH.items()):
+        monkeypatch.setitem(advreject.cli._DISPATCH, name, (lambda rc: ({}, "stub"), reads))
+
+
 class TestFlags:
     @pytest.mark.parametrize(
         "config,flag,message",
@@ -104,31 +138,43 @@ class TestFlags:
         ],
     )
     def test_flag_under_a_non_object_section(self, config, flag, message, data_file, tmp_path, capsys):
+        command = next(iter(config))  # each section is read by the subcommand of its name
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(config))
         out = tmp_path / "o"
-        assert main(["train", "--config", str(p), "--data", str(data_file), "--out", str(out), *flag]) == 2
+        assert main([command, "--config", str(p), "--data", str(data_file), "--out", str(out), *flag]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    def test_flags_set_every_key_they_name(self, data_file, tmp_path):
-        out = tmp_path / "o"
-        assert main([
-            "train", "--data", str(data_file), "--features", "identity", "--rff-dim", "16",
-            "--eps", "0.03", "--epochs", "7", "--out", str(out),
-        ]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["train"]["features"]["kind"] == "random_fourier"
-        assert manifest["train"]["features"]["dim"] == manifest["bench"]["rff_dim"] == 16
-        assert manifest["attack"]["eps"] == manifest["bound"]["eps"] == 0.03
-        assert manifest["train"]["epochs"] == manifest["neural"]["epochs"] == 7
+    def test_flags_set_every_key_they_name(self, stubbed, tmp_path):
+        # each subcommand sets the keys it reads; together they set every key a flag names
+        def manifest(command, *flags):
+            out = tmp_path / command
+            assert main([command, "--data", "d.libsvm", "--out", str(out), *flags]) == 0
+            return json.loads((out / "manifest.json").read_text())
+
+        train = manifest("train", "--features", "identity", "--rff-dim", "16", "--eps", "0.03", "--epochs", "7")
+        assert train["train"]["features"] == {"kind": "random_fourier", "dim": 16, "sigma": "median"}
+        assert (train["attack"]["eps"], train["train"]["epochs"]) == (0.03, 7)
+        assert (train["bench"]["rff_dim"], train["bound"]["eps"], train["neural"]["epochs"]) == (200, 0.0, 200)
+        assert manifest("bench", "--rff-dim", "16")["bench"]["rff_dim"] == 16
+        assert manifest("bound", "--eps", "0.03")["bound"]["eps"] == 0.03
+        assert manifest("neural-train", "--epochs", "7")["neural"]["epochs"] == 7
 
     def test_help_names_the_keys_a_flag_sets(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["eval", "--help"])
-        text = " ".join(capsys.readouterr().out.split())
-        assert "attack radius; sets attack.eps, bound.eps" in text
-        assert "sets train.features.dim, train.features.kind=random_fourier, bench.rff_dim" in text
+        def help_text(command):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            return " ".join(capsys.readouterr().out.split())
+
+        text = help_text("eval")
+        assert "attack radius; sets attack.eps " in text and "bound.eps" not in text
+        text = help_text("bound")
+        assert text.endswith("attack radius; sets bound.eps") and "attack.eps" not in text
+        text = help_text("train")
+        assert text.endswith("sets train.features.dim, train.features.kind=random_fourier") and "bench" not in text
+        text = help_text("bench")
+        assert "random Fourier feature dimension; sets bench.rff_dim " in text and "train." not in text
 
     def test_readme_flag_table_matches_the_flags(self):
         # the same flags in the same order, each with the keys it sets; a fixed value shows as `key` = `value`
@@ -142,13 +188,146 @@ class TestFlags:
         assert rows == [f"| `{flag}` | {keys(paths)} |" for flag, _, _, paths in advreject.cli._FLAGS]
 
 
+# a valid value for each flag, unlike the value in TestFlagRule's base config of every key it sets
+FLAG_VALUES = {
+    "--data": "other.libsvm", "--test-data": "held-out.libsvm", "--model": "model.json", "--out": "o", "--seed": "3",
+    "--mode": "mh", "--cost": "0.1", "--eps": "0.03", "--eps-train": "0.05", "--attack": "fgsm", "--steps": "7",
+    "--norm": "l2", "--epochs": "7", "--features": "random_fourier", "--rff-dim": "16", "--trials": "3",
+}
+# a valid value for each key that some subcommand does not read, unlike its
+# value in SMALL_RUNS or its default
+UNREAD_VALUES = {
+    "model": "elsewhere.json", "seed": 5, "test_dataset": "elsewhere.libsvm",
+    "attack.eps": 0.05, "attack.method": "none", "attack.norm": "l2", "attack.random_start": False,
+    "attack.step_size": 0.01, "attack.steps": 5,
+    "bench.alpha": 1.5, "bench.attack_eps": [0.0, 0.05], "bench.attack_steps": 5, "bench.beta": 3.0,
+    "bench.epochs": 10, "bench.eps_train": 0.01, "bench.lam": 0.01, "bench.lam_prime": 0.01, "bench.lr0": 1.0,
+    "bench.methods": [["atro", 0.1]], "bench.normalize": "zscore", "bench.rff_dim": 8, "bench.train_size": 50,
+    "bench.trials": 2,
+    "bound.delta": 0.1, "bound.eps": 0.01, "bound.mc_draws": 100, "bound.p": "inf", "bound.w_bound": 5.0,
+    "neural.activation": "tanh", "neural.alpha": 1.5, "neural.batch_size": 16, "neural.beta": 1.5,
+    "neural.cost": 0.2, "neural.epochs": 5, "neural.eps_train": 0.05, "neural.hidden": [6], "neural.lam_w": 0.01,
+    "neural.lr": 0.1, "neural.normalize": "zscore", "neural.steps": 2, "neural.train_fraction": 0.7,
+    "train.alpha": 1.5, "train.beta": 1.5, "train.cost": 0.3, "train.epochs": 5, "train.eps_train": 0.01,
+    "train.features.dim": 8, "train.features.kind": "random_fourier", "train.features.sigma": 1.0,
+    "train.lam": 0.01, "train.lam_prime": 0.01, "train.lr0": 1.0, "train.mode": "at", "train.normalize": "zscore",
+    "train.train_fraction": 0.7,
+}
+# the settings that keep each subcommand's run small; the attack uses its seed
+SMALL_RUNS = {
+    "attack.method": "pgd", "attack.eps": 0.1, "attack.random_start": True, "attack.steps": 3,
+    "train.epochs": 20, "neural.epochs": 3, "neural.hidden": [4], "bench.methods": [["mh", 0.2]],
+    "bench.attack_eps": [0.0], "bench.trials": 1, "bench.train_size": 60, "bench.rff_dim": 0, "bench.epochs": 20,
+}
+
+
+class TestFlagRule:
+    """_DISPATCH declares the config paths each subcommand reads. A flag is
+    offered where some of its paths lie under them and sets only those;
+    elsewhere it is an unrecognized argument."""
+
+    def test_table_paths_are_config_keys(self):
+        keys = set()
+        for path, _ in _leaves(json.loads(RunConfig(subcommand="train").to_json())):
+            parts = path.split(".")
+            keys |= {".".join(parts[: i + 1]) for i in range(len(parts))}
+        flag_paths = {p.partition("=")[0] for *_, paths in advreject.cli._FLAGS for p in paths}
+        read_paths = {r for _, reads in advreject.cli._DISPATCH.values() for r in reads}
+        assert flag_paths <= keys and read_paths <= keys
+
+    def test_every_flag_path_is_read_somewhere(self):
+        all_reads = [reads for _, reads in advreject.cli._DISPATCH.values()]
+        for flag, _, _, paths in advreject.cli._FLAGS:
+            for path in paths:
+                assert any(_under(path.partition("=")[0], reads) for reads in all_reads), (flag, path)
+        offered = sum(
+            any(_under(p.partition("=")[0], reads) for p in paths)
+            for reads in all_reads for *_, paths in advreject.cli._FLAGS
+        )
+        assert offered == 50
+
+    @pytest.mark.parametrize("command", list(advreject.cli._DISPATCH))
+    @pytest.mark.parametrize("flag", [flag for flag, *_ in advreject.cli._FLAGS])
+    def test_flag_sets_only_what_the_subcommand_reads(self, flag, command, stubbed, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        base_config = {"dataset": "base.libsvm", "out": "base", "attack": {"method": "pgd"}}  # pgd takes l2
+        Path("cfg.json").write_text(json.dumps(base_config))
+        reads = advreject.cli._DISPATCH[command][1]
+        paths = {f: p for f, *_, p in advreject.cli._FLAGS}[flag]
+        expected = {p for p in (p.partition("=")[0] for p in paths) if _under(p, reads)}
+        argv, value = [command, "--config", "cfg.json"], FLAG_VALUES[flag]
+        if not expected:
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, flag, value])
+            assert exc.value.code == 2
+            assert f"error: unrecognized arguments: {flag} {value}\n" in capsys.readouterr().err
+            assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+            return
+        assert main(argv) == 0
+        base = dict(_leaves(json.loads(Path("base/manifest.json").read_text())))
+        assert main([*argv, flag, value]) == 0
+        out = value if flag == "--out" else "base"
+        got = dict(_leaves(json.loads(Path(out, "manifest.json").read_text())))
+        assert {k for k in base if got[k] != base[k]} == expected
+
+    @pytest.mark.parametrize("command", list(advreject.cli._DISPATCH))
+    def test_keys_outside_the_reads_change_nothing(self, command, tmp_path, capsys):
+        # every key the subcommand does not read moves to another valid value:
+        # the files it writes and its summary keep their bytes. On the moons
+        # the model rejects some points, so the cost shows in eval's loss.
+        data_file = tmp_path / "moons.libsvm"
+        data_file.write_text(to_libsvm(two_moons(120, seed=0)))
+        reads = advreject.cli._DISPATCH[command][1]
+        every = dict(_leaves(json.loads(RunConfig(subcommand=command).to_json())))
+        assert set(UNREAD_VALUES) == {
+            k for k in every if k != "subcommand" and not all(_under(k, r) for _, r in advreject.cli._DISPATCH.values())
+        }
+        trained = tmp_path / "model"
+        assert main(["train", "--data", str(data_file), "--epochs", "60", "--out", str(trained)]) == 0
+        small = {"subcommand": command, "dataset": str(data_file), "model": str(trained / "model.json"), **SMALL_RUNS}
+        unread = {k: v for k, v in UNREAD_VALUES.items() if not _under(k, reads)}
+        small_values = dict(_leaves(json.loads(validate_config(json.dumps(_nested(small))).to_json())))
+        assert all(v != small_values[k] for k, v in unread.items())
+        files, stdout = [], []
+        for name, flat in (("small", small), ("unread", {**small, **unread})):
+            capsys.readouterr()
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(_nested({**flat, "out": str(tmp_path / name)})))
+            assert main([command, "--config", str(cfg)]) == 0
+            stdout.append(capsys.readouterr().out)
+            files.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir() if p.name != "manifest.json"})
+        assert files[0] == files[1] and files[0]
+        assert stdout[0] == stdout[1]
+
+    def test_neural_train_flags_reach_the_neural_section(self, tmp_path):
+        path = tmp_path / "moons.csv"
+        path.write_text(to_csv(two_moons(80, seed=1)))
+        plain, flagged = tmp_path / "plain", tmp_path / "flagged"
+        argv = ["neural-train", "--data", str(path), "--epochs", "5"]
+        assert main([*argv, "--out", str(plain)]) == 0
+        assert main([*argv, "--eps-train", "0.1", "--cost", "0.1", "--steps", "3", "--out", str(flagged)]) == 0
+        neural = json.loads((flagged / "manifest.json").read_text())["neural"]
+        assert (neural["eps_train"], neural["cost"], neural["steps"]) == (0.1, 0.1, 3)
+        assert (flagged / "net.json").read_bytes() != (plain / "net.json").read_bytes()
+
+    def test_a_flag_prefix_is_not_a_flag(self, data_file, tmp_path, capsys):
+        # neural-train offers --eps-train but not --eps
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["neural-train", "--data", str(data_file), "--eps", "0.1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "error: unrecognized arguments: --eps 0.1\n" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestNonFiniteValues:
     @pytest.mark.parametrize("command", ["eval", "bound"])
     @pytest.mark.parametrize("eps", ["nan", "inf"])
     def test_eps_flag(self, command, eps, data_file, tmp_path, capsys):
         out = tmp_path / "o"
         assert main([command, "--data", str(data_file), "--eps", eps, "--out", str(out)]) == 2
-        assert "attack.eps must be finite" in capsys.readouterr().err
+        key = "bound.eps" if command == "bound" else "attack.eps"  # the one --eps key each reads
+        assert f"{key} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -335,8 +514,10 @@ class TestOtherCommands:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"bench": bench}))
         out = tmp_path / "o"
-        # bench takes neither --model nor --epochs (it exits 2 on flags it does not read)
-        flags = [] if command == "bench" else ["--model", str(trained), "--epochs", "20"]
+        # each command takes only the flags it reads
+        flags = {
+            "train": ["--epochs", "20"], "neural-train": ["--epochs", "20"], "bench": [],
+        }.get(command, ["--model", str(trained)])
         assert main([command, "--config", str(p), "--data", str(data_file), *flags, "--out", str(out)]) == 0
         assert {f.name for f in out.iterdir()} == files | {"manifest.json"}
 
@@ -448,10 +629,13 @@ class TestOtherCommands:
         ],
     )
     def test_bench_rejects_a_flag_it_does_not_read(self, flag, value, data_file, tmp_path, capsys, monkeypatch):
+        # the bench row of TestFlagRule's matrix, with the protocol itself in place
         monkeypatch.setattr(advreject.cli, "run_protocol", None)  # fails the run if the protocol starts
         out = tmp_path / "o"
-        assert main(["bench", "--data", str(data_file), "--out", str(out), flag, value]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {flag} has no effect on bench: it sets ")
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--data", str(data_file), "--out", str(out), flag, value])
+        assert exc.value.code == 2
+        assert f"error: unrecognized arguments: {flag} {value}\n" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bench_takes_the_flags_it_reads(self, data_file, tmp_path):
