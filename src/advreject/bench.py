@@ -3,8 +3,9 @@ evaluate under an attack grid, aggregate mean/std, write the table.
 
 Each trial draws a fresh train/test split and fresh kernel features from
 the trial seed, trains one model per (mode, cost) cell, and evaluates the
-whole grid of attack radii with the exact analytic_linear attack. Kernel
-bandwidth uses the median pairwise distance on the training split.
+whole grid of attack radii with the exact analytic_linear attack.
+``feature_map`` builds every run's feature map, the CLI's ``train`` too;
+the kernel bandwidth is the median pairwise distance on the training split.
 ``ProtocolConfig.params`` gives each method's surrogate parameters, for
 training and scoring alike.
 """
@@ -36,6 +37,17 @@ def median_heuristic_bandwidth(x: np.ndarray, seed: int = 0, subsample: int = 20
     if positive.size == 0:
         return 1.0
     return float(np.median(positive))
+
+
+def feature_map(dim: int, x: np.ndarray, seed: int, sigma: float | str = "median") -> FeatureMap:
+    """The feature map of a run trained on inputs x: the identity when dim
+    is 0, else dim random Fourier features drawn from seed and pinned to
+    x's dimension, of bandwidth sigma ("median": the median heuristic on x)."""
+    if dim == 0:
+        return FeatureMap("identity")
+    if sigma == "median":
+        sigma = median_heuristic_bandwidth(x, seed=seed)
+    return FeatureMap("random_fourier", dim=dim, sigma=sigma, seed=seed, input_dim=x.shape[1])
 
 
 @dataclass(frozen=True)
@@ -135,16 +147,7 @@ def run_protocol(ds: Dataset, pc: ProtocolConfig) -> tuple[list[BenchCell], list
         tr, te = split(ds, pc.train_size / len(ds), seed=split_seed)
         tr_n, stats = normalize(tr, pc.normalize)
         te_n = stats.apply(te)
-        if pc.rff_dim > 0:
-            fm = FeatureMap(
-                "random_fourier",
-                dim=pc.rff_dim,
-                sigma=median_heuristic_bandwidth(tr_n.x, seed=feat_seed),
-                seed=feat_seed,
-                input_dim=tr_n.d,
-            )
-        else:
-            fm = FeatureMap("identity")
+        fm = feature_map(pc.rff_dim, tr_n.x, feat_seed)
         models: dict[tuple[str, float | None], RejectionModel] = {}
         for mode, cost in pc.methods:
             model, _ = train(tr_n, pc.train_config(mode, cost, fm))

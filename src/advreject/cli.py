@@ -23,12 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import bench_to_csv, bench_to_text, median_heuristic_bandwidth, run_protocol
+from .bench import bench_to_csv, bench_to_text, feature_map, run_protocol
 from .bounds import clipped_adv_risk, generalization_bound, weight_bound
 from .config import ConfigError, NeuralSection, RunConfig, TrainSection, config_object, validate_config
 from .data import DataFormatError, Dataset, normalize, parse_csv, parse_libsvm, split
 from .evaluate import _attack_and_score, _confusion, evaluate_model, metrics
-from .model import FeatureMap, RejectionModel
+from .model import RejectionModel
 from .neural import train_neural
 from .train import train
 
@@ -82,7 +82,8 @@ def _load_model_and_data(rc: RunConfig) -> tuple[RejectionModel, Dataset]:
     return model, ds
 
 
-def _prepare_training_data(rc: RunConfig, prep: TrainSection | NeuralSection, seeds: dict):
+def _prepare_training_data(rc: RunConfig, section: str, seeds: dict):
+    prep: TrainSection | NeuralSection = getattr(rc, section)
     ds = _load_dataset(rc.dataset)
     if rc.test_dataset:
         tr, te = ds, _load_dataset(rc.test_dataset)
@@ -91,26 +92,23 @@ def _prepare_training_data(rc: RunConfig, prep: TrainSection | NeuralSection, se
                 f"test dataset {rc.test_dataset!r} has dimension {te.d}, but dataset {rc.dataset!r} has {tr.d}"
             )
     else:
-        tr, te = split(ds, prep.train_fraction, seed=seeds["split"])
+        try:
+            tr, te = split(ds, prep.train_fraction, seed=seeds["split"])
+        except ValueError as exc:
+            raise ConfigError(f"dataset {rc.dataset!r} cannot be split by {section}.train_fraction: {exc}") from None
     tr_n, stats = normalize(tr, prep.normalize)
     te_n = stats.apply(te)
     return tr_n, te_n, stats
 
 
-def _resolve_feature_map(rc: RunConfig, tr_x: np.ndarray, seeds: dict) -> FeatureMap:
-    fs = rc.train.features
-    if fs.config.kind == "identity":
-        return FeatureMap("identity")
-    if fs.sigma == "median":
-        fs.sigma = median_heuristic_bandwidth(tr_x, seed=seeds["features"])
-    fs.config = fs.build(fs.sigma, seeds["features"], tr_x.shape[1])  # freeze into the manifest
-    return fs.config
-
-
 def _cmd_train(rc: RunConfig) -> tuple[dict[str, str], str]:
     seeds = _fan_out_seeds(rc.seed)
-    tr_n, te_n, stats = _prepare_training_data(rc, rc.train, seeds)
-    cfg = replace(rc.train.config, feature_map=_resolve_feature_map(rc, tr_n.x, seeds))
+    tr_n, te_n, stats = _prepare_training_data(rc, "train", seeds)
+    fs = rc.train.features
+    fm = feature_map(fs.dim, tr_n.x, seeds["features"], fs.sigma)
+    if fs.dim:
+        fs.sigma = fm.sigma  # freeze into the manifest
+    cfg = replace(rc.train.config, feature_map=fm)
     model, trace = train(tr_n, cfg)
     model.norm_stats = stats
     report = evaluate_model(model, te_n, replace(rc.attack, seed=seeds["attack"]), cfg.params)
@@ -159,7 +157,12 @@ def _cmd_bound(rc: RunConfig) -> tuple[dict[str, str], str]:
     b = rc.bound
     if b.w_bound == "auto":
         b.w_bound = weight_bound(model, b.config.p)  # freeze into the manifest
-    cfg = b.build(b.w_bound, params)
+    try:
+        cfg = b.build(b.w_bound, params)
+    except ValueError as exc:  # only from "auto": a w_bound set in the config was checked with it
+        raise ConfigError(
+            f'bound.w_bound "auto" is {b.w_bound!r}, the largest weight norm of model {rc.model!r}, but {exc}'
+        ) from None
     feats = Dataset(model.featurize(ds.x), ds.y, name=ds.name)
     risk = clipped_adv_risk(model, ds, cfg.eps, params)
     report = generalization_bound(feats, risk, cfg)
@@ -182,7 +185,7 @@ def _cmd_bench(rc: RunConfig) -> tuple[dict[str, str], str]:
 
 def _cmd_neural_train(rc: RunConfig) -> tuple[dict[str, str], str]:
     seeds = _fan_out_seeds(rc.seed)
-    tr, te, _ = _prepare_training_data(rc, rc.neural, seeds)
+    tr, te, _ = _prepare_training_data(rc, "neural", seeds)
     net, trace = train_neural(tr, rc.neural.build(seeds["features"]))
     err, rej, _ = metrics(_confusion(*net.forward(te.x), te.y))
     csv = "epoch,mean_loss\n" + "".join(f"{i},{float(v)!r}\n" for i, v in enumerate(trace))
@@ -243,11 +246,9 @@ def _write_all(out: Path, files: dict[str, str]) -> None:
         raise
 
 
-# (flag, type, help, the config paths it sets); a path "key=value" sets key
-# to that fixed value. A later flag overwrites what an earlier one set, so
-# --rff-dim decides train.features.kind over --features. A subcommand offers
-# a flag only if some of its paths lie under its reads in _DISPATCH, and
-# sets only those; any other flag is an unrecognized argument (exit 2).
+# (flag, type, help, the config paths it sets to its value). A subcommand
+# offers a flag only if some of its paths lie under its reads in _DISPATCH,
+# and sets only those; any other flag is an unrecognized argument (exit 2).
 _FLAGS = (
     ("--data", str, "dataset path (.libsvm or .csv)", ("dataset",)),
     ("--test-data", str, "held-out dataset path", ("test_dataset",)),
@@ -265,11 +266,7 @@ _FLAGS = (
     ("--steps", int, "attack steps", ("attack.steps", "neural.steps")),
     ("--norm", str, "attack norm: linf/l2", ("attack.norm",)),
     ("--epochs", int, "training epochs", ("train.epochs", "neural.epochs")),
-    ("--features", str, "feature map kind: identity/random_fourier", ("train.features.kind",)),
-    (
-        "--rff-dim", int, "random Fourier feature dimension",
-        ("train.features.dim", "train.features.kind=random_fourier", "bench.rff_dim"),
-    ),
+    ("--rff-dim", int, "random Fourier feature dimension, 0 = identity", ("train.features.dim", "bench.rff_dim")),
     ("--trials", int, "benchmark trials", ("bench.trials",)),
 )
 
@@ -278,7 +275,7 @@ def _flags_of(subcommand: str):
     """The _FLAGS entries the subcommand offers, each with only the paths it reads."""
     reads = _DISPATCH[subcommand][1]
     for flag, tp, text, paths in _FLAGS:
-        mine = tuple(p for p in paths if any(f"{p.partition('=')[0]}.".startswith(f"{r}.") for r in reads))
+        mine = tuple(p for p in paths if any(f"{p}.".startswith(f"{r}.") for r in reads))
         if mine:
             yield flag, tp, text, mine
 
@@ -301,15 +298,14 @@ def _merge_flags(obj: dict, args: argparse.Namespace) -> dict:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is None:
             continue
-        for spec in paths:
-            path, sep, fixed = spec.partition("=")
+        for path in paths:
             *sections, key = path.split(".")
             node = obj
             for i, name in enumerate(sections):
                 node = node.setdefault(name, {})
                 if not isinstance(node, dict):
                     raise ConfigError(f"{'.'.join(sections[: i + 1])} must be an object, got {type(node).__name__}")
-            node[key] = fixed if sep else value
+            node[key] = value
     return obj
 
 

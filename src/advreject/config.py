@@ -28,7 +28,6 @@ from .bench import ProtocolConfig
 from .bounds import BoundConfig
 from .data import check_fraction, check_scheme
 from .losses import SurrogateParams
-from .model import FeatureMap
 from .neural import NeuralTrainConfig
 from .train import TrainConfig
 
@@ -41,18 +40,18 @@ class ConfigError(ValueError):
 
 @dataclass
 class FeatureSection:
-    """train.features: a FeatureMap whose sigma may be "median", the median
+    """train.features: the arguments of bench.feature_map. dim 0 keeps the
+    input, as bench.rff_dim 0 does; sigma may be "median", the median
     pairwise distance on the training split."""
 
-    config: FeatureMap = field(default_factory=lambda: FeatureMap(dim=200))
+    dim: int = 0
     sigma: float | Literal["median"] = "median"
 
     def __post_init__(self):
-        if self.sigma != "median":
-            self.build(self.sigma, seed=0, input_dim=0)
-
-    def build(self, sigma: float, seed: int, input_dim: int) -> FeatureMap:
-        return replace(self.config, sigma=sigma, seed=seed, input_dim=input_dim)
+        if self.dim < 0:
+            raise ValueError("dim must be >= 0 (0 = identity features)")
+        if self.sigma != "median" and not 0 < self.sigma < math.inf:
+            raise ValueError("sigma must be finite and positive")
 
 
 @dataclass
@@ -69,8 +68,8 @@ class _Prep:
 
 @dataclass
 class TrainSection(_Prep):
-    """train: a TrainConfig whose feature map is built from ``features``
-    and the training split."""
+    """train: a TrainConfig whose feature map bench.feature_map builds
+    from ``features`` and the training split."""
 
     config: TrainConfig = field(default_factory=lambda: TrainConfig(params=SurrogateParams(cost=0.2)))
     features: FeatureSection = field(default_factory=FeatureSection)
@@ -142,9 +141,6 @@ class RunConfig:
 _DERIVED = {
     (TrainConfig, "feature_map"),
     (AttackSpec, "seed"),
-    (FeatureMap, "sigma"),
-    (FeatureMap, "seed"),
-    (FeatureMap, "input_dim"),
     (BoundConfig, "w_bound"),
     (BoundConfig, "params"),
     (NeuralTrainConfig, "attack"),

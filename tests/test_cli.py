@@ -1,5 +1,7 @@
 import itertools
 import json
+import re
+import shlex
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,6 +16,8 @@ from advreject.data import parse_libsvm, to_csv, to_libsvm
 from advreject.losses import loss_01c
 from advreject.model import RejectionModel
 from advreject.synth import credit_surrogate, two_clusters, two_moons
+
+README = Path(__file__).parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -81,6 +85,9 @@ class TestValidateConfig:
             ("train", "epochz", 5),
             ("attack", "seed", 123),  # derived from the master seed
             ("train", "features", {"seed": 123}),
+            ("train", "features", {"kind": "random_fourier"}),  # dim alone picks the map
+            ("train", "features", {"dim": -1}),
+            ("train", "features", {"dim": 16, "sigma": 0}),
         ],
     )
     def test_bad_field_names_its_path(self, section, key, value, data_file, tmp_path):
@@ -153,8 +160,8 @@ class TestFlags:
             assert main([command, "--data", "d.libsvm", "--out", str(out), *flags]) == 0
             return json.loads((out / "manifest.json").read_text())
 
-        train = manifest("train", "--features", "identity", "--rff-dim", "16", "--eps", "0.03", "--epochs", "7")
-        assert train["train"]["features"] == {"kind": "random_fourier", "dim": 16, "sigma": "median"}
+        train = manifest("train", "--rff-dim", "16", "--eps", "0.03", "--epochs", "7")
+        assert train["train"]["features"] == {"dim": 16, "sigma": "median"}
         assert (train["attack"]["eps"], train["train"]["epochs"]) == (0.03, 7)
         assert (train["bench"]["rff_dim"], train["bound"]["eps"], train["neural"]["epochs"]) == (200, 0.0, 200)
         assert manifest("bench", "--rff-dim", "16")["bench"]["rff_dim"] == 16
@@ -172,28 +179,36 @@ class TestFlags:
         text = help_text("bound")
         assert text.endswith("attack radius; sets bound.eps") and "attack.eps" not in text
         text = help_text("train")
-        assert text.endswith("sets train.features.dim, train.features.kind=random_fourier") and "bench" not in text
+        assert text.endswith("feature dimension, 0 = identity; sets train.features.dim") and "bench" not in text
         text = help_text("bench")
-        assert "random Fourier feature dimension; sets bench.rff_dim " in text and "train." not in text
+        assert "random Fourier feature dimension, 0 = identity; sets bench.rff_dim " in text and "train." not in text
 
     def test_readme_flag_table_matches_the_flags(self):
-        # the same flags in the same order, each with the keys it sets; a fixed value shows as `key` = `value`
-        lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+        # the same flags in the same order, each with the keys it sets
+        lines = README.read_text().splitlines()
         start = lines.index("| flag | config keys |") + 2
         rows = list(itertools.takewhile(lambda line: line.startswith("|"), lines[start:]))
+        expected = [f"| `{flag}` | " + ", ".join(f"`{p}`" for p in paths) + " |" for flag, *_, paths in advreject.cli._FLAGS]
+        assert rows == expected
 
-        def keys(paths):
-            return ", ".join("`{}` = `{}`".format(*p.split("=")) if "=" in p else f"`{p}`" for p in paths)
-
-        assert rows == [f"| `{flag}` | {keys(paths)} |" for flag, _, _, paths in advreject.cli._FLAGS]
+    def test_readme_commands_parse(self):
+        # every advreject command in README's sh blocks, its continuation lines joined
+        blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+        lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line)[1:] for line in lines if line.startswith("advreject ")]
+        assert len(commands) == 6
+        for argv in commands:
+            advreject.cli._build_parser().parse_args(argv)
 
 
 # a valid value for each flag, unlike the value in TestFlagRule's base config of every key it sets
 FLAG_VALUES = {
     "--data": "other.libsvm", "--test-data": "held-out.libsvm", "--model": "model.json", "--out": "o", "--seed": "3",
     "--mode": "mh", "--cost": "0.1", "--eps": "0.03", "--eps-train": "0.05", "--attack": "fgsm", "--steps": "7",
-    "--norm": "l2", "--epochs": "7", "--features": "random_fourier", "--rff-dim": "16", "--trials": "3",
+    "--norm": "l2", "--epochs": "7", "--rff-dim": "16", "--trials": "3",
 }
+# a flag the CLI no longer has, with a value it once took: every subcommand rejects it
+REMOVED_FLAGS = {"--features": "random_fourier"}
 # a valid value for each key that some subcommand does not read, unlike its
 # value in SMALL_RUNS or its default
 UNREAD_VALUES = {
@@ -209,7 +224,7 @@ UNREAD_VALUES = {
     "neural.cost": 0.2, "neural.epochs": 5, "neural.eps_train": 0.05, "neural.hidden": [6], "neural.lam_w": 0.01,
     "neural.lr": 0.1, "neural.normalize": "zscore", "neural.steps": 2, "neural.train_fraction": 0.7,
     "train.alpha": 1.5, "train.beta": 1.5, "train.cost": 0.3, "train.epochs": 5, "train.eps_train": 0.01,
-    "train.features.dim": 8, "train.features.kind": "random_fourier", "train.features.sigma": 1.0,
+    "train.features.dim": 8, "train.features.sigma": 1.0,
     "train.lam": 0.01, "train.lam_prime": 0.01, "train.lr0": 1.0, "train.mode": "at", "train.normalize": "zscore",
     "train.train_fraction": 0.7,
 }
@@ -231,7 +246,7 @@ class TestFlagRule:
         for path, _ in _leaves(json.loads(RunConfig(subcommand="train").to_json())):
             parts = path.split(".")
             keys |= {".".join(parts[: i + 1]) for i in range(len(parts))}
-        flag_paths = {p.partition("=")[0] for *_, paths in advreject.cli._FLAGS for p in paths}
+        flag_paths = {p for *_, paths in advreject.cli._FLAGS for p in paths}
         read_paths = {r for _, reads in advreject.cli._DISPATCH.values() for r in reads}
         assert flag_paths <= keys and read_paths <= keys
 
@@ -239,23 +254,20 @@ class TestFlagRule:
         all_reads = [reads for _, reads in advreject.cli._DISPATCH.values()]
         for flag, _, _, paths in advreject.cli._FLAGS:
             for path in paths:
-                assert any(_under(path.partition("=")[0], reads) for reads in all_reads), (flag, path)
-        offered = sum(
-            any(_under(p.partition("=")[0], reads) for p in paths)
-            for reads in all_reads for *_, paths in advreject.cli._FLAGS
-        )
-        assert offered == 50
+                assert any(_under(path, reads) for reads in all_reads), (flag, path)
+        offered = sum(any(_under(p, reads) for p in paths) for reads in all_reads for *_, paths in advreject.cli._FLAGS)
+        assert offered == 49
 
     @pytest.mark.parametrize("command", list(advreject.cli._DISPATCH))
-    @pytest.mark.parametrize("flag", [flag for flag, *_ in advreject.cli._FLAGS])
+    @pytest.mark.parametrize("flag", [*(flag for flag, *_ in advreject.cli._FLAGS), *REMOVED_FLAGS])
     def test_flag_sets_only_what_the_subcommand_reads(self, flag, command, stubbed, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         base_config = {"dataset": "base.libsvm", "out": "base", "attack": {"method": "pgd"}}  # pgd takes l2
         Path("cfg.json").write_text(json.dumps(base_config))
         reads = advreject.cli._DISPATCH[command][1]
-        paths = {f: p for f, *_, p in advreject.cli._FLAGS}[flag]
-        expected = {p for p in (p.partition("=")[0] for p in paths) if _under(p, reads)}
-        argv, value = [command, "--config", "cfg.json"], FLAG_VALUES[flag]
+        paths = {f: p for f, *_, p in advreject.cli._FLAGS}.get(flag, ())
+        expected = {p for p in paths if _under(p, reads)}
+        argv, value = [command, "--config", "cfg.json"], {**FLAG_VALUES, **REMOVED_FLAGS}[flag]
         if not expected:
             with pytest.raises(SystemExit) as exc:
                 main([*argv, flag, value])
@@ -480,6 +492,17 @@ class TestOtherCommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert isinstance(manifest["bound"]["w_bound"], float)  # "auto" resolved
 
+    def test_bound_auto_on_an_all_zero_model(self, data_file, tmp_path, capsys):
+        zero = tmp_path / "zero.json"
+        zero.write_text(RejectionModel(np.zeros(2), np.zeros(2)).to_json())
+        out = tmp_path / "o"
+        assert main(["bound", "--model", str(zero), "--data", str(data_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f'error: bound.w_bound "auto" is 0.0, the largest weight norm of model {str(zero)!r}, '
+            "but w_bound must be finite and positive\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["eval", "attack", "bound"])
     def test_dataset_featurized_once(self, command, data_file, tmp_path, monkeypatch):
         run = tmp_path / "rff_run"
@@ -650,12 +673,34 @@ class TestOtherCommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert (manifest["dataset"], manifest["out"], manifest["seed"]) == (str(data_file), str(out), 3)
         assert (manifest["bench"]["rff_dim"], manifest["bench"]["trials"]) == (8, 2)
-        assert manifest["train"]["features"]["kind"] == "identity"  # --rff-dim sets only bench.rff_dim here
+        assert manifest["train"]["features"]["dim"] == 0  # --rff-dim sets only bench.rff_dim here
 
-    def test_train_rff_dim_flag_zero_is_an_error(self, data_file, tmp_path, capsys):
+    def test_train_rff_dim_flag_zero_is_identity_features(self, data_file, tmp_path):
+        # train.features.dim means what bench.rff_dim means: 0, the default, keeps the input
+        plain, zero = tmp_path / "plain", tmp_path / "zero"
+        assert main(["train", "--data", str(data_file), "--epochs", "20", "--out", str(plain)]) == 0
+        assert main(["train", "--data", str(data_file), "--epochs", "20", "--rff-dim", "0", "--out", str(zero)]) == 0
+        assert (zero / "model.json").read_bytes() == (plain / "model.json").read_bytes()
+        assert json.loads((zero / "model.json").read_text())["feature_map"]["kind"] == "identity"
+        assert json.loads((zero / "manifest.json").read_text())["train"]["features"] == {"dim": 0, "sigma": "median"}
+
+    def test_train_rff_dim_freezes_the_median_bandwidth(self, data_file, tmp_path):
         out = tmp_path / "o"
-        assert main(["train", "--data", str(data_file), "--rff-dim", "0", "--out", str(out)]) == 2
-        assert "train.features.dim must be positive" in capsys.readouterr().err
+        assert main(["train", "--data", str(data_file), "--epochs", "20", "--rff-dim", "16", "--out", str(out)]) == 0
+        fm = json.loads((out / "model.json").read_text())["feature_map"]
+        assert (fm["kind"], fm["dim"], fm["input_dim"]) == ("random_fourier", 16, 2)
+        assert json.loads((out / "manifest.json").read_text())["train"]["features"] == {"dim": 16, "sigma": fm["sigma"]}
+
+    @pytest.mark.parametrize("command", ["train", "neural-train"])
+    @pytest.mark.parametrize("rows,problem", [(1, "need at least 2 samples"), (2, "fraction 0.8 leaves one side")])
+    def test_dataset_too_small_to_split(self, command, rows, problem, tmp_path, capsys):
+        path = tmp_path / "tiny.libsvm"
+        path.write_text("".join(f"{(-1) ** i:+d} 1:0.{i + 1} 2:0.5\n" for i in range(rows)))
+        out = tmp_path / "o"
+        assert main([command, "--data", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        section = "train" if command == "train" else "neural"
+        assert err.startswith(f"error: dataset {str(path)!r} cannot be split by {section}.train_fraction: {problem}")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "neural-train"])

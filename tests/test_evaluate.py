@@ -1,16 +1,26 @@
 import numpy as np
 import pytest
 
+import advreject.bench
 from advreject.attacks import AttackSpec
-from advreject.bench import ProtocolConfig, bench_to_csv, bench_to_text, benchmark
-from advreject.data import Dataset
+from advreject.bench import (
+    ProtocolConfig,
+    _trial_seeds,
+    bench_to_csv,
+    bench_to_text,
+    benchmark,
+    feature_map,
+    median_heuristic_bandwidth,
+    run_protocol,
+)
+from advreject.data import Dataset, normalize, split
 from advreject.evaluate import (
     RejectConfusion,
     evaluate_model,
     metrics,
 )
 from advreject.losses import SurrogateParams, loss_01c
-from advreject.model import RejectionModel
+from advreject.model import FeatureMap, RejectionModel
 from conftest import random_linear_model
 
 P13 = SurrogateParams(1.0, 1.0, 0.3)
@@ -160,3 +170,38 @@ class TestBenchmark:
         assert len(csv.strip().splitlines()) == 1 + len(rows)
         text = bench_to_text(rows)
         assert "mh" in text and "eps=0.01" in text
+
+
+class TestFeatureMap:
+    def test_dim_zero_is_the_identity(self, rng):
+        assert feature_map(0, rng.standard_normal((30, 3)), seed=7) == FeatureMap("identity")
+        assert feature_map(0, rng.standard_normal((30, 3)), seed=7, sigma=0.5) == FeatureMap("identity")
+
+    def test_median_sigma_and_pins(self, rng, monkeypatch):
+        x = rng.standard_normal((30, 3))
+        sigma = median_heuristic_bandwidth(x, 7)
+        assert feature_map(16, x, seed=7) == FeatureMap("random_fourier", dim=16, sigma=sigma, seed=7, input_dim=3)
+        # perfbench's span wraps bench.median_heuristic_bandwidth, so the builder calls it by that name
+        monkeypatch.setattr(advreject.bench, "median_heuristic_bandwidth", lambda x, seed: 0.75)
+        assert feature_map(16, x, seed=7).sigma == 0.75
+
+    def test_numeric_sigma_is_kept(self, rng, monkeypatch):
+        monkeypatch.setattr(advreject.bench, "median_heuristic_bandwidth", None)  # fails if called
+        fm = feature_map(16, rng.standard_normal((30, 3)), seed=7, sigma=0.5)
+        assert fm == FeatureMap("random_fourier", dim=16, sigma=0.5, seed=7, input_dim=3)
+
+    @pytest.mark.parametrize("rff_dim", [0, 8])
+    def test_run_protocol_builds_its_maps_as_before(self, rng, rff_dim):
+        # the map each trial's models carry is the one run_protocol built inline before the builder
+        x = rng.standard_normal((50, 3))
+        ds = Dataset(x, np.where(x[:, 0] > 0, 1, -1))
+        pc = ProtocolConfig(methods=(("mh", 0.2),), trials=2, train_size=30, epochs=5, rff_dim=rff_dim, seed=4)
+        _, trials = run_protocol(ds, pc)
+        for (split_seed, feat_seed), (models, _) in zip(_trial_seeds(pc.seed, pc.trials), trials):
+            tr_n, _ = normalize(split(ds, pc.train_size / len(ds), seed=split_seed)[0], pc.normalize)
+            if rff_dim > 0:
+                sigma = median_heuristic_bandwidth(tr_n.x, seed=feat_seed)
+                before = FeatureMap("random_fourier", dim=rff_dim, sigma=sigma, seed=feat_seed, input_dim=tr_n.d)
+            else:
+                before = FeatureMap("identity")
+            assert models[("mh", 0.2)].feature_map == before
