@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: train, eval, attack, bound, bench, neural-train. Every run is
+Subcommands: train, eval, bound, bench, neural-train. Every run is
 driven by a RunConfig (JSON via --config, overridable by flags) plus the
 input files; the resolved config is echoed to <out>/manifest.json so a
 single file reproduces the run. One master seed fans out deterministically
@@ -27,7 +27,7 @@ from .bench import bench_to_csv, bench_to_text, feature_map, run_protocol
 from .bounds import clipped_adv_risk, generalization_bound, weight_bound
 from .config import ConfigError, NeuralSection, RunConfig, TrainSection, config_object, validate_config
 from .data import DataFormatError, Dataset, normalize, parse_csv, parse_libsvm, split
-from .evaluate import _attack_and_score, _confusion, evaluate_model, metrics
+from .evaluate import _confusion, evaluate_model, metrics
 from .model import RejectionModel
 from .neural import train_neural
 from .train import train
@@ -130,24 +130,14 @@ def _cmd_eval(rc: RunConfig) -> tuple[dict[str, str], str]:
         f"{report.err!r},{report.rej!r},{'' if report.pr is None else repr(report.pr)},"
         f"{c.ta},{c.tr},{c.fa},{c.fr},{report.mean_loss_01c!r}\n"
     )
-    return {"report.json": report.to_json(), "report.csv": csv}, (
+    names = list(report.candidate_wins)
+    rows = zip(ds.y, report.clean_loss, report.worst_loss, report.winner)
+    per_row = "index,y,clean_loss,worst_loss,winner\n" + "".join(
+        f"{i},{int(y)},{float(clean)!r},{float(worst)!r},{names[k]}\n" for i, (y, clean, worst, k) in enumerate(rows)
+    )
+    return {"report.json": report.to_json(), "report.csv": csv, "attack.csv": per_row}, (
         f"eval {rc.dataset}: err {report.err:.4f} rej {report.rej:.4f} "
         f"pr {'-' if report.pr is None else f'{report.pr:.4f}'} wins {report.candidate_wins}"
-    )
-
-
-def _cmd_attack(rc: RunConfig) -> tuple[dict[str, str], str]:
-    seeds = _fan_out_seeds(rc.seed)
-    model, ds = _load_model_and_data(rc)
-    spec = replace(rc.attack, seed=seeds["attack"])
-    _, _, winner, names, losses = _attack_and_score(model, model.featurize(ds.x), ds.y, spec, rc.train.config.params)
-    clean, worst = losses[0], losses.max(axis=0)
-    lines = ["index,y,clean_loss,worst_loss,winner"]
-    for i in range(len(ds)):
-        lines.append(f"{i},{int(ds.y[i])},{float(clean[i])!r},{float(worst[i])!r},{names[winner[i]]}")
-    return {"attack.csv": "\n".join(lines) + "\n"}, (
-        f"attacked {len(ds)} samples with {spec.method} eps={spec.eps}: "
-        f"mean 0-1-c loss {np.mean(worst):.4f} (clean {np.mean(clean):.4f})"
     )
 
 
@@ -199,7 +189,6 @@ _SCORED = ("dataset", "model", "out", "train.alpha", "train.beta", "train.cost")
 _DISPATCH = {
     "train": (_cmd_train, ("dataset", "test_dataset", "out", "seed", "train", "attack")),
     "eval": (_cmd_eval, (*_SCORED, "seed", "attack")),
-    "attack": (_cmd_attack, (*_SCORED, "seed", "attack")),
     "bound": (_cmd_bound, (*_SCORED, "bound")),  # deterministic: no seed
     "bench": (_cmd_bench, ("dataset", "out", "seed", "bench")),
     "neural-train": (_cmd_neural_train, ("dataset", "test_dataset", "out", "seed", "neural")),

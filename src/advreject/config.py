@@ -31,7 +31,7 @@ from .losses import SurrogateParams
 from .neural import NeuralTrainConfig
 from .train import TrainConfig
 
-SUBCOMMANDS = ("train", "eval", "attack", "bound", "bench", "neural-train")
+SUBCOMMANDS = ("train", "eval", "bound", "bench", "neural-train")
 
 
 class ConfigError(ValueError):
@@ -118,7 +118,7 @@ class RunConfig:
     subcommand: str = ""
     dataset: str = ""
     test_dataset: str | None = None
-    model: str | None = None  # model JSON path for eval/attack/bound
+    model: str | None = None  # model JSON path for eval/bound
     out: str = "out"
     seed: int = 0  # the master seed; every other seed of a run derives from it
     train: TrainSection = field(default_factory=TrainSection)

@@ -2,8 +2,9 @@
 
 ``evaluate_model`` attacks a whole dataset at once and reports the
 confusion counts, Err/Rej/PR, which candidate won on how many rows, and
-the mean attacked zero-one-c loss; a single sample is a dataset of one
-row.
+the mean attacked zero-one-c loss, plus each row's clean and attacked
+zero-one-c loss and winning candidate; a single sample is a dataset of
+one row.
 
 Outcomes are counted on the perturbed input: a rejection is "true" when
 the classifier would have been wrong there (the rejection prevented an
@@ -27,7 +28,7 @@ bounds.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,8 +58,13 @@ class EvalReport:
     pr: float | None  # None when nothing was rejected
     counts: RejectConfusion
     attack: AttackSpec
-    candidate_wins: dict[str, int] = field(default_factory=dict)
-    mean_loss_01c: float = 0.0
+    candidate_wins: dict[str, int]  # by candidate name, in candidate order
+    mean_loss_01c: float
+    # per row, not in to_json: the clean and the attacked (worst) zero-one-c
+    # loss, and the index of the winning candidate into candidate_wins
+    clean_loss: np.ndarray
+    worst_loss: np.ndarray
+    winner: np.ndarray
 
     def to_json(self) -> str:
         return json.dumps(
@@ -96,27 +102,6 @@ def _candidate_deltas(
     return deltas
 
 
-def _attack_and_score(
-    m: RejectionModel, z: np.ndarray, y: np.ndarray, spec: AttackSpec, params: SurrogateParams
-):
-    """Attacks the featurized rows z with labels y. Returns per-sample (f, r)
-    at the winning perturbation, the winning candidate index, the candidate
-    names, and the zero-one-c loss of every candidate per sample (row 0 is
-    the clean point)."""
-    y = np.asarray(y, dtype=np.float64)
-    deltas = _candidate_deltas(m, z, y, spec, params)
-    losses = np.empty((len(deltas), len(y)))
-    fs = np.empty_like(losses)
-    rs = np.empty_like(losses)
-    for k, delta in enumerate(deltas.values()):
-        f, r = m.scores_features(z + delta if k else z)  # candidate 0 is the clean point
-        fs[k], rs[k] = f, r
-        losses[k] = loss_01c(f, r, y, params.cost)
-    winner = np.argmax(losses, axis=0)  # first max wins; clean is index 0
-    cols = np.arange(len(y))
-    return fs[winner, cols], rs[winner, cols], winner, list(deltas), losses
-
-
 def _confusion(f: np.ndarray, r: np.ndarray, y: np.ndarray) -> RejectConfusion:
     """Counts of the verdicts at scores (f, r); a rejection is true where
     the classifier's label would have been wrong."""
@@ -146,8 +131,19 @@ def evaluate_model(
 ) -> EvalReport:
     if params is None:
         params = SurrogateParams()
-    f, r, winner, names, losses = _attack_and_score(m, m.featurize(ds.x), ds.y, attack, params)
-    conf = _confusion(f, r, ds.y)
+    z, y = m.featurize(ds.x), np.asarray(ds.y, dtype=np.float64)
+    deltas = _candidate_deltas(m, z, y, attack, params)
+    losses = np.empty((len(deltas), len(y)))  # per candidate and row; row 0 is the clean point
+    fs = np.empty_like(losses)
+    rs = np.empty_like(losses)
+    for k, delta in enumerate(deltas.values()):
+        f, r = m.scores_features(z + delta if k else z)
+        fs[k], rs[k] = f, r
+        losses[k] = loss_01c(f, r, y, params.cost)
+    winner = np.argmax(losses, axis=0)  # first max wins; clean is index 0
+    cols = np.arange(len(y))
+    conf = _confusion(fs[winner, cols], rs[winner, cols], ds.y)
     err, rej, pr = metrics(conf)
-    wins = {name: int(np.sum(winner == k)) for k, name in enumerate(names)}
-    return EvalReport(err, rej, pr, conf, attack, wins, float(np.mean(losses.max(axis=0))))
+    wins = {name: int(np.sum(winner == k)) for k, name in enumerate(deltas)}
+    worst = losses.max(axis=0)
+    return EvalReport(err, rej, pr, conf, attack, wins, float(np.mean(worst)), losses[0], worst, winner)

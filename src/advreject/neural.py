@@ -274,11 +274,11 @@ def adv_risk_01c_net(
     risk = loss_01c(f, r, y, params.cost)
     if eps == 0:
         return float(np.mean(risk))
-    cfg = NeuralTrainConfig(params=params, attack=AttackSpec(method="pgd", eps=eps, steps=steps))
+    spec = AttackSpec(method="pgd", eps=eps, steps=steps)
     candidates = [
-        _heads_pgd(net, x, cfg.attack, lambda f, r: (-y * f, -y, 0.0)),
-        _heads_pgd(net, x, cfg.attack, lambda f, r: (-r, 0.0, -1.0)),
-        _inner_pgd_batch(net, x, y, cfg) - x,
+        _heads_pgd(net, x, spec, lambda f, r: (-y * f, -y, 0.0)),
+        _heads_pgd(net, x, spec, lambda f, r: (-r, 0.0, -1.0)),
+        _heads_pgd(net, x, spec, lambda f, r: _head_grads(f, r, y, params)),
     ]
     for delta in candidates:
         fa, ra = net.forward(x + delta)

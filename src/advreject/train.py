@@ -172,17 +172,17 @@ def _objective_arrays(
         margin = y * f
         np.subtract(1.0, margin, out=margin)
         if eps:
-            margin += eps * np.abs(gamma[:-1]).sum()
+            # no rejector: zeta(+1) = zeta(-1) = -gamma for every label
+            zeta, (zeta_l1, _, _) = worst_case_l1(np.zeros(gamma.size - 1), gamma[:-1], eps)
+            margin += zeta_l1
         val = float(np.maximum(margin, 0.0).sum()) + reg
         if not with_grad:
             return val
         act = (margin > 0).nonzero()[0]
         if act.size:
             g_gamma -= y.take(act) @ zb.take(act, axis=0)
-            if eps:
-                sg = np.sign(gamma)
-                sg[-1] = 0.0
-                g_gamma += eps * act.size * sg
+            if eps:  # d/dgamma eps*||zeta||_1 = -eps*sgn(zeta)
+                g_gamma[:-1] -= eps * act.size * np.sign(zeta[0])
         return val, np.zeros_like(theta), g_gamma
     r = zb @ theta
     gap = y * f

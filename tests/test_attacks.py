@@ -6,7 +6,7 @@ import pytest
 from advreject import attacks
 from advreject.attacks import AttackSpec, accepted_error_delta, linear_mh_value_grad, pgd, pgd_linear_mh_batch
 from advreject.data import Dataset
-from advreject.evaluate import RejectConfusion, _attack_and_score, _candidate_deltas, evaluate_model
+from advreject.evaluate import RejectConfusion, _candidate_deltas, evaluate_model
 from advreject.losses import SurrogateParams, adv_loss_mh_linear_batch, loss_01c, pm1_labels
 from advreject.model import FeatureMap, RejectionModel
 from conftest import random_linear_model
@@ -184,10 +184,15 @@ class TestAnalyticCandidates:
         z = rng.standard_normal((20, 3))
         y = np.where(rng.random(20) < 0.5, 1.0, -1.0)
         spec = AttackSpec(method="analytic_linear", eps=0.3)
-        losses = _attack_and_score(m, z, y, spec, P13)[4]
-        for k, delta in enumerate(_candidate_deltas(m, z, y, spec, P13).values()):
+        rep = evaluate_model(m, Dataset(z, y), spec, P13)
+        losses = []
+        for delta in _candidate_deltas(m, z, y, spec, P13).values():
             f, r = m.scores_features(z + delta)
-            assert np.array_equal(losses[k], loss_01c(f, r, y, P13.cost))
+            losses.append(loss_01c(f, r, y, P13.cost))
+        assert np.array_equal(rep.clean_loss, losses[0])
+        assert np.array_equal(rep.worst_loss, np.max(losses, axis=0))
+        assert np.array_equal(rep.winner, np.argmax(losses, axis=0))
+        assert list(rep.candidate_wins) == ["clean", "shift_reject", "shift_margin"]
 
 
 class TestWorstCase01c:

@@ -11,7 +11,7 @@ import pytest
 import advreject.cli
 import advreject.model
 from advreject.cli import main
-from advreject.config import ConfigError, RunConfig, validate_config
+from advreject.config import SUBCOMMANDS, ConfigError, RunConfig, validate_config
 from advreject.data import parse_libsvm, to_csv, to_libsvm
 from advreject.losses import loss_01c
 from advreject.model import RejectionModel
@@ -145,7 +145,8 @@ class TestFlags:
         ],
     )
     def test_flag_under_a_non_object_section(self, config, flag, message, data_file, tmp_path, capsys):
-        command = next(iter(config))  # each section is read by the subcommand of its name
+        section = next(iter(config))  # read by the subcommand of its name; eval reads attack
+        command = {"attack": "eval"}.get(section, section)
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(config))
         out = tmp_path / "o"
@@ -196,7 +197,7 @@ class TestFlags:
         blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), flags=re.M | re.S)
         lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
         commands = [shlex.split(line)[1:] for line in lines if line.startswith("advreject ")]
-        assert len(commands) == 6
+        assert len(commands) == 5
         for argv in commands:
             advreject.cli._build_parser().parse_args(argv)
 
@@ -209,6 +210,8 @@ FLAG_VALUES = {
 }
 # a flag the CLI no longer has, with a value it once took: every subcommand rejects it
 REMOVED_FLAGS = {"--features": "random_fourier"}
+# a subcommand the CLI no longer has (eval writes its attack.csv): it exits 2 and writes nothing
+REMOVED_COMMANDS = ("attack",)
 # a valid value for each key that some subcommand does not read, unlike its
 # value in SMALL_RUNS or its default
 UNREAD_VALUES = {
@@ -236,10 +239,21 @@ SMALL_RUNS = {
 }
 
 
+def _assert_removed_command(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"error: argument subcommand: invalid choice: {argv[0]!r}" in capsys.readouterr().err
+
+
 class TestFlagRule:
     """_DISPATCH declares the config paths each subcommand reads. A flag is
     offered where some of its paths lie under them and sets only those;
     elsewhere it is an unrecognized argument."""
+
+    def test_config_lists_the_dispatched_subcommands(self):
+        assert SUBCOMMANDS == tuple(advreject.cli._DISPATCH)
+        assert len(SUBCOMMANDS) * len(advreject.cli._FLAGS) == 75
 
     def test_table_paths_are_config_keys(self):
         keys = set()
@@ -256,18 +270,22 @@ class TestFlagRule:
             for path in paths:
                 assert any(_under(path, reads) for reads in all_reads), (flag, path)
         offered = sum(any(_under(p, reads) for p in paths) for reads in all_reads for *_, paths in advreject.cli._FLAGS)
-        assert offered == 49
+        assert offered == 40
 
-    @pytest.mark.parametrize("command", list(advreject.cli._DISPATCH))
+    @pytest.mark.parametrize("command", [*advreject.cli._DISPATCH, *REMOVED_COMMANDS])
     @pytest.mark.parametrize("flag", [*(flag for flag, *_ in advreject.cli._FLAGS), *REMOVED_FLAGS])
     def test_flag_sets_only_what_the_subcommand_reads(self, flag, command, stubbed, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         base_config = {"dataset": "base.libsvm", "out": "base", "attack": {"method": "pgd"}}  # pgd takes l2
         Path("cfg.json").write_text(json.dumps(base_config))
+        argv, value = [command, "--config", "cfg.json"], {**FLAG_VALUES, **REMOVED_FLAGS}[flag]
+        if command in REMOVED_COMMANDS:
+            _assert_removed_command([*argv, flag, value], capsys)
+            assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+            return
         reads = advreject.cli._DISPATCH[command][1]
         paths = {f: p for f, *_, p in advreject.cli._FLAGS}.get(flag, ())
         expected = {p for p in paths if _under(p, reads)}
-        argv, value = [command, "--config", "cfg.json"], {**FLAG_VALUES, **REMOVED_FLAGS}[flag]
         if not expected:
             with pytest.raises(SystemExit) as exc:
                 main([*argv, flag, value])
@@ -282,13 +300,17 @@ class TestFlagRule:
         got = dict(_leaves(json.loads(Path(out, "manifest.json").read_text())))
         assert {k for k in base if got[k] != base[k]} == expected
 
-    @pytest.mark.parametrize("command", list(advreject.cli._DISPATCH))
+    @pytest.mark.parametrize("command", [*advreject.cli._DISPATCH, *REMOVED_COMMANDS])
     def test_keys_outside_the_reads_change_nothing(self, command, tmp_path, capsys):
         # every key the subcommand does not read moves to another valid value:
         # the files it writes and its summary keep their bytes. On the moons
         # the model rejects some points, so the cost shows in eval's loss.
         data_file = tmp_path / "moons.libsvm"
         data_file.write_text(to_libsvm(two_moons(120, seed=0)))
+        if command in REMOVED_COMMANDS:
+            _assert_removed_command([command, "--data", str(data_file), "--out", str(tmp_path / "o")], capsys)
+            assert [p.name for p in tmp_path.iterdir()] == ["moons.libsvm"]
+            return
         reads = advreject.cli._DISPATCH[command][1]
         every = dict(_leaves(json.loads(RunConfig(subcommand=command).to_json())))
         assert set(UNREAD_VALUES) == {
@@ -464,10 +486,10 @@ class TestOtherCommands:
         assert counts["TA"] + counts["TR"] + counts["FA"] + counts["FR"] == 120
         assert (out / "report.csv").is_file()
 
-    def test_attack_csv(self, trained, data_file, tmp_path):
-        out = tmp_path / "atk_run"
+    def test_eval_writes_the_attack_csv(self, trained, data_file, tmp_path):
+        out = tmp_path / "eval_run"
         assert main([
-            "attack", "--model", str(trained), "--data", str(data_file),
+            "eval", "--model", str(trained), "--data", str(data_file),
             "--eps", "0.05", "--out", str(out),
         ]) == 0
         lines = (out / "attack.csv").read_text().strip().splitlines()
@@ -480,6 +502,11 @@ class TestOtherCommands:
         rows = [line.split(",") for line in lines[1:]]
         assert [row[2] for row in rows] == [repr(float(v)) for v in clean]
         assert all(float(row[3]) >= float(row[2]) for row in rows)
+        # the rows add up to report.json's totals
+        report = json.loads((out / "report.json").read_text())
+        assert float(np.mean([float(row[3]) for row in rows])) == report["mean_loss_01c"]
+        wins = {name: sum(row[4] == name for row in rows) for name in report["candidate_wins"]}
+        assert wins == report["candidate_wins"] and sum(wins.values()) == 120
 
     def test_bound(self, trained, data_file, tmp_path):
         out = tmp_path / "bound_run"
@@ -503,7 +530,7 @@ class TestOtherCommands:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["eval", "attack", "bound"])
+    @pytest.mark.parametrize("command", ["eval", "bound"])
     def test_dataset_featurized_once(self, command, data_file, tmp_path, monkeypatch):
         run = tmp_path / "rff_run"
         assert main(["train", "--data", str(data_file), "--rff-dim", "16", "--epochs", "60", "--out", str(run)]) == 0
@@ -525,14 +552,14 @@ class TestOtherCommands:
         "command,files",
         [
             ("train", {"model.json", "trace.csv", "report.json"}),
-            ("eval", {"report.json", "report.csv"}),
-            ("attack", {"attack.csv"}),
+            ("eval", {"report.json", "report.csv", "attack.csv"}),
+            ("attack", set()),  # removed: exits 2 and writes nothing
             ("bound", {"bound.json"}),
             ("bench", {"bench.csv", "bench.txt"}),
             ("neural-train", {"net.json", "trace.csv"}),
         ],
     )
-    def test_out_holds_the_command_files(self, command, files, trained, data_file, tmp_path):
+    def test_out_holds_the_command_files(self, command, files, trained, data_file, tmp_path, capsys):
         bench = {"methods": [["mh", 0.2]], "attack_eps": [0.0], "trials": 1, "train_size": 60, "rff_dim": 0, "epochs": 20}
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"bench": bench}))
@@ -541,7 +568,12 @@ class TestOtherCommands:
         flags = {
             "train": ["--epochs", "20"], "neural-train": ["--epochs", "20"], "bench": [],
         }.get(command, ["--model", str(trained)])
-        assert main([command, "--config", str(p), "--data", str(data_file), *flags, "--out", str(out)]) == 0
+        argv = [command, "--config", str(p), "--data", str(data_file), *flags, "--out", str(out)]
+        if command in REMOVED_COMMANDS:
+            _assert_removed_command(argv, capsys)
+            assert not out.exists()
+            return
+        assert main(argv) == 0
         assert {f.name for f in out.iterdir()} == files | {"manifest.json"}
 
     def test_missing_model(self, data_file, tmp_path):
@@ -578,7 +610,7 @@ class TestOtherCommands:
         assert main(["eval", "--model", str(trained), "--data", str(data_file), "--out", str(out)]) == 2
         assert not (tmp_path / "new").exists()
 
-    @pytest.mark.parametrize("command", ["eval", "attack", "bound"])
+    @pytest.mark.parametrize("command", ["eval", "bound"])
     def test_malformed_model_json(self, command, data_file, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"theta": [1.0,')

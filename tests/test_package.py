@@ -1,4 +1,11 @@
+import re
+from pathlib import Path
+
 import advreject
+from advreject.data import to_libsvm
+from advreject.synth import credit_surrogate
+
+README = Path(__file__).parents[1] / "README.md"
 
 PUBLIC = [
     "ProtocolConfig", "run_protocol",
@@ -24,3 +31,16 @@ def test_every_public_name_imports():
 def test_public_names_are_pinned():
     # a name added to or dropped from the package surface shows up here
     assert advreject.__all__ == PUBLIC
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    # README's library example, run where its dataset path names a credit surrogate
+    section = README.read_text().split("## Library quick start\n", 1)[1]
+    code = re.match(r"\n```python\n(.*?)^```", section, flags=re.M | re.S).group(1)
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "australian-surrogate.libsvm").write_text(to_libsvm(credit_surrogate(seed=0)))
+    monkeypatch.chdir(tmp_path)
+    exec(code, {})
+    err, rej, _, wins = capsys.readouterr().out.split(" ", 3)
+    assert 0 <= float(err) <= 1 and 0 <= float(rej) <= 1
+    assert wins.startswith("{'clean': ")

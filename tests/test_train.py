@@ -195,14 +195,15 @@ class TestEpochAgainstOracle:
         assert _bytes(_objective_arrays(theta, gamma, zb, y, cfg, with_grad=True)) == _bytes(want)
         assert _bytes([_objective_arrays(theta, gamma, zb, y, cfg)]) == _bytes(want[:1])
 
-    @pytest.mark.parametrize("mode", ["svm", "mh"])
+    @pytest.mark.parametrize("mode", ["svm", "at", "mh"])
     def test_eps0_changes_at_most_the_sign_of_a_zero_subgradient(self, rng, mode):
         # gamma_0 = -0.0 on an all-zero feature column makes the gamma_0 entry
         # -0.0 before the eps*sgn terms, which add +0.0 here (for mh: every
-        # label +1, theta_0 < 0 and rows on branch A). The skip keeps -0.0:
-        # the same number, and gamma - s*g keeps the bits of every weight
-        # that is not -0.0.
-        cfg = TrainConfig(mode=mode, **EPOCH_PARAMS)
+        # label +1, theta_0 < 0 and rows on branch A). At eps 0 the skip keeps
+        # -0.0; at, at eps > 0, subtracts eps*k*sgn(zeta(+1)_0) = +0.0, which
+        # keeps it too. The same number, and gamma - s*g keeps the bits of
+        # every weight that is not -0.0.
+        cfg = TrainConfig(mode=mode, eps_train=1 / 64 if mode == "at" else 0.0, **EPOCH_PARAMS)
         theta, gamma, zb, y = _epoch_state(rng, "identity", cfg, "zero_column")
         y[:] = 1.0
         gamma[0] = -0.0
