@@ -200,23 +200,34 @@ class TestEpochAgainstOracle:
         # gamma_0 = -0.0 on an all-zero feature column makes the gamma_0 entry
         # -0.0 before the eps*sgn terms, which add +0.0 here (for mh: every
         # label +1, theta_0 < 0 and rows on branch A). At eps 0 the skip keeps
-        # -0.0; at, at eps > 0, subtracts eps*k*sgn(zeta(+1)_0) = +0.0, which
-        # keeps it too. The same number, and gamma - s*g keeps the bits of
-        # every weight that is not -0.0.
+        # -0.0. at, at eps > 0, subtracts eps*k*sgn(zeta(+1)) over the weights
+        # only, which keeps it too, and keeps a -0.0 bias entry (gamma_b = -0.0
+        # and active labels that cancel) to which the oracle adds eps*k*0.0.
+        # The same numbers, and gamma - s*g keeps the bits of every entry that
+        # is not -0.0.
         cfg = TrainConfig(mode=mode, eps_train=1 / 64 if mode == "at" else 0.0, **EPOCH_PARAMS)
         theta, gamma, zb, y = _epoch_state(rng, "identity", cfg, "zero_column")
         y[:] = 1.0
         gamma[0] = -0.0
+        probes = [0]
         if cfg.rejection_enabled:
             theta[0], theta[-1], gamma[-1] = -1.0, 2.0, -2.0
             assert "A" in train_objective_reference(theta, gamma, zb, y, cfg)[3]
+        elif cfg.eps_train:
+            y[1::2] = -1.0
+            gamma[1:-1] *= 1e-3
+            gamma[-1] = -0.0
+            probes.append(len(gamma) - 1)
+            assert set(train_objective_reference(theta, gamma, zb, y, cfg)[3]) == {"A"}  # 20 labels +1, 20 -1
         want = objective_arrays_reference(theta, gamma, zb, y, cfg, with_grad=True)
         got = _objective_arrays(theta, gamma, zb, y, cfg, with_grad=True)
         assert _bytes(got[:2]) == _bytes(want[:2])
         assert np.array_equal(got[2], want[2])
-        assert np.signbit(got[2][0]) and not np.signbit(want[2][0])  # the probe reaches the case
-        assert _bytes([got[2][1:]]) == _bytes([want[2][1:]])
-        assert _bytes([(gamma - 0.125 * got[2])[1:]]) == _bytes([(gamma - 0.125 * want[2])[1:]])
+        for k in probes:  # the probe reaches the case
+            assert np.signbit(got[2][k]) and not np.signbit(want[2][k])
+        rest = np.delete(np.arange(len(gamma)), probes)
+        assert _bytes([got[2][rest]]) == _bytes([want[2][rest]])
+        assert _bytes([(gamma - 0.125 * got[2])[rest]]) == _bytes([(gamma - 0.125 * want[2])[rest]])
 
 
 class TestTrainAgainstOracle:
