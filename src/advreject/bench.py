@@ -83,8 +83,11 @@ class ProtocolConfig:
         if self.rff_dim < 0:
             raise ValueError("rff_dim must be >= 0 (0 = identity features)")
         check_scheme(self.normalize)
-        if not self.attack_eps or not all(0 <= eps < math.inf for eps in self.attack_eps):
-            raise ValueError("attack_eps must be a non-empty list of finite nonnegative radii")
+        eps = self.attack_eps
+        if not eps or len(set(eps)) < len(eps) or not all(0 <= e < math.inf for e in eps):
+            raise ValueError(f"attack_eps must be a non-empty list of distinct finite nonnegative radii, got {eps}")
+        if not self.methods:
+            raise ValueError("methods must be a non-empty list of [mode, cost] pairs")
         if self.attack_steps < 1:
             raise ValueError("attack_steps must be >= 1")
         # the settings every method shares, checked first so their errors name their own keys
@@ -96,6 +99,8 @@ class ProtocolConfig:
                 raise ValueError(f"methods[{i}] {exc}") from None
             if (cost is None) == cfg.rejection_enabled:
                 raise ValueError(f"methods[{i}] cost must be null for svm/at and a number for mh/atro")
+            if (mode, cost) in self.methods[:i]:
+                raise ValueError(f"methods[{i}] repeats methods[{self.methods.index((mode, cost))}]")
 
     def params(self, cost: float | None) -> SurrogateParams:
         """The surrogate parameters of a method with rejection cost ``cost``."""

@@ -23,11 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .attacks import AttackSpec
 from .bench import bench_to_csv, bench_to_text, feature_map, run_protocol
 from .bounds import clipped_adv_risk, generalization_bound, weight_bound
 from .config import ConfigError, NeuralSection, RunConfig, TrainSection, config_object, validate_config
 from .data import DataFormatError, Dataset, normalize, parse_csv, parse_libsvm, split
-from .evaluate import _confusion, evaluate_model, metrics
+from .evaluate import evaluate_model
 from .model import RejectionModel
 from .neural import train_neural
 from .train import train
@@ -177,10 +178,10 @@ def _cmd_neural_train(rc: RunConfig) -> tuple[dict[str, str], str]:
     seeds = _fan_out_seeds(rc.seed)
     tr, te, _ = _prepare_training_data(rc, "neural", seeds)
     net, trace = train_neural(tr, rc.neural.build(seeds["features"]))
-    err, rej, _ = metrics(_confusion(*net.forward(te.x), te.y))
+    report = evaluate_model(net, te, AttackSpec(), rc.neural.config.params)
     csv = "epoch,mean_loss\n" + "".join(f"{i},{float(v)!r}\n" for i, v in enumerate(trace))
     return {"net.json": net.to_json(), "trace.csv": csv}, (
-        f"neural-train on {rc.dataset}: final loss {trace[-1]:.4f}; held-out err {err:.4f} rej {rej:.4f}"
+        f"neural-train on {rc.dataset}: final loss {trace[-1]:.4f}; held-out err {report.err:.4f} rej {report.rej:.4f}"
     )
 
 

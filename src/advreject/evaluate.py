@@ -23,6 +23,11 @@ shift_margin (attacks.accepted_error_delta) finds an accepted error
 wherever one exists, so the winner's loss is the maximum of the zero-one-c
 loss over the box. fgsm and pgd ascend the MH surrogate and give lower
 bounds.
+
+A ``ToyNet`` is attacked on its inputs by pgd alone, a lower bound. Its
+candidates are PGD on -y f (pgd_margin), on -r (pgd_reject) and on the
+squared MH (pgd); the first two cover the points where the squared MH is
+flat and PGD on it stalls.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .attacks import pgd  # noqa: F401  perfbench's tracer wraps evaluate.pgd by
 from .data import Dataset
 from .losses import SurrogateParams, loss_01c, verdict
 from .model import RejectionModel
+from .neural import ToyNet, _head_grads, _heads_pgd
 
 
 @dataclass(frozen=True)
@@ -82,7 +88,7 @@ class EvalReport:
 
 
 def _candidate_deltas(
-    m: RejectionModel, z: np.ndarray, y: np.ndarray, spec: AttackSpec, params: SurrogateParams
+    m: RejectionModel | ToyNet, z: np.ndarray, y: np.ndarray, spec: AttackSpec, params: SurrogateParams
 ) -> dict[str, np.ndarray]:
     """Per-method candidate perturbations by name, in order, vectorized over
     the rows of z."""
@@ -90,7 +96,13 @@ def _candidate_deltas(
     if spec.method == "none" or spec.eps == 0:
         return deltas
     eps = spec.eps
-    if spec.method == "analytic_linear":
+    if isinstance(m, ToyNet):
+        if spec.method != "pgd":
+            raise ValueError(f"method {spec.method!r} does not apply to a network, which takes pgd or none")
+        deltas["pgd_margin"] = _heads_pgd(m, z, spec, lambda f, r: (-y * f, -y, 0.0))
+        deltas["pgd_reject"] = _heads_pgd(m, z, spec, lambda f, r: (-r, 0.0, -1.0))
+        deltas["pgd"] = _heads_pgd(m, z, spec, lambda f, r: _head_grads(f, r, y, params))
+    elif spec.method == "analytic_linear":
         # shift_reject first, so shift_margin wins only where it reaches an accepted error
         deltas["shift_reject"] = np.broadcast_to(-eps * np.sign(m.theta), z.shape)
         deltas["shift_margin"] = accepted_error_delta(m, z, y, eps)
@@ -100,19 +112,6 @@ def _candidate_deltas(
     else:
         deltas["pgd"] = pgd_linear_mh_batch(m, z, y, spec, params)
     return deltas
-
-
-def _confusion(f: np.ndarray, r: np.ndarray, y: np.ndarray) -> RejectConfusion:
-    """Counts of the verdicts at scores (f, r); a rejection is true where
-    the classifier's label would have been wrong."""
-    rejected = verdict(f, r) == 0
-    wrong = verdict(f, np.inf) != y
-    return RejectConfusion(
-        ta=int(np.sum(~rejected & ~wrong)),
-        tr=int(np.sum(rejected & wrong)),
-        fa=int(np.sum(~rejected & wrong)),
-        fr=int(np.sum(rejected & ~wrong)),
-    )
 
 
 def metrics(conf: RejectConfusion) -> tuple[float, float, float | None]:
@@ -127,22 +126,30 @@ def metrics(conf: RejectConfusion) -> tuple[float, float, float | None]:
 
 
 def evaluate_model(
-    m: RejectionModel, ds: Dataset, attack: AttackSpec, params: SurrogateParams | None = None
+    m: RejectionModel | ToyNet, ds: Dataset, attack: AttackSpec, params: SurrogateParams | None = None
 ) -> EvalReport:
     if params is None:
         params = SurrogateParams()
-    z, y = m.featurize(ds.x), np.asarray(ds.y, dtype=np.float64)
+    z, scores = (ds.x, m.forward) if isinstance(m, ToyNet) else (m.featurize(ds.x), m.scores_features)
+    y = np.asarray(ds.y, dtype=np.float64)
     deltas = _candidate_deltas(m, z, y, attack, params)
     losses = np.empty((len(deltas), len(y)))  # per candidate and row; row 0 is the clean point
     fs = np.empty_like(losses)
     rs = np.empty_like(losses)
     for k, delta in enumerate(deltas.values()):
-        f, r = m.scores_features(z + delta if k else z)
+        f, r = scores(z + delta if k else z)
         fs[k], rs[k] = f, r
         losses[k] = loss_01c(f, r, y, params.cost)
     winner = np.argmax(losses, axis=0)  # first max wins; clean is index 0
     cols = np.arange(len(y))
-    conf = _confusion(fs[winner, cols], rs[winner, cols], ds.y)
+    f = fs[winner, cols]  # the verdicts are counted at the winner's scores
+    rejected, wrong = verdict(f, rs[winner, cols]) == 0, verdict(f, np.inf) != ds.y
+    conf = RejectConfusion(
+        ta=int(np.sum(~rejected & ~wrong)),
+        tr=int(np.sum(rejected & wrong)),
+        fa=int(np.sum(~rejected & wrong)),
+        fr=int(np.sum(rejected & ~wrong)),
+    )
     err, rej, pr = metrics(conf)
     wins = {name: int(np.sum(winner == k)) for k, name in enumerate(deltas)}
     worst = losses.max(axis=0)

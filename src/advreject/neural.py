@@ -29,7 +29,8 @@ import numpy as np
 
 from .attacks import AttackSpec, pgd
 from .data import Dataset
-from .losses import SurrogateParams, loss_01c, mh_branches
+from .losses import SurrogateParams, mh_branches
+from .losses import loss_01c  # noqa: F401  perfbench's tracer wraps neural.loss_01c by name
 
 # (activation applied in place, its derivative written in terms of the
 # activation's output)
@@ -259,28 +260,9 @@ def train_neural(ds: Dataset, cfg: NeuralTrainConfig) -> tuple[ToyNet, np.ndarra
 def adv_risk_01c_net(
     net: ToyNet, x: np.ndarray, y: np.ndarray, params: SurrogateParams, eps: float, steps: int = 20
 ) -> float:
-    """Mean attacked zero-one-c risk of a net under PGD candidates, a lower
-    bound on its worst case over the eps-ball.
+    """Mean attacked zero-one-c risk of a net under pgd, a lower bound on its
+    worst case over the eps-ball: ``evaluate_model``'s mean loss."""
+    from .evaluate import evaluate_model  # evaluate imports this module
 
-    The squared hinge is flat wherever the net is confident, so PGD on the
-    loss alone stalls there; candidates driving the classification margin
-    down and the rejection score down cover those points, as shift_margin
-    and shift_reject do exactly for a linear model. The clean point stays
-    in the set, so the risk never drops below the clean risk.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64)
-    f, r = net.forward(x)
-    risk = loss_01c(f, r, y, params.cost)
-    if eps == 0:
-        return float(np.mean(risk))
     spec = AttackSpec(method="pgd", eps=eps, steps=steps)
-    candidates = [
-        _heads_pgd(net, x, spec, lambda f, r: (-y * f, -y, 0.0)),
-        _heads_pgd(net, x, spec, lambda f, r: (-r, 0.0, -1.0)),
-        _heads_pgd(net, x, spec, lambda f, r: _head_grads(f, r, y, params)),
-    ]
-    for delta in candidates:
-        fa, ra = net.forward(x + delta)
-        risk = np.maximum(risk, loss_01c(fa, ra, y, params.cost))
-    return float(np.mean(risk))
+    return evaluate_model(net, Dataset(np.atleast_2d(x), y), spec, params).mean_loss_01c

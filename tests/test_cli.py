@@ -12,9 +12,12 @@ import advreject.cli
 import advreject.model
 from advreject.cli import main
 from advreject.config import SUBCOMMANDS, ConfigError, RunConfig, validate_config
-from advreject.data import parse_libsvm, to_csv, to_libsvm
+from advreject.attacks import AttackSpec
+from advreject.data import parse_csv, parse_libsvm, to_csv, to_libsvm
+from advreject.evaluate import evaluate_model
 from advreject.losses import loss_01c
 from advreject.model import RejectionModel
+from advreject.neural import ToyNet
 from advreject.synth import credit_surrogate, two_clusters, two_moons
 
 README = Path(__file__).parents[1] / "README.md"
@@ -662,6 +665,23 @@ class TestOtherCommands:
         assert "bench.train_size" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ({"methods": [["mh", 0.2], ["atro", 0.2], ["mh", 0.2]]}, "bench.methods[2] repeats methods[0]"),
+            ({"attack_eps": [0.0, 0.01, 0.01]}, "bench.attack_eps must be a non-empty list of distinct"),
+        ],
+    )
+    def test_bench_grid_with_a_repeated_entry(self, grid, message, data_file, tmp_path, capsys):
+        # a repeated method trained twice and kept one csv row; a repeated radius wrote two
+        bench = {"methods": [["mh", 0.2]], "attack_eps": [0.0], "trials": 1, "train_size": 60, "epochs": 10, **grid}
+        p = tmp_path / "bench.json"
+        p.write_text(json.dumps({"subcommand": "bench", "dataset": str(data_file), "bench": bench}))
+        out = tmp_path / "o"
+        assert main(["bench", "--config", str(p), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bench_rff_dim_flag_zero_is_identity_features(self, data_file, tmp_path):
         # bench reads only its own section: --rff-dim 0 there is bench.rff_dim 0, as from --config
         bench = {"methods": [["mh", 0.2]], "attack_eps": [0.0, 0.05], "trials": 1, "train_size": 60, "epochs": 20}
@@ -747,10 +767,17 @@ class TestOtherCommands:
         assert f"test dataset {str(wide)!r} has dimension 14, but dataset {str(data_file)!r} has 2" in err
         assert not out.exists()
 
-    def test_neural_train(self, tmp_path):
-        ds = two_moons(80, seed=1)
-        path = tmp_path / "moons.csv"
-        path.write_text(to_csv(ds))
+    def test_neural_train(self, tmp_path, capsys):
+        path, held_out = tmp_path / "moons.csv", tmp_path / "held-out.csv"
+        path.write_text(to_csv(two_moons(80, seed=1)))
+        held_out.write_text(to_csv(two_moons(60, seed=2)))
         out = tmp_path / "nn_run"
-        assert main(["neural-train", "--data", str(path), "--epochs", "10", "--out", str(out)]) == 0
+        argv = ["neural-train", "--data", str(path), "--test-data", str(held_out), "--epochs", "200"]
+        assert main([*argv, "--out", str(out)]) == 0
         assert (out / "net.json").is_file() and (out / "trace.csv").is_file()
+        # the summary's held-out err/rej are evaluate_model's on the test split (normalize "none")
+        net = ToyNet.from_json((out / "net.json").read_text())
+        params = validate_config((out / "manifest.json").read_text()).neural.config.params
+        report = evaluate_model(net, parse_csv(held_out.read_text()), AttackSpec(), params)
+        assert 0 < report.rej < 1  # some rows accepted, some rejected
+        assert capsys.readouterr().out.endswith(f"; held-out err {report.err:.4f} rej {report.rej:.4f}\n")

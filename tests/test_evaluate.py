@@ -21,6 +21,8 @@ from advreject.evaluate import (
 )
 from advreject.losses import SurrogateParams, loss_01c
 from advreject.model import FeatureMap, RejectionModel
+from advreject.neural import NeuralTrainConfig, adv_risk_01c_net, train_neural
+from advreject.synth import two_moons
 from conftest import random_linear_model
 
 P13 = SurrogateParams(1.0, 1.0, 0.3)
@@ -140,6 +142,37 @@ class TestEvaluateModel:
         assert obj["counts"]["TA"] + obj["counts"]["TR"] + obj["counts"]["FA"] + obj["counts"]["FR"] == 5
 
 
+class TestNetwork:
+    @pytest.fixture(scope="class")
+    def net_and_data(self):
+        ds = two_moons(80, seed=3)
+        net, _ = train_neural(ds, NeuralTrainConfig(params=P13, epochs=150, lr=0.1, hidden=(8,), seed=3))
+        return net, ds
+
+    def test_candidates_and_rows(self, net_and_data):
+        net, ds = net_and_data
+        rep = evaluate_model(net, ds, AttackSpec(method="pgd", eps=0.3, steps=5), P13)
+        assert list(rep.candidate_wins) == ["clean", "pgd_margin", "pgd_reject", "pgd"]
+        assert sum(rep.candidate_wins.values()) == len(ds) == rep.counts.total
+        assert np.array_equal(rep.clean_loss, loss_01c(*net.forward(ds.x), ds.y, P13.cost))
+        assert np.all(rep.worst_loss >= rep.clean_loss)
+        assert rep.candidate_wins["clean"] < len(ds)  # the attack moves some rows
+        assert rep.mean_loss_01c == float(np.mean(rep.worst_loss))
+
+    @pytest.mark.parametrize("eps, steps", [(0.0, 20), (0.1, 20), (0.3, 5)])
+    def test_adv_risk_is_the_evaluated_mean_loss(self, net_and_data, eps, steps):
+        net, ds = net_and_data
+        rep = evaluate_model(net, ds, AttackSpec(method="pgd", eps=eps, steps=steps), P13)
+        assert adv_risk_01c_net(net, ds.x, ds.y, P13, eps=eps, steps=steps) == rep.mean_loss_01c
+        assert list(rep.candidate_wins)[0] == "clean" and len(rep.candidate_wins) == (1 if eps == 0 else 4)
+
+    @pytest.mark.parametrize("method", ["fgsm", "analytic_linear"])
+    def test_linear_only_methods_raise(self, net_and_data, method):
+        net, ds = net_and_data
+        with pytest.raises(ValueError, match=f"method '{method}' does not apply to a network"):
+            evaluate_model(net, ds, AttackSpec(method=method, eps=0.1), P13)
+
+
 class TestBenchmark:
     def make_trials(self, rng, k=1):
         trials = []
@@ -160,6 +193,8 @@ class TestBenchmark:
     def test_empty_grid_errors(self, rng):
         with pytest.raises(ValueError, match="attack_eps"):
             ProtocolConfig(attack_eps=())
+        with pytest.raises(ValueError, match="^methods must be a non-empty list"):
+            ProtocolConfig(methods=())
         with pytest.raises(ValueError):
             benchmark([], self.protocol((0.0,)))
 
