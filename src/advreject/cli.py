@@ -53,9 +53,10 @@ def _load_dataset(path: str) -> Dataset:
         text = p.read_text()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"dataset {path!r} cannot be decoded as text: {exc}") from None
-    if p.suffix == ".csv":
-        return parse_csv(text, name=p.stem)
-    return parse_libsvm(text, name=p.stem)
+    ds = parse_csv(text, name=p.stem) if p.suffix == ".csv" else parse_libsvm(text, name=p.stem)
+    if not ds.d:
+        raise ConfigError(f"dataset {path!r} has labels but no feature column")
+    return ds
 
 
 def _load_model(path: str | None) -> RejectionModel:

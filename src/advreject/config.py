@@ -130,6 +130,8 @@ class RunConfig:
     def __post_init__(self):
         if self.subcommand not in SUBCOMMANDS:
             raise ValueError(f"subcommand must be one of {'/'.join(SUBCOMMANDS)}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def to_json(self) -> str:
         return json.dumps(_dump(self), indent=2, sort_keys=True)

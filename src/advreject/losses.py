@@ -129,28 +129,18 @@ def loss_mh(f_val, r_val, y, p: SurrogateParams):
     return out if out.ndim else float(out)
 
 
-_SURROGATE_CATALOG = {
-    "hinge": lambda u: np.maximum(1.0 + u, 0.0),
-    "squared_hinge": lambda u: np.maximum(1.0 + u, 0.0) ** 2,
-}
+def surrogate_conv(f_val, r_val, y, p: SurrogateParams):
+    """Additive hinge surrogate [1 + (alpha/2)(r - y*f)]_+ + c * [1 - beta*r]_+.
 
-
-def surrogate_conv(f_val, r_val, y, p: SurrogateParams, phi: str = "hinge", psi: str = "hinge"):
-    """Additive convex surrogate Phi((alpha/2)(r - y*f)) + c * Psi(-beta*r).
-
-    Phi and Psi come from a fixed catalog of monotone convex upper bounds of
-    the step function: "hinge" or "squared_hinge". The sum dominates the
-    max-form surrogate, which in turn dominates the zero-one-c loss.
+    The sum dominates the max-form surrogate, which in turn dominates the
+    zero-one-c loss.
     """
-    for name in (phi, psi):
-        if name not in _SURROGATE_CATALOG:
-            raise ValueError(f"unknown surrogate {name!r}; pick from {sorted(_SURROGATE_CATALOG)}")
     f_val = np.asarray(f_val, dtype=np.float64)
     r_val = np.asarray(r_val, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    out = _SURROGATE_CATALOG[phi](0.5 * p.alpha * (r_val - y * f_val)) + p.cost * _SURROGATE_CATALOG[
-        psi
-    ](-p.beta * r_val)
+    phi = np.maximum(1.0 + 0.5 * p.alpha * (r_val - y * f_val), 0.0)
+    psi = np.maximum(1.0 + -p.beta * r_val, 0.0)
+    out = phi + p.cost * psi
     return out if out.ndim else float(out)
 
 

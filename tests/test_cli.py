@@ -767,6 +767,25 @@ class TestOtherCommands:
         assert f"test dataset {str(wide)!r} has dimension 14, but dataset {str(data_file)!r} has 2" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "neural-train"])
+    @pytest.mark.parametrize("held_out", [False, True])
+    def test_dataset_of_labels_alone(self, command, held_out, data_file, tmp_path, capsys):
+        labels = tmp_path / "labels.libsvm"
+        labels.write_text("+1\n-1\n" * 10)
+        data = ["--data", str(data_file), "--test-data", str(labels)] if held_out else ["--data", str(labels)]
+        out = tmp_path / "o"
+        assert main([command, *data, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: dataset {str(labels)!r} has labels but no feature column\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "bench", "neural-train"])
+    def test_negative_seed(self, command, trained, data_file, tmp_path, capsys):
+        model = ["--model", str(trained)] if command == "eval" else []
+        out = tmp_path / "o"
+        assert main([command, "--data", str(data_file), *model, "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert not out.exists()
+
     def test_neural_train(self, tmp_path, capsys):
         path, held_out = tmp_path / "moons.csv", tmp_path / "held-out.csv"
         path.write_text(to_csv(two_moons(80, seed=1)))

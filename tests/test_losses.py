@@ -90,12 +90,6 @@ class TestSurrogateConv:
             y = 1 if rng.random() < 0.5 else -1
             assert surrogate_conv(f, r, y, P13) >= loss_mh(f, r, y, P13) - 1e-15
 
-    def test_catalog(self):
-        v = surrogate_conv(0, 0, 1, P13, phi="squared_hinge", psi="squared_hinge")
-        assert v == pytest.approx(1.0 + 0.3)
-        with pytest.raises(ValueError):
-            surrogate_conv(0, 0, 1, P13, phi="logistic")
-
 
 class TestDominance:
     def test_seeded_draws(self):

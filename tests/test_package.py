@@ -1,40 +1,39 @@
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
-import advreject
+import pytest
+
 from advreject.data import to_libsvm
 from advreject.synth import credit_surrogate
 
 ROOT = Path(__file__).parents[1]
 README = ROOT / "README.md"
+MODULES = sorted(p.stem for p in (ROOT / "src" / "advreject").glob("*.py") if p.stem != "__init__")
 # the one reason an unused import may stay: perfbench's tracer wraps the name in that module
 TRACER_HOOK = re.compile(r"# noqa: F401  perfbench's tracer wraps (\w+)\.(\w+) by name$")
 
-PUBLIC = [
-    "ProtocolConfig", "run_protocol",
-    "AttackSpec", "pgd",
-    "BoundConfig", "BoundReport", "rademacher_exhaustive", "rademacher_linear_mc", "rademacher_linear_upper",
-    "generalization_bound",
-    "Dataset", "NormStats", "normalize", "parse_csv", "parse_libsvm", "split", "to_libsvm",
-    "EvalReport", "RejectConfusion", "benchmark", "evaluate_model", "metrics",
-    "SurrogateParams", "adv_loss_mh_linear_batch", "loss_01c", "loss_mh", "surrogate_conv", "verdict",
-    "FeatureMap", "RejectionModel", "featurize",
-    "NeuralTrainConfig", "ToyNet", "train_neural",
-    "TrainConfig", "TrainTrace", "cross_validate", "objective", "train",
-]
+
+def _fresh(code: str) -> str:
+    """The stdout of code run in a new interpreter that imports advreject from this checkout."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
 
 
-def test_every_public_name_imports():
-    namespace = {}
-    exec("from advreject import *", namespace)  # raises AttributeError on a stale __all__ entry
-    assert set(advreject.__all__) <= set(namespace)
-    assert len(set(advreject.__all__)) == len(advreject.__all__)
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_alone(module):
+    _fresh(f"import advreject.{module}")
 
 
-def test_public_names_are_pinned():
-    # a name added to or dropped from the package surface shows up here
-    assert advreject.__all__ == PUBLIC
+def test_the_package_loads_no_submodule():
+    assert _fresh("import sys, advreject; print([m for m in sys.modules if m.startswith('advreject.')])") == "[]\n"
+
+
+def test_the_train_module_is_not_shadowed():
+    assert _fresh("import types, advreject.train as t; print(isinstance(t, types.ModuleType))") == "True\n"
 
 
 def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
@@ -50,15 +49,6 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
     assert wins.startswith("{'clean': ")
 
 
-def _used_names(tree: ast.Module) -> set[str]:
-    """The names a module reads, plus the strings of its ``__all__``."""
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            used |= {e.value for e in node.value.elts}
-    return used
-
-
 def test_every_import_in_src_is_used():
     # an ast check in place of a linter's F401; an exempt line names the module
     # and the name perfbench/workloads.py installs a span on
@@ -67,7 +57,7 @@ def test_every_import_in_src_is_used():
     for path in sorted((ROOT / "src").rglob("*.py")):
         text = path.read_text()
         lines, tree = text.splitlines(), ast.parse(text)
-        used = _used_names(tree)
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         for node in ast.walk(tree):
             if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
                 continue

@@ -1,8 +1,7 @@
-import importlib
-
 import numpy as np
 import pytest
 
+import advreject.train as train_module
 from advreject.data import Dataset
 from advreject.evaluate import evaluate_model
 from advreject.attacks import AttackSpec
@@ -238,8 +237,7 @@ class TestTrainAgainstOracle:
         fm = FeatureMap("identity") if features == "identity" else FeatureMap("random_fourier", dim=16, sigma=1.0, seed=0)
         cfg = TrainConfig(mode=mode, eps_train=eps, epochs=20, feature_map=fm, **EPOCH_PARAMS)
         model, trace = train(ds, cfg)
-        # the package re-exports the function train, so import the module by name
-        monkeypatch.setattr(importlib.import_module("advreject.train"), "_objective_arrays", objective_arrays_reference)
+        monkeypatch.setattr(train_module, "_objective_arrays", objective_arrays_reference)
         want_model, want_trace = train(ds, cfg)
         assert model.to_json() == want_model.to_json()
         assert trace.to_csv() == want_trace.to_csv()
