@@ -214,10 +214,7 @@ def bench_to_text(rows: list[BenchCell]) -> str:
     for (method, cost), cells in by_key.items():
         line = f"{method:>6} {('-' if cost is None else f'{cost:.2f}'):>5}"
         for e in eps_values:
-            c = cells.get(e)
-            if c is None:
-                line += f" | {'':>13} {'':>13}"
-                continue
+            c = cells[e]
             rej = f"{c.rej_mean:.3f}/{c.rej_std:.3f}" if cost is not None else "   -    "
             line += f" | {c.err_mean:.3f}/{c.err_std:.3f} {rej:>13}"
         lines.append(line)

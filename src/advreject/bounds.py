@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .losses import SurrogateParams, adv_loss_mh_linear_batch
+from .losses import SurrogateParams, adv_loss_mh_linear_batch, worst_case_l1
 from .model import RejectionModel
 
 HINGE_LIPSCHITZ = 1.0
@@ -217,8 +217,8 @@ def weight_bound(m: RejectionModel, p: float) -> float:
     """Largest p-norm among the trained weight vectors (theta, gamma, and
     both zeta variants); instantiates the norm-constrained class a
     posteriori. Biases are excluded, matching the perturbable coordinates."""
-    vecs = [m.theta, m.gamma, m.zeta(1), m.zeta(-1)]
-    return float(max(_qnorm(v, p) for v in vecs))
+    (zeta_pos, zeta_neg, _), _ = worst_case_l1(m.theta, m.gamma, 0.0)
+    return float(max(_qnorm(v, p) for v in (m.theta, m.gamma, zeta_pos, zeta_neg)))
 
 
 def clipped_adv_risk(m: RejectionModel, ds: Dataset, eps: float, params: SurrogateParams) -> float:

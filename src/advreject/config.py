@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from types import UnionType
 from typing import Literal, Union, get_args, get_origin, get_type_hints
@@ -87,13 +86,12 @@ class NeuralSection(_Prep):
 
     def __post_init__(self):
         super().__post_init__()
+        if not 0 <= self.eps_train < math.inf:
+            raise ValueError("eps_train must be finite and nonnegative")
         self.build(seed=0)
 
     def build(self, seed: int) -> NeuralTrainConfig:
-        try:
-            attack = AttackSpec(method="pgd" if self.eps_train > 0 else "none", eps=self.eps_train, steps=self.steps)
-        except ValueError as exc:  # the attack's eps is this section's eps_train
-            raise ValueError(re.sub(r"^eps\b", "eps_train", str(exc))) from None
+        attack = AttackSpec(method="pgd" if self.eps_train > 0 else "none", eps=self.eps_train, steps=self.steps)
         return replace(self.config, attack=attack, seed=seed)
 
 

@@ -8,7 +8,7 @@ final column is the label.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,38 +51,32 @@ class Dataset:
         return self.x.shape[1]
 
 
-DEFAULT_LABEL_MAP = {"+1": 1, "1": 1, "-1": -1}
+LABELS = {"+1": 1, "1": 1, "-1": -1}
 
 
-def _label(token: str, label_map: dict[str, int], lineno: int) -> int:
-    """The label a token maps to; a DataFormatError naming the line if the
-    token is unknown or maps outside -1/+1."""
-    if token not in label_map:
+def _label(token: str, lineno: int) -> int:
+    """The label a token stands for; a DataFormatError naming the line if
+    the token is not one of LABELS."""
+    if token not in LABELS:
         raise DataFormatError(f"unknown label {token!r}", lineno)
-    y = label_map[token]
-    if y not in (-1, 1):
-        raise DataFormatError(f"label map sends {token!r} to {y}, not -1/+1", lineno)
-    return y
+    return LABELS[token]
 
 
-def parse_libsvm(text: str, label_map: dict[str, int] | None = None, name: str = "") -> Dataset:
+def parse_libsvm(text: str, name: str = "") -> Dataset:
     """Parse LIBSVM sparse text ("<label> <idx>:<val> ...") into a dense Dataset.
 
     Blank lines and lines starting with "#" are skipped. The dimension is
-    the maximum index seen anywhere. ``label_map`` translates label tokens
-    to {-1, +1}; by default only "+1"/"1"/"-1" are accepted. Each line is
-    checked in this order, and the first failure raises a DataFormatError
-    naming the line:
+    the maximum index seen anywhere. The label token is "+1", "1" or "-1".
+    Each line is checked in this order, and the first failure raises a
+    DataFormatError naming the line:
 
-    1. the label is in ``label_map`` and maps to -1 or +1;
+    1. the label is one of those tokens;
     2. then, entry by entry: it has the ``idx:val`` separator, both parts
        are numeric, the value is finite, and the index is 1-based and
        strictly greater than the one before it.
 
     A text without data lines is an error too.
     """
-    if label_map is None:
-        label_map = DEFAULT_LABEL_MAP
     cols: list[int] = []  # 0-based column and value of every entry, line after line
     vals: list[float] = []
     counts: list[int] = []  # entries per data line
@@ -93,7 +87,7 @@ def parse_libsvm(text: str, label_map: dict[str, int] | None = None, name: str =
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        y = _label(parts[0], label_map, lineno)
+        y = _label(parts[0], lineno)
         prev = 0
         for item in parts[1:]:
             idx_s, sep, val_s = item.partition(":")
@@ -142,11 +136,10 @@ def to_libsvm(ds: Dataset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_csv(text: str, label_map: dict[str, int] | None = None, name: str = "") -> Dataset:
-    """Parse CSV with a header row; the final column is the label. Blank
-    lines are skipped, and an error names the line of the text it is on."""
-    if label_map is None:
-        label_map = DEFAULT_LABEL_MAP
+def parse_csv(text: str, name: str = "") -> Dataset:
+    """Parse CSV with a header row; the final column is the label, a token
+    parse_libsvm accepts. Blank lines are skipped, and an error names the
+    line of the text it is on."""
     lines = [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if len(lines) < 2:
         raise DataFormatError("need a header row and at least one data row")
@@ -159,7 +152,7 @@ def parse_csv(text: str, label_map: dict[str, int] | None = None, name: str = ""
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != ncol:
             raise DataFormatError(f"expected {ncol} columns, got {len(cells)}", lineno)
-        y = _label(cells[-1], label_map, lineno)
+        y = _label(cells[-1], lineno)
         try:
             row = [float(c) for c in cells[:-1]]
         except ValueError:
@@ -185,13 +178,23 @@ class NormStats:
 
     For minmax01, ``lo``/``hi`` are the training min/max; for zscore they
     hold mean/std. ``constant`` flags dimensions with no variation, which
-    map to 0 under either scheme.
+    map to 0 under either scheme. The three are 1-D arrays of one length,
+    empty under none.
     """
 
     scheme: str  # minmax01 | zscore | none
-    lo: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    hi: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    constant: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
+    lo: np.ndarray
+    hi: np.ndarray
+    constant: np.ndarray
+
+    def __post_init__(self):
+        check_scheme(self.scheme)
+        self.lo = np.asarray(self.lo, dtype=np.float64)
+        self.hi = np.asarray(self.hi, dtype=np.float64)
+        self.constant = np.asarray(self.constant, dtype=bool)
+        shapes = (self.lo.shape, self.hi.shape, self.constant.shape)
+        if self.lo.ndim != 1 or len(set(shapes)) != 1:
+            raise ValueError(f"norm stats lo, hi and constant must be 1-D arrays of one length, got shapes {shapes}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -209,11 +212,9 @@ class NormStats:
         if self.scheme == "minmax01":
             span = np.where(self.constant, 1.0, self.hi - self.lo)
             x = (ds.x - self.lo) / span
-        elif self.scheme == "zscore":
+        else:
             std = np.where(self.constant, 1.0, self.hi)
             x = (ds.x - self.lo) / std
-        else:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         x[:, self.constant] = 0.0
         return Dataset(x, ds.y.copy(), name=ds.name)
 
@@ -239,7 +240,7 @@ def normalize(ds: Dataset, scheme: str = "minmax01") -> tuple[Dataset, NormStats
         raise ValueError("cannot normalize an empty dataset")
     check_scheme(scheme)
     if scheme == "none":
-        stats = NormStats("none")
+        stats = NormStats("none", [], [], [])
     elif scheme == "minmax01":
         lo, hi = ds.x.min(axis=0), ds.x.max(axis=0)
         stats = NormStats("minmax01", lo, hi, constant=(hi == lo))

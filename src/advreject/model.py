@@ -10,7 +10,8 @@ f(x) = <phi(x), gamma> + bias_gamma and r(x) = <phi(x), theta> + bias_theta.
 
 The combined vector zeta(y) = theta/y - gamma turns the margin gap into a
 single linear form: r(x) - y*f(x) = y*(<phi(x), zeta(y)> + bias_theta/y -
-bias_gamma). That identity is what makes the worst-case linear losses tractable.
+bias_gamma). That identity is what makes the worst-case linear losses
+tractable; ``losses.worst_case_l1`` builds zeta(+1) and zeta(-1).
 
 The feature map is either the identity or random Fourier features
 (cosine features approximating a Gaussian kernel). With Fourier features
@@ -46,6 +47,10 @@ class FeatureMap:
     def __post_init__(self):
         if self.kind not in ("identity", "random_fourier"):
             raise ValueError(f"kind must be identity or random_fourier, got {self.kind!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.input_dim < 0:
+            raise ValueError("input_dim must be >= 0")
         if self.kind == "random_fourier":
             if self.dim <= 0:
                 raise ValueError("dim must be positive for random_fourier")
@@ -152,12 +157,6 @@ class RejectionModel:
     def scores(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.scores_features(self.featurize(x))
 
-    def zeta(self, y: int) -> np.ndarray:
-        """theta/y - gamma over the weight coordinates (bias excluded)."""
-        if y not in (-1, 1):
-            raise ValueError("y must be -1 or +1")
-        return self.theta / y - self.gamma
-
     def to_json(self) -> str:
         fm = self.feature_map
         obj = {
@@ -185,14 +184,7 @@ class RejectionModel:
         obj = json.loads(text)
         fm = FeatureMap(**obj["feature_map"])
         ns = obj.get("norm_stats")
-        stats = None
-        if ns is not None:
-            stats = NormStats(
-                scheme=ns["scheme"],
-                lo=np.array(ns["lo"], dtype=np.float64),
-                hi=np.array(ns["hi"], dtype=np.float64),
-                constant=np.array(ns["constant"], dtype=bool),
-            )
+        stats = None if ns is None else NormStats(**ns)
         return cls(
             theta=np.array(obj["theta"], dtype=np.float64),
             gamma=np.array(obj["gamma"], dtype=np.float64),

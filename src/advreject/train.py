@@ -292,52 +292,3 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[RejectionModel, TrainTrace]:
     )
     trace = TrainTrace(objs, np.minimum.accumulate(objs), best_val, best_epoch)
     return model, trace
-
-
-def cross_validate(
-    ds: Dataset,
-    cfg_grid: list[TrainConfig],
-    folds: int,
-    seed: int,
-    eval_eps: float | None = None,
-) -> tuple[TrainConfig, list[dict]]:
-    """Pick the config with the lowest mean validation adversarial 0-1-c
-    risk. Evaluation eps defaults to each config's own eps_train. Ties go
-    to the earlier grid entry."""
-    from .attacks import AttackSpec
-    from .evaluate import evaluate_model
-
-    n = len(ds)
-    if not 2 <= folds <= n:
-        raise ValueError(f"folds must lie in [2, {n}] (the dataset size), got {folds}")
-    if not cfg_grid:
-        raise ValueError("empty config grid")
-    perm = np.random.default_rng(seed).permutation(n)
-    fold_idx = np.array_split(perm, folds)
-    table = []
-    best_i, best_risk = 0, np.inf
-    for i, cfg in enumerate(cfg_grid):
-        eps_eval = cfg.eps_train if eval_eps is None else eval_eps
-        risks = []
-        for k in range(folds):
-            val_ids = fold_idx[k]
-            tr_ids = np.concatenate([fold_idx[j] for j in range(folds) if j != k])
-            tr = Dataset(ds.x[tr_ids], ds.y[tr_ids], name=ds.name)
-            va = Dataset(ds.x[val_ids], ds.y[val_ids], name=ds.name)
-            model, _ = train(tr, cfg)
-            spec = AttackSpec(method="analytic_linear" if eps_eval > 0 else "none", eps=eps_eval)
-            risks.append(evaluate_model(model, va, spec, cfg.params).mean_loss_01c)
-        mean_risk = float(np.mean(risks))
-        table.append(
-            {
-                "index": i,
-                "mode": cfg.mode,
-                "cost": cfg.params.cost,
-                "eps_train": cfg.eps_train,
-                "mean_risk": mean_risk,
-                "fold_risks": risks,
-            }
-        )
-        if mean_risk < best_risk:
-            best_risk, best_i = mean_risk, i
-    return cfg_grid[best_i], table

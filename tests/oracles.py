@@ -21,7 +21,7 @@ import itertools
 
 import numpy as np
 
-from advreject.data import DEFAULT_LABEL_MAP, DataFormatError, Dataset, _label
+from advreject.data import DataFormatError, Dataset, _label
 from advreject.losses import mh_branches
 
 
@@ -304,11 +304,9 @@ def squared_mh_head_reference(f, r, y, p):
     return value**2, df, dr
 
 
-def parse_libsvm_reference(text, label_map=None, name=""):
+def parse_libsvm_reference(text, name=""):
     """``data.parse_libsvm`` with a dict per row, a numpy finiteness test
     and one scalar store per value: the same checks in the same order."""
-    if label_map is None:
-        label_map = DEFAULT_LABEL_MAP
     rows: list[dict[int, float]] = []
     labels: list[int] = []
     max_idx = 0
@@ -317,7 +315,7 @@ def parse_libsvm_reference(text, label_map=None, name=""):
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        y = _label(parts[0], label_map, lineno)
+        y = _label(parts[0], lineno)
         entries: dict[int, float] = {}
         prev = 0
         for item in parts[1:]:

@@ -628,6 +628,21 @@ class TestOtherCommands:
         assert main(["eval", "--model", str(bad), "--data", str(data_file), "--out", str(tmp_path / "o")]) == 2
         assert "feature_map" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "bound"])
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("norm_stats", "constant", [False]), ("norm_stats", "lo", 5), ("feature_map", "seed", -1)],
+    )
+    def test_inconsistent_model_json_names_its_field(self, command, section, key, value, trained, data_file,
+                                                     tmp_path, capsys):
+        obj = json.loads(trained.read_text())
+        obj[section][key] = value
+        bad = tmp_path / "inconsistent.json"
+        bad.write_text(json.dumps(obj))
+        assert main([command, "--model", str(bad), "--data", str(data_file), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "inconsistent.json" in err and key in err and "Traceback" not in err
+
     def test_dataset_dimension_mismatch(self, trained, tmp_path, capsys):
         wide = tmp_path / "wide.libsvm"
         wide.write_text(to_libsvm(credit_surrogate(seed=0)))

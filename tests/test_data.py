@@ -41,10 +41,6 @@ class TestParseLibsvm:
         with pytest.raises(DataFormatError, match="unknown label"):
             parse_libsvm("2 1:1")
 
-    def test_label_map(self):
-        ds = parse_libsvm("0 1:1\n2 1:2\n+1 1:3", label_map={"0": -1, "2": -1, "+1": 1})
-        assert list(ds.y) == [-1, -1, 1]
-
     def test_error_carries_line_number(self):
         with pytest.raises(DataFormatError, match="line 2"):
             parse_libsvm("+1 1:1\n+1 1:x")
@@ -189,14 +185,6 @@ class TestCsv:
             parse_csv("\ny\n+1\n")
         ds = parse_csv("\nx1,y\n\n1.0,+1\n  \n2.0,-1\n\n")
         assert np.array_equal(ds.x, [[1.0], [2.0]]) and list(ds.y) == [1, -1]
-
-    def test_label_map_outside_pm1(self):
-        with pytest.raises(DataFormatError, match="line 3: label map sends 'b' to 0"):
-            parse_csv("a,y\n1,a\n2,b\n", label_map={"a": 1, "b": 0})
-
-    def test_label_map(self):
-        ds = parse_csv("a,y\n1,yes\n2,no\n", label_map={"yes": 1, "no": -1})
-        assert list(ds.y) == [1, -1]
 
 
 class TestNormalize:

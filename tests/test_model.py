@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from advreject.data import NormStats
-from advreject.losses import verdict
+from advreject.losses import verdict, worst_case_l1
 from advreject.model import FeatureMap, RejectionModel, featurize
 from conftest import random_linear_model
 
@@ -37,6 +37,10 @@ class TestFeaturize:
             FeatureMap("random_fourier", dim=0)
         with pytest.raises(ValueError):
             FeatureMap("random_fourier", dim=8, sigma=0.0)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            FeatureMap("identity", seed=-1)
+        with pytest.raises(ValueError, match="input_dim must be >= 0"):
+            FeatureMap("random_fourier", dim=8, input_dim=-1)
 
     def test_pinned_input_dimension(self, rng):
         fm = FeatureMap("random_fourier", dim=8, sigma=1.0, seed=0, input_dim=3)
@@ -205,22 +209,18 @@ class TestDecide:
 
 
 class TestZeta:
+    # zeta(y) = theta/y - gamma, built by losses.worst_case_l1 as the rows zeta(+1), zeta(-1), theta
     def test_positive_label(self):
-        m = RejectionModel(theta=np.array([1.0, -1.0]), gamma=np.array([2.0, 0.0]))
-        assert np.array_equal(m.zeta(1), [-1.0, -1.0])
+        zeta, _ = worst_case_l1(np.array([1.0, -1.0]), np.array([2.0, 0.0]), 0.0)
+        assert np.array_equal(zeta[0], [-1.0, -1.0])
 
     def test_negative_label(self):
-        m = RejectionModel(theta=np.array([1.0, -1.0]), gamma=np.array([2.0, 0.0]))
-        assert np.array_equal(m.zeta(-1), [-3.0, 1.0])
+        zeta, _ = worst_case_l1(np.array([1.0, -1.0]), np.array([2.0, 0.0]), 0.0)
+        assert np.array_equal(zeta[1], [-3.0, 1.0])
 
     def test_cancellation(self):
-        m = RejectionModel(theta=np.array([1.0, 2.0]), gamma=np.array([1.0, 2.0]))
-        assert np.array_equal(m.zeta(1), [0.0, 0.0])
-
-    def test_invalid_label(self):
-        m = RejectionModel(theta=np.array([1.0]), gamma=np.array([1.0]))
-        with pytest.raises(ValueError):
-            m.zeta(0)
+        zeta, l1 = worst_case_l1(np.array([1.0, 2.0]), np.array([1.0, 2.0]), 0.5)
+        assert np.array_equal(zeta[0], [0.0, 0.0]) and l1 == (0.0, 3.0, 1.5)
 
     def test_margin_identity(self, rng):
         # r(x) - y f(x) = y * (<x, zeta(y)> + bias_theta/y - bias_gamma) for all x, y
@@ -231,7 +231,7 @@ class TestZeta:
             for y in (-1, 1):
                 f, r = m.scores(x)
                 lhs = float(r) - y * float(f)
-                rhs = y * (float(x @ m.zeta(y)) + m.bias_theta / y - m.bias_gamma)
+                rhs = y * (float(x @ (m.theta / y - m.gamma)) + m.bias_theta / y - m.bias_gamma)
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 

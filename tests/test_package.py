@@ -70,3 +70,39 @@ def test_every_import_in_src_is_used():
                     continue
                 unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert unused == []
+
+
+def _top_level_names(tree: ast.Module) -> list[str]:
+    """The functions, classes and assigned names a module defines at its top level."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return names
+
+
+def test_every_public_name_in_src_has_a_caller():
+    # an ast check for dead library surface: a public top-level name must be read
+    # in src/, or named by perfbench, the README or the paper's acceptance tests
+    trees = [ast.parse(p.read_text()) for p in sorted((ROOT / "src").rglob("*.py"))]
+    read = set()
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                read.update(alias.name for alias in n.names)
+    callers = [*sorted((ROOT / "perfbench").glob("*.py")), README, ROOT / "tests" / "test_acceptance.py"]
+    outside = "\n".join(p.read_text() for p in callers)
+    uncalled = [
+        name
+        for tree in trees
+        for name in _top_level_names(tree)
+        if not name.startswith("_") and name not in read and not re.search(rf"\b{name}\b", outside)
+    ]
+    assert uncalled == []

@@ -7,7 +7,7 @@ from advreject.evaluate import evaluate_model
 from advreject.attacks import AttackSpec
 from advreject.losses import SurrogateParams, verdict
 from advreject.model import FeatureMap, RejectionModel, featurize
-from advreject.train import TrainConfig, _augment, _objective_arrays, cross_validate, objective, train
+from advreject.train import TrainConfig, _augment, _objective_arrays, objective, train
 from oracles import objective_arrays_reference, train_objective_reference
 
 P13 = SurrogateParams(1.0, 1.0, 0.3)
@@ -345,39 +345,3 @@ class TestTrain:
         model.featurize(ds.x)
         with pytest.raises(ValueError, match="input dimension 14"):
             model.featurize(rng.standard_normal((3, 8)))
-
-
-class TestCrossValidate:
-    def test_single_config(self, rng):
-        ds = toy_dataset(rng, n=30)
-        grid = [TrainConfig(mode="mh", epochs=50)]
-        best, table = cross_validate(ds, grid, folds=3, seed=0)
-        assert best is grid[0]
-        assert len(table) == 1 and len(table[0]["fold_risks"]) == 3
-
-    def test_tie_prefers_first(self, rng):
-        ds = toy_dataset(rng, n=20)
-        cfg = TrainConfig(mode="mh", epochs=50)
-        best, _ = cross_validate(ds, [cfg, TrainConfig(mode="mh", epochs=50)], folds=2, seed=0)
-        assert best is cfg
-
-    def test_two_folds_half_train(self, rng):
-        ds = toy_dataset(rng, n=10)
-        _, table = cross_validate(ds, [TrainConfig(mode="svm", epochs=30)], folds=2, seed=0)
-        assert len(table[0]["fold_risks"]) == 2
-
-    def test_empty_grid(self, rng):
-        with pytest.raises(ValueError):
-            cross_validate(toy_dataset(rng), [], folds=2, seed=0)
-
-    def test_bad_folds(self, rng):
-        with pytest.raises(ValueError):
-            cross_validate(toy_dataset(rng), [TrainConfig(mode="svm")], folds=1, seed=0)
-
-    def test_more_folds_than_samples(self, rng):
-        # every validation fold needs a sample: folds may reach len(ds), not exceed it
-        ds = toy_dataset(rng, n=5)
-        with pytest.raises(ValueError, match=r"folds must lie in \[2, 5\].*got 6"):
-            cross_validate(ds, [TrainConfig(mode="svm", epochs=5)], folds=6, seed=0)
-        _, table = cross_validate(ds, [TrainConfig(mode="svm", epochs=5)], folds=5, seed=0)
-        assert len(table[0]["fold_risks"]) == 5
