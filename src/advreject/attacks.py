@@ -4,10 +4,13 @@ a batch of one row). The FGSM candidate of ``evaluate`` is one sign step
 along ``linear_mh_value_grad``.
 
 On a linear model, what depends only on a row's MH branch or label is
-computed once per call on a small table and read with one gather. Only
-elementwise operations and per-row reductions move onto a table; every
-score product keeps its n-row operand, so the results are those of the
-per-row computation bit for bit. Labels must be +1 or -1.
+computed once per call on a small table and read with one gather. PGD
+carries its iterate the same way, as a table of the distinct deltas and
+each row's index into it, so a step on a linear model works on a few rows
+and only the points it scores are n x D. Only elementwise operations and
+per-row reductions move onto a table; every score product keeps its n-row
+operand, so the results are those of the per-row computation bit for bit.
+Labels must be +1 or -1.
 
 All attacks act on the perturbable coordinates only. Models keep their
 biases outside the feature vector, so a perturbation has the same shape as
@@ -86,16 +89,16 @@ def _linear_mh(m: RejectionModel, z: np.ndarray, y: np.ndarray, p: SurrogatePara
     return mh.value, (table, np.where(mh.use_a, np.where(y > 0, 1, 2), np.where(mh.use_b, 3, 0)))
 
 
-def _start(spec: AttackSpec, shape: tuple) -> np.ndarray:
-    """The PGD start: 0, or with random_start one uniform(-eps, eps) draw
-    from the spec's seed over the last axis, projected for l2 and shared by
-    every row."""
+def _start(spec: AttackSpec, dim: int) -> np.ndarray:
+    """The PGD start as a table of one row that every input row shares: 0,
+    or with random_start one uniform(-eps, eps) draw of length dim from the
+    spec's seed, projected for l2."""
     if not (spec.random_start and spec.eps > 0):
-        return np.zeros(shape)
-    delta = np.random.default_rng(spec.seed).uniform(-spec.eps, spec.eps, size=shape[-1])
+        return np.zeros((1, dim))
+    delta = np.random.default_rng(spec.seed).uniform(-spec.eps, spec.eps, size=(1, dim))
     if spec.norm == "l2":
         delta = _project_l2(delta, spec.eps)
-    return np.broadcast_to(delta, shape).copy()
+    return delta
 
 
 def _stepper(spec: AttackSpec):
@@ -189,14 +192,25 @@ def accepted_error_delta(m: RejectionModel, z: np.ndarray, y: np.ndarray, eps: f
 def pgd(value_grad, x: np.ndarray, spec: AttackSpec) -> np.ndarray:
     """Projected gradient ascent, vectorized over the rows of x; a single
     sample is a batch of one row. linf takes sign steps clipped to the box,
-    l2 normalized-gradient steps projected onto the ball.
+    l2 normalized-gradient steps projected onto the ball. x is left as it is.
 
     value_grad(points, grad) gives each row's objective at the points and,
     if grad, its gradient there as a pair (table, index): row i's gradient
     is table[index[i]], or table[i] where index is None. One call both
-    scores an iterate and sets the next step. A linear model's gradient
-    takes one of four values, so its table has four rows and each step's
-    direction is computed on them; a network's gradient is its own table.
+    scores an iterate and sets the next step. points is one buffer that
+    pgd rewrites every step, so value_grad must not keep it (nor a view of
+    it) beyond the call.
+
+    The iterate is carried like the gradient: a table of distinct deltas
+    and each row's index into it. A step maps each (delta row, gradient
+    row) pair that occurs to one new delta row. A linear model's gradient
+    has four rows, so its step works on a few rows; a network's has one per
+    input row, and its step is dense. Only the points to score and the
+    best iterate are n x D. Each table row takes the float operations that
+    the per-row loop applies to the rows sharing it, and dtab[hist] + x is
+    x + dtab[hist] in IEEE arithmetic, so the result is the per-row loop's
+    bit for bit.
+
     One step is the ascent step with the radius and step size resolved
     once per call of pgd, that call, and the best-iterate update; the last
     iterate is only scored. Returns each row's delta at its best iterate,
@@ -213,22 +227,44 @@ def pgd(value_grad, x: np.ndarray, spec: AttackSpec) -> np.ndarray:
     reach such a point, a box corner, after ceil(sqrt(steps)) steps (one
     more where rounding leaves that many steps an ulp short of eps).
     """
-    delta = _start(spec, x.shape)
     if spec.eps == 0:
-        return delta
+        return np.zeros(x.shape)
     step = _stepper(spec)
-    best_val, g = value_grad(x + delta, True)
+    dtab = _start(spec, x.shape[-1])  # the distinct deltas
+    hist = np.zeros(x.shape[0], dtype=np.intp)  # each row's index into dtab; None: row i is dtab[i]
+    points = np.empty(x.shape)
+    best_val, g = value_grad(np.add(x, dtab, out=points), True)  # the start row broadcasts
     best_val = np.array(best_val, dtype=np.float64)  # updated in place below
-    best_delta = delta.copy()
+    best_delta = dtab.take(hist, axis=0)
     for i in range(spec.steps):
-        moved = step(delta, *g)
-        if (moved == delta).all():
+        table, index = g
+        if hist is None or index is None:  # no two rows share a pair: a dense step
+            rows, new_hist = _gather(dtab, hist), None
+            moved = step(rows, table, index)
+        else:  # one new row per (history, gradient index) pair that occurs
+            pair = hist * len(table) + index
+            present = np.zeros(len(dtab) * len(table), dtype=bool)
+            present[pair] = True
+            codes = present.nonzero()[0]
+            rows = dtab[codes // len(table)]
+            moved = step(rows, table, codes % len(table))
+            new_hist = (np.cumsum(present) - 1).take(pair)
+        if (moved == rows).all():
             break
-        delta = moved
-        val, g = value_grad(x + delta, i + 1 < spec.steps)  # the last iterate is only scored
+        dtab, hist = moved, new_hist
+        if hist is None:
+            np.add(x, dtab, out=points)
+        else:
+            dtab.take(hist, axis=0, out=points, mode="clip")  # "raise" would buffer the gather
+            points += x
+        val, g = value_grad(points, i + 1 < spec.steps)  # the last iterate is only scored
         better = val > best_val
         np.copyto(best_val, val, where=better)
-        np.copyto(best_delta, delta, where=better[..., None])
+        if hist is None:
+            np.copyto(best_delta, dtab, where=better[:, None])
+        else:  # only the rows that improved, gathered into points, which value_grad no longer holds
+            up = better.nonzero()[0]
+            best_delta[up] = dtab.take(hist.take(up), axis=0, out=points[: len(up)], mode="clip")
     return best_delta
 
 

@@ -188,13 +188,16 @@ class NormStats:
     constant: np.ndarray
 
     def __post_init__(self):
-        check_scheme(self.scheme)
+        check_scheme(self.scheme, "norm_stats.scheme")
         self.lo = np.asarray(self.lo, dtype=np.float64)
         self.hi = np.asarray(self.hi, dtype=np.float64)
         self.constant = np.asarray(self.constant, dtype=bool)
         shapes = (self.lo.shape, self.hi.shape, self.constant.shape)
         if self.lo.ndim != 1 or len(set(shapes)) != 1:
             raise ValueError(f"norm stats lo, hi and constant must be 1-D arrays of one length, got shapes {shapes}")
+        for name in ("lo", "hi"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"norm_stats.{name} must be finite")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -222,10 +225,11 @@ class NormStats:
 SCHEMES = ("minmax01", "zscore", "none")
 
 
-def check_scheme(scheme: str) -> None:
-    """The normalization scheme names normalize() accepts."""
+def check_scheme(scheme: str, key: str = "normalize") -> None:
+    """The normalization scheme names normalize() accepts; the error names
+    the key that held the scheme."""
     if scheme not in SCHEMES:
-        raise ValueError(f"normalize must be one of {'/'.join(SCHEMES)}, got {scheme!r}")
+        raise ValueError(f"{key} must be one of {'/'.join(SCHEMES)}, got {scheme!r}")
 
 
 def check_fraction(train_fraction: float) -> None:

@@ -136,8 +136,9 @@ def evaluate_model(
     losses = np.empty((len(deltas), len(y)))  # per candidate and row; row 0 is the clean point
     fs = np.empty_like(losses)
     rs = np.empty_like(losses)
+    points = np.empty(z.shape)  # z + delta of each attacked candidate in turn
     for k, delta in enumerate(deltas.values()):
-        f, r = scores(z + delta if k else z)
+        f, r = scores(np.add(z, delta, out=points) if k else z)
         fs[k], rs[k] = f, r
         losses[k] = loss_01c(f, r, y, params.cost)
     winner = np.argmax(losses, axis=0)  # first max wins; clean is index 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -411,6 +412,92 @@ class TestPgdEarlyExit:
         assert objective.calls == spec.steps + 1
         flips.clear()
         assert np.array_equal(deltas, pgd_full(value_grad, x, spec))
+
+
+class TestDeltaTable:
+    """pgd carries its iterate as a table of distinct deltas and each row's
+    history into it: the same objective given as (table, index) and given
+    dense gives the same bytes, x is left as it is, and the memory of a
+    call does not grow with its steps."""
+
+    @staticmethod
+    def objectives(m, y):
+        """The linear MH objective with its gradient as (table, index), and
+        the same with the gradient dense, (table[index], None). The first
+        also returns the index of every gradient it gives."""
+        indices = []
+
+        def tabular(points, grad):
+            value, g = linear_mh_value_grad(m, points, y, P13, grad)
+            if g is not None:
+                indices.append(g[1])
+            return value, g
+
+        def dense(points, grad):
+            value, g = linear_mh_value_grad(m, points, y, P13, grad)
+            return value, None if g is None else (dense_gradient(g), None)
+
+        return tabular, dense, indices
+
+    @pytest.mark.parametrize("random_start", [False, True])
+    @pytest.mark.parametrize("norm", ["linf", "l2"])
+    def test_table_and_dense_gradients_give_the_same_bytes(self, rng, norm, random_start):
+        # with gamma = 1.2*theta on the first coordinate, A's ascent
+        # direction raises B faster than A, so a label +1 row in branch A
+        # moves into B after a number of steps set by its distance to the
+        # A = B boundary; the rows are spread over that distance, measured
+        # from the start
+        m = RejectionModel(theta=np.array([1.0, 0.1, -0.2]), gamma=np.array([1.2, 0.05, -0.1]))
+        spec = AttackSpec(method="pgd", eps=10.0, norm=norm, steps=20, step_size=0.25, random_start=random_start,
+                          seed=11)
+        z = rng.standard_normal((60, 3))
+        z[:, 0] = rng.uniform(-3.4, 1.0, 60)
+        z -= attacks._start(spec, 3)
+        y = np.where(rng.random(60) < 0.7, 1.0, -1.0)
+        tabular, dense, indices = self.objectives(m, y)
+        got = pgd(tabular, z, spec)
+        assert got.tobytes() == pgd(dense, z, spec).tobytes()
+        # a row's history is the gradient rows of the steps it took; the
+        # last gradient may have set no step, so it is left out
+        histories = np.unique(np.stack(indices[:-1], axis=1), axis=0)
+        assert len(histories) > 4
+
+    @pytest.mark.parametrize("random_start", [False, True])
+    @pytest.mark.parametrize("norm", ["linf", "l2"])
+    def test_leaves_x_unchanged(self, rng, norm, random_start):
+        m = random_linear_model(rng, 4)
+        z = rng.standard_normal((30, 4))
+        y = np.where(rng.random(30) < 0.5, 1.0, -1.0)
+        before = z.copy()
+        spec = AttackSpec(method="pgd", eps=0.3, norm=norm, steps=10, random_start=random_start, seed=2)
+        for objective in self.objectives(m, y)[:2]:
+            pgd(objective, z, spec)
+            assert z.tobytes() == before.tobytes()
+
+    def test_memory_does_not_grow_with_steps(self, rng):
+        # steps of 1e-3 in a ball of radius 1 reach no fixed point, so every call runs all its steps
+        m = random_linear_model(rng, 100)
+        z = 0.1 * rng.standard_normal((200, 100))
+        y = np.where(rng.random(200) < 0.5, 1.0, -1.0)
+        peaks = {}
+        for steps in (5, 100):
+            spec = AttackSpec(method="pgd", eps=1.0, norm="l2", steps=steps, step_size=1e-3)
+            calls = []
+
+            def counting(zd, grad):
+                calls.append(grad)
+                return linear_mh_value_grad(m, zd, y, P13, grad)
+
+            pgd(counting, z, spec)
+            assert len(calls) == steps + 1
+            tracemalloc.start()
+            try:
+                pgd_linear_mh_batch(m, z, y, spec, P13)
+                peaks[steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[100] <= peaks[5] + z.nbytes // 20  # no per-step history
+        assert peaks[100] < 3 * z.nbytes  # the points to score, the best iterate and small arrays
 
 
 class TestLabelCheck:

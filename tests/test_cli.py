@@ -85,6 +85,7 @@ class TestValidateConfig:
             ("bench", "lr0", -1),
             ("bench", "attack_steps", 0),
             ("bench", "lam", -1),
+            ("bench", "normalize", "bogus"),  # the config key, not the model JSON's norm_stats.scheme
             ("train", "epochz", 5),
             ("attack", "seed", 123),  # derived from the master seed
             ("train", "features", {"seed": 123}),
@@ -642,6 +643,31 @@ class TestOtherCommands:
         assert main([command, "--model", str(bad), "--data", str(data_file), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "inconsistent.json" in err and key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["eval", "bound"])
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("hi", float("nan"), "norm_stats.hi must be finite"),
+            ("lo", float("-inf"), "norm_stats.lo must be finite"),
+            ("scheme", "bogus", "norm_stats.scheme must be one of minmax01/zscore/none, got 'bogus'"),
+        ],
+    )
+    def test_bad_norm_stats_blame_the_model(self, command, key, value, message, trained, data_file, tmp_path,
+                                            capsys):
+        # the model file is at fault, not the dataset, and the field is named by its JSON path
+        obj = json.loads(trained.read_text())
+        stats = obj["norm_stats"]
+        if isinstance(stats[key], list):
+            stats[key][0] = value
+        else:
+            stats[key] = value
+        bad = tmp_path / "bad_stats.json"
+        bad.write_text(json.dumps(obj))
+        assert main([command, "--model", str(bad), "--data", str(data_file), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"model {str(bad)!r} is not a model JSON: ValueError: {message}" in err
+        assert "does not fit" not in err and "Traceback" not in err
 
     def test_dataset_dimension_mismatch(self, trained, tmp_path, capsys):
         wide = tmp_path / "wide.libsvm"
