@@ -85,13 +85,13 @@ class TestValidateConfig:
             ("bench", "lr0", -1),
             ("bench", "attack_steps", 0),
             ("bench", "lam", -1),
-            ("bench", "normalize", "bogus"),  # the config key, not the model JSON's norm_stats.scheme
             ("train", "epochz", 5),
             ("attack", "seed", 123),  # derived from the master seed
             ("train", "features", {"seed": 123}),
             ("train", "features", {"kind": "random_fourier"}),  # dim alone picks the map
             ("train", "features", {"dim": -1}),
             ("train", "features", {"dim": 16, "sigma": 0}),
+            ("bench", "normalize", "bogus"),  # the config key, not the model JSON's norm_stats.scheme
         ],
     )
     def test_bad_field_names_its_path(self, section, key, value, data_file, tmp_path):
