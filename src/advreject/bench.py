@@ -5,7 +5,8 @@ Each trial draws a fresh train/test split and fresh kernel features from
 the trial seed, trains one model per (mode, cost) cell, and evaluates the
 whole grid of attack radii with the exact analytic_linear attack.
 ``feature_map`` builds every run's feature map, the CLI's ``train`` too;
-the kernel bandwidth is the median pairwise distance on the training split.
+the kernel bandwidth is the median distance over the distinct pairs of a
+seeded subsample of at most 200 training rows.
 ``ProtocolConfig.params`` gives each method's surrogate parameters, for
 training and scoring alike.
 """
@@ -27,16 +28,36 @@ from .train import TrainConfig, train
 
 
 def median_heuristic_bandwidth(x: np.ndarray, seed: int = 0, subsample: int = 200) -> float:
-    """Median pairwise distance on a seeded subsample."""
+    """Median positive Euclidean distance over the distinct pairs of a
+    seeded subsample of at most ``subsample`` rows of x; 1.0 when no pair
+    is apart.
+
+    The m(m-1)/2 distances are computed one subsample row at a time, so the
+    working memory is O(m*d + m**2) for m subsample rows of dimension d, not
+    the O(m**2 * d) of a full difference tensor. Each distance has the bits
+    it has in the full m x m matrix, and the median of the distinct pairs
+    equals the median of that matrix, which holds every pair twice.
+    Raises ValueError when the median overflows float64.
+    """
     rng = np.random.default_rng(seed)
     n = x.shape[0]
     idx = rng.choice(n, size=min(subsample, n), replace=False)
     sub = x[idx]
-    d = np.sqrt(((sub[:, None, :] - sub[None, :, :]) ** 2).sum(-1))
-    positive = d[d > 0]
-    if positive.size == 0:
-        return 1.0
-    return float(np.median(positive))
+    m = len(sub)
+    dist = np.empty(m * (m - 1) // 2)
+    start = 0
+    with np.errstate(over="ignore"):  # an overflowing distance is inf, and an inf median is refused below
+        for i in range(m - 1):
+            stop = start + m - 1 - i
+            np.sqrt(((sub[i] - sub[i + 1 :]) ** 2).sum(-1), out=dist[start:stop])
+            start = stop
+        positive = dist[dist > 0]
+        if positive.size == 0:
+            return 1.0
+        median = float(np.median(positive))
+    if not math.isfinite(median):
+        raise ValueError("the median pairwise distance of the training rows overflows float64")
+    return median
 
 
 def feature_map(dim: int, x: np.ndarray, seed: int, sigma: float | str = "median") -> FeatureMap:
@@ -143,16 +164,30 @@ def _trial_seeds(master: int, trials: int) -> list[tuple[int, int]]:
     return out
 
 
+class ProtocolDataError(ValueError):
+    """A trial's data does not admit one of the protocol's settings, such as
+    normalization statistics that overflow; the message starts with the
+    setting's field name."""
+
+
 def run_protocol(ds: Dataset, pc: ProtocolConfig) -> tuple[list[BenchCell], list[tuple[dict, Dataset]]]:
-    """Train and evaluate the whole grid; returns (table rows, trials)."""
+    """Train and evaluate the whole grid; returns (table rows, trials).
+    Raises ProtocolDataError when a trial's data cannot be normalized or
+    gives no median bandwidth."""
     if len(ds) <= pc.train_size:
         raise ValueError(f"dataset has {len(ds)} samples; need more than train_size={pc.train_size}")
     trials = []
-    for split_seed, feat_seed in _trial_seeds(pc.seed, pc.trials):
+    for t, (split_seed, feat_seed) in enumerate(_trial_seeds(pc.seed, pc.trials)):
         tr, te = split(ds, pc.train_size / len(ds), seed=split_seed)
-        tr_n, stats = normalize(tr, pc.normalize)
-        te_n = stats.apply(te)
-        fm = feature_map(pc.rff_dim, tr_n.x, feat_seed)
+        try:
+            tr_n, stats = normalize(tr, pc.normalize)
+            te_n = stats.apply(te)
+        except ValueError as exc:
+            raise ProtocolDataError(f"normalize {pc.normalize!r} in trial {t}: {exc}") from None
+        try:
+            fm = feature_map(pc.rff_dim, tr_n.x, feat_seed)
+        except ValueError as exc:
+            raise ProtocolDataError(f"rff_dim {pc.rff_dim} in trial {t}: {exc}") from None
         models: dict[tuple[str, float | None], RejectionModel] = {}
         for mode, cost in pc.methods:
             model, _ = train(tr_n, pc.train_config(mode, cost, fm))

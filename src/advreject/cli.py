@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .attacks import AttackSpec
-from .bench import bench_to_csv, bench_to_text, feature_map, run_protocol
+from .bench import ProtocolDataError, bench_to_csv, bench_to_text, feature_map, run_protocol
 from .bounds import clipped_adv_risk, generalization_bound, weight_bound
 from .config import ConfigError, NeuralSection, RunConfig, TrainSection, config_object, validate_config
 from .data import DataFormatError, Dataset, normalize, parse_csv, parse_libsvm, split
@@ -98,8 +98,17 @@ def _prepare_training_data(rc: RunConfig, section: str, seeds: dict):
             tr, te = split(ds, prep.train_fraction, seed=seeds["split"])
         except ValueError as exc:
             raise ConfigError(f"dataset {rc.dataset!r} cannot be split by {section}.train_fraction: {exc}") from None
-    tr_n, stats = normalize(tr, prep.normalize)
-    te_n = stats.apply(te)
+    try:
+        tr_n, stats = normalize(tr, prep.normalize)
+    except ValueError as exc:
+        raise ConfigError(f"dataset {rc.dataset!r} cannot be normalized by {section}.normalize: {exc}") from None
+    try:
+        te_n = stats.apply(te)
+    except ValueError as exc:
+        raise ConfigError(
+            f"the held-out rows of {rc.test_dataset or rc.dataset!r} cannot be normalized by the "
+            f"{section}.normalize stats of the training rows: {exc}"
+        ) from None
     return tr_n, te_n, stats
 
 
@@ -107,7 +116,10 @@ def _cmd_train(rc: RunConfig) -> tuple[dict[str, str], str]:
     seeds = _fan_out_seeds(rc.seed)
     tr_n, te_n, stats = _prepare_training_data(rc, "train", seeds)
     fs = rc.train.features
-    fm = feature_map(fs.dim, tr_n.x, seeds["features"], fs.sigma)
+    try:
+        fm = feature_map(fs.dim, tr_n.x, seeds["features"], fs.sigma)
+    except ValueError as exc:  # only from sigma "median": a numeric sigma was checked with the config
+        raise ConfigError(f"dataset {rc.dataset!r} gives no train.features.sigma: {exc}") from None
     if fs.dim:
         fs.sigma = fm.sigma  # freeze into the manifest
     cfg = replace(rc.train.config, feature_map=fm)
@@ -170,7 +182,10 @@ def _cmd_bench(rc: RunConfig) -> tuple[dict[str, str], str]:
         raise ConfigError(
             f"bench.train_size is {rc.bench.train_size}, but dataset {rc.dataset!r} has only {len(ds)} samples"
         )
-    rows, _ = run_protocol(ds, replace(rc.bench, seed=rc.seed))
+    try:
+        rows, _ = run_protocol(ds, replace(rc.bench, seed=rc.seed))
+    except ProtocolDataError as exc:
+        raise ConfigError(f"dataset {rc.dataset!r} does not fit bench.{exc}") from None
     table = bench_to_text(rows)
     return {"bench.csv": bench_to_csv(rows), "bench.txt": table}, table.removesuffix("\n")
 

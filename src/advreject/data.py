@@ -208,16 +208,20 @@ class NormStats:
         )
 
     def apply(self, ds: Dataset) -> Dataset:
+        """ds normalized by these stats. A row far enough outside the data
+        the stats were taken on can overflow; the Dataset check then raises
+        ValueError."""
         if self.scheme == "none":
             return Dataset(ds.x.copy(), ds.y.copy(), name=ds.name)
         if self.lo.shape[0] != ds.d:
             raise ValueError(f"stats are for dimension {self.lo.shape[0]}, dataset has {ds.d}")
-        if self.scheme == "minmax01":
-            span = np.where(self.constant, 1.0, self.hi - self.lo)
-            x = (ds.x - self.lo) / span
-        else:
-            std = np.where(self.constant, 1.0, self.hi)
-            x = (ds.x - self.lo) / std
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.scheme == "minmax01":
+                span = np.where(self.constant, 1.0, self.hi - self.lo)
+                x = (ds.x - self.lo) / span
+            else:
+                std = np.where(self.constant, 1.0, self.hi)
+                x = (ds.x - self.lo) / std
         x[:, self.constant] = 0.0
         return Dataset(x, ds.y.copy(), name=ds.name)
 
@@ -239,18 +243,25 @@ def check_fraction(train_fraction: float) -> None:
 
 
 def normalize(ds: Dataset, scheme: str = "minmax01") -> tuple[Dataset, NormStats]:
-    """Normalize per dimension and return the stats for reuse on test data."""
+    """Normalize per dimension and return the stats for reuse on test data.
+    Raises ValueError when a feature's statistics (its mean and std, or its
+    max - min range) overflow float64."""
     if len(ds) == 0:
         raise ValueError("cannot normalize an empty dataset")
     check_scheme(scheme)
     if scheme == "none":
         stats = NormStats("none", [], [], [])
-    elif scheme == "minmax01":
-        lo, hi = ds.x.min(axis=0), ds.x.max(axis=0)
-        stats = NormStats("minmax01", lo, hi, constant=(hi == lo))
     else:
-        mean, std = ds.x.mean(axis=0), ds.x.std(axis=0)
-        stats = NormStats("zscore", mean, std, constant=(std == 0.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if scheme == "minmax01":
+                lo, hi = ds.x.min(axis=0), ds.x.max(axis=0)
+                finite = np.isfinite(hi - lo)
+            else:
+                lo, hi = ds.x.mean(axis=0), ds.x.std(axis=0)
+                finite = np.isfinite(lo) & np.isfinite(hi)
+        if not finite.all():
+            raise ValueError(f"the {scheme} statistics of feature {np.argmin(finite) + 1} overflow float64")
+        stats = NormStats(scheme, lo, hi, constant=(hi == lo) if scheme == "minmax01" else (hi == 0.0))
     return stats.apply(ds), stats
 
 

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,17 @@ def random_linear_model(rng, d, scale=1.0, bias=True):
         bias_gamma=float(scale * rng.standard_normal()) if bias else 0.0,
         feature_map=FeatureMap("identity"),
     )
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(peak bytes that tracemalloc saw allocated while fn(*args, **kwargs)
+    ran, its result)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

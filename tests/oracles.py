@@ -3,7 +3,7 @@
 These deliberately avoid the library's closed-form code paths: box maxima
 are taken by enumerating corners and dense grids, suprema over norm balls
 by dense direction/volume grids, and gradients by central differences.
-Seven references at the end are not independent: ``pgd_full`` is the
+Eight references at the end are not independent: ``pgd_full`` is the
 batched PGD loop without its early exit and on dense gradients,
 ``linear_mh_dense`` the MH gradient of a linear model built row by row,
 ``accepted_error_delta_dense`` the exact linf attack on per-row arrays
@@ -12,8 +12,9 @@ the squared-MH head of the toy network written with ``np.where`` over
 fresh temporaries, ``to_libsvm_reference``/``parse_libsvm_reference``
 are the LIBSVM codec written value by value with numpy scalars, and
 ``objective_arrays_reference`` is the training epoch with every eps term
-computed at every eps; the library's code must match each of them bit for
-bit.
+computed at every eps, and ``median_heuristic_reference`` is the median
+heuristic on the full m x m distance matrix; the library's code must match
+each of them bit for bit.
 """
 
 import dataclasses
@@ -454,3 +455,18 @@ def objective_arrays_reference(theta, gamma, zb, y, cfg, with_grad=False):
         st[-1] = 0.0
         g_theta -= p.cost * p.beta * (zb.take(ib, axis=0).sum(axis=0) - eps * ib.size * st)
     return val, g_theta, g_gamma
+
+
+def median_heuristic_reference(x, seed=0, subsample=200):
+    """``bench.median_heuristic_bandwidth`` from the full (m, m, d)
+    difference tensor of its seeded subsample: every pair twice, and the
+    zero diagonal."""
+    rng = np.random.default_rng(seed)
+    n = x.shape[0]
+    idx = rng.choice(n, size=min(subsample, n), replace=False)
+    sub = x[idx]
+    d = np.sqrt(((sub[:, None, :] - sub[None, :, :]) ** 2).sum(-1))
+    positive = d[d > 0]
+    if positive.size == 0:
+        return 1.0
+    return float(np.median(positive))

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from advreject.data import Dataset
 from advreject.evaluate import RejectConfusion, _candidate_deltas, evaluate_model
 from advreject.losses import SurrogateParams, adv_loss_mh_linear_batch, loss_01c, pm1_labels
 from advreject.model import FeatureMap, RejectionModel
-from conftest import random_linear_model
+from conftest import random_linear_model, traced_peak
 from oracles import (
     accepted_error_delta_dense,
     box_max_01c,
@@ -490,12 +489,7 @@ class TestDeltaTable:
 
             pgd(counting, z, spec)
             assert len(calls) == steps + 1
-            tracemalloc.start()
-            try:
-                pgd_linear_mh_batch(m, z, y, spec, P13)
-                peaks[steps] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peaks[steps], _ = traced_peak(pgd_linear_mh_batch, m, z, y, spec, P13)
         assert peaks[100] <= peaks[5] + z.nbytes // 20  # no per-step history
         assert peaks[100] < 3 * z.nbytes  # the points to score, the best iterate and small arrays
 

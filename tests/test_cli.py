@@ -397,6 +397,58 @@ class TestNonFiniteValues:
         assert f"{section}.{key} must" in err and "finite" in err
         assert not (tmp_path / "o").exists()
 
+    _BENCH = {"methods": [["mh", 0.2]], "attack_eps": [0.0], "trials": 1, "train_size": 6, "epochs": 5}
+
+    @pytest.mark.parametrize(
+        "command, rows, config, message",
+        [
+            ("train", "zscore", {"train": {"normalize": "zscore"}},
+             "cannot be normalized by train.normalize: the zscore statistics of feature 1 overflow float64"),
+            ("neural-train", "zscore", {"neural": {"normalize": "zscore"}},
+             "cannot be normalized by neural.normalize: the zscore statistics of feature 1 overflow float64"),
+            ("bench", "zscore", {"bench": {**_BENCH, "normalize": "zscore", "rff_dim": 0}},
+             "does not fit bench.normalize 'zscore' in trial 0: the zscore statistics of feature 1 overflow float64"),
+            ("train", "minmax", {"train": {"normalize": "minmax01"}},
+             "cannot be normalized by train.normalize: the minmax01 statistics of feature 1 overflow float64"),
+            ("train", "far", {"train": {"normalize": "none", "features": {"dim": 8}}},
+             "gives no train.features.sigma: the median pairwise distance of the training rows overflows float64"),
+            ("bench", "far", {"bench": {**_BENCH, "normalize": "none", "rff_dim": 8}},
+             "does not fit bench.rff_dim 8 in trial 0: "
+             "the median pairwise distance of the training rows overflows float64"),
+        ],
+        ids=["train-zscore", "neural-train-zscore", "bench-zscore", "train-minmax", "train-rff", "bench-rff"],
+    )
+    def test_data_statistic_that_overflows(self, command, rows, config, message, tmp_path, capsys):
+        # 8 rows whose feature 1 lies in 1e308..1.7e308, so its mean overflows; alternates between -1e308 and
+        # 1e308, so its range overflows; or lies near 1e200, so every squared distance overflows
+        rng = np.random.default_rng(8)
+        first = {
+            "zscore": 1e308 + 0.7e308 * rng.random(8),
+            "minmax": 1e308 * (-1.0) ** np.arange(8),
+            "far": 1e200 * (1.0 + rng.random(8)),
+        }[rows]
+        path = tmp_path / f"{rows}.libsvm"
+        path.write_text("".join(f"{(-1) ** i:+d} 1:{v!r} 2:0.{i + 1}\n" for i, v in enumerate(first.tolist())))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--data", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: dataset {str(path)!r} {message}\n"
+        assert not out.exists()
+
+    def test_held_out_rows_that_overflow_when_normalized(self, tmp_path, capsys):
+        # the training range of feature 1 is 0.5, so 1.7e308 maps past the largest double
+        data, held_out = tmp_path / "small.libsvm", tmp_path / "far.libsvm"
+        data.write_text("-1 1:0.0 2:0.1\n+1 1:0.5 2:0.2\n-1 1:0.25 2:0.3\n+1 1:0.1 2:0.4\n")
+        held_out.write_text("-1 1:1.7e308 2:0.1\n+1 1:0.5 2:0.2\n")
+        out = tmp_path / "o"
+        assert main(["train", "--data", str(data), "--test-data", str(held_out), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: the held-out rows of {str(held_out)!r} cannot be normalized by the train.normalize stats "
+            "of the training rows: features must be finite\n"
+        )
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_end_to_end_and_reproducible(self, data_file, tmp_path):

@@ -23,7 +23,8 @@ from advreject.losses import SurrogateParams, loss_01c
 from advreject.model import FeatureMap, RejectionModel
 from advreject.neural import NeuralTrainConfig, adv_risk_01c_net, train_neural
 from advreject.synth import two_moons
-from conftest import random_linear_model
+from conftest import random_linear_model, traced_peak
+from oracles import median_heuristic_reference
 
 P13 = SurrogateParams(1.0, 1.0, 0.3)
 
@@ -205,6 +206,52 @@ class TestBenchmark:
         assert len(csv.strip().splitlines()) == 1 + len(rows)
         text = bench_to_text(rows)
         assert "mh" in text and "eps=0.01" in text
+
+
+def _bandwidth_input(case, rng):
+    """One seeded input of the median heuristic, by the property it tests."""
+    if case == "one_row":
+        return rng.standard_normal((1, 4))
+    if case == "identical_rows":
+        return np.full((20, 3), rng.standard_normal())
+    if case == "one_column":
+        return rng.standard_normal((150, 1))
+    if case == "fewer_rows_than_subsample":
+        return rng.standard_normal((37, 5))
+    if case == "duplicate_rows":
+        x = rng.standard_normal((240, 6))
+        return x[rng.integers(0, 30, 240)]  # many zero distances, which are left out
+    if case == "integer_ties":
+        return rng.integers(0, 3, (260, 3)).astype(float)  # few distinct distances, ties at the median
+    scale = 10.0 ** rng.uniform(-3, 3)
+    return scale * rng.standard_normal((int(rng.integers(201, 400)), int(rng.integers(2, 61))))
+
+
+class TestMedianHeuristic:
+    @pytest.mark.parametrize(
+        "case",
+        ["one_row", "identical_rows", "one_column", "fewer_rows_than_subsample", "duplicate_rows", "integer_ties",
+         "scaled"],
+    )
+    def test_same_bits_as_the_full_distance_matrix(self, case):
+        rng = np.random.default_rng(24)
+        for _ in range(10):
+            x, seed = _bandwidth_input(case, rng), int(rng.integers(0, 2**31))
+            sigma = median_heuristic_bandwidth(x, seed=seed)
+            assert sigma.hex() == median_heuristic_reference(x, seed=seed).hex()
+            if case in ("one_row", "identical_rows"):
+                assert sigma == 1.0  # no pair is apart
+
+    def test_memory_is_not_the_difference_tensor(self, rng):
+        x = rng.standard_normal((300, 250))
+        peak, _ = traced_peak(median_heuristic_bandwidth, x, seed=3)
+        # 200 x 200 x 250 differences take 80 MB; one row of them, the pair distances and the subsample 1.1 MB
+        assert peak < 4_000_000
+
+    def test_overflowing_median_is_refused(self, rng):
+        x = 1e200 * (1.0 + rng.random((30, 2)))  # every squared distance overflows
+        with pytest.raises(ValueError, match="median pairwise distance of the training rows overflows float64"):
+            median_heuristic_bandwidth(x, seed=0)
 
 
 class TestFeatureMap:
