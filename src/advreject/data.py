@@ -179,7 +179,10 @@ class NormStats:
     For minmax01, ``lo``/``hi`` are the training min/max; for zscore they
     hold mean/std. ``constant`` flags dimensions with no variation, which
     map to 0 under either scheme. The three are 1-D arrays of one length,
-    empty under none.
+    empty under none. Under the other two schemes only stats that
+    ``normalize`` can write are accepted: a finite range hi - lo >= 0 with
+    ``constant`` exactly where hi == lo for minmax01, a std hi >= 0 with
+    ``constant`` exactly where hi == 0 for zscore.
     """
 
     scheme: str  # minmax01 | zscore | none
@@ -198,6 +201,19 @@ class NormStats:
         for name in ("lo", "hi"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"norm_stats.{name} must be finite")
+        if self.scheme == "none":
+            return
+        if self.scheme == "minmax01":
+            with np.errstate(over="ignore"):
+                span = self.hi - self.lo
+            _check_features(np.isfinite(span), "norm_stats.hi - norm_stats.lo must be finite under minmax01")
+            _check_features(span >= 0.0, "norm_stats.hi must be >= norm_stats.lo under minmax01")
+            flat, where = self.hi == self.lo, "hi == lo"
+        else:
+            _check_features(self.hi >= 0.0, "norm_stats.hi is a std under zscore and must be >= 0")
+            flat, where = self.hi == 0.0, "hi == 0"
+        message = f"norm_stats.constant must be true exactly where {where} under {self.scheme}"
+        _check_features(self.constant == flat, message)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -224,6 +240,13 @@ class NormStats:
                 x = (ds.x - self.lo) / std
         x[:, self.constant] = 0.0
         return Dataset(x, ds.y.copy(), name=ds.name)
+
+
+def _check_features(ok: np.ndarray, message: str) -> None:
+    """Raise ValueError(message) naming the first feature (1-based) where ok
+    is false."""
+    if not ok.all():
+        raise ValueError(f"{message}, not at feature {np.argmin(ok) + 1}")
 
 
 SCHEMES = ("minmax01", "zscore", "none")

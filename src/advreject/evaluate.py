@@ -42,7 +42,7 @@ from .attacks import pgd  # noqa: F401  perfbench's tracer wraps evaluate.pgd by
 from .data import Dataset
 from .losses import SurrogateParams, loss_01c, verdict
 from .model import RejectionModel
-from .neural import ToyNet, _head_grads, _heads_pgd
+from .neural import ToyNet, _heads_pgd, _mh_head
 
 
 @dataclass(frozen=True)
@@ -99,9 +99,11 @@ def _candidate_deltas(
     if isinstance(m, ToyNet):
         if spec.method != "pgd":
             raise ValueError(f"method {spec.method!r} does not apply to a network, which takes pgd or none")
-        deltas["pgd_margin"] = _heads_pgd(m, z, spec, lambda f, r: (-y * f, -y, 0.0))
-        deltas["pgd_reject"] = _heads_pgd(m, z, spec, lambda f, r: (-r, 0.0, -1.0))
-        deltas["pgd"] = _heads_pgd(m, z, spec, lambda f, r: _head_grads(f, r, y, params))
+        margin, reject = np.zeros((len(y), 2)), np.zeros((len(y), 2))  # the constant d/df, d/dr of -y f and -r
+        margin[:, 0], reject[:, 1] = -y, -1.0
+        deltas["pgd_margin"] = _heads_pgd(m, z, spec, lambda f, r: (-y * f, margin))
+        deltas["pgd_reject"] = _heads_pgd(m, z, spec, lambda f, r: (-r, reject))
+        deltas["pgd"] = _heads_pgd(m, z, spec, _mh_head(y, params))
     elif spec.method == "analytic_linear":
         # shift_reject first, so shift_margin wins only where it reaches an accepted error
         deltas["shift_reject"] = np.broadcast_to(-eps * np.sign(m.theta), z.shape)

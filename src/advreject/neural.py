@@ -10,14 +10,25 @@ Gradients are hand-written reverse mode (no autodiff dependency); the
 tests check those of ``_loss_grads``, the one gradient path, which
 training runs, against central finite differences. At a tie between the
 two hinge branches the classification branch is differentiated.
-``_head_grads`` is the one squared-MH head kernel: it gives the loss per
-sample and its d/df and d/dr, for the outer step and for every inner PGD
-step alike, and ``ToyNet._backward`` takes them as one (n, 2) array.
-Inputs are rows; one input is a batch of one row.
+``_mh_head`` is the one squared-MH head kernel: for a batch's labels it
+gives the loss per sample and its d/df and d/dr as the one (n, 2) array
+that ``ToyNet._backward`` takes, for the outer step and for every inner
+PGD step alike. Inputs are rows; one input is a batch of one row.
 
 Training is a min-max loop: each minibatch is first pushed to the worst
 point the inner PGD attack can find at the current parameters, then one
 outer gradient step is taken at those points.
+
+The loop works on arrays of 64 x 32 and smaller, so its time goes to numpy
+dispatch more than to arithmetic. Every rule that cuts it is exact:
+products go through ``ndarray.dot``, which makes the BLAS call ``@`` makes
+with less dispatch; the head folds the 2 of 2m into its constants
+(doubling is exact), builds -alpha y once per label vector, and writes
+its derivatives straight into the (n, 2) array. The relu derivative stays
+the boolean mask a > 0: a NaN activation (an overflowing layer) gets
+derivative 0 from it, where np.sign would give NaN and change what pgd
+finds. tests/test_neural_bytes.py pins the bytes of trained nets, loss
+traces and attacked risks against the references in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ from .losses import SurrogateParams, mh_branches
 from .losses import loss_01c  # noqa: F401  perfbench's tracer wraps neural.loss_01c by name
 
 # (activation applied in place, its derivative written in terms of the
-# activation's output)
+# activation's output; relu's is the boolean mask, 0 at a NaN output)
 _ACTIVATIONS = {
     "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda a: a > 0.0),
     "tanh": (lambda z: np.tanh(z, out=z), lambda a: 1.0 - a**2),
@@ -42,7 +53,10 @@ _ACTIVATIONS = {
 
 @dataclass
 class ToyNet:
-    """MLP with layer list [d, hidden..., 2]; output row 0 is f, row 1 is r."""
+    """MLP with layer list [d, hidden..., 2]; output row 0 is f, row 1 is r.
+    Layer i is weights[i] (outputs x inputs) and biases[i]; a chain that
+    does not fit, or a value that is not finite, is a ValueError naming
+    the first bad layer."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
@@ -51,6 +65,22 @@ class ToyNet:
     def __post_init__(self):
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        if not self.weights or len(self.weights) != len(self.biases):
+            raise ValueError(
+                f"a net needs one bias per weight, got {len(self.weights)} weights and {len(self.biases)} biases"
+            )
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if w.ndim != 2:
+                raise ValueError(f"layer {i}: weights must be 2-D (outputs x inputs), got shape {w.shape}")
+            if i and w.shape[1] != self.weights[i - 1].shape[0]:
+                raise ValueError(
+                    f"layer {i}: weights of shape {w.shape} take {w.shape[1]} inputs, "
+                    f"but layer {i - 1} has {self.weights[i - 1].shape[0]} outputs"
+                )
+            if b.shape != (w.shape[0],):
+                raise ValueError(f"layer {i}: bias of shape {b.shape} does not match the {w.shape[0]} outputs")
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise ValueError(f"layer {i}: weights and bias must be finite")
         if self.weights[-1].shape[0] != 2:
             raise ValueError("final layer must have exactly the two heads f and r")
 
@@ -75,11 +105,11 @@ class ToyNet:
         a = x
         acts = [x]
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = a @ w.T
+            a = a.dot(w.T)
             a += b
             act(a)
             acts.append(a)
-        out = a @ self.weights[-1].T
+        out = a.dot(self.weights[-1].T)
         out += self.biases[-1]
         return out[:, 0], out[:, 1], acts
 
@@ -100,13 +130,13 @@ class ToyNet:
         gbs = [None] * len(self.biases)
         for li in range(len(self.weights) - 1, -1, -1):
             if want_params:
-                gws[li] = delta.T @ acts[li]
+                gws[li] = delta.T.dot(acts[li])
                 gbs[li] = delta.sum(axis=0)
             if li > 0:
-                delta = delta @ self.weights[li]
+                delta = delta.dot(self.weights[li])
                 delta *= dact(acts[li])
             elif want_input:
-                delta = delta @ self.weights[0]
+                delta = delta.dot(self.weights[0])
         return gws, gbs, delta
 
     def to_json(self) -> str:
@@ -163,18 +193,28 @@ class NeuralTrainConfig:
             raise ValueError(f"activation must be one of {'/'.join(_ACTIVATIONS)}, got {self.activation!r}")
 
 
-def _head_grads(f, r, y, p: SurrogateParams):
-    """The squared-MH head kernel: the loss per sample and its derivatives
-    d/df and d/dr. With m = max(A, B, 0) they are 2m (-(alpha/2) y) and
-    2m (alpha/2) where branch A is active, 0 and 2m (-c beta) where B is,
-    and 0 elsewhere."""
-    mh = mh_branches(r - y * f, r, p)
-    m2 = 2.0 * mh.value
-    df, dr = np.zeros(m2.shape), np.zeros(m2.shape)
-    np.multiply(m2, -0.5 * p.alpha * y, out=df, where=mh.use_a)
-    np.multiply(m2, 0.5 * p.alpha, out=dr, where=mh.use_a)
-    np.multiply(m2, -p.cost * p.beta, out=dr, where=mh.use_b)
-    return np.square(mh.value, out=mh.value), df, dr
+def _mh_head(y, p: SurrogateParams):
+    """The squared-MH head kernel for labels y: heads(f, r) gives the loss
+    per sample and an (n, 2) array of its derivatives d/df and d/dr, the
+    input of ``ToyNet._backward``. With m = max(A, B, 0) they are
+    2m (-(alpha/2) y) and 2m (alpha/2) where branch A is active, 0 and
+    2m (-c beta) where B is, and 0 elsewhere. Doubling is exact, so they
+    are computed as m (-alpha y), m alpha and m (-2 c beta), with no 2m
+    array; branch A's row of factors is built once, here, not on every
+    call."""
+    along_a = np.empty((len(y), 2))  # d/df and d/dr of branch A, over m
+    along_a[:, 0], along_a[:, 1] = -p.alpha * y, p.alpha
+    neg_2cb = -2.0 * p.cost * p.beta
+
+    def heads(f, r):
+        mh = mh_branches(r - y * f, r, p)
+        m = mh.value
+        head = np.zeros(along_a.shape)
+        np.multiply(m[:, None], along_a, out=head, where=mh.use_a[:, None])
+        np.multiply(m, neg_2cb, out=head[:, 1], where=mh.use_b)
+        return np.square(m, out=m), head
+
+    return heads
 
 
 def _loss_grads(net: ToyNet, x: np.ndarray, y: np.ndarray, cfg: NeuralTrainConfig, want_input=False):
@@ -185,8 +225,7 @@ def _loss_grads(net: ToyNet, x: np.ndarray, y: np.ndarray, cfg: NeuralTrainConfi
     y = np.asarray(y, dtype=np.float64)
     n = x.shape[0]
     f, r, acts = net._forward_cache(x)
-    head = np.empty((n, 2))
-    sq, head[:, 0], head[:, 1] = _head_grads(f, r, y, cfg.params)
+    sq, head = _mh_head(y, cfg.params)(f, r)
     head /= n
     w = net.top_weights
     loss = float(np.mean(sq)) + 0.5 * cfg.lam_w * float(w @ w)
@@ -203,16 +242,15 @@ def _loss_grads(net: ToyNet, x: np.ndarray, y: np.ndarray, cfg: NeuralTrainConfi
 
 def _heads_pgd(net: ToyNet, x: np.ndarray, spec: AttackSpec, heads) -> np.ndarray:
     """Batch PGD on a per-sample objective of the two heads; heads(f, r)
-    gives its value and its d/df and d/dr, each an array or a scalar. One
-    step is one forward pass, which scores the iterate, and a backward pass
-    to the input only (no parameter gradients), which sets the next step.
-    Returns the per-row deltas of the best iterate, the clean point
-    included."""
-    head = np.empty((x.shape[0], 2))  # d/df, d/dr: the backward pass's input
+    gives its value and an (n, 2) array of its d/df and d/dr, the backward
+    pass's input, which may be the same array on every call. One step is
+    one forward pass, which scores the iterate, and a backward pass to the
+    input only (no parameter gradients), which sets the next step. Returns
+    the per-row deltas of the best iterate, the clean point included."""
 
     def value_grad(xa, grad):
         f, r, acts = net._forward_cache(xa)
-        value, head[:, 0], head[:, 1] = heads(f, r)
+        value, head = heads(f, r)
         if not grad:
             return value, None
         return value, (net._backward(head, acts, want_input=True, want_params=False)[2], None)  # dense: no index
@@ -225,7 +263,7 @@ def _inner_pgd_batch(net: ToyNet, x: np.ndarray, y: np.ndarray, cfg: NeuralTrain
     (best iterate per sample, the clean point included)."""
     if cfg.attack.method == "none" or cfg.attack.eps == 0:
         return x
-    return x + _heads_pgd(net, x, cfg.attack, lambda f, r: _head_grads(f, r, y, cfg.params))
+    return x + _heads_pgd(net, x, cfg.attack, _mh_head(y, cfg.params))
 
 
 def train_neural(ds: Dataset, cfg: NeuralTrainConfig) -> tuple[ToyNet, np.ndarray]:

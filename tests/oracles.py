@@ -3,13 +3,16 @@
 These deliberately avoid the library's closed-form code paths: box maxima
 are taken by enumerating corners and dense grids, suprema over norm balls
 by dense direction/volume grids, and gradients by central differences.
-Eight references at the end are not independent: ``pgd_full`` is the
+The references at the end are not independent: ``pgd_full`` is the
 batched PGD loop without its early exit and on dense gradients,
 ``linear_mh_dense`` the MH gradient of a linear model built row by row,
 ``accepted_error_delta_dense`` the exact linf attack on per-row arrays
 instead of per-label tables, ``squared_mh_head_reference`` is
 the squared-MH head of the toy network written with ``np.where`` over
-fresh temporaries, ``to_libsvm_reference``/``parse_libsvm_reference``
+fresh temporaries, the ``toynet_*_reference`` functions are the toy
+network's forward pass, backward pass, inner max, training step and attack
+candidates written with ``@`` products, the boolean relu mask and the
+head's 2m factor, ``to_libsvm_reference``/``parse_libsvm_reference``
 are the LIBSVM codec written value by value with numpy scalars, and
 ``objective_arrays_reference`` is the training epoch with every eps term
 computed at every eps, and ``median_heuristic_reference`` is the median
@@ -22,6 +25,7 @@ import itertools
 
 import numpy as np
 
+from advreject.attacks import pgd
 from advreject.data import DataFormatError, Dataset, _label
 from advreject.losses import mh_branches
 
@@ -291,7 +295,7 @@ def pgd_full(value_grad, x, spec):
 
 def squared_mh_head_reference(f, r, y, p):
     """The squared MH loss per sample and its d/df and d/dr, written with
-    fresh temporaries and ``np.where``; ``neural._head_grads`` must give
+    fresh temporaries and ``np.where``; ``neural._mh_head`` must give
     the same bits. A wins a tie, and an inactive hinge (A, B <= 0) gets
     zero derivatives."""
     a = 1.0 + 0.5 * p.alpha * (r - y * f)
@@ -303,6 +307,92 @@ def squared_mh_head_reference(f, r, y, p):
     df = np.where(use_a, m2 * (-0.5 * p.alpha * y), 0.0)
     dr = np.where(use_a, m2 * (0.5 * p.alpha), np.where(use_b, m2 * (-p.cost * p.beta), 0.0))
     return value**2, df, dr
+
+
+def toynet_forward_reference(net, x):
+    """``ToyNet._forward_cache`` written with ``@`` products and fresh
+    activations: (f, r, activations), the input first."""
+    a, acts = x, [x]
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        z = a @ w.T + b
+        a = np.maximum(z, 0.0) if net.activation == "relu" else np.tanh(z)
+        acts.append(a)
+    out = a @ net.weights[-1].T + net.biases[-1]
+    return out[:, 0], out[:, 1], acts
+
+
+def toynet_backward_reference(net, head, acts, want_input, want_params=True):
+    """``ToyNet._backward`` written with ``@`` products, the relu derivative
+    as the boolean mask a > 0 and the tanh one as 1 - a**2."""
+    dact = (lambda a: a > 0.0) if net.activation == "relu" else (lambda a: 1.0 - a**2)
+    delta = head
+    gws, gbs = [None] * len(net.weights), [None] * len(net.biases)
+    for li in range(len(net.weights) - 1, -1, -1):
+        if want_params:
+            gws[li] = delta.T @ acts[li]
+            gbs[li] = delta.sum(axis=0)
+        if li > 0:
+            delta = (delta @ net.weights[li]) * dact(acts[li])
+        elif want_input:
+            delta = delta @ net.weights[0]
+    return gws, gbs, delta
+
+
+def toynet_heads_pgd_reference(net, x, spec, heads):
+    """``attacks.pgd`` on a net through the two references above; heads(f, r)
+    gives the objective per row and its d/df and d/dr, each an array or a
+    scalar."""
+
+    def value_grad(xa, grad):
+        f, r, acts = toynet_forward_reference(net, xa)
+        value, df, dr = heads(f, r)
+        if not grad:
+            return value, None
+        head = np.empty((xa.shape[0], 2))
+        head[:, 0], head[:, 1] = df, dr
+        return value, (toynet_backward_reference(net, head, acts, want_input=True, want_params=False)[2], None)
+
+    return pgd(value_grad, x, spec)
+
+
+def toynet_inner_pgd_reference(net, x, y, cfg):
+    """``neural._inner_pgd_batch`` on the references: the squared-MH inner max."""
+    if cfg.attack.method == "none" or cfg.attack.eps == 0:
+        return x
+    return x + toynet_heads_pgd_reference(
+        net, x, cfg.attack, lambda f, r: squared_mh_head_reference(f, r, y, cfg.params)
+    )
+
+
+def toynet_loss_grads_reference(net, x, y, cfg, want_input=False):
+    """``neural._loss_grads`` on the references: the batch loss and a
+    function giving its gradients."""
+    f, r, acts = toynet_forward_reference(net, x)
+    sq, df, dr = squared_mh_head_reference(f, r, y, cfg.params)
+    head = np.stack([df, dr], axis=1) / x.shape[0]
+    w = net.top_weights
+    loss = float(np.mean(sq)) + 0.5 * cfg.lam_w * float(w @ w)
+
+    def grads():
+        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(r))):
+            raise FloatingPointError("non-finite network output")
+        gws, gbs, dx = toynet_backward_reference(net, head, acts, want_input)
+        gws[-1][0] += cfg.lam_w * net.top_weights
+        return gws, gbs, dx
+
+    return loss, grads
+
+
+def toynet_candidate_deltas_reference(net, z, y, spec, params):
+    """``evaluate._candidate_deltas`` for a net on the references: pgd on
+    -y f, on -r and on the squared MH, after the clean point."""
+    deltas = {"clean": np.zeros(z.shape)}
+    if spec.method == "none" or spec.eps == 0:
+        return deltas
+    deltas["pgd_margin"] = toynet_heads_pgd_reference(net, z, spec, lambda f, r: (-y * f, -y, 0.0))
+    deltas["pgd_reject"] = toynet_heads_pgd_reference(net, z, spec, lambda f, r: (-r, 0.0, -1.0))
+    deltas["pgd"] = toynet_heads_pgd_reference(net, z, spec, lambda f, r: squared_mh_head_reference(f, r, y, params))
+    return deltas
 
 
 def parse_libsvm_reference(text, name=""):

@@ -703,6 +703,14 @@ class TestOtherCommands:
             ("hi", float("nan"), "norm_stats.hi must be finite"),
             ("lo", float("-inf"), "norm_stats.lo must be finite"),
             ("scheme", "bogus", "norm_stats.scheme must be one of minmax01/zscore/none, got 'bogus'"),
+            # stats that normalize cannot write: (x - lo) / (hi - lo) would map the feature to 0
+            (("lo", "hi"), (-1e308, 1e308),
+             "norm_stats.hi - norm_stats.lo must be finite under minmax01, not at feature 1"),
+            ("lo", 2.0, "norm_stats.hi must be >= norm_stats.lo under minmax01, not at feature 1"),
+            ("constant", True,
+             "norm_stats.constant must be true exactly where hi == lo under minmax01, not at feature 1"),
+            (("scheme", "hi"), ("zscore", -1.0),
+             "norm_stats.hi is a std under zscore and must be >= 0, not at feature 1"),
         ],
     )
     def test_bad_norm_stats_blame_the_model(self, command, key, value, message, trained, data_file, tmp_path,
@@ -710,10 +718,12 @@ class TestOtherCommands:
         # the model file is at fault, not the dataset, and the field is named by its JSON path
         obj = json.loads(trained.read_text())
         stats = obj["norm_stats"]
-        if isinstance(stats[key], list):
-            stats[key][0] = value
-        else:
-            stats[key] = value
+        edits = zip(key, value) if isinstance(key, tuple) else [(key, value)]
+        for k, v in edits:
+            if isinstance(stats[k], list):
+                stats[k][0] = v
+            else:
+                stats[k] = v
         bad = tmp_path / "bad_stats.json"
         bad.write_text(json.dumps(obj))
         assert main([command, "--model", str(bad), "--data", str(data_file), "--out", str(tmp_path / "o")]) == 2

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from advreject.attacks import linear_mh_value_grad
 from advreject.losses import SurrogateParams, adv_loss_mh_linear_batch, loss_01c, loss_mh, mh_branches, surrogate_conv
 from advreject.model import RejectionModel
-from advreject.neural import _head_grads
+from advreject.neural import _mh_head
 from conftest import random_linear_model
 from oracles import box_max_mh
 
@@ -72,7 +72,8 @@ class TestLossMh:
         table, index = linear_mh_value_grad(m, np.array([[1.0, 0.0], [2.0, 1.0], [4.0, 2.0]]), np.ones(3), p)[1]
         grad = table[index]
         assert grad.tolist() == [[-0.75, 0.5], [0.0, 0.0], [0.0, 0.0]]  # row 0: (alpha/2)(theta - gamma)
-        sq, df, dr = _head_grads(f, r, np.ones(3), p)
+        sq, head = _mh_head(np.ones(3), p)(f, r)
+        df, dr = head.T
         assert sq.tolist() == [0.0625, 0.0, 0.0]
         assert df.tolist() == [-0.25, 0.0, 0.0] and dr.tolist() == [0.25, 0.0, 0.0]  # 2m * dA/df, dA/dr
 

@@ -129,7 +129,7 @@ class TestEquality:
 
     @staticmethod
     def model(**over):
-        stats = NormStats("minmax01", lo=np.array([0.0, 1.0]), hi=np.array([2.0, 3.0]),
+        stats = NormStats("minmax01", lo=np.array([0.0, 0.0]), hi=np.array([2.0, 0.0]),
                           constant=np.array([False, True]))
         fields = dict(
             theta=np.array([0.5, -1.0, 2.0]), gamma=np.array([1.0, 0.0, -0.25]),
@@ -156,13 +156,14 @@ class TestEquality:
             {"feature_map": FeatureMap("random_fourier", dim=3, sigma=1.0, seed=8, input_dim=2)},
             {"feature_map": FeatureMap("identity")},
             {"norm_stats": None},
-            {"norm_stats": NormStats("zscore", lo=np.array([0.0, 1.0]), hi=np.array([2.0, 3.0]),
+            {"norm_stats": NormStats("zscore", lo=np.array([0.0, 0.0]), hi=np.array([2.0, 0.0]),
                                      constant=np.array([False, True]))},
-            {"norm_stats": NormStats("minmax01", lo=np.array([0.0, 1.5]), hi=np.array([2.0, 3.0]),
+            {"norm_stats": NormStats("minmax01", lo=np.array([0.5, 0.0]), hi=np.array([2.0, 0.0]),
                                      constant=np.array([False, True]))},
-            {"norm_stats": NormStats("minmax01", lo=np.array([0.0, 1.0]), hi=np.array([2.0, 4.0]),
+            {"norm_stats": NormStats("minmax01", lo=np.array([0.0, 0.0]), hi=np.array([4.0, 0.0]),
                                      constant=np.array([False, True]))},
-            {"norm_stats": NormStats("minmax01", lo=np.array([0.0, 1.0]), hi=np.array([2.0, 3.0]),
+            # constant follows hi == lo, so it cannot differ alone
+            {"norm_stats": NormStats("minmax01", lo=np.array([0.0, 0.0]), hi=np.array([2.0, 1.0]),
                                      constant=np.array([False, False]))},
         ],
     )

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -8,9 +11,9 @@ from advreject.losses import SurrogateParams
 from advreject.neural import (
     NeuralTrainConfig,
     ToyNet,
-    _head_grads,
     _inner_pgd_batch,
     _loss_grads,
+    _mh_head,
     adv_risk_01c_net,
     train_neural,
 )
@@ -56,6 +59,34 @@ class TestForward:
         with pytest.raises(ValueError):
             ToyNet([np.zeros((3, 2))], [np.zeros(3)])
 
+    @pytest.mark.parametrize(
+        "weights, biases, message",
+        [
+            ([], [], "a net needs one bias per weight, got 0 weights and 0 biases"),
+            ([np.zeros((3, 2)), np.zeros((2, 3))], [np.zeros(3)],
+             "a net needs one bias per weight, got 2 weights and 1 biases"),
+            ([np.zeros(2)], [np.zeros(2)], "layer 0: weights must be 2-D (outputs x inputs), got shape (2,)"),
+            ([np.zeros((3, 2)), np.zeros((2, 4))], [np.zeros(3), np.zeros(2)],
+             "layer 1: weights of shape (2, 4) take 4 inputs, but layer 0 has 3 outputs"),
+            ([np.zeros((3, 2)), np.zeros((2, 3))], [np.zeros(2), np.zeros(2)],
+             "layer 0: bias of shape (2,) does not match the 3 outputs"),
+            ([np.zeros((3, 2)), np.zeros((2, 3))], [np.zeros(3), np.zeros((1, 2))],
+             "layer 1: bias of shape (1, 2) does not match the 2 outputs"),
+            ([np.zeros((3, 2)), np.full((2, 3), np.nan)], [np.zeros(3), np.zeros(2)],
+             "layer 1: weights and bias must be finite"),
+            ([np.zeros((3, 2)), np.zeros((2, 3))], [np.array([0.0, np.inf, 0.0]), np.zeros(2)],
+             "layer 0: weights and bias must be finite"),
+        ],
+    )
+    def test_bad_layer_chain_names_the_layer(self, weights, biases, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ToyNet(weights, biases)
+        if weights:  # the same check when the net is read back from JSON
+            text = json.dumps({"activation": "relu", "weights": [w.tolist() for w in weights],
+                               "biases": [b.tolist() for b in biases]})
+            with pytest.raises(ValueError, match=re.escape(message)):
+                ToyNet.from_json(text)
+
 
 class TestGradients:
     def test_param_gradients_match_finite_differences(self, rng):
@@ -97,7 +128,8 @@ class TestGradients:
         ]
         with np.errstate(invalid="ignore"):
             for f, r, y, p in cases:
-                got, want = _head_grads(f, r, y, p), squared_mh_head_reference(f, r, y, p)
+                sq, head = _mh_head(y, p)(f, r)
+                got, want = (sq, head[:, 0], head[:, 1]), squared_mh_head_reference(f, r, y, p)
                 assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -117,7 +149,8 @@ class TestGradients:
         _inner_pgd_batch(net, x, y, NeuralTrainConfig(params=P13, attack=AttackSpec(method="pgd", eps=0.1)))
         adv_risk_01c_net(net, x, y, P13, eps=0.1)
         f, r, acts = net._forward_cache(x)
-        sq, df, dr = _head_grads(f, r, y, P13)
+        sq, head = _mh_head(y, P13)(f, r)
+        df, dr = head.T
         zero = np.zeros_like(y)
         expected = [(sq, df, dr), (-y * f, -y, zero), (-r, zero, -np.ones_like(y)), (sq, df, dr)]
         assert len(captured) == len(expected)
@@ -255,12 +288,14 @@ class TestTraining:
         y = ds.y.astype(float)
         spec = AttackSpec(method="pgd", eps=eps, norm=norm, steps=20)
         cfg = NeuralTrainConfig(params=P13, attack=spec)
+        margin, reject = np.zeros((len(y), 2)), np.zeros((len(y), 2))
+        margin[:, 0], reject[:, 1] = -y, -1.0
 
         def attacks():
             return [
                 _inner_pgd_batch(net, ds.x, y, cfg),
-                neural._heads_pgd(net, ds.x, spec, lambda f, r: (-y * f, -y, np.zeros_like(f))),
-                neural._heads_pgd(net, ds.x, spec, lambda f, r: (-r, np.zeros_like(r), -np.ones_like(r))),
+                neural._heads_pgd(net, ds.x, spec, lambda f, r: (-y * f, margin)),
+                neural._heads_pgd(net, ds.x, spec, lambda f, r: (-r, reject)),
             ]
 
         early = attacks()
@@ -297,3 +332,4 @@ class TestNetSerialization:
         x = rng.standard_normal((1, 4))
         assert np.array_equal(net.forward(x), again.forward(x))
         assert again.activation == "relu"
+
