@@ -30,7 +30,12 @@ perfbench/test_perfbench.py::test_fixture_models_load_and_match_their_recipe,
 which retrains an mh fixture model and compares its bytes. A change that
 reassociates a sum here (one gemm for f and r, a gemv for a masked row sum)
 changes the trained models and fails them; speed-ups must do the same
-operations with less overhead.
+operations with less overhead, or do them fewer times. So each row sum of
+the subgradient (over branch A's rows, branch B's rows, or the active rows
+of svm/at) is computed once per distinct active set and reused while the
+set stays among the last ROW_SUM_SETS of its branch. zb and y are fixed for
+a train call, so a sum is a function of its row mask alone, and a reused
+sum is the very array a fresh gather and reduction gave: it has their bits.
 
 At eps = 0 the epoch skips the l1 norms, the eps*||zeta(y)||_1 shift of
 the gap, the eps*||theta||_1 shift of r and every eps*sgn term of the
@@ -50,6 +55,7 @@ from __future__ import annotations
 
 import io
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -62,6 +68,10 @@ MODES = ("svm", "at", "mh", "atro")
 
 # r(x) = 1 for models whose rejector is disabled
 SENTINEL_REJECT_BIAS = 1.0
+
+# active sets per branch whose row sums a train call keeps: a run visits
+# hundreds, and the oscillating subgradient keeps returning to recent ones
+ROW_SUM_SETS = 64
 
 
 @dataclass(frozen=True)
@@ -155,16 +165,63 @@ def _warm_start(zb: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> tuple[np.nda
     return theta, best_s * gamma
 
 
+class _RowSums:
+    """Row sums of one problem's zb and y over sets of rows, each computed
+    once and kept for the ROW_SUM_SETS most recently used sets per branch.
+
+    get(branch, mask) gives (k, zsum, ysum) for the k rows where mask is
+    True: zsum is the sum of their zb rows (branches "a" and "b") and ysum
+    is y @ zb over them (branches "a" and "act"). A sum the branch does not
+    use, or any sum over no rows, is None. The arrays are read-only."""
+
+    def __init__(self, zb: np.ndarray, y: np.ndarray):
+        self.zb, self.y = zb, y
+        self.kept = {branch: OrderedDict() for branch in ("a", "b", "act")}
+
+    def get(self, branch: str, mask: np.ndarray):
+        kept, key = self.kept[branch], mask.tobytes()
+        entry = kept.get(key)
+        if entry is None:
+            entry = kept[key] = self._sums(branch, mask)
+            if len(kept) > ROW_SUM_SETS:
+                kept.popitem(last=False)
+        else:
+            kept.move_to_end(key)
+        return entry
+
+    def _sums(self, branch: str, mask: np.ndarray):
+        rows = mask.nonzero()[0]
+        if not rows.size:
+            return 0, None, None
+        z = self.zb.take(rows, axis=0)
+        zsum = None if branch == "act" else z.sum(axis=0)
+        ysum = None if branch == "b" else self.y.take(rows) @ z
+        for s in (zsum, ysum):
+            if s is not None:
+                s.setflags(write=False)
+        return rows.size, zsum, ysum
+
+
 def _objective_arrays(
-    theta: np.ndarray, gamma: np.ndarray, zb: np.ndarray, y: np.ndarray, cfg: TrainConfig, with_grad: bool = False
+    theta: np.ndarray,
+    gamma: np.ndarray,
+    zb: np.ndarray,
+    y: np.ndarray,
+    cfg: TrainConfig,
+    with_grad: bool = False,
+    sums: _RowSums | None = None,
 ):
     """Objective on augmented arrays (last coordinate is the bias); with
     with_grad, (objective, g_theta, g_gamma) with a subgradient from the
     same pass. The gradients are fresh arrays the caller may overwrite.
+    sums is the memo of row sums for this zb and y; without one the call
+    makes its own.
 
     y holds only -1 and +1. The l1 terms and their sign vectors cover the
     weight coordinates only (bias frozen); at eps = 0 they are not formed."""
     p, eps = cfg.params, cfg.eps_train
+    if sums is None:
+        sums = _RowSums(zb, y)
     f = zb @ gamma
     reg = 0.5 * cfg.lam_prime * float(gamma @ gamma)
     g_gamma = cfg.lam_prime * gamma
@@ -178,11 +235,11 @@ def _objective_arrays(
         val = float(np.maximum(margin, 0.0).sum()) + reg
         if not with_grad:
             return val
-        act = (margin > 0).nonzero()[0]
-        if act.size:
-            g_gamma -= y.take(act) @ zb.take(act, axis=0)
+        k, _, ysum = sums.get("act", margin > 0)
+        if k:
+            g_gamma -= ysum
             if eps:  # d/dgamma eps*||zeta||_1 = -eps*sgn(zeta)
-                g_gamma[:-1] -= eps * act.size * np.sign(zeta[0])
+                g_gamma[:-1] -= eps * k * np.sign(zeta[0])
         return val, np.zeros_like(theta), g_gamma
     r = zb @ theta
     gap = y * f
@@ -199,27 +256,25 @@ def _objective_arrays(
     g_theta = cfg.lam * theta
     if eps:
         signs = np.sign(zeta)
-    ia = mh.use_a.nonzero()[0]
-    if ia.size:
+    k, zsum, ysum = sums.get("a", mh.use_a)
+    if k:
         ha = 0.5 * p.alpha
-        za, ya = zb.take(ia, axis=0), y.take(ia)
-        g_theta += ha * za.sum(axis=0)
-        ysum = ya @ za
+        g_theta += ha * zsum
         g_gamma -= ha * ysum
         if eps:
             # d/dtheta eps*||zeta(y)||_1 = eps*y*sgn(zeta(y)); d/dgamma = -eps*sgn(zeta(y)),
             # summed over the rows as n+ sgn zeta(+1) -/+ n- sgn zeta(-1), where
             # n+ - n- is the bias entry of ysum (the bias feature is 1)
-            n_pos = (ia.size + int(ysum[-1])) // 2
+            n_pos = (k + int(ysum[-1])) // 2
             signs[0] *= n_pos
-            signs[1] *= ia.size - n_pos
+            signs[1] *= k - n_pos
             g_theta[:-1] += ha * eps * (signs[0] - signs[1])
             g_gamma[:-1] -= ha * eps * (signs[0] + signs[1])
-    ib = mh.use_b.nonzero()[0]
-    if ib.size:
-        zsum = zb.take(ib, axis=0).sum(axis=0)
+    k, zsum, _ = sums.get("b", mh.use_b)
+    if k:
         if eps:
-            zsum[:-1] -= eps * ib.size * signs[2]
+            zsum = zsum.copy()
+            zsum[:-1] -= eps * k * signs[2]
         g_theta -= p.cost * p.beta * zsum
     return val, g_theta, g_gamma
 
@@ -255,6 +310,7 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[RejectionModel, TrainTrace]:
     zb = _augment(z)
     y = ds.y.astype(np.float64)
     theta, gamma = _warm_start(zb, y, cfg)
+    sums = _RowSums(zb, y)
 
     objs = np.empty(cfg.epochs + 1)
     # scale by n so lr0 means the same thing across dataset sizes
@@ -264,7 +320,7 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[RejectionModel, TrainTrace]:
     best_theta, best_gamma = theta, gamma  # iterates are rebound each epoch, never mutated
     for t in range(cfg.epochs + 1):
         last = t == cfg.epochs
-        out = _objective_arrays(theta, gamma, zb, y, cfg, with_grad=not last)
+        out = _objective_arrays(theta, gamma, zb, y, cfg, with_grad=not last, sums=sums)
         val = out if last else out[0]
         if not math.isfinite(val):
             raise FloatingPointError(

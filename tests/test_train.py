@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 import advreject.train as train_module
-from advreject.data import Dataset
+from advreject.data import Dataset, normalize
 from advreject.evaluate import evaluate_model
 from advreject.attacks import AttackSpec
 from advreject.losses import SurrogateParams, verdict
 from advreject.model import FeatureMap, RejectionModel, featurize
-from advreject.train import TrainConfig, _augment, _objective_arrays, objective, train
+from advreject.synth import credit_surrogate
+from advreject.train import ROW_SUM_SETS, TrainConfig, _augment, _objective_arrays, _RowSums, objective, train
 from oracles import objective_arrays_reference, train_objective_reference
 
 P13 = SurrogateParams(1.0, 1.0, 0.3)
@@ -229,6 +230,49 @@ class TestEpochAgainstOracle:
         assert _bytes([(gamma - 0.125 * got[2])[rest]]) == _bytes([(gamma - 0.125 * want[2])[rest]])
 
 
+class TestRowSumMemo:
+    """``_RowSums`` hands back the sums a fresh gather and reduction give,
+    never lets a caller write into them, and keeps at most ROW_SUM_SETS
+    active sets per branch."""
+
+    @pytest.mark.parametrize("edge", EDGES)
+    @pytest.mark.parametrize("features", ["identity", "rff"])
+    @pytest.mark.parametrize("mode, eps", MODES_EPS)
+    def test_reused_sums_keep_the_bits(self, rng, mode, eps, features, edge):
+        cfg = TrainConfig(mode=mode, eps_train=eps, **(TIE_PARAMS if edge == "tie" else EPOCH_PARAMS))
+        theta, gamma, zb, y = _epoch_state(rng, features, cfg, edge)
+        want = _bytes(_objective_arrays(theta, gamma, zb, y, cfg, with_grad=True))
+        sums = _RowSums(zb, y)
+        first = _objective_arrays(theta, gamma, zb, y, cfg, with_grad=True, sums=sums)
+        assert _bytes(first) == want
+        for g in first[1:]:
+            g[:] = np.nan
+        sums._sums = lambda *_: pytest.fail("an active set was summed twice")
+        assert _bytes(_objective_arrays(theta, gamma, zb, y, cfg, with_grad=True, sums=sums)) == want
+
+    @pytest.mark.parametrize("branch", ["a", "b", "act"])
+    def test_bounded_and_least_recently_used_goes_first(self, rng, branch):
+        zb, y = _augment(rng.standard_normal((40, 3))), np.where(rng.random(40) < 0.5, 1.0, -1.0)
+        masks = rng.random((2 * ROW_SUM_SETS, 40)) < 0.5
+        assert len({m.tobytes() for m in masks}) == len(masks)
+        sums = _RowSums(zb, y)
+        for i, m in enumerate(masks):
+            sums.get(branch, m)
+            sums.get(branch, masks[0])  # a hit keeps the first set
+            assert len(sums.kept[branch]) == min(i + 1, ROW_SUM_SETS)
+        kept = set(sums.kept[branch])
+        assert masks[0].tobytes() in kept and masks[-ROW_SUM_SETS].tobytes() not in kept
+        k, *got = sums.get(branch, masks[1])  # summed again after its eviction
+        fresh = _RowSums(zb, y).get(branch, masks[1])
+        assert k == fresh[0] == masks[1].sum()
+        assert _bytes([v for v in got if v is not None]) == _bytes([v for v in fresh[1:] if v is not None])
+        assert not any(v.flags.writeable for v in got if v is not None)
+
+
+def _reference_without_memo(*args, sums=None, **kwargs):
+    return objective_arrays_reference(*args, **kwargs)
+
+
 class TestTrainAgainstOracle:
     @pytest.mark.parametrize("features", ["identity", "rff"])
     @pytest.mark.parametrize("mode, eps", MODES_EPS)
@@ -237,7 +281,30 @@ class TestTrainAgainstOracle:
         fm = FeatureMap("identity") if features == "identity" else FeatureMap("random_fourier", dim=16, sigma=1.0, seed=0)
         cfg = TrainConfig(mode=mode, eps_train=eps, epochs=20, feature_map=fm, **EPOCH_PARAMS)
         model, trace = train(ds, cfg)
-        monkeypatch.setattr(train_module, "_objective_arrays", objective_arrays_reference)
+        monkeypatch.setattr(train_module, "_objective_arrays", _reference_without_memo)
+        want_model, want_trace = train(ds, cfg)
+        assert model.to_json() == want_model.to_json()
+        assert trace.to_csv() == want_trace.to_csv()
+
+    @pytest.mark.parametrize("mode, eps", [("mh", 0.0), ("atro", 0.01)])
+    def test_bytes_across_evictions(self, monkeypatch, mode, eps):
+        # a credit-like RFF problem whose run visits more active sets per
+        # branch than the memo keeps, so it trains through evictions
+        full = credit_surrogate(seed=0)
+        ds, _ = normalize(Dataset(full.x[:300], full.y[:300]))
+        fm = FeatureMap("random_fourier", dim=50, sigma=1.0, seed=0)
+        cfg = TrainConfig(mode=mode, params=SurrogateParams(2.0, 4.0, 0.2), eps_train=eps, epochs=300, feature_map=fm)
+        summed = {"a": set(), "b": set()}
+
+        class Counting(_RowSums):
+            def _sums(self, branch, mask):
+                summed[branch].add(mask.tobytes())
+                return super()._sums(branch, mask)
+
+        monkeypatch.setattr(train_module, "_RowSums", Counting)
+        model, trace = train(ds, cfg)
+        assert min(map(len, summed.values())) > ROW_SUM_SETS
+        monkeypatch.setattr(train_module, "_objective_arrays", _reference_without_memo)
         want_model, want_trace = train(ds, cfg)
         assert model.to_json() == want_model.to_json()
         assert trace.to_csv() == want_trace.to_csv()
