@@ -12,6 +12,10 @@ per-row reductions move onto a table; every score product keeps its n-row
 operand, so the results are those of the per-row computation bit for bit.
 Labels must be +1 or -1.
 
+A linear PGD attack builds what depends only on the model, the labels and
+the spec once, not once per step: the read-only branch table, and the step
+rows of each table object (see _stepper for why reusing them is exact).
+
 All attacks act on the perturbable coordinates only. Models keep their
 biases outside the feature vector, so a perturbation has the same shape as
 the (featurized) input and needs no masking.
@@ -73,20 +77,29 @@ def linear_mh_value_grad(m: RejectionModel, z: np.ndarray, y, p: SurrogateParams
     table: 0 for an inactive hinge, branch A's (alpha/2)(theta - y*gamma)
     for y = +1 and for y = -1, and branch B's -c*beta*theta. Beyond the two
     score products and the branch test, a call costs a 4 x D table."""
-    return _linear_mh(m, z, pm1_labels(y), p, grad)
+    return _linear_mh(m, pm1_labels(y), p)(z, grad)
 
 
-def _linear_mh(m: RejectionModel, z: np.ndarray, y: np.ndarray, p: SurrogateParams, grad: bool):
-    """linear_mh_value_grad on float labels already checked to be +-1."""
-    f, r = m.scores_features(z)
-    mh = mh_branches(r - y * f, r, p)
-    if not grad:
-        return mh.value, None
+def _linear_mh(m: RejectionModel, y: np.ndarray, p: SurrogateParams):
+    """The MH objective of linear_mh_value_grad at float labels already
+    checked to be +-1, as value_grad(z, grad) for pgd. The branch table and
+    each row's branch-A index depend only on m, y and p, so they are built
+    here, once; every call returns the same table object, read-only."""
     table = np.zeros((4, m.feat_dim))
     table[1] = 0.5 * p.alpha * (m.theta - m.gamma)  # branch A, y = +1
     table[2] = 0.5 * p.alpha * (m.theta + m.gamma)  # branch A, y = -1
     table[3] = -p.cost * p.beta * m.theta  # branch B
-    return mh.value, (table, np.where(mh.use_a, np.where(y > 0, 1, 2), np.where(mh.use_b, 3, 0)))
+    table.flags.writeable = False
+    a_row = np.where(y > 0, 1, 2)
+
+    def value_grad(z, grad):
+        f, r = m.scores_features(z)
+        mh = mh_branches(r - y * f, r, p)
+        if not grad:
+            return mh.value, None
+        return mh.value, (table, np.where(mh.use_a, a_row, np.where(mh.use_b, 3, 0)))
+
+    return value_grad
 
 
 def _start(spec: AttackSpec, dim: int) -> np.ndarray:
@@ -106,27 +119,52 @@ def _stepper(spec: AttackSpec):
     gradient in the (table, index) form of pgd, with the radius and step
     size resolved once: per row, a sign step clipped to the box for linf, a
     normalized-gradient step projected onto the ball for l2 (no move where
-    the gradient is 0). The direction of a step is computed on the table and
-    then gathered, so rows that share a gradient share its arithmetic."""
+    the gradient is 0). The step rows (step*sgn(g) for linf; step*g/||g||
+    and where g = 0 for l2) are computed on the table and then gathered, so
+    rows that share a gradient share its arithmetic.
+
+    A table with an index does not change once value_grad has returned it
+    (the linear objective's is read-only), so its step rows are computed
+    once per table object and reused while value_grad returns that object.
+    The step holds a reference to the table, so no other array can take its
+    identity, and a reused row is the one a fresh computation would give. A
+    dense table (index None) gets its rows built in place on every call."""
     eps, step = spec.eps, spec.resolved_step()
 
-    def linf_step(delta, table, index):
+    def linf_rows(table):
         out = np.sign(table)
         out *= step
-        out = _gather(out, index)  # one buffer carries delta + step*sgn(g) to the clip
+        return out, None
+
+    def l2_rows(table):
+        gn = _row_norms(table)
+        moving = gn > 0
+        out = step * table
+        out /= np.where(moving, gn, 1.0)
+        return out, ~moving
+
+    rows_of, held = (linf_rows if spec.norm == "linf" else l2_rows), [None, None]  # the last table, its rows
+
+    def rows(table, index):
+        """The step rows of gradient (table, index), one per input row."""
+        if index is None:
+            return rows_of(table)
+        if held[0] is not table:
+            held[:] = table, rows_of(table)
+        out, still = held[1]  # a pair, not tuple(genexpr): that grows the tuple free list once per step
+        return out.take(index, axis=0), None if still is None else still.take(index, axis=0)
+
+    def linf_step(delta, table, index):
+        out = rows(table, index)[0]  # one buffer carries delta + step*sgn(g) to the clip
         out += delta
         np.minimum(out, eps, out=out)
         return np.maximum(out, -eps, out=out)
 
     def l2_step(delta, table, index):
-        gn = np.linalg.norm(table, axis=-1, keepdims=True)
-        moving = gn > 0
-        out = step * table
-        out /= np.where(moving, gn, 1.0)
-        out = _gather(out, index)
+        out, still = rows(table, index)
         out += delta
         _project_l2(out, eps)
-        np.copyto(out, delta, where=~_gather(moving, index))
+        np.copyto(out, delta, where=still)
         return out
 
     return linf_step if spec.norm == "linf" else l2_step
@@ -140,8 +178,15 @@ def _gather(table: np.ndarray, index) -> np.ndarray:
 def _project_l2(delta: np.ndarray, eps: float) -> np.ndarray:
     """Each row of delta (or delta itself) scaled into the l2 ball of radius
     eps, in place; returns delta."""
-    delta *= eps / np.maximum(np.linalg.norm(delta, axis=-1, keepdims=True), eps)
+    delta *= eps / np.maximum(_row_norms(delta), eps)
     return delta
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """The l2 norm of each row of x (or of x), keeping the axis: the float
+    operations np.linalg.norm(x, axis=-1, keepdims=True) runs on a real
+    array, without its argument handling."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
 
 
 def accepted_error_delta(m: RejectionModel, z: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray:
@@ -199,7 +244,8 @@ def pgd(value_grad, x: np.ndarray, spec: AttackSpec) -> np.ndarray:
     is table[index[i]], or table[i] where index is None. One call both
     scores an iterate and sets the next step. points is one buffer that
     pgd rewrites every step, so value_grad must not keep it (nor a view of
-    it) beyond the call.
+    it) beyond the call. A table that comes with an index must not change
+    once returned, because pgd computes its step rows once per table object.
 
     The iterate is carried like the gradient: a table of distinct deltas
     and each row's index into it. A step maps each (delta row, gradient
@@ -225,7 +271,11 @@ def pgd(value_grad, x: np.ndarray, spec: AttackSpec) -> np.ndarray:
     can no longer change. From the zero start with the automatic step
     size, sign steps on a linear model whose rows keep their MH branch
     reach such a point, a box corner, after ceil(sqrt(steps)) steps (one
-    more where rounding leaves that many steps an ulp short of eps).
+    more where rounding leaves that many steps an ulp short of eps). l2
+    steps seldom reach one: projecting delta + step*g/||g|| back onto the
+    sphere leaves a row an ulp from where it was, so l2 PGD on a linear
+    model usually runs every step. The stop is exact for both norms, but in
+    practice it saves linf steps.
     """
     if spec.eps == 0:
         return np.zeros(x.shape)
@@ -274,5 +324,4 @@ def pgd_linear_mh_batch(
     """PGD on the MH loss of a linear model, vectorized over rows of z.
     Returns per-row deltas of the best iterate (start included)."""
     z = np.asarray(z, dtype=np.float64)
-    y = pm1_labels(y)
-    return pgd(lambda zd, grad: _linear_mh(m, zd, y, params, grad), z, spec)
+    return pgd(_linear_mh(m, pm1_labels(y), params), z, spec)

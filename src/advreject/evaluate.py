@@ -147,13 +147,11 @@ def evaluate_model(
     cols = np.arange(len(y))
     f = fs[winner, cols]  # the verdicts are counted at the winner's scores
     rejected, wrong = verdict(f, rs[winner, cols]) == 0, verdict(f, np.inf) != ds.y
-    conf = RejectConfusion(
-        ta=int(np.sum(~rejected & ~wrong)),
-        tr=int(np.sum(rejected & wrong)),
-        fa=int(np.sum(~rejected & wrong)),
-        fr=int(np.sum(rejected & ~wrong)),
-    )
+    n_rejected, n_wrong = int(np.count_nonzero(rejected)), int(np.count_nonzero(wrong))
+    tr = int(np.count_nonzero(rejected & wrong))
+    fa = n_wrong - tr
+    conf = RejectConfusion(ta=len(y) - n_rejected - fa, tr=tr, fa=fa, fr=n_rejected - tr)
     err, rej, pr = metrics(conf)
-    wins = {name: int(np.sum(winner == k)) for k, name in enumerate(deltas)}
+    wins = dict(zip(deltas, np.bincount(winner, minlength=len(deltas)).tolist()))
     worst = losses.max(axis=0)
     return EvalReport(err, rej, pr, conf, attack, wins, float(np.mean(worst)), losses[0], worst, winner)

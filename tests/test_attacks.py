@@ -494,6 +494,64 @@ class TestDeltaTable:
         assert peaks[100] < 3 * z.nbytes  # the points to score, the best iterate and small arrays
 
 
+class TestOncePerAttack:
+    """What a linear PGD step reads that depends only on the model, the
+    labels and the spec is built once per attack: the branch table once per
+    pgd_linear_mh_batch call, and the step rows once per table object."""
+
+    @pytest.mark.parametrize("norm", ["linf", "l2"])
+    def test_a_new_table_every_call_gives_the_full_loop_bytes(self, rng, norm):
+        # each call returns a fresh table of one shape with new values, so
+        # step rows reused by anything but the table's identity (its shape,
+        # say) would step along an earlier call's gradient
+        x = rng.standard_normal((40, 5))
+        index = rng.integers(0, 4, 40)
+        w = rng.standard_normal(5)
+        calls = []
+
+        def value_grad(points, grad):
+            table = np.random.default_rng(len(calls)).standard_normal((4, 5))
+            table[0] = 0.0  # no move for l2
+            calls.append(table)
+            return points @ w, (table, index) if grad else None
+
+        spec = AttackSpec(method="pgd", eps=0.3, norm=norm, steps=20)
+        got = pgd(value_grad, x, spec)
+        assert len(calls) == spec.steps + 1
+        calls.clear()
+        assert got.tobytes() == pgd_full(value_grad, x, spec).tobytes()
+
+    def test_linear_objective_builds_its_table_once(self, rng, monkeypatch):
+        builds, tables = [], []
+        build = attacks._linear_mh
+
+        def counting(m, y, p):
+            value_grad = build(m, y, p)
+            builds.append(m)
+
+            def recording(points, grad):
+                value, g = value_grad(points, grad)
+                if g is not None:
+                    tables.append(g[0])
+                return value, g
+
+            return recording
+
+        monkeypatch.setattr(attacks, "_linear_mh", counting)
+        m = random_linear_model(rng, 6)
+        z = rng.standard_normal((50, 6))
+        y = np.where(rng.random(50) < 0.5, 1.0, -1.0)
+        # steps of 1e-3 in a ball of radius 1 reach no fixed point, so the attack runs all its steps
+        spec = AttackSpec(method="pgd", eps=1.0, norm="l2", steps=20, step_size=1e-3)
+        pgd_linear_mh_batch(m, z, y, spec, P13)
+        assert len(builds) == 1
+        assert len(tables) == spec.steps  # the last iterate is only scored
+        assert all(t is tables[0] for t in tables)
+        assert not tables[0].flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            tables[0][0, 0] = 1.0
+
+
 class TestLabelCheck:
     """The linear attacks and the linear worst case pick per-label table
     rows by the sign of y, so a label other than +-1 is an error."""
