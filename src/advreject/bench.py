@@ -27,10 +27,13 @@ from .model import FeatureMap, RejectionModel
 from .train import TrainConfig, train
 
 
-def median_heuristic_bandwidth(x: np.ndarray, seed: int = 0, subsample: int = 200) -> float:
+MEDIAN_HEURISTIC_ROWS = 200  # the median heuristic's subsample size
+
+
+def median_heuristic_bandwidth(x: np.ndarray, seed: int = 0) -> float:
     """Median positive Euclidean distance over the distinct pairs of a
-    seeded subsample of at most ``subsample`` rows of x; 1.0 when no pair
-    is apart.
+    seeded subsample of at most ``MEDIAN_HEURISTIC_ROWS`` rows of x; 1.0
+    when no pair is apart.
 
     The m(m-1)/2 distances are computed one subsample row at a time, so the
     working memory is O(m*d + m**2) for m subsample rows of dimension d, not
@@ -41,7 +44,7 @@ def median_heuristic_bandwidth(x: np.ndarray, seed: int = 0, subsample: int = 20
     """
     rng = np.random.default_rng(seed)
     n = x.shape[0]
-    idx = rng.choice(n, size=min(subsample, n), replace=False)
+    idx = rng.choice(n, size=min(MEDIAN_HEURISTIC_ROWS, n), replace=False)
     sub = x[idx]
     m = len(sub)
     dist = np.empty(m * (m - 1) // 2)

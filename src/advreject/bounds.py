@@ -12,19 +12,10 @@ c_j = ||x_{:,j}||_2 of the sample:
                   sqrt(2 log 2d) * max_j c_j
 
 each times W / n. These are certified upper bounds, and deterministic.
-``rademacher_linear_mc`` (a Monte-Carlo estimate) and
-``rademacher_exhaustive`` (all 2^n sign vectors, small n) compute the
-complexity itself; the report uses neither.
-
-The adversarial linear class replaces the margin by its worst case over
-the eps-ball, shifting every function by -eps * ||w||_1:
-
-    h_w(x, y) = y <x, w> - eps ||w||_1
-
-Its exhaustive complexity needs sup_{||w||_p <= W} [<v, w> - nu ||w||_1]
-per sign vector (v the sign-weighted sample sum, nu = eps * sum sigma_i).
-Each |w_j| is best spent with the sign of v_j, where it earns |v_j| - nu,
-so the supremum is W * ||(|v| - nu)_+||_q.
+``rademacher_linear_mc`` (a Monte-Carlo estimate) computes the complexity
+itself; the report does not use it. The exhaustive complexities over all
+2^n sign vectors, of this class and of its adversarial counterpart, are
+test references in tests/oracles.py.
 
 The bound report itemizes
 
@@ -126,44 +117,6 @@ def rademacher_linear_upper(x: np.ndarray, w_bound: float, q: float) -> tuple[fl
         if massart < l2:
             return w_bound / n * massart, "massart"
     return w_bound / n * l2, "l2_domination"
-
-
-def _all_signs(n: int) -> np.ndarray:
-    """All 2^n sign vectors, shape (2^n, n)."""
-    bits = (np.arange(2**n)[:, None] >> np.arange(n)[None, :]) & 1
-    return 2.0 * bits - 1.0
-
-
-def sup_shifted_linear(v: np.ndarray, nu, w_bound: float, p: float):
-    """Exact sup of <v, w> - nu * ||w||_1 over the p-ball of radius w_bound,
-    W * ||(|v| - nu)_+||_q. v may be a stack of shape (..., d) with nu of
-    shape (...); the result then has shape (...)."""
-    if p not in (1, 2, np.inf):
-        raise ValueError("adversarial class supports p in {1, 2, inf}")
-    v = np.asarray(v, dtype=np.float64)
-    gain = np.maximum(np.abs(v) - np.asarray(nu, dtype=np.float64)[..., None], 0.0)
-    return w_bound * _qnorm(gain, dual_exponent(p), axis=-1)
-
-
-def rademacher_exhaustive(
-    ds: Dataset, kind: str, w_bound: float, q: float, eps: float = 0.0
-) -> float:
-    """Exhaustive empirical Rademacher complexity (all 2^n sign vectors).
-
-    kind "standard_linear" is the plain margin class; "adversarial_linear"
-    uses the eps-shifted worst-case margins. Limited to n <= 12.
-    """
-    n = len(ds)
-    if n > 12:
-        raise ValueError("exhaustive enumeration is limited to n <= 12")
-    sigmas = _all_signs(n)
-    if kind == "standard_linear":
-        sums = sigmas @ ds.x
-        return w_bound / n * float(np.mean(_qnorm(sums, q, axis=1)))
-    if kind == "adversarial_linear":
-        v = sigmas @ (ds.y[:, None] * ds.x)
-        return float(np.mean(sup_shifted_linear(v, eps * sigmas.sum(axis=1), w_bound, dual_exponent(q)))) / n
-    raise ValueError(f"unknown class kind {kind!r}")
 
 
 @dataclass

@@ -120,30 +120,6 @@ def mh_branches(gap, r, p: SurrogateParams) -> MHBranches:
     return MHBranches(a, b, value, use_a, use_b)
 
 
-def loss_mh(f_val, r_val, y, p: SurrogateParams):
-    """Maximum-hinge surrogate. Accepts scalars or arrays."""
-    f_val = np.asarray(f_val, dtype=np.float64)
-    r_val = np.asarray(r_val, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    out = mh_branches(r_val - y * f_val, r_val, p).value
-    return out if out.ndim else float(out)
-
-
-def surrogate_conv(f_val, r_val, y, p: SurrogateParams):
-    """Additive hinge surrogate [1 + (alpha/2)(r - y*f)]_+ + c * [1 - beta*r]_+.
-
-    The sum dominates the max-form surrogate, which in turn dominates the
-    zero-one-c loss.
-    """
-    f_val = np.asarray(f_val, dtype=np.float64)
-    r_val = np.asarray(r_val, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    phi = np.maximum(1.0 + 0.5 * p.alpha * (r_val - y * f_val), 0.0)
-    psi = np.maximum(1.0 + -p.beta * r_val, 0.0)
-    out = phi + p.cost * psi
-    return out if out.ndim else float(out)
-
-
 def worst_case_l1(theta: np.ndarray, gamma: np.ndarray, eps: float) -> tuple[np.ndarray, tuple[float, float, float]]:
     """The l1 terms of the worst case over the eps-ball and the vectors
     they are taken of. Returns (zeta, l1): zeta stacks zeta(+1) = theta -

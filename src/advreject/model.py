@@ -47,6 +47,10 @@ class FeatureMap:
     def __post_init__(self):
         if self.kind not in ("identity", "random_fourier"):
             raise ValueError(f"kind must be identity or random_fourier, got {self.kind!r}")
+        for name in ("dim", "seed", "input_dim"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"feature_map.{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.input_dim < 0:

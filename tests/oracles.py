@@ -3,6 +3,11 @@
 These deliberately avoid the library's closed-form code paths: box maxima
 are taken by enumerating corners and dense grids, suprema over norm balls
 by dense direction/volume grids, and gradients by central differences.
+``mh_loss_formula`` and ``surrogate_conv`` are the max-form and additive
+surrogates written from their formulas, and ``rademacher_exhaustive``
+takes the empirical Rademacher complexity over all 2^n sign vectors, with
+``sup_shifted_linear`` the adversarial class's supremum in closed form
+(checked against the grid and orthant oracles).
 The references at the end are not independent: ``pgd_full`` is the
 batched PGD loop without its early exit and on dense gradients,
 ``linear_mh_dense`` the MH gradient of a linear model built row by row,
@@ -26,12 +31,30 @@ import itertools
 import numpy as np
 
 from advreject.attacks import pgd
+from advreject.bounds import _qnorm, dual_exponent
 from advreject.data import DataFormatError, Dataset, _label
-from advreject.losses import mh_branches
+from advreject.losses import SurrogateParams, mh_branches
 
 
-def mh_loss_scalar(f, r, y, alpha, beta, cost):
-    return max(1.0 + 0.5 * alpha * (r - y * f), cost * (1.0 - beta * r), 0.0)
+def mh_loss_formula(f, r, y, alpha, beta, cost):
+    """max(1 + (alpha/2)(r - y f), c (1 - beta r), 0) per element of scalars or
+    arrays, written from the formula rather than ``losses.mh_branches``."""
+    return np.maximum(np.maximum(1.0 + 0.5 * alpha * (r - y * f), cost * (1.0 - beta * r)), 0.0)
+
+
+def surrogate_conv(f_val, r_val, y, p: SurrogateParams):
+    """Additive hinge surrogate [1 + (alpha/2)(r - y*f)]_+ + c * [1 - beta*r]_+.
+
+    The sum dominates the max-form surrogate, which in turn dominates the
+    zero-one-c loss.
+    """
+    f_val = np.asarray(f_val, dtype=np.float64)
+    r_val = np.asarray(r_val, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    phi = np.maximum(1.0 + 0.5 * p.alpha * (r_val - y * f_val), 0.0)
+    psi = np.maximum(1.0 + -p.beta * r_val, 0.0)
+    out = phi + p.cost * psi
+    return out if out.ndim else float(out)
 
 
 def box_max_mh(model, z, y, eps, params, grid_points=21, grid_max_d=4):
@@ -46,7 +69,7 @@ def box_max_mh(model, z, y, eps, params, grid_points=21, grid_max_d=4):
         delta = np.array(corner)
         best = max(
             best,
-            mh_loss_scalar(
+            mh_loss_formula(
                 f0 + float(delta @ gamma),
                 r0 + float(delta @ theta),
                 y,
@@ -61,7 +84,7 @@ def box_max_mh(model, z, y, eps, params, grid_points=21, grid_max_d=4):
             delta = np.array(combo)
             best = max(
                 best,
-                mh_loss_scalar(
+                mh_loss_formula(
                     f0 + float(delta @ gamma),
                     r0 + float(delta @ theta),
                     y,
@@ -209,6 +232,58 @@ def sup_shifted_linear_orthants(v, nu, w_bound, p):
         val = a.max() if q == np.inf else (a**q).sum() ** (1.0 / q)
         best = max(best, float(val))
     return w_bound * best
+
+
+# The exhaustive empirical Rademacher complexities, the references for
+# ``bounds.rademacher_linear_upper`` and the sandwich of criterion 5.
+#
+# The adversarial linear class replaces the margin by its worst case over
+# the eps-ball, shifting every function by -eps * ||w||_1:
+#
+#     h_w(x, y) = y <x, w> - eps ||w||_1
+#
+# Its exhaustive complexity needs sup_{||w||_p <= W} [<v, w> - nu ||w||_1]
+# per sign vector (v the sign-weighted sample sum, nu = eps * sum sigma_i).
+# Each |w_j| is best spent with the sign of v_j, where it earns |v_j| - nu,
+# so the supremum is W * ||(|v| - nu)_+||_q.
+
+
+def _all_signs(n: int) -> np.ndarray:
+    """All 2^n sign vectors, shape (2^n, n)."""
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)[None, :]) & 1
+    return 2.0 * bits - 1.0
+
+
+def sup_shifted_linear(v: np.ndarray, nu, w_bound: float, p: float):
+    """Exact sup of <v, w> - nu * ||w||_1 over the p-ball of radius w_bound,
+    W * ||(|v| - nu)_+||_q. v may be a stack of shape (..., d) with nu of
+    shape (...); the result then has shape (...)."""
+    if p not in (1, 2, np.inf):
+        raise ValueError("adversarial class supports p in {1, 2, inf}")
+    v = np.asarray(v, dtype=np.float64)
+    gain = np.maximum(np.abs(v) - np.asarray(nu, dtype=np.float64)[..., None], 0.0)
+    return w_bound * _qnorm(gain, dual_exponent(p), axis=-1)
+
+
+def rademacher_exhaustive(
+    ds: Dataset, kind: str, w_bound: float, q: float, eps: float = 0.0
+) -> float:
+    """Exhaustive empirical Rademacher complexity (all 2^n sign vectors).
+
+    kind "standard_linear" is the plain margin class; "adversarial_linear"
+    uses the eps-shifted worst-case margins. Limited to n <= 12.
+    """
+    n = len(ds)
+    if n > 12:
+        raise ValueError("exhaustive enumeration is limited to n <= 12")
+    sigmas = _all_signs(n)
+    if kind == "standard_linear":
+        sums = sigmas @ ds.x
+        return w_bound / n * float(np.mean(_qnorm(sums, q, axis=1)))
+    if kind == "adversarial_linear":
+        v = sigmas @ (ds.y[:, None] * ds.x)
+        return float(np.mean(sup_shifted_linear(v, eps * sigmas.sum(axis=1), w_bound, dual_exponent(q)))) / n
+    raise ValueError(f"unknown class kind {kind!r}")
 
 
 def central_difference(fun, x, h=1e-5):

@@ -18,7 +18,6 @@ from advreject.bench import ProtocolConfig, run_protocol
 from advreject.bounds import (
     BoundConfig,
     clipped_adv_risk,
-    rademacher_exhaustive,
     generalization_bound,
     weight_bound,
 )
@@ -28,15 +27,14 @@ from advreject.losses import (
     SurrogateParams,
     adv_loss_mh_linear_batch,
     loss_01c,
-    loss_mh,
-    surrogate_conv,
+    mh_branches,
 )
 from advreject.model import RejectionModel
 from advreject.neural import NeuralTrainConfig, _loss_grads, adv_risk_01c_net, train_neural
 from advreject.synth import clinical_surrogate, credit_surrogate, two_clusters
 from advreject.train import TrainConfig, train
 from conftest import random_linear_model
-from oracles import net_central_differences, rel_err
+from oracles import mh_loss_formula, net_central_differences, rademacher_exhaustive, rel_err, surrogate_conv
 
 
 def report(num, ok, detail):
@@ -101,7 +99,7 @@ def test_criterion_1_closed_form_oracle_equivalence():
             pts = np.vstack([pts, grids[d] * eps])
         f = (z + pts) @ m.gamma + m.bias_gamma
         r = (z + pts) @ m.theta + m.bias_theta
-        brute = float(np.max(loss_mh(f, r, np.full_like(f, y), p)))
+        brute = float(np.max(mh_loss_formula(f, r, y, p.alpha, p.beta, p.cost)))
         worst = max(worst, abs(got - brute))
     dt = time.time() - t0
     report(1, worst <= 1e-6 and dt < 30, f"max |closed-form - brute force| = {worst:.2e} over 1000 models in {dt:.1f}s")
@@ -115,7 +113,7 @@ def test_criterion_2_surrogate_dominance():
     y = np.where(rng.random(n) < 0.5, 1, -1)
     p = SurrogateParams(float(rng.uniform(0.2, 4)), float(rng.uniform(0.2, 4)), float(rng.uniform(0.05, 0.45)))
     l01 = loss_01c(f, r, y, p.cost)
-    viol_mh = int(np.sum(loss_mh(f, r, y, p) < l01))
+    viol_mh = int(np.sum(mh_loss_formula(f, r, y, p.alpha, p.beta, p.cost) < l01))
     viol_conv = int(np.sum(surrogate_conv(f, r, y, p) < l01))
     report(2, viol_mh == 0 and viol_conv == 0, f"violations over {n} draws: MH {viol_mh}, additive {viol_conv}")
 
@@ -129,7 +127,7 @@ def test_criterion_3_reduction_identities(rng):
         y = 1 if rng.random() < 0.5 else -1
         p = SurrogateParams(1.3, 0.7, 0.2)
         f, r = m.scores_features(z)
-        if adv_loss_mh_linear_batch(m, z, y, 0.0, p) != loss_mh(float(f), float(r), y, p):
+        if adv_loss_mh_linear_batch(m, z, y, 0.0, p) != mh_branches(r - y * f, r, p).value:
             exact_a = False
             break
     # (b) atro at eps_train = 0 is trace-identical to mh

@@ -5,17 +5,15 @@ from advreject.bounds import (
     BoundConfig,
     clipped_adv_risk,
     dual_exponent,
-    rademacher_exhaustive,
     rademacher_linear_mc,
     rademacher_linear_upper,
-    sup_shifted_linear,
     generalization_bound,
     weight_bound,
 )
 from advreject.data import Dataset
 from advreject.losses import SurrogateParams
 from conftest import random_linear_model
-from oracles import sup_shifted_linear_grid, sup_shifted_linear_orthants
+from oracles import rademacher_exhaustive, sup_shifted_linear, sup_shifted_linear_grid, sup_shifted_linear_orthants
 
 P13 = SurrogateParams(1.0, 1.0, 0.3)
 

@@ -684,7 +684,12 @@ class TestOtherCommands:
     @pytest.mark.parametrize("command", ["eval", "bound"])
     @pytest.mark.parametrize(
         "section, key, value",
-        [("norm_stats", "constant", [False]), ("norm_stats", "lo", 5), ("feature_map", "seed", -1)],
+        [
+            ("norm_stats", "constant", [False]), ("norm_stats", "lo", 5), ("feature_map", "seed", -1),
+            # feature_map's integer fields refuse floats and bools, which numpy would reject or read as 1
+            ("feature_map", "seed", 1.5), ("feature_map", "dim", 200.0), ("feature_map", "seed", True),
+            ("feature_map", "input_dim", 14.5),
+        ],
     )
     def test_inconsistent_model_json_names_its_field(self, command, section, key, value, trained, data_file,
                                                      tmp_path, capsys):

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advreject.attacks import linear_mh_value_grad
-from advreject.losses import SurrogateParams, adv_loss_mh_linear_batch, loss_01c, loss_mh, mh_branches, surrogate_conv
+from advreject.losses import SurrogateParams, adv_loss_mh_linear_batch, loss_01c, mh_branches
 from advreject.model import RejectionModel
 from advreject.neural import _mh_head
 from conftest import random_linear_model
-from oracles import box_max_mh
+from oracles import box_max_mh, mh_loss_formula, surrogate_conv
 
 P13 = SurrogateParams(1.0, 1.0, 0.3)
 
@@ -46,16 +46,23 @@ class TestLoss01c:
 
 class TestLossMh:
     def test_zero_point(self):
-        assert loss_mh(0, 0, 1, P13) == 1.0
+        assert mh_branches(0.0, 0.0, P13).value == 1.0  # gap = r - y*f
 
     def test_rejection_branch(self):
-        assert loss_mh(4, -3, 1, P13) == pytest.approx(1.2)
+        assert mh_branches(-3.0 - 4.0, -3.0, P13).value == pytest.approx(1.2)
 
     def test_floor(self):
-        assert loss_mh(10, 10, 1, P13) == 1.0  # a = 1 + (10-10)/2, b < 0
+        assert mh_branches(10.0 - 10.0, 10.0, P13).value == 1.0  # a = 1 + (10-10)/2, b < 0
 
     def test_large_margins_zero(self):
-        assert loss_mh(10, 2, 1, P13) == 0.0
+        assert mh_branches(2.0 - 10.0, 2.0, P13).value == 0.0
+
+    def test_value_is_the_formula(self, rng):
+        # bit for bit, so the oracle can stand in for the library's loss
+        f, r = 6 * rng.standard_normal((2, 10_000))
+        y = np.where(rng.random(10_000) < 0.5, 1.0, -1.0)
+        p = SurrogateParams(1.7, 0.6, 0.35)
+        assert np.array_equal(mh_branches(r - y * f, r, p).value, mh_loss_formula(f, r, y, 1.7, 0.6, 0.35))
 
     def test_tie_rule(self):
         # (f, r) with y = +1 at A == B == 0.25, at A == B == 0 and at A, B < 0;
@@ -66,7 +73,7 @@ class TestLossMh:
         assert mh.a.tolist() == [0.25, 0.0, -1.0] and mh.b.tolist() == [0.25, 0.0, -0.25]
         assert mh.use_a.tolist() == [True, False, False]
         assert mh.use_b.tolist() == [False, False, False]
-        assert loss_mh(f, r, 1, p).tolist() == [0.25, 0.0, 0.0]
+        assert mh.value.tolist() == [0.25, 0.0, 0.0]
         # f = z @ gamma and r = z @ theta give the same three points
         m = RejectionModel(theta=np.array([0.0, 1.0]), gamma=np.array([1.5, 0.0]))
         table, index = linear_mh_value_grad(m, np.array([[1.0, 0.0], [2.0, 1.0], [4.0, 2.0]]), np.ones(3), p)[1]
@@ -89,7 +96,7 @@ class TestSurrogateConv:
         for _ in range(500):
             f, r = rng.standard_normal(2) * 3
             y = 1 if rng.random() < 0.5 else -1
-            assert surrogate_conv(f, r, y, P13) >= loss_mh(f, r, y, P13) - 1e-15
+            assert surrogate_conv(f, r, y, P13) >= mh_branches(r - y * f, r, P13).value - 1e-15
 
 
 class TestDominance:
@@ -104,7 +111,7 @@ class TestDominance:
         cost = r.uniform(0.05, 0.45)
         p = SurrogateParams(alpha, beta, cost)
         l01 = loss_01c(f, rr, y, cost)
-        assert np.all(loss_mh(f, rr, y, p) >= l01)
+        assert np.all(mh_loss_formula(f, rr, y, alpha, beta, cost) >= l01)
         assert np.all(surrogate_conv(f, rr, y, p) >= l01)
 
     @given(finite, finite, st.sampled_from([-1, 1]),
@@ -113,7 +120,7 @@ class TestDominance:
     def test_property(self, f, r, y, alpha, beta, cost):
         p = SurrogateParams(alpha, beta, cost)
         l01 = loss_01c(f, r, y, cost)
-        assert loss_mh(f, r, y, p) >= l01
+        assert mh_loss_formula(f, r, y, alpha, beta, cost) >= l01
         assert surrogate_conv(f, r, y, p) >= l01
 
 
@@ -204,4 +211,4 @@ class TestMonotonicityInEps:
             x = rng.standard_normal(3)
             y = 1 if rng.random() < 0.5 else -1
             f, r = m.scores_features(x)
-            assert adv_loss_mh_linear_batch(m, x, y, 0.0, P13) == loss_mh(float(f), float(r), y, P13)
+            assert adv_loss_mh_linear_batch(m, x, y, 0.0, P13) == mh_branches(r - y * f, r, P13).value

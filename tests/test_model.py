@@ -42,6 +42,13 @@ class TestFeaturize:
         with pytest.raises(ValueError, match="input_dim must be >= 0"):
             FeatureMap("random_fourier", dim=8, input_dim=-1)
 
+    def test_integer_fields(self):
+        # numpy integers pass as they are; floats and bools, Python or numpy, are refused
+        assert FeatureMap("random_fourier", dim=np.int64(8), seed=np.uint32(3), input_dim=np.int32(2)).dim == 8
+        for bad in (1.5, np.float64(2.0), True, np.bool_(True)):
+            with pytest.raises(ValueError, match="feature_map.seed must be an integer"):
+                FeatureMap("identity", seed=bad)
+
     def test_pinned_input_dimension(self, rng):
         fm = FeatureMap("random_fourier", dim=8, sigma=1.0, seed=0, input_dim=3)
         featurize(fm, rng.standard_normal(3))
