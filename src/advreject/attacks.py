@@ -1,7 +1,7 @@
 """Adversarial perturbations: PGD and the exact linf worst case of a
 linear model, each vectorized over the rows of a batch (a single sample is
 a batch of one row). The FGSM candidate of ``evaluate`` is one sign step
-along ``linear_mh_value_grad``.
+along ``linear_mh``.
 
 On a linear model, what depends only on a row's MH branch or label is
 computed once per call on a small table and read with one gather. PGD
@@ -67,24 +67,19 @@ class AttackSpec:
         return float(self.step_size)
 
 
-def linear_mh_value_grad(m: RejectionModel, z: np.ndarray, y, p: SurrogateParams, grad: bool = True):
-    """MH loss of a linear model at feature points z (a vector or rows) with
-    labels y = +-1 (ValueError otherwise) and, if grad, its gradient in z as
-    a pair (table, index): row i's gradient is table[index[i]]. None
-    otherwise.
+def linear_mh(m: RejectionModel, y, p: SurrogateParams):
+    """The MH loss of a linear model with labels y = +-1 (ValueError
+    otherwise), as value_grad(z, grad) for pgd: the loss at feature points
+    z (a vector or rows) and, if grad, its gradient in z as a pair (table,
+    index), where row i's gradient is table[index[i]]; None otherwise.
 
     Every row's gradient is one of four fixed vectors, the rows of the
     table: 0 for an inactive hinge, branch A's (alpha/2)(theta - y*gamma)
-    for y = +1 and for y = -1, and branch B's -c*beta*theta. Beyond the two
-    score products and the branch test, a call costs a 4 x D table."""
-    return _linear_mh(m, pm1_labels(y), p)(z, grad)
-
-
-def _linear_mh(m: RejectionModel, y: np.ndarray, p: SurrogateParams):
-    """The MH objective of linear_mh_value_grad at float labels already
-    checked to be +-1, as value_grad(z, grad) for pgd. The branch table and
+    for y = +1 and for y = -1, and branch B's -c*beta*theta. The table and
     each row's branch-A index depend only on m, y and p, so they are built
-    here, once; every call returns the same table object, read-only."""
+    here, once; every call returns the same table object, read-only, and
+    costs the two score products, the branch test and the index."""
+    y = pm1_labels(y)
     table = np.zeros((4, m.feat_dim))
     table[1] = 0.5 * p.alpha * (m.theta - m.gamma)  # branch A, y = +1
     table[2] = 0.5 * p.alpha * (m.theta + m.gamma)  # branch A, y = -1
@@ -324,4 +319,4 @@ def pgd_linear_mh_batch(
     """PGD on the MH loss of a linear model, vectorized over rows of z.
     Returns per-row deltas of the best iterate (start included)."""
     z = np.asarray(z, dtype=np.float64)
-    return pgd(_linear_mh(m, pm1_labels(y), params), z, spec)
+    return pgd(linear_mh(m, y, params), z, spec)

@@ -74,6 +74,14 @@ def feature_map(dim: int, x: np.ndarray, seed: int, sigma: float | str = "median
     return FeatureMap("random_fourier", dim=dim, sigma=sigma, seed=seed, input_dim=x.shape[1])
 
 
+def spawn_seeds(master: int, n: int, words: int) -> list[tuple[int, ...]]:
+    """n tuples of ``words`` seeds in [0, 2**31): the first ``words`` state words, mod
+    2**31, of each of n children spawned from SeedSequence(master). A child's first word
+    is the same for any ``words``: the CLI takes a run's split, feature and attack seeds
+    with n = 3 and one word, run_protocol each trial's split and feature seeds with two."""
+    return [tuple(int(w % 2**31) for w in c.generate_state(words)) for c in np.random.SeedSequence(master).spawn(n)]
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """One Table-style experiment: methods x costs x attack radii.
@@ -156,31 +164,20 @@ class BenchCell:
     trials: int
 
 
-def _trial_seeds(master: int, trials: int) -> list[tuple[int, int]]:
-    """(split seed, feature seed) per trial, spawned from the master seed."""
-    ss = np.random.SeedSequence(master)
-    children = ss.spawn(trials)
-    out = []
-    for child in children:
-        a, b = child.generate_state(2)
-        out.append((int(a % 2**31), int(b % 2**31)))
-    return out
-
-
 class ProtocolDataError(ValueError):
-    """A trial's data does not admit one of the protocol's settings, such as
-    normalization statistics that overflow; the message starts with the
-    setting's field name."""
+    """The data does not admit one of the protocol's settings, such as a
+    dataset no larger than train_size or a trial's normalization statistics
+    that overflow; the message starts with the setting's field name."""
 
 
 def run_protocol(ds: Dataset, pc: ProtocolConfig) -> tuple[list[BenchCell], list[tuple[dict, Dataset]]]:
     """Train and evaluate the whole grid; returns (table rows, trials).
-    Raises ProtocolDataError when a trial's data cannot be normalized or
-    gives no median bandwidth."""
+    Raises ProtocolDataError when the dataset is no larger than train_size,
+    or a trial's data cannot be normalized or gives no median bandwidth."""
     if len(ds) <= pc.train_size:
-        raise ValueError(f"dataset has {len(ds)} samples; need more than train_size={pc.train_size}")
+        raise ProtocolDataError(f"train_size {pc.train_size}: a trial needs more samples than the {len(ds)} given")
     trials = []
-    for t, (split_seed, feat_seed) in enumerate(_trial_seeds(pc.seed, pc.trials)):
+    for t, (split_seed, feat_seed) in enumerate(spawn_seeds(pc.seed, pc.trials, 2)):
         tr, te = split(ds, pc.train_size / len(ds), seed=split_seed)
         try:
             tr_n, stats = normalize(tr, pc.normalize)

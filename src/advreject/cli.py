@@ -21,10 +21,8 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .attacks import AttackSpec
-from .bench import ProtocolDataError, bench_to_csv, bench_to_text, feature_map, run_protocol
+from .bench import ProtocolDataError, bench_to_csv, bench_to_text, feature_map, run_protocol, spawn_seeds
 from .bounds import clipped_adv_risk, generalization_bound, weight_bound
 from .config import ConfigError, NeuralSection, RunConfig, TrainSection, config_object, validate_config
 from .data import DataFormatError, Dataset, normalize, parse_csv, parse_libsvm, split
@@ -38,21 +36,21 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-def _fan_out_seeds(master: int) -> dict[str, int]:
-    """split/feature/attack seeds derived from one master seed."""
-    ss = np.random.SeedSequence(master)
-    vals = [int(c.generate_state(1)[0] % 2**31) for c in ss.spawn(3)]
-    return {"split": vals[0], "features": vals[1], "attack": vals[2]}
+def _read_text(path: str | None, what: str) -> str:
+    """The text of the input file at path; ConfigError naming the file as
+    ``what`` when no path is given, it is not a file or not text."""
+    if not path:
+        raise ConfigError(f"{what} path is required for this subcommand")
+    if not Path(path).is_file():
+        raise ConfigError(f"{what} path {path!r} does not exist")
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path!r} cannot be decoded as text: {exc}") from None
 
 
 def _load_dataset(path: str) -> Dataset:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"dataset path {path!r} does not exist")
-    try:
-        text = p.read_text()
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"dataset {path!r} cannot be decoded as text: {exc}") from None
+    text, p = _read_text(path, "dataset"), Path(path)
     ds = parse_csv(text, name=p.stem) if p.suffix == ".csv" else parse_libsvm(text, name=p.stem)
     if not ds.d:
         raise ConfigError(f"dataset {path!r} has labels but no feature column")
@@ -60,13 +58,9 @@ def _load_dataset(path: str) -> Dataset:
 
 
 def _load_model(path: str | None) -> RejectionModel:
-    if not path:
-        raise ConfigError("model path is required for this subcommand")
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"model path {path!r} does not exist")
+    text = _read_text(path, "model")
     try:
-        return RejectionModel.from_json(p.read_text())
+        return RejectionModel.from_json(text)
     except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"model {path!r} is not a model JSON: {type(exc).__name__}: {exc}") from None
 
@@ -84,7 +78,7 @@ def _load_model_and_data(rc: RunConfig) -> tuple[RejectionModel, Dataset]:
     return model, ds
 
 
-def _prepare_training_data(rc: RunConfig, section: str, seeds: dict):
+def _prepare_training_data(rc: RunConfig, section: str, split_seed: int):
     prep: TrainSection | NeuralSection = getattr(rc, section)
     ds = _load_dataset(rc.dataset)
     if rc.test_dataset:
@@ -95,7 +89,7 @@ def _prepare_training_data(rc: RunConfig, section: str, seeds: dict):
             )
     else:
         try:
-            tr, te = split(ds, prep.train_fraction, seed=seeds["split"])
+            tr, te = split(ds, prep.train_fraction, seed=split_seed)
         except ValueError as exc:
             raise ConfigError(f"dataset {rc.dataset!r} cannot be split by {section}.train_fraction: {exc}") from None
     try:
@@ -113,11 +107,11 @@ def _prepare_training_data(rc: RunConfig, section: str, seeds: dict):
 
 
 def _cmd_train(rc: RunConfig) -> tuple[dict[str, str], str]:
-    seeds = _fan_out_seeds(rc.seed)
-    tr_n, te_n, stats = _prepare_training_data(rc, "train", seeds)
+    (split_seed,), (feat_seed,), (attack_seed,) = spawn_seeds(rc.seed, 3, 1)
+    tr_n, te_n, stats = _prepare_training_data(rc, "train", split_seed)
     fs = rc.train.features
     try:
-        fm = feature_map(fs.dim, tr_n.x, seeds["features"], fs.sigma)
+        fm = feature_map(fs.dim, tr_n.x, feat_seed, fs.sigma)
     except ValueError as exc:  # only from sigma "median": a numeric sigma was checked with the config
         raise ConfigError(f"dataset {rc.dataset!r} gives no train.features.sigma: {exc}") from None
     if fs.dim:
@@ -125,7 +119,7 @@ def _cmd_train(rc: RunConfig) -> tuple[dict[str, str], str]:
     cfg = replace(rc.train.config, feature_map=fm)
     model, trace = train(tr_n, cfg)
     model.norm_stats = stats
-    report = evaluate_model(model, te_n, replace(rc.attack, seed=seeds["attack"]), cfg.params)
+    report = evaluate_model(model, te_n, replace(rc.attack, seed=attack_seed), cfg.params)
     files = {"model.json": model.to_json(), "trace.csv": trace.to_csv(), "report.json": report.to_json()}
     return files, (
         f"trained {cfg.mode} on {rc.dataset} ({len(tr_n)} samples): "
@@ -135,9 +129,9 @@ def _cmd_train(rc: RunConfig) -> tuple[dict[str, str], str]:
 
 
 def _cmd_eval(rc: RunConfig) -> tuple[dict[str, str], str]:
-    seeds = _fan_out_seeds(rc.seed)
+    (attack_seed,) = spawn_seeds(rc.seed, 3, 1)[2]  # train's attack seed
     model, ds = _load_model_and_data(rc)
-    report = evaluate_model(model, ds, replace(rc.attack, seed=seeds["attack"]), rc.train.config.params)
+    report = evaluate_model(model, ds, replace(rc.attack, seed=attack_seed), rc.train.config.params)
     c = report.counts
     csv = (
         "err,rej,pr,ta,tr,fa,fr,mean_loss_01c\n"
@@ -178,10 +172,6 @@ def _cmd_bound(rc: RunConfig) -> tuple[dict[str, str], str]:
 
 def _cmd_bench(rc: RunConfig) -> tuple[dict[str, str], str]:
     ds = _load_dataset(rc.dataset)
-    if len(ds) <= rc.bench.train_size:
-        raise ConfigError(
-            f"bench.train_size is {rc.bench.train_size}, but dataset {rc.dataset!r} has only {len(ds)} samples"
-        )
     try:
         rows, _ = run_protocol(ds, replace(rc.bench, seed=rc.seed))
     except ProtocolDataError as exc:
@@ -191,9 +181,9 @@ def _cmd_bench(rc: RunConfig) -> tuple[dict[str, str], str]:
 
 
 def _cmd_neural_train(rc: RunConfig) -> tuple[dict[str, str], str]:
-    seeds = _fan_out_seeds(rc.seed)
-    tr, te, _ = _prepare_training_data(rc, "neural", seeds)
-    net, trace = train_neural(tr, rc.neural.build(seeds["features"]))
+    (split_seed,), (feat_seed,), _ = spawn_seeds(rc.seed, 3, 1)
+    tr, te, _ = _prepare_training_data(rc, "neural", split_seed)
+    net, trace = train_neural(tr, rc.neural.build(feat_seed))
     report = evaluate_model(net, te, AttackSpec(), rc.neural.config.params)
     csv = "epoch,mean_loss\n" + "".join(f"{i},{float(v)!r}\n" for i, v in enumerate(trace))
     return {"net.json": net.to_json(), "trace.csv": csv}, (
@@ -315,22 +305,11 @@ def _merge_flags(obj: dict, args: argparse.Namespace) -> dict:
     return obj
 
 
-def _read_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file {path!r} does not exist")
-    try:
-        return config_object(p.read_text())
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file {path!r} cannot be decoded as text: {exc}") from None
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        rc = validate_config(json.dumps(_merge_flags(_read_config(args.config), args)))
+        obj = config_object(_read_text(args.config, "config file")) if args.config else {}
+        rc = validate_config(json.dumps(_merge_flags(obj, args)))
         if not rc.dataset:
             raise ConfigError("dataset path is required (--data or config.dataset)")
         run(rc)

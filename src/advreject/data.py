@@ -199,7 +199,7 @@ class NormStats:
         if self.lo.ndim != 1 or len(set(shapes)) != 1:
             raise ValueError(f"norm stats lo, hi and constant must be 1-D arrays of one length, got shapes {shapes}")
         for name in ("lo", "hi"):
-            if not np.all(np.isfinite(getattr(self, name))):
+            if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"norm_stats.{name} must be finite")
         if self.scheme == "none":
             return

@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .attacks import AttackSpec, accepted_error_delta, linear_mh_value_grad, pgd_linear_mh_batch
+from .attacks import AttackSpec, accepted_error_delta, linear_mh, pgd_linear_mh_batch
 from .attacks import pgd  # noqa: F401  perfbench's tracer wraps evaluate.pgd by name
 from .data import Dataset
 from .losses import SurrogateParams, loss_01c, verdict
@@ -109,7 +109,7 @@ def _candidate_deltas(
         deltas["shift_reject"] = np.broadcast_to(-eps * np.sign(m.theta), z.shape)
         deltas["shift_margin"] = accepted_error_delta(m, z, y, eps)
     elif spec.method == "fgsm":
-        table, branch = linear_mh_value_grad(m, z, y, params)[1]
+        table, branch = linear_mh(m, y, params)(z, True)[1]
         deltas["fgsm"] = (eps * np.sign(table))[branch]
     else:
         deltas["pgd"] = pgd_linear_mh_batch(m, z, y, spec, params)

@@ -29,6 +29,9 @@ import numpy as np
 
 from .data import NormStats
 
+_MODEL_KEYS = frozenset(("feature_map", "theta", "gamma", "bias_theta", "bias_gamma", "norm_stats"))
+_JSON_NUMBERS = frozenset((int, float))  # the types of JSON numbers: a bool is an int to isinstance, not to type
+
 
 @dataclass(frozen=True)
 class FeatureMap:
@@ -51,6 +54,8 @@ class FeatureMap:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"feature_map.{name} must be an integer, got {value!r}")
+        if isinstance(self.sigma, bool) or not isinstance(self.sigma, (int, float, np.integer, np.floating)):
+            raise ValueError(f"feature_map.sigma must be a number, got {self.sigma!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.input_dim < 0:
@@ -105,10 +110,10 @@ class RejectionModel:
         if self.theta.shape != self.gamma.shape or self.theta.ndim != 1:
             raise ValueError("theta and gamma must be 1-D with equal length")
         if not (
-            np.all(np.isfinite(self.theta))
-            and np.all(np.isfinite(self.gamma))
-            and np.isfinite(self.bias_theta)
-            and np.isfinite(self.bias_gamma)
+            np.isfinite(self.theta).all()
+            and np.isfinite(self.gamma).all()
+            and math.isfinite(self.bias_theta)
+            and math.isfinite(self.bias_gamma)
         ):
             raise ValueError("parameters must be finite")
 
@@ -185,9 +190,22 @@ class RejectionModel:
 
     @classmethod
     def from_json(cls, text: str) -> "RejectionModel":
+        """The model to_json wrote as text. ValueError names an unknown key, and a
+        number field that holds a bool or a string, which float64 would read as 1.0 or parse."""
         obj = json.loads(text)
-        fm = FeatureMap(**obj["feature_map"])
+        if type(obj) is not dict or not _MODEL_KEYS.issuperset(obj):
+            raise ValueError(f"unknown key {min(set(obj) - _MODEL_KEYS)!r}" if type(obj) is dict else "not an object")
         ns = obj.get("norm_stats")
+        lists = (("theta", obj["theta"]), ("gamma", obj["gamma"]))
+        if ns is not None:
+            lists += (("norm_stats.lo", ns["lo"]), ("norm_stats.hi", ns["hi"]))
+        for key, value in lists:  # one pass over a list's element types keeps a load cheap
+            if type(value) is not list or not _JSON_NUMBERS.issuperset(map(type, value)):
+                raise ValueError(f"{key} must be a list of numbers")
+        for key in ("bias_theta", "bias_gamma"):
+            if type(obj[key]) not in _JSON_NUMBERS:
+                raise ValueError(f"{key} must be a number, got {obj[key]!r}")
+        fm = FeatureMap(**obj["feature_map"])
         stats = None if ns is None else NormStats(**ns)
         return cls(
             theta=np.array(obj["theta"], dtype=np.float64),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from advreject import attacks
-from advreject.attacks import AttackSpec, accepted_error_delta, linear_mh_value_grad, pgd, pgd_linear_mh_batch
+from advreject.attacks import AttackSpec, accepted_error_delta, linear_mh, pgd, pgd_linear_mh_batch
 from advreject.data import Dataset
 from advreject.evaluate import RejectConfusion, _candidate_deltas, evaluate_model
 from advreject.losses import SurrogateParams, adv_loss_mh_linear_batch, loss_01c, pm1_labels
@@ -26,7 +26,7 @@ P13 = SurrogateParams(1.0, 1.0, 0.3)
 
 def mh_value(m, z, y):
     """MH loss of a linear model at the rows of z."""
-    return linear_mh_value_grad(m, z, y, P13, grad=False)[0]
+    return linear_mh(m, y, P13)(z, False)[0]
 
 
 def one_row(rng, d):
@@ -78,7 +78,7 @@ class TestFgsm:
 class TestPgd:
     def test_eps_zero_returns_clean(self, rng):
         m, z, y = one_row(rng, 2)
-        delta = pgd(lambda zd, grad: linear_mh_value_grad(m, zd, y, P13, grad), z, AttackSpec(method="pgd", eps=0.0))
+        delta = pgd(lambda zd, grad: linear_mh(m, y, P13)(zd, grad), z, AttackSpec(method="pgd", eps=0.0))
         assert np.array_equal(delta, [[0.0, 0.0]])
         assert mh_value(m, z + delta, y) == mh_value(m, z, y)
 
@@ -268,7 +268,7 @@ class TestLinearMhValueGrad:
 
     def test_rows_match_branch_formulas(self, rng):
         m, z, y = self.rows(rng)
-        value, (table, index) = linear_mh_value_grad(m, z, y, self.P)
+        value, (table, index) = linear_mh(m, y, self.P)(z, True)
         assert table.shape == (4, 4) and index.shape == (400,)
         grad = table[index]
         al, be, c = self.P.alpha, self.P.beta, self.P.cost
@@ -291,7 +291,7 @@ class TestLinearMhValueGrad:
 
     def test_rows_match_central_differences_away_from_kinks(self, rng):
         m, z, y = self.rows(rng)
-        grad = dense_gradient(linear_mh_value_grad(m, z, y, self.P)[1])
+        grad = dense_gradient(linear_mh(m, y, self.P)(z, True)[1])
         f, r = m.scores_features(z)
         a = 1.0 + 0.5 * self.P.alpha * (r - y * f)
         b = self.P.cost * (1.0 - self.P.beta * r)
@@ -299,7 +299,7 @@ class TestLinearMhValueGrad:
         assert away.sum() > 300
         for i in np.flatnonzero(away):
             num = central_difference(
-                lambda zi: float(linear_mh_value_grad(m, zi, y[i], self.P, grad=False)[0]), z[i].copy()
+                lambda zi: float(linear_mh(m, y[i], self.P)(zi, False)[0]), z[i].copy()
             )
             assert np.allclose(grad[i], num, rtol=0.0, atol=1e-6)
 
@@ -371,7 +371,7 @@ class TestPgdEarlyExit:
         for _ in range(3):
             m, z, y = self.linear_problem(rng, features)
             spec = AttackSpec(method="pgd", eps=eps, norm=norm, steps=20, random_start=random_start, seed=3)
-            full = pgd_full(lambda zd, grad: linear_mh_value_grad(m, zd, y, P13, grad), z, spec)
+            full = pgd_full(lambda zd, grad: linear_mh(m, y, P13)(zd, grad), z, spec)
             assert np.array_equal(pgd_linear_mh_batch(m, z, y, spec, P13), full)
 
     @pytest.mark.parametrize("steps", [10, 20, 50])
@@ -383,7 +383,7 @@ class TestPgdEarlyExit:
         z = np.array([[-3.0, 0.2, 0.1], [4.0, -1.0, 0.3], [-2.5, 1.0, -0.4]])
         y = np.array([1.0, -1.0, 1.0])
         spec = AttackSpec(method="pgd", eps=0.05, steps=steps)
-        objective = CountingObjective(lambda zd, grad: linear_mh_value_grad(m, zd, y, P13, grad))
+        objective = CountingObjective(lambda zd, grad: linear_mh(m, y, P13)(zd, grad))
         deltas = pgd(objective, z, spec)
         assert all(np.array_equal(g, objective.grads[0]) for g in objective.grads)
         assert objective.calls == math.ceil(math.sqrt(steps)) + 1 < steps + 1
@@ -427,13 +427,13 @@ class TestDeltaTable:
         indices = []
 
         def tabular(points, grad):
-            value, g = linear_mh_value_grad(m, points, y, P13, grad)
+            value, g = linear_mh(m, y, P13)(points, grad)
             if g is not None:
                 indices.append(g[1])
             return value, g
 
         def dense(points, grad):
-            value, g = linear_mh_value_grad(m, points, y, P13, grad)
+            value, g = linear_mh(m, y, P13)(points, grad)
             return value, None if g is None else (dense_gradient(g), None)
 
         return tabular, dense, indices
@@ -485,7 +485,7 @@ class TestDeltaTable:
 
             def counting(zd, grad):
                 calls.append(grad)
-                return linear_mh_value_grad(m, zd, y, P13, grad)
+                return linear_mh(m, y, P13)(zd, grad)
 
             pgd(counting, z, spec)
             assert len(calls) == steps + 1
@@ -523,7 +523,7 @@ class TestOncePerAttack:
 
     def test_linear_objective_builds_its_table_once(self, rng, monkeypatch):
         builds, tables = [], []
-        build = attacks._linear_mh
+        build = attacks.linear_mh
 
         def counting(m, y, p):
             value_grad = build(m, y, p)
@@ -537,7 +537,7 @@ class TestOncePerAttack:
 
             return recording
 
-        monkeypatch.setattr(attacks, "_linear_mh", counting)
+        monkeypatch.setattr(attacks, "linear_mh", counting)
         m = random_linear_model(rng, 6)
         z = rng.standard_normal((50, 6))
         y = np.where(rng.random(50) < 0.5, 1.0, -1.0)
@@ -563,8 +563,8 @@ class TestLabelCheck:
         spec = AttackSpec(method="pgd", eps=0.1)
         yield lambda: adv_loss_mh_linear_batch(self.m, self.z[0], y, 0.1, P13)
         yield lambda: adv_loss_mh_linear_batch(self.m, self.z, np.array([y]), 0.1, P13)
-        yield lambda: linear_mh_value_grad(self.m, self.z, np.array([y]), P13)
-        yield lambda: linear_mh_value_grad(self.m, self.z[0], y, P13, grad=False)
+        yield lambda: linear_mh(self.m, np.array([y]), P13)(self.z, True)
+        yield lambda: linear_mh(self.m, y, P13)(self.z[0], False)
         yield lambda: accepted_error_delta(self.m, self.z, np.array([y]), 0.1)
         yield lambda: pgd_linear_mh_batch(self.m, self.z, np.array([y]), spec, P13)
 
@@ -629,7 +629,7 @@ class TestTablesMatchDense:
         branches = set()
         for _ in range(3):
             m, z, y = self.problem(rng, kind)
-            branches.update(linear_mh_value_grad(m, z, y, P13)[1][1].tolist())
+            branches.update(linear_mh(m, y, P13)(z, True)[1][1].tolist())
             spec = AttackSpec(method="pgd", eps=eps, norm=norm, steps=20, random_start=random_start, seed=7)
             full = pgd_full(lambda zd, grad: linear_mh_dense(m, zd, y, P13, grad), z, spec)
             assert pgd_linear_mh_batch(m, z, y, spec, P13).tobytes() == full.tobytes()

@@ -673,6 +673,13 @@ class TestOtherCommands:
         assert main([command, "--model", str(bad), "--data", str(data_file), "--out", str(tmp_path / "o")]) == 2
         assert "bad.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ['"abc"', "[1, 2]", "null"])
+    def test_model_json_not_an_object(self, text, data_file, tmp_path, capsys):
+        bad = tmp_path / "scalar.json"
+        bad.write_text(text)
+        assert main(["eval", "--model", str(bad), "--data", str(data_file), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: model {str(bad)!r} is not a model JSON: ValueError: not an object\n"
+
     def test_model_json_missing_feature_map(self, trained, data_file, tmp_path, capsys):
         obj = json.loads(trained.read_text())
         del obj["feature_map"]
@@ -689,12 +696,17 @@ class TestOtherCommands:
             # feature_map's integer fields refuse floats and bools, which numpy would reject or read as 1
             ("feature_map", "seed", 1.5), ("feature_map", "dim", 200.0), ("feature_map", "seed", True),
             ("feature_map", "input_dim", 14.5),
+            # number fields refuse bools and strings, which float64 would read as 1.0 or parse, and unknown keys
+            ("feature_map", "sigma", True), (None, "bias_theta", "0.5"), (None, "bias_gamma", True),
+            (None, "theta", lambda old: [True] * len(old)), ("norm_stats", "lo", lambda old: ["0.1", *old[1:]]),
+            (None, "thetaa", [0.0]),
         ],
     )
     def test_inconsistent_model_json_names_its_field(self, command, section, key, value, trained, data_file,
                                                      tmp_path, capsys):
         obj = json.loads(trained.read_text())
-        obj[section][key] = value
+        node = obj if section is None else obj[section]
+        node[key] = value(node[key]) if callable(value) else value
         bad = tmp_path / "inconsistent.json"
         bad.write_text(json.dumps(obj))
         assert main([command, "--model", str(bad), "--data", str(data_file), "--out", str(tmp_path / "o")]) == 2
@@ -772,6 +784,21 @@ class TestOtherCommands:
         assert main(["bench", "--config", str(p)]) == 2
         assert "bench.train_size" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "master, seeds", [(0, (1610069009, 673228719, 1093961225)), (7, (1201125462, 1471499523, 1684166797))]
+    )
+    def test_run_seeds_are_pinned(self, master, seeds, data_file, tmp_path, monkeypatch):
+        # the split, feature and attack seeds of a run; if they move, every trained model and report moves
+        splits = []
+        split = advreject.cli.split
+        monkeypatch.setattr(advreject.cli, "split", lambda *args, seed: splits.append(seed) or split(*args, seed))
+        args = ["--data", str(data_file), "--seed", str(master), "--attack", "pgd", "--eps", "0.1"]
+        assert main(["train", *args, "--rff-dim", "8", "--epochs", "5", "--out", str(tmp_path / "t")]) == 0
+        model = json.loads((tmp_path / "t" / "model.json").read_text())
+        assert main(["eval", *args, "--model", str(tmp_path / "t" / "model.json"), "--out", str(tmp_path / "e")]) == 0
+        attack = [json.loads((tmp_path / d / "report.json").read_text())["attack"]["seed"] for d in "te"]
+        assert (splits, model["feature_map"]["seed"], attack) == ([seeds[0]], seeds[1], [seeds[2]] * 2)
 
     @pytest.mark.parametrize(
         "grid, message",

@@ -5,13 +5,14 @@ import advreject.bench
 from advreject.attacks import AttackSpec
 from advreject.bench import (
     ProtocolConfig,
-    _trial_seeds,
+    ProtocolDataError,
     bench_to_csv,
     bench_to_text,
     benchmark,
     feature_map,
     median_heuristic_bandwidth,
     run_protocol,
+    spawn_seeds,
 )
 from advreject.data import Dataset, normalize, split
 from advreject.evaluate import (
@@ -199,6 +200,24 @@ class TestBenchmark:
         with pytest.raises(ValueError):
             benchmark([], self.protocol((0.0,)))
 
+    @pytest.mark.parametrize("n", [29, 30])
+    def test_dataset_not_larger_than_train_size(self, rng, n):
+        ds = Dataset(rng.standard_normal((n, 2)), np.where(rng.random(n) < 0.5, 1, -1))
+        message = f"^train_size 30: a trial needs more samples than the {n} given$"
+        with pytest.raises(ProtocolDataError, match=message):
+            run_protocol(ds, ProtocolConfig(methods=(("mh", 0.2),), trials=1, train_size=30, epochs=5))
+
+    def test_trial_seeds_are_pinned(self, rng, monkeypatch):
+        # the (split, feature) seeds of trials 0 and 1 at master seed 7; if they move, every bench table moves
+        splits = []
+        monkeypatch.setattr(advreject.bench, "split", lambda *args, seed: splits.append(seed) or split(*args, seed))
+        x = rng.standard_normal((50, 3))
+        ds = Dataset(x, np.where(x[:, 0] > 0, 1, -1))
+        pc = ProtocolConfig(methods=(("mh", 0.2),), trials=2, train_size=30, epochs=5, rff_dim=8, seed=7)
+        _, trials = run_protocol(ds, pc)
+        features = [models[("mh", 0.2)].feature_map.seed for models, _ in trials]
+        assert list(zip(splits, features)) == [(1201125462, 788422957), (1471499523, 941218350)]
+
     def test_csv_and_text(self, rng):
         rows = benchmark(self.make_trials(rng, 2), self.protocol((0.0, 0.01)))
         csv = bench_to_csv(rows)
@@ -279,7 +298,7 @@ class TestFeatureMap:
         ds = Dataset(x, np.where(x[:, 0] > 0, 1, -1))
         pc = ProtocolConfig(methods=(("mh", 0.2),), trials=2, train_size=30, epochs=5, rff_dim=rff_dim, seed=4)
         _, trials = run_protocol(ds, pc)
-        for (split_seed, feat_seed), (models, _) in zip(_trial_seeds(pc.seed, pc.trials), trials):
+        for (split_seed, feat_seed), (models, _) in zip(spawn_seeds(pc.seed, pc.trials, 2), trials):
             tr_n, _ = normalize(split(ds, pc.train_size / len(ds), seed=split_seed)[0], pc.normalize)
             if rff_dim > 0:
                 sigma = median_heuristic_bandwidth(tr_n.x, seed=feat_seed)

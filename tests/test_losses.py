@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advreject.attacks import linear_mh_value_grad
+from advreject.attacks import linear_mh
 from advreject.losses import SurrogateParams, adv_loss_mh_linear_batch, loss_01c, mh_branches
 from advreject.model import RejectionModel
 from advreject.neural import _mh_head
@@ -76,7 +76,7 @@ class TestLossMh:
         assert mh.value.tolist() == [0.25, 0.0, 0.0]
         # f = z @ gamma and r = z @ theta give the same three points
         m = RejectionModel(theta=np.array([0.0, 1.0]), gamma=np.array([1.5, 0.0]))
-        table, index = linear_mh_value_grad(m, np.array([[1.0, 0.0], [2.0, 1.0], [4.0, 2.0]]), np.ones(3), p)[1]
+        table, index = linear_mh(m, np.ones(3), p)(np.array([[1.0, 0.0], [2.0, 1.0], [4.0, 2.0]]), True)[1]
         grad = table[index]
         assert grad.tolist() == [[-0.75, 0.5], [0.0, 0.0], [0.0, 0.0]]  # row 0: (alpha/2)(theta - gamma)
         sq, head = _mh_head(np.ones(3), p)(f, r)
