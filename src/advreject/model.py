@@ -31,6 +31,7 @@ from .data import NormStats
 
 _MODEL_KEYS = frozenset(("feature_map", "theta", "gamma", "bias_theta", "bias_gamma", "norm_stats"))
 _JSON_NUMBERS = frozenset((int, float))  # the types of JSON numbers: a bool is an int to isinstance, not to type
+_JSON_BOOLS = frozenset((bool,))
 
 
 @dataclass(frozen=True)
@@ -190,18 +191,23 @@ class RejectionModel:
 
     @classmethod
     def from_json(cls, text: str) -> "RejectionModel":
-        """The model to_json wrote as text. ValueError names an unknown key, and a
-        number field that holds a bool or a string, which float64 would read as 1.0 or parse."""
+        """The model to_json wrote as text. ValueError names an unknown key, a
+        number field that holds a bool or a string, which float64 would read as 1.0 or parse,
+        and a norm_stats.constant that is not a list of booleans, which bool would read by truth."""
         obj = json.loads(text)
         if type(obj) is not dict or not _MODEL_KEYS.issuperset(obj):
             raise ValueError(f"unknown key {min(set(obj) - _MODEL_KEYS)!r}" if type(obj) is dict else "not an object")
         ns = obj.get("norm_stats")
-        lists = (("theta", obj["theta"]), ("gamma", obj["gamma"]))
+        lists = (("theta", obj["theta"], _JSON_NUMBERS), ("gamma", obj["gamma"], _JSON_NUMBERS))
         if ns is not None:
-            lists += (("norm_stats.lo", ns["lo"]), ("norm_stats.hi", ns["hi"]))
-        for key, value in lists:  # one pass over a list's element types keeps a load cheap
-            if type(value) is not list or not _JSON_NUMBERS.issuperset(map(type, value)):
-                raise ValueError(f"{key} must be a list of numbers")
+            lists += (
+                ("norm_stats.lo", ns["lo"], _JSON_NUMBERS),
+                ("norm_stats.hi", ns["hi"], _JSON_NUMBERS),
+                ("norm_stats.constant", ns["constant"], _JSON_BOOLS),
+            )
+        for key, value, types in lists:  # one pass over a list's element types keeps a load cheap
+            if type(value) is not list or not types.issuperset(map(type, value)):
+                raise ValueError(f"{key} must be a list of {'numbers' if types is _JSON_NUMBERS else 'booleans'}")
         for key in ("bias_theta", "bias_gamma"):
             if type(obj[key]) not in _JSON_NUMBERS:
                 raise ValueError(f"{key} must be a number, got {obj[key]!r}")

@@ -28,14 +28,23 @@ which compare it with a reference in tests/oracles.py that computes every
 eps term at every eps, and by
 perfbench/test_perfbench.py::test_fixture_models_load_and_match_their_recipe,
 which retrains an mh fixture model and compares its bytes. A change that
-reassociates a sum here (one gemm for f and r, a gemv for a masked row sum)
+reassociates a sum here (one gemm for f and r, or a row sum taken as a
+0/1-weighted gemv over all rows instead of a sum over the gathered ones)
 changes the trained models and fails them; speed-ups must do the same
-operations with less overhead, or do them fewer times. So each row sum of
+operations with less overhead, or do them fewer times.
+
+So a train call sets up what it fixes once, in its _RowSums: the label
+mask y > 0, the rejection flag, the config's scalars, and the row sums of
 the subgradient (over branch A's rows, branch B's rows, or the active rows
-of svm/at) is computed once per distinct active set and reused while the
-set stays among the last ROW_SUM_SETS of its branch. zb and y are fixed for
-a train call, so a sum is a function of its row mask alone, and a reused
-sum is the very array a fresh gather and reduction gave: it has their bits.
+of svm/at). Each sum is computed once per distinct active set and reused
+while the set stays among the last ROW_SUM_SETS of its branch. zb and y
+are fixed for a train call, so a sum is a function of its row mask alone,
+and a reused sum is the very array a fresh gather and reduction gave. The
+sums are kept scaled by the scalar the epoch multiplied them by (alpha/2,
+and c*beta at eps = 0), and Python evaluates p.cost * p.beta * zsum left
+to right, so a kept product has the bits of the one formed per epoch. The
+products go through ndarray.dot, the same BLAS call as @ with less
+dispatch. svm/at form no theta subgradient: their rejector stays put.
 
 At eps = 0 the epoch skips the l1 norms, the eps*||zeta(y)||_1 shift of
 the gap, the eps*||theta||_1 shift of r and every eps*sgn term of the
@@ -125,7 +134,7 @@ def _augment(z: np.ndarray) -> np.ndarray:
     return np.hstack([z, np.ones((z.shape[0], 1))])
 
 
-def _warm_start(zb: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+def _warm_start(zb: np.ndarray, y: np.ndarray, cfg: TrainConfig, sums: _RowSums) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic ridge initialization.
 
     The classifier is fit to margin targets and rescaled so most training
@@ -159,23 +168,34 @@ def _warm_start(zb: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> tuple[np.nda
     # that minimizes the actual objective rather than trusting targets
     best_s, best_val = 1.0, np.inf
     for s in np.geomspace(0.25, 32.0, 22):
-        val = _objective_arrays(theta, s * gamma, zb, y, cfg)
+        val = _objective_arrays(theta, s * gamma, zb, y, cfg, sums=sums)
         if val < best_val:
             best_s, best_val = float(s), val
     return theta, best_s * gamma
 
 
 class _RowSums:
-    """Row sums of one problem's zb and y over sets of rows, each computed
-    once and kept for the ROW_SUM_SETS most recently used sets per branch.
+    """The set-up of one train call (see the module docstring) and its row
+    sums, kept for the ROW_SUM_SETS most recently used sets per branch.
 
-    get(branch, mask) gives (k, zsum, ysum) for the k rows where mask is
-    True: zsum is the sum of their zb rows (branches "a" and "b") and ysum
-    is y @ zb over them (branches "a" and "act"). A sum the branch does not
-    use, or any sum over no rows, is None. The arrays are read-only."""
+    get(branch, mask) gives the entry of the k rows where mask is True,
+    with each sum already scaled as the subgradient uses it:
+      "a"    (k, ha*zsum, ha*ysum, n_pos), ha = alpha/2 and n_pos the
+             number of rows labelled +1
+      "b"    (k, (c*beta)*zsum) at eps = 0; (k, zsum) at eps > 0, where
+             the eps*k*sgn(theta) term goes in before the scale
+      "act"  (k, ysum)
+    zsum is the sum of the rows of zb and ysum is y @ zb over them. A sum
+    over no rows is None. The arrays are read-only."""
 
-    def __init__(self, zb: np.ndarray, y: np.ndarray):
-        self.zb, self.y = zb, y
+    def __init__(self, zb: np.ndarray, y: np.ndarray, cfg: TrainConfig):
+        p = cfg.params
+        self.zb, self.y, self.y_pos, self.params = zb, y, y > 0, p
+        self.rejection, self.eps = cfg.rejection_enabled, cfg.eps_train
+        self.lam, self.lam_prime = cfg.lam, cfg.lam_prime
+        self.half_lam, self.half_lam_prime = 0.5 * cfg.lam, 0.5 * cfg.lam_prime
+        self.ha, self.cb = 0.5 * p.alpha, p.cost * p.beta
+        self.ha_eps = self.ha * self.eps
         self.kept = {branch: OrderedDict() for branch in ("a", "b", "act")}
 
     def get(self, branch: str, mask: np.ndarray):
@@ -191,15 +211,21 @@ class _RowSums:
 
     def _sums(self, branch: str, mask: np.ndarray):
         rows = mask.nonzero()[0]
-        if not rows.size:
-            return 0, None, None
+        k = rows.size
+        if not k:
+            return (0, None, None, 0) if branch == "a" else (0, None)
         z = self.zb.take(rows, axis=0)
-        zsum = None if branch == "act" else z.sum(axis=0)
-        ysum = None if branch == "b" else self.y.take(rows) @ z
-        for s in (zsum, ysum):
-            if s is not None:
-                s.setflags(write=False)
-        return rows.size, zsum, ysum
+        if branch == "act":
+            entry = (k, self.y.take(rows).dot(z))
+        elif branch == "b":
+            zsum = z.sum(axis=0)
+            entry = (k, zsum if self.eps else self.cb * zsum)
+        else:
+            ysum = self.y.take(rows).dot(z)  # its bias entry is n+ - n-, as the bias feature is 1
+            entry = (k, self.ha * z.sum(axis=0), self.ha * ysum, (k + int(ysum[-1])) // 2)
+        for s in entry[1:3]:
+            s.setflags(write=False)
+        return entry
 
 
 def _objective_arrays(
@@ -213,69 +239,67 @@ def _objective_arrays(
 ):
     """Objective on augmented arrays (last coordinate is the bias); with
     with_grad, (objective, g_theta, g_gamma) with a subgradient from the
-    same pass. The gradients are fresh arrays the caller may overwrite.
-    sums is the memo of row sums for this zb and y; without one the call
-    makes its own.
+    same pass. The gradients are fresh arrays the caller may overwrite;
+    svm/at give g_theta None, as their rejector stays at the sentinel.
+    sums is the set-up of a train call on this zb, y and cfg; without one
+    the call makes its own.
 
     y holds only -1 and +1. The l1 terms and their sign vectors cover the
     weight coordinates only (bias frozen); at eps = 0 they are not formed."""
-    p, eps = cfg.params, cfg.eps_train
     if sums is None:
-        sums = _RowSums(zb, y)
-    f = zb @ gamma
-    reg = 0.5 * cfg.lam_prime * float(gamma @ gamma)
-    g_gamma = cfg.lam_prime * gamma
-    if not cfg.rejection_enabled:
+        sums = _RowSums(zb, y, cfg)
+    eps = sums.eps
+    f = zb.dot(gamma)
+    reg = sums.half_lam_prime * float(gamma.dot(gamma))
+    if not sums.rejection:
         margin = y * f
         np.subtract(1.0, margin, out=margin)
-        if eps:
-            # no rejector: zeta(+1) = zeta(-1) = -gamma for every label
-            zeta, (zeta_l1, _, _) = worst_case_l1(np.zeros(gamma.size - 1), gamma[:-1], eps)
-            margin += zeta_l1
+        if eps:  # no rejector: zeta(+1) = zeta(-1) = -gamma for every label
+            margin += eps * np.abs(gamma[:-1]).sum()
         val = float(np.maximum(margin, 0.0).sum()) + reg
         if not with_grad:
             return val
-        k, _, ysum = sums.get("act", margin > 0)
+        g_gamma = sums.lam_prime * gamma
+        k, ysum = sums.get("act", margin > 0)
         if k:
             g_gamma -= ysum
-            if eps:  # d/dgamma eps*||zeta||_1 = -eps*sgn(zeta)
-                g_gamma[:-1] -= eps * k * np.sign(zeta[0])
-        return val, np.zeros_like(theta), g_gamma
-    r = zb @ theta
+            if eps:  # d/dgamma eps*||zeta||_1 = -eps*sgn(zeta); sgn(-0.0) is +0.0, where -sgn(0.0) is -0.0
+                g_gamma[:-1] -= eps * k * np.sign(np.negative(gamma[:-1]))
+        return val, None, g_gamma
+    r = zb.dot(theta)
     gap = y * f
     np.subtract(r, gap, out=gap)
     if eps:
         zeta, (zeta_pos, zeta_neg, theta_l1) = worst_case_l1(theta[:-1], gamma[:-1], eps)
-        gap += np.where(y > 0, zeta_pos, zeta_neg)
-        mh = mh_branches(gap, r - theta_l1, p)
+        gap += np.where(sums.y_pos, zeta_pos, zeta_neg)
+        mh = mh_branches(gap, r - theta_l1, sums.params)
     else:
-        mh = mh_branches(gap, r, p)
-    val = float(mh.value.sum()) + reg + 0.5 * cfg.lam * float(theta @ theta)
+        mh = mh_branches(gap, r, sums.params)
+    val = float(mh.value.sum()) + reg + sums.half_lam * float(theta.dot(theta))
     if not with_grad:
         return val
-    g_theta = cfg.lam * theta
+    g_theta = sums.lam * theta
+    g_gamma = sums.lam_prime * gamma
     if eps:
         signs = np.sign(zeta)
-    k, zsum, ysum = sums.get("a", mh.use_a)
+    k, hz, hy, n_pos = sums.get("a", mh.use_a)
     if k:
-        ha = 0.5 * p.alpha
-        g_theta += ha * zsum
-        g_gamma -= ha * ysum
+        g_theta += hz
+        g_gamma -= hy
         if eps:
             # d/dtheta eps*||zeta(y)||_1 = eps*y*sgn(zeta(y)); d/dgamma = -eps*sgn(zeta(y)),
-            # summed over the rows as n+ sgn zeta(+1) -/+ n- sgn zeta(-1), where
-            # n+ - n- is the bias entry of ysum (the bias feature is 1)
-            n_pos = (k + int(ysum[-1])) // 2
+            # summed over the rows as n+ sgn zeta(+1) -/+ n- sgn zeta(-1)
             signs[0] *= n_pos
             signs[1] *= k - n_pos
-            g_theta[:-1] += ha * eps * (signs[0] - signs[1])
-            g_gamma[:-1] -= ha * eps * (signs[0] + signs[1])
-    k, zsum, _ = sums.get("b", mh.use_b)
+            g_theta[:-1] += sums.ha_eps * (signs[0] - signs[1])
+            g_gamma[:-1] -= sums.ha_eps * (signs[0] + signs[1])
+    k, zsum = sums.get("b", mh.use_b)
     if k:
-        if eps:
+        if eps:  # the entry is unscaled: the eps term goes in first
             zsum = zsum.copy()
             zsum[:-1] -= eps * k * signs[2]
-        g_theta -= p.cost * p.beta * zsum
+            zsum *= sums.cb
+        g_theta -= zsum
     return val, g_theta, g_gamma
 
 
@@ -309,12 +333,12 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[RejectionModel, TrainTrace]:
     z = featurize(fm, ds.x)
     zb = _augment(z)
     y = ds.y.astype(np.float64)
-    theta, gamma = _warm_start(zb, y, cfg)
-    sums = _RowSums(zb, y)
+    sums = _RowSums(zb, y, cfg)
+    theta, gamma = _warm_start(zb, y, cfg, sums)
 
     objs = np.empty(cfg.epochs + 1)
     # scale by n so lr0 means the same thing across dataset sizes
-    steps = cfg.lr0 / (np.sqrt(np.arange(1.0, cfg.epochs + 1)) * len(y))
+    steps = (cfg.lr0 / (np.sqrt(np.arange(1.0, cfg.epochs + 1)) * len(y))).tolist()
     best_val = np.inf
     best_epoch = 0
     best_theta, best_gamma = theta, gamma  # iterates are rebound each epoch, never mutated
@@ -335,7 +359,7 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[RejectionModel, TrainTrace]:
         _, g_theta, g_gamma = out  # fresh arrays: each becomes the next iterate
         g_gamma *= steps[t]
         gamma = np.subtract(gamma, g_gamma, out=g_gamma)
-        if cfg.rejection_enabled:
+        if g_theta is not None:  # svm/at keep the sentinel rejector
             g_theta *= steps[t]
             theta = np.subtract(theta, g_theta, out=g_theta)
 

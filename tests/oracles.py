@@ -568,8 +568,9 @@ def objective_arrays_reference(theta, gamma, zb, y, cfg, with_grad=False):
     """``train._objective_arrays`` without its shortcuts: every eps term is
     computed at every eps, eps = 0 included, each l1 norm is its own sum
     over the weight coordinates, and each sign vector is taken of a freshly
-    formed theta - gamma, -theta - gamma or theta. The library must give
-    the same bits."""
+    formed theta - gamma, -theta - gamma or theta. svm/at give no theta
+    subgradient (None): their rejector stays at the sentinel. The library
+    must give the same bits."""
     p, eps = cfg.params, cfg.eps_train
     f = zb @ gamma
     reg = 0.5 * cfg.lam_prime * float(gamma @ gamma)
@@ -587,7 +588,7 @@ def objective_arrays_reference(theta, gamma, zb, y, cfg, with_grad=False):
             sg = np.sign(gamma)
             sg[-1] = 0.0
             g_gamma += eps * act.size * sg
-        return val, np.zeros_like(theta), g_gamma
+        return val, None, g_gamma
     r = zb @ theta
     tw, gw = theta[:-1], gamma[:-1]
     zeta_pos = eps * float(np.abs(tw - gw).sum())

@@ -700,6 +700,9 @@ class TestOtherCommands:
             ("feature_map", "sigma", True), (None, "bias_theta", "0.5"), (None, "bias_gamma", True),
             (None, "theta", lambda old: [True] * len(old)), ("norm_stats", "lo", lambda old: ["0.1", *old[1:]]),
             (None, "thetaa", [0.0]),
+            # flags refuse numbers and strings, which bool would read by truth
+            ("norm_stats", "constant", lambda old: [0] * len(old)),
+            ("norm_stats", "constant", lambda old: ["no", *old[1:]]), ("norm_stats", "constant", "false"),
         ],
     )
     def test_inconsistent_model_json_names_its_field(self, command, section, key, value, trained, data_file,

@@ -1,14 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 
+import advreject.bench as bench_module
 import advreject.train as train_module
-from advreject.data import Dataset, normalize
+from advreject.cli import main
+from advreject.data import Dataset, normalize, to_libsvm
 from advreject.evaluate import evaluate_model
 from advreject.attacks import AttackSpec
 from advreject.losses import SurrogateParams, verdict
 from advreject.model import FeatureMap, RejectionModel, featurize
 from advreject.synth import credit_surrogate
-from advreject.train import ROW_SUM_SETS, TrainConfig, _augment, _objective_arrays, _RowSums, objective, train
+from advreject.train import ROW_SUM_SETS, SENTINEL_REJECT_BIAS, TrainConfig, _augment, _objective_arrays, _RowSums, objective, train
 from oracles import objective_arrays_reference, train_objective_reference
 
 P13 = SurrogateParams(1.0, 1.0, 0.3)
@@ -121,10 +125,11 @@ class TestObjectiveAgainstReference:
             assert 1.0 + gap == b > 0
         else:
             assert branches[-3:] == ["-", "-", "A"]
-            assert np.all(g_theta == 0.0)
+            assert g_theta is None and np.all(want_gt == 0.0)  # the rejector stays at the sentinel
         assert val == pytest.approx(want_val, rel=1e-12)
         assert _objective_arrays(theta, gamma, zb, y, cfg) == val
-        np.testing.assert_allclose(g_theta, want_gt, rtol=1e-12, atol=1e-12)
+        if g_theta is not None:
+            np.testing.assert_allclose(g_theta, want_gt, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(g_gamma, want_gg, rtol=1e-12, atol=1e-12)
 
 
@@ -172,7 +177,7 @@ def _epoch_state(rng, features, cfg, edge):
 
 
 def _bytes(values):
-    return [np.asarray(v, dtype=np.float64).tobytes() for v in values]
+    return [None if v is None else np.asarray(v, dtype=np.float64).tobytes() for v in values]
 
 
 class TestEpochAgainstOracle:
@@ -230,10 +235,23 @@ class TestEpochAgainstOracle:
         assert _bytes([(gamma - 0.125 * got[2])[rest]]) == _bytes([(gamma - 0.125 * want[2])[rest]])
 
 
+def _fresh_entry(zb, y, cfg, branch, mask):
+    """The memo entry of the rows where mask is True, written out: gather,
+    reduce, then scale as the subgradient does."""
+    rows = mask.nonzero()[0]
+    z, yr = zb[rows], y[rows]
+    p = cfg.params
+    if branch == "a":
+        return rows.size, 0.5 * p.alpha * z.sum(axis=0), 0.5 * p.alpha * (yr @ z), int(np.count_nonzero(yr > 0))
+    if branch == "b":
+        return rows.size, z.sum(axis=0) if cfg.eps_train else p.cost * p.beta * z.sum(axis=0)
+    return rows.size, yr @ z
+
+
 class TestRowSumMemo:
-    """``_RowSums`` hands back the sums a fresh gather and reduction give,
-    never lets a caller write into them, and keeps at most ROW_SUM_SETS
-    active sets per branch."""
+    """``_RowSums`` hands back the pre-scaled sums a fresh gather, reduction
+    and scale give, never lets a caller write into them, and keeps at most
+    ROW_SUM_SETS active sets per branch."""
 
     @pytest.mark.parametrize("edge", EDGES)
     @pytest.mark.parametrize("features", ["identity", "rff"])
@@ -242,20 +260,41 @@ class TestRowSumMemo:
         cfg = TrainConfig(mode=mode, eps_train=eps, **(TIE_PARAMS if edge == "tie" else EPOCH_PARAMS))
         theta, gamma, zb, y = _epoch_state(rng, features, cfg, edge)
         want = _bytes(_objective_arrays(theta, gamma, zb, y, cfg, with_grad=True))
-        sums = _RowSums(zb, y)
+        sums = _RowSums(zb, y, cfg)
         first = _objective_arrays(theta, gamma, zb, y, cfg, with_grad=True, sums=sums)
         assert _bytes(first) == want
         for g in first[1:]:
-            g[:] = np.nan
+            if g is not None:
+                g[:] = np.nan
         sums._sums = lambda *_: pytest.fail("an active set was summed twice")
         assert _bytes(_objective_arrays(theta, gamma, zb, y, cfg, with_grad=True, sums=sums)) == want
+
+    @pytest.mark.parametrize("features", ["identity", "rff"])
+    @pytest.mark.parametrize("branch", ["a", "b", "act"])
+    @pytest.mark.parametrize("eps", [0.0, 0.01])
+    def test_entries_have_the_bits_of_a_fresh_gather_reduce_and_scale(self, rng, branch, eps, features):
+        # EPOCH_PARAMS's alpha/2 and c*beta are not powers of two, so a sum
+        # scaled in another order, or scaled at eps > 0, changes bits
+        cfg = TrainConfig(mode="at" if branch == "act" else "atro", eps_train=eps, **EPOCH_PARAMS)
+        _, _, zb, y = _epoch_state(rng, features, cfg, "random")
+        sums = _RowSums(zb, y, cfg)
+        for mask in [*(rng.random((4, len(y))) < 0.5), np.ones(len(y), dtype=bool)]:
+            entry = sums.get(branch, mask)
+            assert sums.get(branch, mask.copy()) is entry  # a hit hands back the same entry
+            want = _fresh_entry(zb, y, cfg, branch, mask)
+            assert entry[0] == want[0] == mask.sum()
+            assert _bytes(entry[1:]) == _bytes(want[1:])
+            assert not any(v.flags.writeable for v in entry[1:] if isinstance(v, np.ndarray))
+        empty = sums.get(branch, np.zeros(len(y), dtype=bool))
+        assert empty == ((0, None, None, 0) if branch == "a" else (0, None))
 
     @pytest.mark.parametrize("branch", ["a", "b", "act"])
     def test_bounded_and_least_recently_used_goes_first(self, rng, branch):
         zb, y = _augment(rng.standard_normal((40, 3))), np.where(rng.random(40) < 0.5, 1.0, -1.0)
+        cfg = TrainConfig(mode="at" if branch == "act" else "atro", eps_train=0.01, **EPOCH_PARAMS)
         masks = rng.random((2 * ROW_SUM_SETS, 40)) < 0.5
         assert len({m.tobytes() for m in masks}) == len(masks)
-        sums = _RowSums(zb, y)
+        sums = _RowSums(zb, y, cfg)
         for i, m in enumerate(masks):
             sums.get(branch, m)
             sums.get(branch, masks[0])  # a hit keeps the first set
@@ -263,10 +302,10 @@ class TestRowSumMemo:
         kept = set(sums.kept[branch])
         assert masks[0].tobytes() in kept and masks[-ROW_SUM_SETS].tobytes() not in kept
         k, *got = sums.get(branch, masks[1])  # summed again after its eviction
-        fresh = _RowSums(zb, y).get(branch, masks[1])
+        fresh = _fresh_entry(zb, y, cfg, branch, masks[1])
         assert k == fresh[0] == masks[1].sum()
-        assert _bytes([v for v in got if v is not None]) == _bytes([v for v in fresh[1:] if v is not None])
-        assert not any(v.flags.writeable for v in got if v is not None)
+        assert _bytes(got) == _bytes(fresh[1:])
+        assert not any(v.flags.writeable for v in got if isinstance(v, np.ndarray))
 
 
 def _reference_without_memo(*args, sums=None, **kwargs):
@@ -310,6 +349,43 @@ class TestTrainAgainstOracle:
         assert trace.to_csv() == want_trace.to_csv()
 
 
+class TestProtocolAgainstOracle:
+    @pytest.mark.parametrize("rff_dim", [0, 24])
+    def test_bench_csv_and_model_bytes(self, monkeypatch, tmp_path, rff_dim):
+        # `advreject bench` over all four methods, with the library epoch and
+        # with the reference: the same table and the same trained models
+        full = credit_surrogate(seed=0)
+        data = tmp_path / "credit.libsvm"
+        data.write_text(to_libsvm(Dataset(full.x[:200], full.y[:200])))
+        config = tmp_path / "bench.json"
+        config.write_text(json.dumps({
+            "subcommand": "bench", "dataset": str(data), "seed": 3,
+            "bench": {
+                "methods": [["svm", None], ["at", None], ["mh", 0.2], ["atro", 0.2]], "attack_eps": [0.0, 0.01, 0.1],
+                "eps_train": 0.01, "trials": 2, "train_size": 100, "epochs": 80, "rff_dim": rff_dim,
+            },
+        }))
+        library_train, trained = bench_module.train, []
+
+        def capture(ds, cfg):
+            model, trace = library_train(ds, cfg)
+            trained.append(model.to_json())
+            return model, trace
+
+        monkeypatch.setattr(bench_module, "train", capture)
+
+        def run(out):
+            trained.clear()
+            assert main(["bench", "--config", str(config), "--out", str(tmp_path / out)]) == 0
+            return (tmp_path / out / "bench.csv").read_bytes(), list(trained)
+
+        got = run("library")
+        monkeypatch.setattr(train_module, "_objective_arrays", _reference_without_memo)
+        want = run("reference")
+        assert len(got[1]) == 2 * 4
+        assert got == want
+
+
 class TestTrain:
     def test_separable_pair_is_solved(self):
         ds = Dataset(np.array([[2.0, 0.0], [-2.0, 0.0]]), np.array([1, -1]))
@@ -338,6 +414,16 @@ class TestTrain:
         assert np.all(model.theta == 0.0) and model.bias_theta > 0
         rep = evaluate_model(model, ds, AttackSpec(method="none"), P13)
         assert rep.rej == 0.0
+
+    @pytest.mark.parametrize("mode, eps", [("svm", 0.0), ("at", 0.01)])
+    def test_no_reject_modes_leave_theta_at_the_sentinel(self, rng, mode, eps):
+        # the epoch gives no theta subgradient, and train never moves theta
+        cfg = TrainConfig(mode=mode, eps_train=eps, epochs=50, **EPOCH_PARAMS)
+        theta, gamma, zb, y = _epoch_state(rng, "identity", cfg, "random")
+        assert _objective_arrays(theta, gamma, zb, y, cfg, with_grad=True)[1] is None
+        model, _ = train(toy_dataset(rng, n=60), cfg)
+        assert model.theta.tobytes() == np.zeros(3).tobytes()
+        assert model.bias_theta == SENTINEL_REJECT_BIAS
 
     def test_best_so_far_monotone(self, rng):
         ds = toy_dataset(rng)
