@@ -3,18 +3,20 @@ linear model, each vectorized over the rows of a batch (a single sample is
 a batch of one row). The FGSM candidate of ``evaluate`` is one sign step
 along ``linear_mh``.
 
+There is one PGD loop per model kind, and both take the step of
+``_stepper``. ``pgd`` is the dense loop that attacks the network: its
+iterate and its gradients are one row per input row.
+``pgd_linear_mh_batch`` attacks a linear model's MH loss. Its gradients
+take four values, so it carries its iterate as a table of the distinct
+deltas and each row's index into it, and a step works on a few rows.
+
 On a linear model, what depends only on a row's MH branch or label is
-computed once per call on a small table and read with one gather. PGD
-carries its iterate the same way, as a table of the distinct deltas and
-each row's index into it, so a step on a linear model works on a few rows
-and only the points it scores are n x D. Only elementwise operations and
-per-row reductions move onto a table; every score product keeps its n-row
+computed once per call on a small table and read with one gather: the
+branch table of ``linear_mh``, the step rows of PGD and the per-label
+rows of the exact worst case. Only elementwise operations and per-row
+reductions move onto a table; every score product keeps its n-row
 operand, so the results are those of the per-row computation bit for bit.
 Labels must be +1 or -1.
-
-A linear PGD attack builds what depends only on the model, the labels and
-the spec once, not once per step: the read-only branch table, and the step
-rows of each table object (see _stepper for why reusing them is exact).
 
 All attacks act on the perturbable coordinates only. Models keep their
 biases outside the feature vector, so a perturbation has the same shape as
@@ -69,9 +71,10 @@ class AttackSpec:
 
 def linear_mh(m: RejectionModel, y, p: SurrogateParams):
     """The MH loss of a linear model with labels y = +-1 (ValueError
-    otherwise), as value_grad(z, grad) for pgd: the loss at feature points
-    z (a vector or rows) and, if grad, its gradient in z as a pair (table,
-    index), where row i's gradient is table[index[i]]; None otherwise.
+    otherwise), as value_grad(z, grad) for pgd_linear_mh_batch: the loss
+    at feature points z (a vector or rows) and, if grad, its gradient in z
+    as a pair (table, index), where row i's gradient is table[index[i]];
+    None otherwise.
 
     Every row's gradient is one of four fixed vectors, the rows of the
     table: 0 for an inactive hinge, branch A's (alpha/2)(theta - y*gamma)
@@ -97,77 +100,57 @@ def linear_mh(m: RejectionModel, y, p: SurrogateParams):
     return value_grad
 
 
-def _start(spec: AttackSpec, dim: int) -> np.ndarray:
-    """The PGD start as a table of one row that every input row shares: 0,
-    or with random_start one uniform(-eps, eps) draw of length dim from the
-    spec's seed, projected for l2."""
+def _start(spec: AttackSpec, n: int, dim: int) -> np.ndarray:
+    """The PGD start of n rows: 0, or with random_start one uniform(-eps,
+    eps) draw of length dim from the spec's seed, projected for l2, that
+    every row shares."""
     if not (spec.random_start and spec.eps > 0):
-        return np.zeros((1, dim))
+        return np.zeros((n, dim))
     delta = np.random.default_rng(spec.seed).uniform(-spec.eps, spec.eps, size=(1, dim))
     if spec.norm == "l2":
-        delta = _project_l2(delta, spec.eps)
-    return delta
+        _project_l2(delta, spec.eps)
+    return delta.repeat(n, axis=0)
 
 
 def _stepper(spec: AttackSpec):
-    """The ascent step of spec as a function of (delta, table, index), the
-    gradient in the (table, index) form of pgd, with the radius and step
-    size resolved once: per row, a sign step clipped to the box for linf, a
-    normalized-gradient step projected onto the ball for l2 (no move where
-    the gradient is 0). The step rows (step*sgn(g) for linf; step*g/||g||
-    and where g = 0 for l2) are computed on the table and then gathered, so
-    rows that share a gradient share its arithmetic.
+    """The ascent step of spec as (rows, move), with the radius and step
+    size resolved once per call: per row, a sign step clipped to the box
+    for linf, a normalized-gradient step projected onto the ball for l2 (no
+    move where the gradient is 0).
 
-    A table with an index does not change once value_grad has returned it
-    (the linear objective's is read-only), so its step rows are computed
-    once per table object and reused while value_grad returns that object.
-    The step holds a reference to the table, so no other array can take its
-    identity, and a reused row is the one a fresh computation would give. A
-    dense table (index None) gets its rows built in place on every call."""
+    rows(g) gives the step rows of the gradient rows g, in a new array
+    (step*sgn(g) for linf; step*g/||g|| for l2), and the rows that do not
+    move (where g = 0 for l2; None for linf). move(delta, out, still) adds
+    delta to the step rows out in place, clips or projects the sum, keeps
+    delta where still, and returns out. Both act row by row, so step rows
+    taken on a table of gradient rows and then gathered are those of the
+    gathered gradient rows."""
     eps, step = spec.eps, spec.resolved_step()
 
-    def linf_rows(table):
-        out = np.sign(table)
+    def linf_rows(g):
+        out = np.sign(g)
         out *= step
         return out, None
 
-    def l2_rows(table):
-        gn = _row_norms(table)
+    def l2_rows(g):
+        gn = _row_norms(g)
         moving = gn > 0
-        out = step * table
+        out = step * g
         out /= np.where(moving, gn, 1.0)
         return out, ~moving
 
-    rows_of, held = (linf_rows if spec.norm == "linf" else l2_rows), [None, None]  # the last table, its rows
-
-    def rows(table, index):
-        """The step rows of gradient (table, index), one per input row."""
-        if index is None:
-            return rows_of(table)
-        if held[0] is not table:
-            held[:] = table, rows_of(table)
-        out, still = held[1]  # a pair, not tuple(genexpr): that grows the tuple free list once per step
-        return out.take(index, axis=0), None if still is None else still.take(index, axis=0)
-
-    def linf_step(delta, table, index):
-        out = rows(table, index)[0]  # one buffer carries delta + step*sgn(g) to the clip
-        out += delta
+    def linf_move(delta, out, still):
+        out += delta  # one buffer carries delta + step*sgn(g) to the clip
         np.minimum(out, eps, out=out)
         return np.maximum(out, -eps, out=out)
 
-    def l2_step(delta, table, index):
-        out, still = rows(table, index)
+    def l2_move(delta, out, still):
         out += delta
         _project_l2(out, eps)
         np.copyto(out, delta, where=still)
         return out
 
-    return linf_step if spec.norm == "linf" else l2_step
-
-
-def _gather(table: np.ndarray, index) -> np.ndarray:
-    """The rows table[index], or table itself where index is None."""
-    return table if index is None else table.take(index, axis=0)
+    return (linf_rows, linf_move) if spec.norm == "linf" else (l2_rows, l2_move)
 
 
 def _project_l2(delta: np.ndarray, eps: float) -> np.ndarray:
@@ -233,90 +216,101 @@ def pgd(value_grad, x: np.ndarray, spec: AttackSpec) -> np.ndarray:
     """Projected gradient ascent, vectorized over the rows of x; a single
     sample is a batch of one row. linf takes sign steps clipped to the box,
     l2 normalized-gradient steps projected onto the ball. x is left as it is.
+    This is the network's loop; a linear model's MH loss has its own,
+    pgd_linear_mh_batch, with the same steps and results.
 
     value_grad(points, grad) gives each row's objective at the points and,
-    if grad, its gradient there as a pair (table, index): row i's gradient
-    is table[index[i]], or table[i] where index is None. One call both
-    scores an iterate and sets the next step. points is one buffer that
-    pgd rewrites every step, so value_grad must not keep it (nor a view of
-    it) beyond the call. A table that comes with an index must not change
-    once returned, because pgd computes its step rows once per table object.
-
-    The iterate is carried like the gradient: a table of distinct deltas
-    and each row's index into it. A step maps each (delta row, gradient
-    row) pair that occurs to one new delta row. A linear model's gradient
-    has four rows, so its step works on a few rows; a network's has one per
-    input row, and its step is dense. Only the points to score and the
-    best iterate are n x D. Each table row takes the float operations that
-    the per-row loop applies to the rows sharing it, and dtab[hist] + x is
-    x + dtab[hist] in IEEE arithmetic, so the result is the per-row loop's
-    bit for bit.
+    if grad, its gradient there, one row per point (None otherwise). One
+    call both scores an iterate and sets the next step. points is one buffer
+    that pgd rewrites every step, so value_grad must not keep it (nor a view
+    of it) beyond the call. The iterate and the best iterate are n x D.
 
     One step is the ascent step with the radius and step size resolved
-    once per call of pgd, that call, and the best-iterate update; the last
-    iterate is only scored. Returns each row's delta at its best iterate,
-    the start included, so no row's objective falls below its value at the
-    start.
+    once per call of pgd, a call of value_grad, and the best-iterate
+    update; the last iterate is only scored. Returns each row's delta at its
+    best iterate, the start included, so no row's objective falls below its
+    value at the start.
 
     The loop stops at its first fixed point: when a step leaves every row
     where it is. That is exact, not a tolerance. The gradient that set the
     step came from this very iterate, and value_grad is deterministic, so
     every later step would rescore the same points with the same values
     and gradients, and the best iterate (updated only on a strict gain)
-    can no longer change. From the zero start with the automatic step
-    size, sign steps on a linear model whose rows keep their MH branch
-    reach such a point, a box corner, after ceil(sqrt(steps)) steps (one
-    more where rounding leaves that many steps an ulp short of eps). l2
-    steps seldom reach one: projecting delta + step*g/||g|| back onto the
-    sphere leaves a row an ulp from where it was, so l2 PGD on a linear
-    model usually runs every step. The stop is exact for both norms, but in
-    practice it saves linf steps.
+    can no longer change.
     """
     if spec.eps == 0:
         return np.zeros(x.shape)
-    step = _stepper(spec)
-    dtab = _start(spec, x.shape[-1])  # the distinct deltas
-    hist = np.zeros(x.shape[0], dtype=np.intp)  # each row's index into dtab; None: row i is dtab[i]
+    rows, move = _stepper(spec)
+    delta = _start(spec, *x.shape)
     points = np.empty(x.shape)
-    best_val, g = value_grad(np.add(x, dtab, out=points), True)  # the start row broadcasts
+    best_val, g = value_grad(np.add(x, delta, out=points), True)
     best_val = np.array(best_val, dtype=np.float64)  # updated in place below
-    best_delta = dtab.take(hist, axis=0)
+    best_delta = delta.copy()
     for i in range(spec.steps):
-        table, index = g
-        if hist is None or index is None:  # no two rows share a pair: a dense step
-            rows, new_hist = _gather(dtab, hist), None
-            moved = step(rows, table, index)
-        else:  # one new row per (history, gradient index) pair that occurs
-            pair = hist * len(table) + index
-            present = np.zeros(len(dtab) * len(table), dtype=bool)
-            present[pair] = True
-            codes = present.nonzero()[0]
-            rows = dtab[codes // len(table)]
-            moved = step(rows, table, codes % len(table))
-            new_hist = (np.cumsum(present) - 1).take(pair)
-        if (moved == rows).all():
+        moved = move(delta, *rows(g))
+        if (moved == delta).all():
             break
-        dtab, hist = moved, new_hist
-        if hist is None:
-            np.add(x, dtab, out=points)
-        else:
-            dtab.take(hist, axis=0, out=points, mode="clip")  # "raise" would buffer the gather
-            points += x
-        val, g = value_grad(points, i + 1 < spec.steps)  # the last iterate is only scored
+        delta = moved
+        val, g = value_grad(np.add(x, delta, out=points), i + 1 < spec.steps)  # the last iterate is only scored
         better = val > best_val
         np.copyto(best_val, val, where=better)
-        if hist is None:
-            np.copyto(best_delta, dtab, where=better[:, None])
-        else:  # only the rows that improved, gathered into points, which value_grad no longer holds
-            up = better.nonzero()[0]
-            best_delta[up] = dtab.take(hist.take(up), axis=0, out=points[: len(up)], mode="clip")
+        np.copyto(best_delta, delta, where=better[:, None])
     return best_delta
 
 
 def pgd_linear_mh_batch(
     m: RejectionModel, z: np.ndarray, y: np.ndarray, spec: AttackSpec, params: SurrogateParams
 ) -> np.ndarray:
-    """PGD on the MH loss of a linear model, vectorized over rows of z.
-    Returns per-row deltas of the best iterate (start included)."""
+    """PGD on the MH loss of a linear model (linear_mh), vectorized over the
+    rows of z: the iterates, the stop and the result of pgd on the same
+    objective with its gradient given row by row, bit for bit. Returns
+    per-row deltas of the best iterate (start included).
+
+    Every row's gradient is one of the four rows of linear_mh's table, and
+    every row starts at the same delta, so the iterate is carried the same
+    way: a table of the distinct deltas, dtab, and each row's index into it,
+    hist. A step maps each (delta row, gradient row) pair that occurs to one
+    new delta row, so it works on a few rows; only the points to score and
+    the best iterate are n x D. Each table row takes the float operations
+    that pgd applies to the rows sharing it, and dtab[hist] + z is
+    z + dtab[hist] in IEEE arithmetic, so the result is pgd's bit for bit.
+    linear_mh returns the same read-only table on every call, so its step
+    rows are computed once per attack, and a step gathers them.
+
+    From the zero start with the automatic step size, sign steps on rows
+    that keep their MH branch reach pgd's fixed point, a box corner, after
+    ceil(sqrt(steps)) steps (one more where rounding leaves that many steps
+    an ulp short of eps). l2 steps seldom reach one: projecting
+    delta + step*g/||g|| back onto the sphere leaves a row an ulp from where
+    it was, so l2 PGD on a linear model usually runs every step.
+    """
     z = np.asarray(z, dtype=np.float64)
-    return pgd(linear_mh(m, y, params), z, spec)
+    value_grad = linear_mh(m, y, params)
+    if spec.eps == 0:
+        return np.zeros(z.shape)
+    rows, move = _stepper(spec)
+    dtab = _start(spec, 1, z.shape[-1])  # the distinct deltas
+    hist = np.zeros(len(z), dtype=np.intp)  # each row's index into dtab
+    points = np.empty(z.shape)
+    best_val, g = value_grad(np.add(z, dtab, out=points), True)  # the start row broadcasts
+    step_rows, still_rows = rows(g[0])  # once: every call returns this table
+    k = len(step_rows)
+    best_delta = dtab.take(hist, axis=0)
+    for i in range(spec.steps):
+        pair = hist * k + g[1]  # one new row per (history, gradient row) pair that occurs
+        present = np.zeros(len(dtab) * k, dtype=bool)
+        present[pair] = True
+        codes = present.nonzero()[0]
+        old, row = dtab[codes // k], codes % k
+        moved = move(old, step_rows.take(row, axis=0), None if still_rows is None else still_rows.take(row, axis=0))
+        if (moved == old).all():
+            break
+        dtab, hist = moved, (np.cumsum(present) - 1).take(pair)
+        dtab.take(hist, axis=0, out=points, mode="clip")  # "raise" would buffer the gather
+        points += z
+        val, g = value_grad(points, i + 1 < spec.steps)  # the last iterate is only scored
+        better = val > best_val
+        np.copyto(best_val, val, where=better)  # best_val is linear_mh's, a new array on every call
+        up = better.nonzero()[0]  # only the rows that improved, gathered into points, which value_grad no longer holds
+        best_delta[up] = dtab.take(hist.take(up), axis=0, out=points[: len(up)], mode="clip")
+    return best_delta

@@ -253,7 +253,7 @@ def _heads_pgd(net: ToyNet, x: np.ndarray, spec: AttackSpec, heads) -> np.ndarra
         value, head = heads(f, r)
         if not grad:
             return value, None
-        return value, (net._backward(head, acts, want_input=True, want_params=False)[2], None)  # dense: no index
+        return value, net._backward(head, acts, want_input=True, want_params=False)[2]
 
     return pgd(value_grad, x, spec)
 

@@ -9,7 +9,7 @@ takes the empirical Rademacher complexity over all 2^n sign vectors, with
 ``sup_shifted_linear`` the adversarial class's supremum in closed form
 (checked against the grid and orthant oracles).
 The references at the end are not independent: ``pgd_full`` is the
-batched PGD loop without its early exit and on dense gradients,
+dense PGD loop without its early exit,
 ``linear_mh_dense`` the MH gradient of a linear model built row by row,
 ``accepted_error_delta_dense`` the exact linf attack on per-row arrays
 instead of per-label tables, ``squared_mh_head_reference`` is
@@ -323,12 +323,6 @@ def rel_err(a, b, floor=1e-8):
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
 
 
-def dense_gradient(g):
-    """The per-row gradient of a value_grad's (table, index) pair."""
-    table, index = g
-    return table if index is None else table[index]
-
-
 def dense_step(spec, delta, g):
     """One PGD step of spec from delta along the per-row gradient g: a sign
     step clipped to the box for linf, a normalized step projected onto the
@@ -344,10 +338,11 @@ def dense_step(spec, delta, g):
 
 def pgd_full(value_grad, x, spec):
     """Batched PGD run for all spec.steps steps, with no early exit: the
-    reference that ``attacks.pgd`` must match bit for bit. The start,
-    the steps and the best-iterate update are written out with the float
-    operations of the library, in the same order, on the dense per-row
-    gradient rather than on the gradient table."""
+    reference that ``attacks.pgd`` and ``attacks.pgd_linear_mh_batch``
+    must match bit for bit. value_grad gives one gradient row per point, as
+    for ``attacks.pgd``. The start, the steps and the best-iterate update
+    are written out with the float operations of the library, in the same
+    order."""
     eps = spec.eps
     delta = np.zeros(x.shape)
     if spec.random_start and eps > 0:
@@ -360,7 +355,7 @@ def pgd_full(value_grad, x, spec):
     best_val, g = value_grad(x + delta, True)
     best_delta = delta.copy()
     for i in range(spec.steps):
-        delta = dense_step(spec, delta, dense_gradient(g))
+        delta = dense_step(spec, delta, g)
         val, g = value_grad(x + delta, i + 1 < spec.steps)
         better = val > best_val
         best_val = np.where(better, val, best_val)
@@ -425,7 +420,7 @@ def toynet_heads_pgd_reference(net, x, spec, heads):
             return value, None
         head = np.empty((xa.shape[0], 2))
         head[:, 0], head[:, 1] = df, dr
-        return value, (toynet_backward_reference(net, head, acts, want_input=True, want_params=False)[2], None)
+        return value, toynet_backward_reference(net, head, acts, want_input=True, want_params=False)[2]
 
     return pgd(value_grad, x, spec)
 
@@ -528,9 +523,9 @@ def to_libsvm_reference(ds):
 
 def linear_mh_dense(m, z, y, p, grad):
     """A value_grad for pgd: the MH loss of a linear model at the rows of z
-    and, if grad, its gradient built per row from the branch formulas, as
-    a dense (table, None) pair: (alpha/2)(theta - y*gamma) on branch A,
-    -c*beta*theta on branch B, 0 for an inactive hinge."""
+    and, if grad, its gradient built per row from the branch formulas, one
+    row per point: (alpha/2)(theta - y*gamma) on branch A, -c*beta*theta on
+    branch B, 0 for an inactive hinge."""
     y = np.asarray(y, dtype=np.float64)
     f, r = m.scores_features(z)
     mh = mh_branches(r - y * f, r, p)
@@ -539,7 +534,7 @@ def linear_mh_dense(m, z, y, p, grad):
     branch_a = 0.5 * p.alpha * (m.theta - y[:, None] * m.gamma)
     branch_b = np.broadcast_to(-p.cost * p.beta * m.theta, z.shape)
     g = np.where(mh.use_a[:, None], branch_a, np.where(mh.use_b[:, None], branch_b, 0.0))
-    return mh.value, (g, None)
+    return mh.value, g
 
 
 def accepted_error_delta_dense(m, z, y, eps):

@@ -15,7 +15,6 @@ from oracles import (
     box_max_01c,
     box_max_01c_vertices,
     central_difference,
-    dense_gradient,
     dense_step,
     linear_mh_dense,
     pgd_full,
@@ -78,7 +77,7 @@ class TestFgsm:
 class TestPgd:
     def test_eps_zero_returns_clean(self, rng):
         m, z, y = one_row(rng, 2)
-        delta = pgd(lambda zd, grad: linear_mh(m, y, P13)(zd, grad), z, AttackSpec(method="pgd", eps=0.0))
+        delta = pgd(lambda zd, grad: linear_mh_dense(m, zd, y, P13, grad), z, AttackSpec(method="pgd", eps=0.0))
         assert np.array_equal(delta, [[0.0, 0.0]])
         assert mh_value(m, z + delta, y) == mh_value(m, z, y)
 
@@ -291,7 +290,8 @@ class TestLinearMhValueGrad:
 
     def test_rows_match_central_differences_away_from_kinks(self, rng):
         m, z, y = self.rows(rng)
-        grad = dense_gradient(linear_mh(m, y, self.P)(z, True)[1])
+        table, index = linear_mh(m, y, self.P)(z, True)[1]
+        grad = table[index]
         f, r = m.scores_features(z)
         a = 1.0 + 0.5 * self.P.alpha * (r - y * f)
         b = self.P.cost * (1.0 - self.P.beta * r)
@@ -331,8 +331,8 @@ class TestBatchPgd:
 
 
 class CountingObjective:
-    """value_grad for pgd that counts its calls and records every
-    gradient it returns, as one dense row per point."""
+    """value_grad that counts its calls and records every gradient it
+    returns."""
 
     def __init__(self, value_grad):
         self.value_grad = value_grad
@@ -340,7 +340,7 @@ class CountingObjective:
 
     def __call__(self, points, grad):
         value, g = self.value_grad(points, grad)
-        self.grads.append(None if g is None else dense_gradient(g))
+        self.grads.append(g)
         return value, g
 
     @property
@@ -349,8 +349,8 @@ class CountingObjective:
 
 
 class TestPgdEarlyExit:
-    """pgd stops at its first fixed point, and the result is the one
-    of the full-length loop bit for bit."""
+    """pgd and pgd_linear_mh_batch stop at their first fixed point, and
+    the result is the one of the full-length loop bit for bit."""
 
     @staticmethod
     def linear_problem(rng, features):
@@ -371,11 +371,11 @@ class TestPgdEarlyExit:
         for _ in range(3):
             m, z, y = self.linear_problem(rng, features)
             spec = AttackSpec(method="pgd", eps=eps, norm=norm, steps=20, random_start=random_start, seed=3)
-            full = pgd_full(lambda zd, grad: linear_mh(m, y, P13)(zd, grad), z, spec)
+            full = pgd_full(lambda zd, grad: linear_mh_dense(m, zd, y, P13, grad), z, spec)
             assert np.array_equal(pgd_linear_mh_batch(m, z, y, spec, P13), full)
 
     @pytest.mark.parametrize("steps", [10, 20, 50])
-    def test_linf_stops_at_the_corner(self, steps):
+    def test_linf_stops_at_the_corner(self, monkeypatch, steps):
         # every row deep in the classification branch, which it keeps over
         # the box: each gradient is fixed, so sign steps reach the corner in
         # ceil(sqrt(steps)) steps and the next step moves nothing
@@ -383,14 +383,24 @@ class TestPgdEarlyExit:
         z = np.array([[-3.0, 0.2, 0.1], [4.0, -1.0, 0.3], [-2.5, 1.0, -0.4]])
         y = np.array([1.0, -1.0, 1.0])
         spec = AttackSpec(method="pgd", eps=0.05, steps=steps)
-        objective = CountingObjective(lambda zd, grad: linear_mh(m, y, P13)(zd, grad))
+        objective = CountingObjective(lambda zd, grad: linear_mh_dense(m, zd, y, P13, grad))
         deltas = pgd(objective, z, spec)
         assert all(np.array_equal(g, objective.grads[0]) for g in objective.grads)
         assert objective.calls == math.ceil(math.sqrt(steps)) + 1 < steps + 1
         assert np.array_equal(deltas, 0.05 * np.sign(objective.grads[0]))
+        # the delta-table walk stops at the same step
+        build, walks = attacks.linear_mh, []
+
+        def counting_build(*args):
+            walks.append(CountingObjective(build(*args)))
+            return walks[-1]
+
+        monkeypatch.setattr(attacks, "linear_mh", counting_build)
+        assert pgd_linear_mh_batch(m, z, y, spec, P13).tobytes() == deltas.tobytes()
+        assert walks[0].calls == objective.calls
 
     def test_zero_gradient_stops_at_the_start(self):
-        objective = CountingObjective(lambda xd, grad: (np.zeros(len(xd)), (np.zeros_like(xd), None)))
+        objective = CountingObjective(lambda xd, grad: (np.zeros(len(xd)), np.zeros_like(xd)))
         deltas = pgd(objective, np.ones((4, 2)), AttackSpec(method="pgd", eps=0.1, steps=20))
         assert objective.calls == 1
         assert np.array_equal(deltas, np.zeros((4, 2)))
@@ -402,7 +412,7 @@ class TestPgdEarlyExit:
 
         def value_grad(xd, grad):
             flips.append(len(flips) % 2)
-            return -np.abs(xd).sum(axis=1), ((1.0 - 2.0 * flips[-1]) * np.ones_like(xd), None)
+            return -np.abs(xd).sum(axis=1), (1.0 - 2.0 * flips[-1]) * np.ones_like(xd)
 
         x = np.zeros((5, 3))
         spec = AttackSpec(method="pgd", eps=0.3, norm=norm, steps=20, step_size=0.1)
@@ -414,33 +424,14 @@ class TestPgdEarlyExit:
 
 
 class TestDeltaTable:
-    """pgd carries its iterate as a table of distinct deltas and each row's
-    history into it: the same objective given as (table, index) and given
-    dense gives the same bytes, x is left as it is, and the memory of a
-    call does not grow with its steps."""
-
-    @staticmethod
-    def objectives(m, y):
-        """The linear MH objective with its gradient as (table, index), and
-        the same with the gradient dense, (table[index], None). The first
-        also returns the index of every gradient it gives."""
-        indices = []
-
-        def tabular(points, grad):
-            value, g = linear_mh(m, y, P13)(points, grad)
-            if g is not None:
-                indices.append(g[1])
-            return value, g
-
-        def dense(points, grad):
-            value, g = linear_mh(m, y, P13)(points, grad)
-            return value, None if g is None else (dense_gradient(g), None)
-
-        return tabular, dense, indices
+    """pgd_linear_mh_batch carries its iterate as a table of distinct
+    deltas and each row's history into it, and gives the bytes of pgd on
+    the same objective with dense gradients. Both loops leave x as it is,
+    and the memory of a call does not grow with its steps."""
 
     @pytest.mark.parametrize("random_start", [False, True])
     @pytest.mark.parametrize("norm", ["linf", "l2"])
-    def test_table_and_dense_gradients_give_the_same_bytes(self, rng, norm, random_start):
+    def test_walk_gives_the_bytes_of_the_dense_loop(self, rng, monkeypatch, norm, random_start):
         # with gamma = 1.2*theta on the first coordinate, A's ascent
         # direction raises B faster than A, so a label +1 row in branch A
         # moves into B after a number of steps set by its distance to the
@@ -451,11 +442,24 @@ class TestDeltaTable:
                           seed=11)
         z = rng.standard_normal((60, 3))
         z[:, 0] = rng.uniform(-3.4, 1.0, 60)
-        z -= attacks._start(spec, 3)
+        z -= attacks._start(spec, 1, 3)
         y = np.where(rng.random(60) < 0.7, 1.0, -1.0)
-        tabular, dense, indices = self.objectives(m, y)
-        got = pgd(tabular, z, spec)
-        assert got.tobytes() == pgd(dense, z, spec).tobytes()
+        build, indices = attacks.linear_mh, []
+
+        def recording_build(*args):
+            value_grad = build(*args)
+
+            def recording(points, grad):
+                value, g = value_grad(points, grad)
+                if g is not None:
+                    indices.append(g[1])
+                return value, g
+
+            return recording
+
+        monkeypatch.setattr(attacks, "linear_mh", recording_build)
+        got = pgd_linear_mh_batch(m, z, y, spec, P13)
+        assert got.tobytes() == pgd(lambda zd, grad: linear_mh_dense(m, zd, y, P13, grad), z, spec).tobytes()
         # a row's history is the gradient rows of the steps it took; the
         # last gradient may have set no step, so it is left out
         histories = np.unique(np.stack(indices[:-1], axis=1), axis=0)
@@ -469,41 +473,45 @@ class TestDeltaTable:
         y = np.where(rng.random(30) < 0.5, 1.0, -1.0)
         before = z.copy()
         spec = AttackSpec(method="pgd", eps=0.3, norm=norm, steps=10, random_start=random_start, seed=2)
-        for objective in self.objectives(m, y)[:2]:
-            pgd(objective, z, spec)
-            assert z.tobytes() == before.tobytes()
+        pgd(lambda zd, grad: linear_mh_dense(m, zd, y, P13, grad), z, spec)
+        assert z.tobytes() == before.tobytes()
+        pgd_linear_mh_batch(m, z, y, spec, P13)
+        assert z.tobytes() == before.tobytes()
 
     def test_memory_does_not_grow_with_steps(self, rng):
         # steps of 1e-3 in a ball of radius 1 reach no fixed point, so every call runs all its steps
         m = random_linear_model(rng, 100)
         z = 0.1 * rng.standard_normal((200, 100))
         y = np.where(rng.random(200) < 0.5, 1.0, -1.0)
-        peaks = {}
+        dense, walk = {}, {}
         for steps in (5, 100):
             spec = AttackSpec(method="pgd", eps=1.0, norm="l2", steps=steps, step_size=1e-3)
             calls = []
 
             def counting(zd, grad):
                 calls.append(grad)
-                return linear_mh(m, y, P13)(zd, grad)
+                return linear_mh_dense(m, zd, y, P13, grad)
 
-            pgd(counting, z, spec)
+            dense[steps], _ = traced_peak(pgd, counting, z, spec)
             assert len(calls) == steps + 1
-            peaks[steps], _ = traced_peak(pgd_linear_mh_batch, m, z, y, spec, P13)
-        assert peaks[100] <= peaks[5] + z.nbytes // 20  # no per-step history
-        assert peaks[100] < 3 * z.nbytes  # the points to score, the best iterate and small arrays
+            walk[steps], _ = traced_peak(pgd_linear_mh_batch, m, z, y, spec, P13)
+        # no per-step history
+        assert dense[100] <= dense[5] + z.nbytes // 20
+        assert walk[100] <= walk[5] + z.nbytes // 20
+        assert walk[100] < 3 * z.nbytes  # the points to score, the best iterate and small arrays
 
 
 class TestOncePerAttack:
     """What a linear PGD step reads that depends only on the model, the
     labels and the spec is built once per attack: the branch table once per
-    pgd_linear_mh_batch call, and the step rows once per table object."""
+    pgd_linear_mh_batch call, and its step rows from it. pgd, whose
+    gradient may change with every call, takes its step rows from each."""
 
     @pytest.mark.parametrize("norm", ["linf", "l2"])
     def test_a_new_table_every_call_gives_the_full_loop_bytes(self, rng, norm):
-        # each call returns a fresh table of one shape with new values, so
-        # step rows reused by anything but the table's identity (its shape,
-        # say) would step along an earlier call's gradient
+        # each call draws its gradient rows from a fresh table of one shape
+        # with new values, so step rows kept from an earlier call (as the
+        # linear walk keeps its own) would step along an old gradient
         x = rng.standard_normal((40, 5))
         index = rng.integers(0, 4, 40)
         w = rng.standard_normal(5)
@@ -513,7 +521,7 @@ class TestOncePerAttack:
             table = np.random.default_rng(len(calls)).standard_normal((4, 5))
             table[0] = 0.0  # no move for l2
             calls.append(table)
-            return points @ w, (table, index) if grad else None
+            return points @ w, table[index] if grad else None
 
         spec = AttackSpec(method="pgd", eps=0.3, norm=norm, steps=20)
         got = pgd(value_grad, x, spec)
@@ -642,12 +650,13 @@ class TestTablesMatchDense:
         spec = AttackSpec(method="pgd", eps=0.3, norm=norm, step_size=0.1)
         table = rng.standard_normal((4, 5))
         table[0] = 0.0
-        index = rng.integers(0, 4, 300)
+        g = table[rng.integers(0, 4, 300)]
         delta = rng.uniform(-1.0, 1.0, (300, 5)) * rng.choice([0.1, 0.3, 1.0], (300, 1))
         if norm == "l2":
             delta[::3] *= 0.3 / np.linalg.norm(delta[::3], axis=1, keepdims=True)
-        got = attacks._stepper(spec)(delta, table, index)
-        assert got.tobytes() == dense_step(spec, delta, table[index]).tobytes()
+        rows, move = attacks._stepper(spec)
+        got = move(delta, *rows(g))
+        assert got.tobytes() == dense_step(spec, delta, g).tobytes()
 
     @pytest.mark.parametrize("eps", EPS)
     @pytest.mark.parametrize("kind", KINDS)
@@ -655,7 +664,7 @@ class TestTablesMatchDense:
         for _ in range(3):
             m, z, y = self.problem(rng, kind)
             got = _candidate_deltas(m, z, y, AttackSpec(method="fgsm", eps=eps), P13)["fgsm"]
-            assert got.tobytes() == (eps * np.sign(linear_mh_dense(m, z, y, P13, True)[1][0])).tobytes()
+            assert got.tobytes() == (eps * np.sign(linear_mh_dense(m, z, y, P13, True)[1])).tobytes()
 
     @pytest.mark.parametrize("eps", EPS)
     @pytest.mark.parametrize("kind", KINDS)

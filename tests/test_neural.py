@@ -155,8 +155,8 @@ class TestGradients:
         expected = [(sq, df, dr), (-y * f, -y, zero), (-r, zero, -np.ones_like(y)), (sq, df, dr)]
         assert len(captured) == len(expected)
         for value_grad, (want, df, dr) in zip(captured, expected):
-            value, (grad, index) = value_grad(x, True)
-            assert index is None  # the network's gradient is dense: one row per point
+            value, grad = value_grad(x, True)
+            assert grad.shape == x.shape  # the network's gradient is dense: one row per point
             assert np.array_equal(value, want)
             assert np.array_equal(grad, net._backward(np.stack([df, dr], axis=1), acts, want_input=True)[2])
             assert value_grad(x, False)[1] is None
