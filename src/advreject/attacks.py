@@ -118,31 +118,31 @@ def _stepper(spec: AttackSpec):
     for linf, a normalized-gradient step projected onto the ball for l2 (no
     move where the gradient is 0).
 
-    rows(g) gives the step rows of the gradient rows g, in a new array
-    (step*sgn(g) for linf; step*g/||g|| for l2), and the rows that do not
-    move (where g = 0 for l2; None for linf). move(delta, out, still) adds
+    rows(g, out) gives the step rows of the gradient rows g in out (new if
+    None): step*sgn(g) for linf, step*g/||g|| for l2; and the rows that do
+    not move (where g = 0 for l2; None for linf). move(delta, out, still) adds
     delta to the step rows out in place, clips or projects the sum, keeps
     delta where still, and returns out. Both act row by row, so step rows
     taken on a table of gradient rows and then gathered are those of the
     gathered gradient rows."""
-    eps, step = spec.eps, spec.resolved_step()
+    eps, neg_eps, step = np.array(spec.eps), np.array(-spec.eps), np.array(spec.resolved_step())
 
-    def linf_rows(g):
-        out = np.sign(g)
+    def linf_rows(g, out=None):
+        out = np.sign(g, out=out)
         out *= step
         return out, None
 
-    def l2_rows(g):
+    def l2_rows(g, out=None):
         gn = _row_norms(g)
         moving = gn > 0
-        out = step * g
+        out = np.multiply(step, g, out=out)
         out /= np.where(moving, gn, 1.0)
         return out, ~moving
 
     def linf_move(delta, out, still):
         out += delta  # one buffer carries delta + step*sgn(g) to the clip
         np.minimum(out, eps, out=out)
-        return np.maximum(out, -eps, out=out)
+        return np.maximum(out, neg_eps, out=out)
 
     def l2_move(delta, out, still):
         out += delta
@@ -223,7 +223,10 @@ def pgd(value_grad, x: np.ndarray, spec: AttackSpec) -> np.ndarray:
     if grad, its gradient there, one row per point (None otherwise). One
     call both scores an iterate and sets the next step. points is one buffer
     that pgd rewrites every step, so value_grad must not keep it (nor a view
-    of it) beyond the call. The iterate and the best iterate are n x D.
+    of it) beyond the call. In turn value_grad may return the same value
+    and gradient arrays on every call: pgd copies what it keeps of them
+    before its next call. The iterate and the best iterate are n x D; a
+    step writes the next iterate into a second buffer, then swaps the two.
 
     One step is the ascent step with the radius and step size resolved
     once per call of pgd, a call of value_grad, and the best-iterate
@@ -242,19 +245,21 @@ def pgd(value_grad, x: np.ndarray, spec: AttackSpec) -> np.ndarray:
         return np.zeros(x.shape)
     rows, move = _stepper(spec)
     delta = _start(spec, *x.shape)
-    points = np.empty(x.shape)
+    points, spare, same = np.empty(x.shape), np.empty(x.shape), np.empty(x.shape, bool)
     best_val, g = value_grad(np.add(x, delta, out=points), True)
-    best_val = np.array(best_val, dtype=np.float64)  # updated in place below
+    best_val = np.array(best_val, dtype=np.float64)  # a copy, updated in place below
     best_delta = delta.copy()
+    better = np.empty(best_val.shape, bool)
+    better_rows = better[:, None]
     for i in range(spec.steps):
-        moved = move(delta, *rows(g))
-        if (moved == delta).all():
+        moved = move(delta, *rows(g, spare))
+        if np.equal(moved, delta, out=same).all():
             break
-        delta = moved
+        delta, spare = moved, delta
         val, g = value_grad(np.add(x, delta, out=points), i + 1 < spec.steps)  # the last iterate is only scored
-        better = val > best_val
+        np.greater(val, best_val, out=better)
         np.copyto(best_val, val, where=better)
-        np.copyto(best_delta, delta, where=better[:, None])
+        np.copyto(best_delta, delta, where=better_rows)
     return best_delta
 
 

@@ -101,8 +101,8 @@ def _candidate_deltas(
             raise ValueError(f"method {spec.method!r} does not apply to a network, which takes pgd or none")
         margin, reject = np.zeros((len(y), 2)), np.zeros((len(y), 2))  # the constant d/df, d/dr of -y f and -r
         margin[:, 0], reject[:, 1] = -y, -1.0
-        deltas["pgd_margin"] = _heads_pgd(m, z, spec, lambda f, r: (-y * f, margin))
-        deltas["pgd_reject"] = _heads_pgd(m, z, spec, lambda f, r: (-r, reject))
+        deltas["pgd_margin"] = _heads_pgd(m, z, spec, lambda f, r, grad: (-y * f, margin))
+        deltas["pgd_reject"] = _heads_pgd(m, z, spec, lambda f, r, grad: (-r, reject))
         deltas["pgd"] = _heads_pgd(m, z, spec, _mh_head(y, params))
     elif spec.method == "analytic_linear":
         # shift_reject first, so shift_margin wins only where it reaches an accepted error

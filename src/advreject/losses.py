@@ -52,6 +52,11 @@ class SurrogateParams:
             raise ValueError("cost must lie in (0, 0.5)")
 
 
+# read-only 0-d float64 operands: numpy converts a Python float operand on
+# every ufunc call and a 0-d array not, with the same bits
+ZERO, ONE = np.zeros(()), np.ones(())
+ZERO.flags.writeable = ONE.flags.writeable = False
+
 # cost given to the no-rejection modes (svm/at): their rejector never
 # fires, so any valid cost trains the same model; evaluation charges it
 NO_REJECT_COST = 0.25
@@ -93,7 +98,7 @@ class MHBranches(NamedTuple):
     use_b: np.ndarray
 
 
-def mh_branches(gap, r, p: SurrogateParams) -> MHBranches:
+def mh_branches(gap, r, p: SurrogateParams, out: MHBranches | None = None) -> MHBranches:
     """The two MH branches A = 1 + (alpha/2) gap and B = c (1 - beta r), the
     loss max(A, B, 0), and which branch is active per sample.
 
@@ -102,22 +107,24 @@ def mh_branches(gap, r, p: SurrogateParams) -> MHBranches:
     activates neither branch, so it contributes no gradient.
 
     Accepts scalars or arrays. A, B and the masks are built in place after
-    their first step. The masks use_a = (A >= B) & (A > 0) and
+    their first step, in new arrays or in the five of out, which then holds
+    the result. The masks use_a = (A >= B) & (A > 0) and
     use_b = (B > A) & (B > 0) come from value > 0, which holds exactly
     where one of them does: value is max(A, 0) where A >= B, max(B, 0)
     where B > A, and NaN where A or B is.
     """
-    a = 0.5 * p.alpha * gap
-    a += 1.0
-    b = -p.beta * r  # 1 + (-beta r) is 1 - beta r, bit for bit
-    b += 1.0
+    a, b, value, use_a, use_b = out or (None,) * 5
+    a = np.multiply(gap, 0.5 * p.alpha, out=a)
+    a += ONE
+    b = np.multiply(r, -p.beta, out=b)  # 1 + (-beta r) is 1 - beta r, bit for bit
+    b += ONE
     b *= p.cost
-    value = np.maximum(np.maximum(a, b), 0.0)
-    use_a = a >= b
-    use_b = value > 0.0
+    value = np.maximum(np.maximum(a, b, out=value), ZERO, out=value)
+    use_a = np.greater_equal(a, b, out=use_a)
+    use_b = np.greater(value, ZERO, out=use_b)
     use_a &= use_b  # where A >= B, value = max(A, 0)
     use_b ^= use_a  # the rest of value > 0, where B > A
-    return MHBranches(a, b, value, use_a, use_b)
+    return out or MHBranches(a, b, value, use_a, use_b)
 
 
 def worst_case_l1(theta: np.ndarray, gamma: np.ndarray, eps: float) -> tuple[np.ndarray, tuple[float, float, float]]:

@@ -22,9 +22,12 @@ outer gradient step is taken at those points.
 The loop works on arrays of 64 x 32 and smaller, so its time goes to numpy
 dispatch more than to arithmetic. Every rule that cuts it is exact:
 products go through ``ndarray.dot``, which makes the BLAS call ``@`` makes
-with less dispatch; the head folds the 2 of 2m into its constants
-(doubling is exact), builds -alpha y once per label vector, and writes
-its derivatives straight into the (n, 2) array. The relu derivative stays
+with less dispatch; an attack repeats each bias over its rows once, as a
+full add dispatches faster than a broadcast one; the head makes its
+buffers once per label vector and every call rewrites them; scalar
+operands are 0-d arrays, which numpy does not convert on every call; the
+head folds the 2 of 2m into its constants (doubling is exact); and the
+last, score-only iterate builds no derivative. The relu derivative stays
 the boolean mask a > 0: a NaN activation (an overflowing layer) gets
 derivative 0 from it, where np.sign would give NaN and change what pgd
 finds. tests/test_neural_bytes.py pins the bytes of trained nets, loss
@@ -40,14 +43,14 @@ import numpy as np
 
 from .attacks import AttackSpec, pgd
 from .data import Dataset
-from .losses import SurrogateParams, mh_branches
+from .losses import ONE, ZERO, MHBranches, SurrogateParams, mh_branches
 from .losses import loss_01c  # noqa: F401  perfbench's tracer wraps neural.loss_01c by name
 
 # (activation applied in place, its derivative written in terms of the
 # activation's output; relu's is the boolean mask, 0 at a NaN output)
 _ACTIVATIONS = {
-    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda a: a > 0.0),
-    "tanh": (lambda z: np.tanh(z, out=z), lambda a: 1.0 - a**2),
+    "relu": (lambda z: np.maximum(z, ZERO, out=z), lambda a: a > ZERO),
+    "tanh": (lambda z: np.tanh(z, out=z), lambda a: ONE - a**2),
 }
 
 
@@ -99,18 +102,20 @@ class ToyNet:
         """Final-layer weight vector of the f head (the decayed one)."""
         return self.weights[-1][0]
 
-    def _forward_cache(self, x: np.ndarray):
-        """x: (n, d). Returns (f, r, activations), the input first."""
+    def _forward_cache(self, x: np.ndarray, biases=None):
+        """x: (n, d). Returns (f, r, activations), the input first; biases,
+        if given, are this net's repeated over the n rows."""
         act, _ = _ACTIVATIONS[self.activation]
+        biases = biases or self.biases
         a = x
         acts = [x]
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+        for w, b in zip(self.weights[:-1], biases):
             a = a.dot(w.T)
             a += b
             act(a)
             acts.append(a)
         out = a.dot(self.weights[-1].T)
-        out += self.biases[-1]
+        out += biases[-1]
         return out[:, 0], out[:, 1], acts
 
     def forward(self, x: np.ndarray):
@@ -181,38 +186,49 @@ class NeuralTrainConfig:
             raise ValueError("attack.random_start must be false: neural PGD starts at the clean point")
         if not 0 <= self.lam_w < math.inf:
             raise ValueError("lam_w must be finite and nonnegative")
+        ints = {"epochs": self.epochs, "batch_size": self.batch_size, "seed": self.seed}
+        for name, value in [*ints.items(), *((f"hidden[{i}]", h) for i, h in enumerate(self.hidden))]:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be int, got {type(value).__name__}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not 0 < self.lr < math.inf:
             raise ValueError("lr must be finite and positive")
-        if not all(isinstance(h, int) and h > 0 for h in self.hidden):
+        if not all(h > 0 for h in self.hidden):
             raise ValueError("hidden must be positive integers")
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"activation must be one of {'/'.join(_ACTIVATIONS)}, got {self.activation!r}")
 
 
 def _mh_head(y, p: SurrogateParams):
-    """The squared-MH head kernel for labels y: heads(f, r) gives the loss
-    per sample and an (n, 2) array of its derivatives d/df and d/dr, the
-    input of ``ToyNet._backward``. With m = max(A, B, 0) they are
-    2m (-(alpha/2) y) and 2m (alpha/2) where branch A is active, 0 and
-    2m (-c beta) where B is, and 0 elsewhere. Doubling is exact, so they
-    are computed as m (-alpha y), m alpha and m (-2 c beta), with no 2m
-    array; branch A's row of factors is built once, here, not on every
-    call."""
-    along_a = np.empty((len(y), 2))  # d/df and d/dr of branch A, over m
+    """The squared-MH head kernel for labels y: heads(f, r, grad) gives the
+    loss per sample and, if grad, an (n, 2) array of its derivatives d/df
+    and d/dr, the input of ``ToyNet._backward`` (None otherwise). With
+    m = max(A, B, 0) they are 2m (-(alpha/2) y) and 2m (alpha/2) where
+    branch A is active, 0 and 2m (-c beta) where B is, and 0 elsewhere.
+    Doubling is exact, so they are computed as m (-alpha y), m alpha and
+    m (-2 c beta), with no 2m array. Branch A's row of factors and every
+    buffer are built once, here: every call rewrites and returns the same
+    value and derivative arrays."""
+    n = len(y)
+    along_a = np.empty((n, 2))  # d/df and d/dr of branch A, over m
     along_a[:, 0], along_a[:, 1] = -p.alpha * y, p.alpha
-    neg_2cb = -2.0 * p.cost * p.beta
+    neg_2cb = np.array(-2.0 * p.cost * p.beta)
+    gap = np.empty(n)
+    branches = MHBranches(np.empty(n), np.empty(n), np.empty(n), np.empty(n, bool), np.empty(n, bool))
+    m, m_col, use_a_col = branches.value, branches.value[:, None], branches.use_a[:, None]
+    head = np.empty((n, 2))
+    head_r = head[:, 1]
 
-    def heads(f, r):
-        mh = mh_branches(r - y * f, r, p)
-        m = mh.value
-        head = np.zeros(along_a.shape)
-        np.multiply(m[:, None], along_a, out=head, where=mh.use_a[:, None])
-        np.multiply(m, neg_2cb, out=head[:, 1], where=mh.use_b)
-        return np.square(m, out=m), head
+    def heads(f, r, grad=True):
+        mh_branches(np.subtract(r, np.multiply(y, f, out=gap), out=gap), r, p, out=branches)
+        if grad:
+            head.fill(0.0)
+            np.multiply(m_col, along_a, out=head, where=use_a_col)
+            np.multiply(m, neg_2cb, out=head_r, where=branches.use_b)
+        return np.square(m, out=m), head if grad else None
 
     return heads
 
@@ -231,7 +247,7 @@ def _loss_grads(net: ToyNet, x: np.ndarray, y: np.ndarray, cfg: NeuralTrainConfi
     loss = float(np.mean(sq)) + 0.5 * cfg.lam_w * float(w @ w)
 
     def grads():
-        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(r))):
+        if not (np.isfinite(f).all() and np.isfinite(r).all()):
             raise FloatingPointError("non-finite network output")
         gws, gbs, dx = net._backward(head, acts, want_input)
         gws[-1][0] += cfg.lam_w * net.top_weights
@@ -241,16 +257,18 @@ def _loss_grads(net: ToyNet, x: np.ndarray, y: np.ndarray, cfg: NeuralTrainConfi
 
 
 def _heads_pgd(net: ToyNet, x: np.ndarray, spec: AttackSpec, heads) -> np.ndarray:
-    """Batch PGD on a per-sample objective of the two heads; heads(f, r)
-    gives its value and an (n, 2) array of its d/df and d/dr, the backward
-    pass's input, which may be the same array on every call. One step is
-    one forward pass, which scores the iterate, and a backward pass to the
-    input only (no parameter gradients), which sets the next step. Returns
-    the per-row deltas of the best iterate, the clean point included."""
+    """Batch PGD on a per-sample objective of the two heads; heads(f, r,
+    grad) gives its value and, if grad, an (n, 2) array of its d/df and
+    d/dr, the backward pass's input, each of which may be the same array on
+    every call. One step is one forward pass, which scores the iterate, and
+    a backward pass to the input only (no parameter gradients), which sets
+    the next step. Returns the per-row deltas of the best iterate, the
+    clean point included."""
+    biases = [np.repeat(b[None], len(x), axis=0) for b in net.biases]
 
     def value_grad(xa, grad):
-        f, r, acts = net._forward_cache(xa)
-        value, head = heads(f, r)
+        f, r, acts = net._forward_cache(xa, biases)
+        value, head = heads(f, r, grad)
         if not grad:
             return value, None
         return value, net._backward(head, acts, want_input=True, want_params=False)[2]
@@ -282,8 +300,8 @@ def train_neural(ds: Dataset, cfg: NeuralTrainConfig) -> tuple[ToyNet, np.ndarra
         epoch_losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            xb = _inner_pgd_batch(net, x_all[idx], y_all[idx], cfg)
-            loss, grads = _loss_grads(net, xb, y_all[idx], cfg)
+            yb = y_all[idx]
+            loss, grads = _loss_grads(net, _inner_pgd_batch(net, x_all[idx], yb, cfg), yb, cfg)
             if not np.isfinite(loss):
                 raise FloatingPointError(f"training loss diverged at epoch {epoch}")
             epoch_losses.append(loss)

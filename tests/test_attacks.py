@@ -560,6 +560,37 @@ class TestOncePerAttack:
             tables[0][0, 0] = 1.0
 
 
+class TestReusedBuffers:
+    """pgd's buffer rule: value_grad may return the same value and gradient
+    arrays on every call, rewritten, because pgd copies what it keeps of
+    them before its next call."""
+
+    @pytest.mark.parametrize("random_start", [False, True])
+    @pytest.mark.parametrize("norm", ["linf", "l2"])
+    def test_one_reused_pair_gives_the_bytes_of_fresh_arrays(self, rng, norm, random_start):
+        # a wavy objective: rows find their best iterate at different steps
+        x = rng.standard_normal((30, 4))
+        phase = rng.uniform(0, 2 * np.pi, (30, 4))
+
+        def fresh(points, grad):
+            return np.sin(3 * points + phase).sum(axis=1), 3 * np.cos(3 * points + phase) if grad else None
+
+        value, gradient = np.empty(30), np.empty((30, 4))
+
+        def reused(points, grad):
+            v, g = fresh(points, grad)
+            value[...] = v
+            if g is None:
+                return value, None
+            gradient[...] = g
+            return value, gradient
+
+        spec = AttackSpec(method="pgd", eps=0.5, norm=norm, steps=20, random_start=random_start, seed=2)
+        want = pgd(fresh, x, spec)
+        assert pgd(reused, x, spec).tobytes() == want.tobytes()
+        assert want.tobytes() == pgd_full(fresh, x, spec).tobytes()
+
+
 class TestLabelCheck:
     """The linear attacks and the linear worst case pick per-label table
     rows by the sign of y, so a label other than +-1 is an error."""

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from advreject import neural
-from advreject.attacks import AttackSpec
+from advreject.attacks import AttackSpec, pgd
 from advreject.data import Dataset
 from advreject.losses import SurrogateParams
 from advreject.neural import (
@@ -161,6 +161,45 @@ class TestGradients:
             assert np.array_equal(grad, net._backward(np.stack([df, dr], axis=1), acts, want_input=True)[2])
             assert value_grad(x, False)[1] is None
 
+    @pytest.mark.parametrize("norm", ["linf", "l2"])
+    def test_head_builds_a_derivative_only_for_a_gradient_call(self, rng, monkeypatch, norm):
+        # one inner attack that runs every step: the last, score-only
+        # iterate must leave the head's derivative array untouched
+        net = random_net(rng, hidden=(6, 5), activation="tanh")
+        x = rng.standard_normal((20, 3))
+        y = np.where(rng.random(20) < 0.5, 1.0, -1.0)
+        pgd_grads, head_grads, built = [], [], []
+        real_mh_head = neural._mh_head
+
+        def counting_pgd(value_grad, x0, spec):
+            def counted(points, grad):
+                pgd_grads.append(grad)
+                return value_grad(points, grad)
+
+            return pgd(counted, x0, spec)
+
+        def counting_head(yv, p):
+            heads = real_mh_head(yv, p)
+
+            def counted(f, r, grad=True):
+                last = built[-1].copy() if built else None
+                value, head = heads(f, r, grad)
+                head_grads.append(grad)
+                if grad:
+                    built.append(head)
+                else:  # the last derivative built is as it was
+                    assert head is None and np.array_equal(built[-1], last, equal_nan=True)
+                return value, head
+
+            return counted
+
+        monkeypatch.setattr(neural, "pgd", counting_pgd)
+        monkeypatch.setattr(neural, "_mh_head", counting_head)
+        spec = AttackSpec(method="pgd", eps=0.5, norm=norm, steps=8)
+        _inner_pgd_batch(net, x, y, NeuralTrainConfig(params=P13, attack=spec))
+        assert head_grads == pgd_grads == [True] * spec.steps + [False]
+        assert len(built) == pgd_grads.count(True)
+
     @pytest.mark.parametrize(
         "activation, dact",
         [
@@ -294,8 +333,8 @@ class TestTraining:
         def attacks():
             return [
                 _inner_pgd_batch(net, ds.x, y, cfg),
-                neural._heads_pgd(net, ds.x, spec, lambda f, r: (-y * f, margin)),
-                neural._heads_pgd(net, ds.x, spec, lambda f, r: (-r, reject)),
+                neural._heads_pgd(net, ds.x, spec, lambda f, r, grad: (-y * f, margin)),
+                neural._heads_pgd(net, ds.x, spec, lambda f, r, grad: (-r, reject)),
             ]
 
         early = attacks()
@@ -319,6 +358,22 @@ class TestTraining:
     def test_inner_attack_must_be_pgd_or_none(self):
         with pytest.raises(ValueError):
             NeuralTrainConfig(attack=AttackSpec(method="fgsm", eps=0.1))
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"hidden": (True, 3)}, "hidden[0] must be int, got bool"),
+            ({"hidden": (3, 2.0)}, "hidden[1] must be int, got float"),
+            ({"batch_size": True}, "batch_size must be int, got bool"),
+            ({"epochs": True}, "epochs must be int, got bool"),
+            ({"seed": False}, "seed must be int, got bool"),
+        ],
+    )
+    def test_ints_refuse_bools(self, kwargs, message):
+        # True would pass as 1: a 1-unit layer, batches of one row, one epoch
+        with pytest.raises(ValueError, match=re.escape(message)):
+            NeuralTrainConfig(**kwargs)
+        assert NeuralTrainConfig(hidden=(np.int64(3),), epochs=np.int64(2)).hidden == (3,)
 
     def test_random_start_rejected(self):
         with pytest.raises(ValueError, match="attack.random_start"):

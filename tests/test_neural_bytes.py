@@ -1,11 +1,13 @@
 """The toy network's trained bytes, pinned: training and attacks on the
 library's forward, backward and head give the same net, loss trace and
 attacked risk, bit for bit, as on the references in tests/oracles.py
-(``@`` products, the boolean relu mask and the head's 2m factor). It
-imports no private name and patches only ``ToyNet._forward_cache``,
-``neural._inner_pgd_batch``, ``neural._loss_grads`` and
-``evaluate._candidate_deltas``, whose signatures the head kernel's
-rewrite kept, so the same file checks the code before and after it."""
+(``@`` products, the boolean relu mask and the head's 2m factor).
+``TestPinnedBytes`` imports no private name and patches only
+``ToyNet._forward_cache``, ``neural._inner_pgd_batch``,
+``neural._loss_grads`` and ``evaluate._candidate_deltas``, whose
+signatures the head kernel's rewrite kept, so it checks the code before
+and after it. ``TestBatchShapeBytes`` runs the inner max and the outer
+step at batch shapes the training runs above do not reach."""
 
 import numpy as np
 import pytest
@@ -109,3 +111,32 @@ class TestPinnedBytes:
         assert got == run()
         assert np.frombuffer(got[0][0][2])[:2].tolist() == [1.0, 1.0]  # linf's worst loss
         assert got[1] == "training loss diverged at epoch 0"
+
+
+class TestBatchShapeBytes:
+    """The inner max and the outer step give the references' bytes at the
+    neural-minmax workload's batches (64 rows, and 16 in its last: 400 =
+    6 x 64 + 16) and at 37 and 38 rows, where OpenBLAS changes how it sums
+    a product with a transposed 32 x 32 operand."""
+
+    @pytest.mark.parametrize("norm", ["linf", "l2"])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("rows", [16, 37, 38, 64])
+    def test_inner_max_and_outer_step_match_reference(self, rows, activation, norm):
+        rng = np.random.default_rng(rows)
+        x = rng.standard_normal((rows, 2))
+        y = np.where(rng.random(rows) < 0.5, 1.0, -1.0)
+        cfg = NeuralTrainConfig(params=SurrogateParams(alpha=2.0, beta=2.0, cost=0.2),
+                                attack=AttackSpec(method="pgd", eps=0.1, steps=10, norm=norm), hidden=(32, 32),
+                                activation=activation)
+        net = ToyNet.init(2, (32, 32), activation, seed=1)
+        net = ToyNet(net.weights, [rng.normal(0.0, 0.1, b.shape) for b in net.biases], activation)
+
+        def step_bytes(loss, grads):
+            gws, gbs, dx = grads()
+            return loss, [g.tobytes() for g in gws + gbs + [dx]]
+
+        attacked = oracles.toynet_inner_pgd_reference(net, x, y, cfg)
+        assert neural._inner_pgd_batch(net, x, y, cfg).tobytes() == attacked.tobytes()
+        want = step_bytes(*oracles.toynet_loss_grads_reference(net, attacked, y, cfg, want_input=True))
+        assert step_bytes(*neural._loss_grads(net, attacked, y, cfg, want_input=True)) == want
