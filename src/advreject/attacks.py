@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_numbers
 from .losses import SurrogateParams, mh_branches, pm1_labels
 from .model import RejectionModel
 
@@ -50,17 +51,15 @@ class AttackSpec:
     seed: int = 0
 
     def __post_init__(self):
+        step = () if isinstance(self.step_size, str) else ("step_size",)  # "auto", or refused below
+        check_numbers(self, nonnegative=("eps",), counts=("steps",), ints=("seed",), floats=step)
         if self.method not in ("none", "analytic_linear", "fgsm", "pgd"):
             raise ValueError(f"method must be one of none/analytic_linear/fgsm/pgd, got {self.method!r}")
-        if not 0 <= self.eps < math.inf:
-            raise ValueError("eps must be finite and nonnegative")
         if self.norm not in ("linf", "l2"):
             raise ValueError(f"norm must be linf or l2, got {self.norm!r}")
         if self.method in ("analytic_linear", "fgsm") and self.norm != "linf":
             raise ValueError(f"norm must be linf for method {self.method}")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.step_size != "auto" and not (isinstance(self.step_size, (int, float)) and 0 < self.step_size < math.inf):
+        if self.step_size != "auto" and not (step and 0 < self.step_size < math.inf):
             raise ValueError("step_size must be finite and positive, or 'auto'")
 
     def resolved_step(self) -> float:

@@ -13,15 +13,14 @@ training and scoring alike.
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from . import evaluate  # called as evaluate.evaluate_model, the name perfbench's tracer wraps
 from .attacks import AttackSpec
-from .data import Dataset, check_scheme, normalize, split
+from .data import Dataset, check_numbers, check_scheme, csv_text, normalize, split
 from .losses import NO_REJECT_COST, SurrogateParams
 from .model import FeatureMap, RejectionModel
 from .train import TrainConfig, train
@@ -108,20 +107,15 @@ class ProtocolConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not 0 < self.train_size:
-            raise ValueError("train_size must be positive")
-        if self.rff_dim < 0:
-            raise ValueError("rff_dim must be >= 0 (0 = identity features)")
+        # the other numbers are checked by the TrainConfig built below
+        check_numbers(self, counts=("trials", "train_size", "attack_steps"), naturals=("rff_dim",), ints=("seed",),
+                      floats=("attack_eps",))
         check_scheme(self.normalize)
         eps = self.attack_eps
         if not eps or len(set(eps)) < len(eps) or not all(0 <= e < math.inf for e in eps):
             raise ValueError(f"attack_eps must be a non-empty list of distinct finite nonnegative radii, got {eps}")
         if not self.methods:
             raise ValueError("methods must be a non-empty list of [mode, cost] pairs")
-        if self.attack_steps < 1:
-            raise ValueError("attack_steps must be >= 1")
         # the settings every method shares, checked first so their errors name their own keys
         self.train_config("atro", None, FeatureMap())
         for i, (mode, cost) in enumerate(self.methods):
@@ -222,15 +216,7 @@ def benchmark(trials: list[tuple[dict, Dataset]], pc: ProtocolConfig) -> list[Be
 
 
 def bench_to_csv(rows: list[BenchCell]) -> str:
-    buf = io.StringIO()
-    buf.write("method,cost,attack_eps,err_mean,err_std,rej_mean,rej_std,trials\n")
-    for r in rows:
-        cost = "" if r.cost is None else repr(r.cost)
-        buf.write(
-            f"{r.method},{cost},{r.attack_eps!r},{r.err_mean!r},{r.err_std!r},"
-            f"{r.rej_mean!r},{r.rej_std!r},{r.trials}\n"
-        )
-    return buf.getvalue()
+    return csv_text([f.name for f in fields(BenchCell)], map(astuple, rows))
 
 
 def bench_to_text(rows: list[BenchCell]) -> str:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, check_numbers
 from .losses import SurrogateParams, adv_loss_mh_linear_batch, worst_case_l1
 from .model import RejectionModel
 
@@ -63,15 +63,10 @@ class BoundConfig:
     mc_draws: int = 2000
 
     def __post_init__(self):
-        if not 0 < self.w_bound < math.inf:
-            raise ValueError("w_bound must be finite and positive")
+        check_numbers(self, positive=("w_bound",), floats=("p", "delta"), nonnegative=("eps",), counts=("mc_draws",))
         dual_exponent(self.p)  # validates p
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if not 0 <= self.eps < math.inf:
-            raise ValueError("eps must be finite and nonnegative")
-        if self.mc_draws < 1:
-            raise ValueError("mc_draws must be >= 1")
 
     @property
     def q(self) -> float:

@@ -25,7 +25,7 @@ from .attacks import AttackSpec
 from .bench import ProtocolDataError, bench_to_csv, bench_to_text, feature_map, run_protocol, spawn_seeds
 from .bounds import clipped_adv_risk, generalization_bound, weight_bound
 from .config import ConfigError, NeuralSection, RunConfig, TrainSection, config_object, validate_config
-from .data import DataFormatError, Dataset, normalize, parse_csv, parse_libsvm, split
+from .data import DataFormatError, Dataset, csv_text, normalize, parse_csv, parse_libsvm, split
 from .evaluate import evaluate_model
 from .model import RejectionModel
 from .neural import train_neural
@@ -133,16 +133,12 @@ def _cmd_eval(rc: RunConfig) -> tuple[dict[str, str], str]:
     model, ds = _load_model_and_data(rc)
     report = evaluate_model(model, ds, replace(rc.attack, seed=attack_seed), rc.train.config.params)
     c = report.counts
-    csv = (
-        "err,rej,pr,ta,tr,fa,fr,mean_loss_01c\n"
-        f"{report.err!r},{report.rej!r},{'' if report.pr is None else repr(report.pr)},"
-        f"{c.ta},{c.tr},{c.fa},{c.fr},{report.mean_loss_01c!r}\n"
-    )
+    csv = csv_text(("err", "rej", "pr", "ta", "tr", "fa", "fr", "mean_loss_01c"),
+                   [(report.err, report.rej, report.pr, c.ta, c.tr, c.fa, c.fr, report.mean_loss_01c)])
     names = list(report.candidate_wins)
     rows = zip(ds.y, report.clean_loss, report.worst_loss, report.winner)
-    per_row = "index,y,clean_loss,worst_loss,winner\n" + "".join(
-        f"{i},{int(y)},{float(clean)!r},{float(worst)!r},{names[k]}\n" for i, (y, clean, worst, k) in enumerate(rows)
-    )
+    per_row = csv_text(("index", "y", "clean_loss", "worst_loss", "winner"),
+                       ((i, y, clean, worst, names[k]) for i, (y, clean, worst, k) in enumerate(rows)))
     return {"report.json": report.to_json(), "report.csv": csv, "attack.csv": per_row}, (
         f"eval {rc.dataset}: err {report.err:.4f} rej {report.rej:.4f} "
         f"pr {'-' if report.pr is None else f'{report.pr:.4f}'} wins {report.candidate_wins}"
@@ -185,8 +181,7 @@ def _cmd_neural_train(rc: RunConfig) -> tuple[dict[str, str], str]:
     tr, te, _ = _prepare_training_data(rc, "neural", split_seed)
     net, trace = train_neural(tr, rc.neural.build(feat_seed))
     report = evaluate_model(net, te, AttackSpec(), rc.neural.config.params)
-    csv = "epoch,mean_loss\n" + "".join(f"{i},{float(v)!r}\n" for i, v in enumerate(trace))
-    return {"net.json": net.to_json(), "trace.csv": csv}, (
+    return {"net.json": net.to_json(), "trace.csv": csv_text(("epoch", "mean_loss"), enumerate(trace))}, (
         f"neural-train on {rc.dataset}: final loss {trace[-1]:.4f}; held-out err {report.err:.4f} rej {report.rej:.4f}"
     )
 

@@ -25,7 +25,7 @@ from typing import Literal, Union, get_args, get_origin, get_type_hints
 from .attacks import AttackSpec
 from .bench import ProtocolConfig
 from .bounds import BoundConfig
-from .data import check_fraction, check_scheme
+from .data import check_fraction, check_numbers, check_scheme
 from .losses import SurrogateParams
 from .neural import NeuralTrainConfig
 from .train import TrainConfig
@@ -47,8 +47,7 @@ class FeatureSection:
     sigma: float | Literal["median"] = "median"
 
     def __post_init__(self):
-        if self.dim < 0:
-            raise ValueError("dim must be >= 0 (0 = identity features)")
+        check_numbers(self, naturals=("dim",))
         if self.sigma != "median" and not 0 < self.sigma < math.inf:
             raise ValueError("sigma must be finite and positive")
 
@@ -86,8 +85,7 @@ class NeuralSection(_Prep):
 
     def __post_init__(self):
         super().__post_init__()
-        if not 0 <= self.eps_train < math.inf:
-            raise ValueError("eps_train must be finite and nonnegative")
+        check_numbers(self, nonnegative=("eps_train",))
         self.build(seed=0)
 
     def build(self, seed: int) -> NeuralTrainConfig:
@@ -128,8 +126,7 @@ class RunConfig:
     def __post_init__(self):
         if self.subcommand not in SUBCOMMANDS:
             raise ValueError(f"subcommand must be one of {'/'.join(SUBCOMMANDS)}")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        check_numbers(self, naturals=("seed",))
 
     def to_json(self) -> str:
         return json.dumps(_dump(self), indent=2, sort_keys=True)

@@ -164,12 +164,22 @@ def parse_csv(text: str, name: str = "") -> Dataset:
     return Dataset(np.array(xs), np.array(ys), name=name)
 
 
-def to_csv(ds: Dataset) -> str:
-    header = ",".join([f"x{j + 1}" for j in range(ds.d)] + ["y"])
-    lines = [header]
-    for i in range(len(ds)):
-        lines.append(",".join([repr(float(v)) for v in ds.x[i]] + [str(int(ds.y[i]))]))
+def _csv_cell(v) -> str:
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))  # reads back to the same bits
+    return "" if v is None else str(int(v)) if isinstance(v, (int, np.integer)) else v
+
+
+def csv_text(columns, rows) -> str:
+    """CSV text: the column names, then one line per row, every cell by one
+    rule: None is empty, an int ``str(int(v))``, a float ``repr(float(v))``
+    and a string itself."""
+    lines = [",".join(columns), *(",".join(map(_csv_cell, row)) for row in rows)]
     return "\n".join(lines) + "\n"
+
+
+def to_csv(ds: Dataset) -> str:
+    return csv_text([*(f"x{j + 1}" for j in range(ds.d)), "y"], ([*x, y] for x, y in zip(ds.x, ds.y)))
 
 
 @dataclass
@@ -257,6 +267,37 @@ def check_scheme(scheme: str, key: str = "normalize") -> None:
     the key that held the scheme."""
     if scheme not in SCHEMES:
         raise ValueError(f"{key} must be one of {'/'.join(SCHEMES)}, got {scheme!r}")
+
+
+_REALS, _INTS = (int, float, np.integer, np.floating), (int, np.integer)
+# kind of number: (the types it may have, the test it must pass, what the test asks)
+_NUMBER_KINDS = {
+    "floats": (_REALS, None, ""),
+    "positive": (_REALS, lambda v: 0 < v < math.inf, "finite and positive"),
+    "nonnegative": (_REALS, lambda v: 0 <= v < math.inf, "finite and nonnegative"),
+    "ints": (_INTS, None, ""),
+    "counts": (_INTS, lambda v: v >= 1, ">= 1"),
+    "naturals": (_INTS, lambda v: v >= 0, ">= 0"),
+}
+
+
+def check_numbers(obj, **kinds: tuple[str, ...]) -> None:
+    """The number rule of the library's configs: each keyword, a kind of
+    _NUMBER_KINDS, names fields of obj, and ValueError names the first that
+    is not a real number (floats, positive, nonnegative) or an integer
+    (ints, counts, naturals), or fails its kind's test. numpy's numbers
+    pass; a bool does not, though Python counts it as an int: True would
+    pass as 1. A tuple or list is checked element by element (``name[i]``)."""
+    for kind, names in kinds.items():
+        types, test, asks = _NUMBER_KINDS[kind]
+        for name in names:
+            value = getattr(obj, name)
+            for i, v in enumerate(value) if isinstance(value, (tuple, list)) else ((None, value),):
+                label = name if i is None else f"{name}[{i}]"
+                if isinstance(v, bool) or not isinstance(v, types):
+                    raise ValueError(f"{label} must be {'int' if types is _INTS else 'float'}, got {type(v).__name__}")
+                if test and not test(v):
+                    raise ValueError(f"{label} must be {asks}")
 
 
 def check_fraction(train_fraction: float) -> None:

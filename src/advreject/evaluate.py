@@ -24,10 +24,8 @@ wherever one exists, so the winner's loss is the maximum of the zero-one-c
 loss over the box. fgsm and pgd ascend the MH surrogate and give lower
 bounds.
 
-A ``ToyNet`` is attacked on its inputs by pgd alone, a lower bound. Its
-candidates are PGD on -y f (pgd_margin), on -r (pgd_reject) and on the
-squared MH (pgd); the first two cover the points where the squared MH is
-flat and PGD on it stalls.
+A ``ToyNet`` is attacked on its inputs by pgd alone, a lower bound, with
+the candidates of ``neural.pgd_candidates``.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from .attacks import pgd  # noqa: F401  perfbench's tracer wraps evaluate.pgd by
 from .data import Dataset
 from .losses import SurrogateParams, loss_01c, verdict
 from .model import RejectionModel
-from .neural import ToyNet, _heads_pgd, _mh_head
+from .neural import ToyNet, pgd_candidates
 
 
 @dataclass(frozen=True)
@@ -99,11 +97,7 @@ def _candidate_deltas(
     if isinstance(m, ToyNet):
         if spec.method != "pgd":
             raise ValueError(f"method {spec.method!r} does not apply to a network, which takes pgd or none")
-        margin, reject = np.zeros((len(y), 2)), np.zeros((len(y), 2))  # the constant d/df, d/dr of -y f and -r
-        margin[:, 0], reject[:, 1] = -y, -1.0
-        deltas["pgd_margin"] = _heads_pgd(m, z, spec, lambda f, r, grad: (-y * f, margin))
-        deltas["pgd_reject"] = _heads_pgd(m, z, spec, lambda f, r, grad: (-r, reject))
-        deltas["pgd"] = _heads_pgd(m, z, spec, _mh_head(y, params))
+        deltas.update(pgd_candidates(m, z, y, spec, params))
     elif spec.method == "analytic_linear":
         # shift_reject first, so shift_margin wins only where it reaches an accepted error
         deltas["shift_reject"] = np.broadcast_to(-eps * np.sign(m.theta), z.shape)

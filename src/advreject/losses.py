@@ -25,11 +25,12 @@ perturbable weight coordinates only; biases are excluded.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
+
+from .data import check_numbers
 
 if TYPE_CHECKING:
     from .model import RejectionModel
@@ -44,10 +45,7 @@ class SurrogateParams:
     cost: float = 0.3
 
     def __post_init__(self):
-        if not 0 < self.alpha < math.inf:
-            raise ValueError("alpha must be finite and positive")
-        if not 0 < self.beta < math.inf:
-            raise ValueError("beta must be finite and positive")
+        check_numbers(self, positive=("alpha", "beta"), floats=("cost",))
         if not 0.0 < self.cost < 0.5:
             raise ValueError("cost must lie in (0, 0.5)")
 

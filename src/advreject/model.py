@@ -27,11 +27,35 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import NormStats
+from .data import NormStats, check_numbers
 
 _MODEL_KEYS = frozenset(("feature_map", "theta", "gamma", "bias_theta", "bias_gamma", "norm_stats"))
 _JSON_NUMBERS = frozenset((int, float))  # the types of JSON numbers: a bool is an int to isinstance, not to type
 _JSON_BOOLS = frozenset((bool,))
+
+
+def json_object(text: str, keys: frozenset) -> dict:
+    """The JSON object text holds; ValueError if it is not one or has a key outside ``keys``."""
+    obj = json.loads(text)
+    if type(obj) is not dict or not keys.issuperset(obj):
+        raise ValueError(f"unknown key {min(set(obj) - keys)!r}" if type(obj) is dict else "not an object")
+    return obj
+
+
+def check_json_list(key: str, value, types: frozenset = _JSON_NUMBERS) -> None:
+    """The element-type rule of a model file: ValueError naming key, or the
+    innermost list at fault as ``key[i]``, unless value is a list whose
+    items are of ``types`` or are such lists in turn (a matrix's rows). A
+    bool or a string would pass float64 as 1.0 or be parsed, and a number
+    would pass bool by truth."""
+    if type(value) is list:
+        kinds = set(map(type, value))
+        for i, item in enumerate(value) if list in kinds else ():
+            if type(item) is list:
+                check_json_list(f"{key}[{i}]", item, types)
+        if types.issuperset(kinds - {list}):
+            return
+    raise ValueError(f"{key} must be a list of {'booleans' if types is _JSON_BOOLS else 'numbers'}")
 
 
 @dataclass(frozen=True)
@@ -51,21 +75,9 @@ class FeatureMap:
     def __post_init__(self):
         if self.kind not in ("identity", "random_fourier"):
             raise ValueError(f"kind must be identity or random_fourier, got {self.kind!r}")
-        for name in ("dim", "seed", "input_dim"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"feature_map.{name} must be an integer, got {value!r}")
-        if isinstance(self.sigma, bool) or not isinstance(self.sigma, (int, float, np.integer, np.floating)):
-            raise ValueError(f"feature_map.sigma must be a number, got {self.sigma!r}")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.input_dim < 0:
-            raise ValueError("input_dim must be >= 0")
+        check_numbers(self, floats=("sigma",), ints=("dim",), naturals=("seed", "input_dim"))
         if self.kind == "random_fourier":
-            if self.dim <= 0:
-                raise ValueError("dim must be positive for random_fourier")
-            if not 0 < self.sigma < math.inf:
-                raise ValueError("sigma must be finite and positive")
+            check_numbers(self, counts=("dim",), positive=("sigma",))
 
     def weights(self, input_dim: int) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng(self.seed)
@@ -194,20 +206,14 @@ class RejectionModel:
         """The model to_json wrote as text. ValueError names an unknown key, a
         number field that holds a bool or a string, which float64 would read as 1.0 or parse,
         and a norm_stats.constant that is not a list of booleans, which bool would read by truth."""
-        obj = json.loads(text)
-        if type(obj) is not dict or not _MODEL_KEYS.issuperset(obj):
-            raise ValueError(f"unknown key {min(set(obj) - _MODEL_KEYS)!r}" if type(obj) is dict else "not an object")
+        obj = json_object(text, _MODEL_KEYS)
         ns = obj.get("norm_stats")
-        lists = (("theta", obj["theta"], _JSON_NUMBERS), ("gamma", obj["gamma"], _JSON_NUMBERS))
+        check_json_list("theta", obj["theta"])
+        check_json_list("gamma", obj["gamma"])
         if ns is not None:
-            lists += (
-                ("norm_stats.lo", ns["lo"], _JSON_NUMBERS),
-                ("norm_stats.hi", ns["hi"], _JSON_NUMBERS),
-                ("norm_stats.constant", ns["constant"], _JSON_BOOLS),
-            )
-        for key, value, types in lists:  # one pass over a list's element types keeps a load cheap
-            if type(value) is not list or not types.issuperset(map(type, value)):
-                raise ValueError(f"{key} must be a list of {'numbers' if types is _JSON_NUMBERS else 'booleans'}")
+            check_json_list("norm_stats.lo", ns["lo"])
+            check_json_list("norm_stats.hi", ns["hi"])
+            check_json_list("norm_stats.constant", ns["constant"], _JSON_BOOLS)
         for key in ("bias_theta", "bias_gamma"):
             if type(obj[key]) not in _JSON_NUMBERS:
                 raise ValueError(f"{key} must be a number, got {obj[key]!r}")

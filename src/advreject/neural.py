@@ -7,44 +7,44 @@ weight-decays only the f head's final-layer weights:
     loss = max(1 + (alpha/2)(r - y f), c (1 - beta r), 0)^2 + (lam_w/2) ||w_f||^2
 
 Gradients are hand-written reverse mode (no autodiff dependency); the
-tests check those of ``_loss_grads``, the one gradient path, which
-training runs, against central finite differences. At a tie between the
-two hinge branches the classification branch is differentiated.
-``_mh_head`` is the one squared-MH head kernel: for a batch's labels it
-gives the loss per sample and its d/df and d/dr as the one (n, 2) array
-that ``ToyNet._backward`` takes, for the outer step and for every inner
-PGD step alike. Inputs are rows; one input is a batch of one row.
+tests check those of ``_loss_grads``, the one gradient path, against
+central finite differences. At a tie between the two hinge branches the
+classification branch is differentiated. Inputs are rows; one input is a
+batch of one row.
 
-Training is a min-max loop: each minibatch is first pushed to the worst
-point the inner PGD attack can find at the current parameters, then one
-outer gradient step is taken at those points.
+Training is a min-max loop. Each minibatch gets one ``_mh_head``, the
+squared-MH kernel that gives the loss per sample and its d/df and d/dr as
+the (n, 2) array ``ToyNet._backward`` takes, and one set of bias rows,
+built after the previous update. The inner PGD attack pushes the batch to
+the worst point it finds at the current parameters, and one outer
+gradient step is taken there; both run on that head and those rows.
 
 The loop works on arrays of 64 x 32 and smaller, so its time goes to numpy
 dispatch more than to arithmetic. Every rule that cuts it is exact:
-products go through ``ndarray.dot``, which makes the BLAS call ``@`` makes
-with less dispatch; an attack repeats each bias over its rows once, as a
-full add dispatches faster than a broadcast one; the head makes its
-buffers once per label vector and every call rewrites them; scalar
-operands are 0-d arrays, which numpy does not convert on every call; the
-head folds the 2 of 2m into its constants (doubling is exact); and the
-last, score-only iterate builds no derivative. The relu derivative stays
-the boolean mask a > 0: a NaN activation (an overflowing layer) gets
-derivative 0 from it, where np.sign would give NaN and change what pgd
-finds. tests/test_neural_bytes.py pins the bytes of trained nets, loss
-traces and attacked risks against the references in tests/oracles.py.
+products go through ``ndarray.dot``, the BLAS call of ``@`` with less
+dispatch; every forward pass adds biases repeated over its rows, as a full
+add dispatches faster than a broadcast one; the head's buffers are made
+once per label vector; scalar operands are 0-d arrays, which numpy does
+not convert on every call; and the last, score-only iterate builds no
+derivative. The relu derivative stays the boolean mask a > 0: a NaN
+activation (an overflowing layer) gets derivative 0 from it, where np.sign
+would give NaN and change what pgd finds. tests/test_neural_bytes.py pins
+the bytes of trained nets, loss traces and attacked risks against the
+references in tests/oracles.py.
 """
 
 from __future__ import annotations
 
-import math
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .attacks import AttackSpec, pgd
-from .data import Dataset
+from .data import Dataset, check_numbers
 from .losses import ONE, ZERO, MHBranches, SurrogateParams, mh_branches
 from .losses import loss_01c  # noqa: F401  perfbench's tracer wraps neural.loss_01c by name
+from .model import check_json_list, json_object
 
 # (activation applied in place, its derivative written in terms of the
 # activation's output; relu's is the boolean mask, 0 at a NaN output)
@@ -52,6 +52,7 @@ _ACTIVATIONS = {
     "relu": (lambda z: np.maximum(z, ZERO, out=z), lambda a: a > ZERO),
     "tanh": (lambda z: np.tanh(z, out=z), lambda a: ONE - a**2),
 }
+_NET_KEYS = frozenset(("activation", "weights", "biases"))
 
 
 @dataclass
@@ -102,11 +103,14 @@ class ToyNet:
         """Final-layer weight vector of the f head (the decayed one)."""
         return self.weights[-1][0]
 
-    def _forward_cache(self, x: np.ndarray, biases=None):
-        """x: (n, d). Returns (f, r, activations), the input first; biases,
-        if given, are this net's repeated over the n rows."""
+    def _bias_rows(self, n: int) -> list[np.ndarray]:
+        """Each layer's bias repeated over n rows, the form _forward_cache adds."""
+        return [np.repeat(b[None], n, axis=0) for b in self.biases]
+
+    def _forward_cache(self, x: np.ndarray, biases: list[np.ndarray]):
+        """x: (n, d) and biases, this net's _bias_rows(n). Returns (f, r,
+        activations), the input first."""
         act, _ = _ACTIVATIONS[self.activation]
-        biases = biases or self.biases
         a = x
         acts = [x]
         for w, b in zip(self.weights[:-1], biases):
@@ -120,7 +124,8 @@ class ToyNet:
 
     def forward(self, x: np.ndarray):
         """(f, r) for the rows of x; one input is a batch of one row."""
-        f, r, _ = self._forward_cache(np.asarray(x, dtype=np.float64))
+        x = np.asarray(x, dtype=np.float64)
+        f, r, _ = self._forward_cache(x, self._bias_rows(len(x)))
         return f, r
 
     def _backward(self, head: np.ndarray, acts, want_input: bool, want_params: bool = True):
@@ -145,8 +150,6 @@ class ToyNet:
         return gws, gbs, delta
 
     def to_json(self) -> str:
-        import json
-
         return json.dumps(
             {
                 "activation": self.activation,
@@ -157,9 +160,14 @@ class ToyNet:
 
     @classmethod
     def from_json(cls, text: str) -> "ToyNet":
-        import json
-
-        obj = json.loads(text)
+        """The net to_json wrote as text. ValueError names an unknown key, a
+        bool or a string among the weights or biases (``check_json_list``)
+        and an activation that is not a string."""
+        obj = json_object(text, _NET_KEYS)
+        check_json_list("weights", obj["weights"])
+        check_json_list("biases", obj["biases"])
+        if type(obj["activation"]) is not str:
+            raise ValueError(f"activation must be a string, got {obj['activation']!r}")
         return cls(
             [np.array(w, dtype=np.float64) for w in obj["weights"]],
             [np.array(b, dtype=np.float64) for b in obj["biases"]],
@@ -180,24 +188,12 @@ class NeuralTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_numbers(self, nonnegative=("lam_w",), positive=("lr",), counts=("epochs", "batch_size", "hidden"),
+                      ints=("seed",))
         if self.attack.method not in ("none", "pgd"):
             raise ValueError("inner attack must be pgd or none")
         if self.attack.random_start:
             raise ValueError("attack.random_start must be false: neural PGD starts at the clean point")
-        if not 0 <= self.lam_w < math.inf:
-            raise ValueError("lam_w must be finite and nonnegative")
-        ints = {"epochs": self.epochs, "batch_size": self.batch_size, "seed": self.seed}
-        for name, value in [*ints.items(), *((f"hidden[{i}]", h) for i, h in enumerate(self.hidden))]:
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be int, got {type(value).__name__}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not 0 < self.lr < math.inf:
-            raise ValueError("lr must be finite and positive")
-        if not all(h > 0 for h in self.hidden):
-            raise ValueError("hidden must be positive integers")
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"activation must be one of {'/'.join(_ACTIVATIONS)}, got {self.activation!r}")
 
@@ -233,16 +229,14 @@ def _mh_head(y, p: SurrogateParams):
     return heads
 
 
-def _loss_grads(net: ToyNet, x: np.ndarray, y: np.ndarray, cfg: NeuralTrainConfig, want_input=False):
+def _loss_grads(net: ToyNet, x: np.ndarray, heads, biases, cfg: NeuralTrainConfig, want_input=False):
     """Mean squared-MH loss plus the top-layer decay term, from one forward
-    pass, and a function backpropagating it: parameter grads summed over
-    the batch, input grads per sample (each carrying the 1/n factor)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n = x.shape[0]
-    f, r, acts = net._forward_cache(x)
-    sq, head = _mh_head(y, cfg.params)(f, r)
-    head /= n
+    pass on the batch's ``_bias_rows`` and ``_mh_head``, and a function
+    backpropagating it, to run before the head is called again: parameter
+    grads summed over the batch, input grads per sample (with the 1/n)."""
+    f, r, acts = net._forward_cache(x, biases)
+    sq, head = heads(f, r)
+    head /= len(x)
     w = net.top_weights
     loss = float(np.mean(sq)) + 0.5 * cfg.lam_w * float(w @ w)
 
@@ -256,15 +250,14 @@ def _loss_grads(net: ToyNet, x: np.ndarray, y: np.ndarray, cfg: NeuralTrainConfi
     return loss, grads
 
 
-def _heads_pgd(net: ToyNet, x: np.ndarray, spec: AttackSpec, heads) -> np.ndarray:
+def _heads_pgd(net: ToyNet, x: np.ndarray, spec: AttackSpec, heads, biases) -> np.ndarray:
     """Batch PGD on a per-sample objective of the two heads; heads(f, r,
     grad) gives its value and, if grad, an (n, 2) array of its d/df and
     d/dr, the backward pass's input, each of which may be the same array on
-    every call. One step is one forward pass, which scores the iterate, and
-    a backward pass to the input only (no parameter gradients), which sets
-    the next step. Returns the per-row deltas of the best iterate, the
-    clean point included."""
-    biases = [np.repeat(b[None], len(x), axis=0) for b in net.biases]
+    every call. biases is the net's ``_bias_rows(len(x))``. One step is one
+    forward pass, which scores the iterate, and a backward pass to the
+    input only (no parameter gradients), which sets the next step. Returns
+    the per-row deltas of the best iterate, the clean point included."""
 
     def value_grad(xa, grad):
         f, r, acts = net._forward_cache(xa, biases)
@@ -276,12 +269,16 @@ def _heads_pgd(net: ToyNet, x: np.ndarray, spec: AttackSpec, heads) -> np.ndarra
     return pgd(value_grad, x, spec)
 
 
-def _inner_pgd_batch(net: ToyNet, x: np.ndarray, y: np.ndarray, cfg: NeuralTrainConfig) -> np.ndarray:
-    """Vectorized PGD on the squared-MH loss; returns perturbed inputs
-    (best iterate per sample, the clean point included)."""
-    if cfg.attack.method == "none" or cfg.attack.eps == 0:
-        return x
-    return x + _heads_pgd(net, x, cfg.attack, _mh_head(y, cfg.params))
+def pgd_candidates(net: ToyNet, x: np.ndarray, y: np.ndarray, spec: AttackSpec, params: SurrogateParams) -> dict:
+    """The per-row deltas of PGD with spec on -y f (pgd_margin), on -r
+    (pgd_reject) and on the squared MH (pgd), on one set of bias rows. The
+    first two cover the points where the squared MH is flat and PGD on it
+    stalls."""
+    biases = net._bias_rows(len(x))
+    margin, reject = np.zeros((len(y), 2)), np.zeros((len(y), 2))  # the constant d/df, d/dr of -y f and -r
+    margin[:, 0], reject[:, 1] = -y, -1.0
+    heads = (lambda f, r, grad: (-y * f, margin), lambda f, r, grad: (-r, reject), _mh_head(y, params))
+    return {name: _heads_pgd(net, x, spec, h, biases) for name, h in zip(("pgd_margin", "pgd_reject", "pgd"), heads)}
 
 
 def train_neural(ds: Dataset, cfg: NeuralTrainConfig) -> tuple[ToyNet, np.ndarray]:
@@ -295,13 +292,17 @@ def train_neural(ds: Dataset, cfg: NeuralTrainConfig) -> tuple[ToyNet, np.ndarra
     y_all = ds.y.astype(np.float64)
     n = len(ds)
     trace = np.empty(cfg.epochs)
+    attacked = cfg.attack.method != "none" and cfg.attack.eps != 0
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         epoch_losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            yb = y_all[idx]
-            loss, grads = _loss_grads(net, _inner_pgd_batch(net, x_all[idx], yb, cfg), yb, cfg)
+            # one head and one set of bias rows serve the inner max and the outer step
+            xb, heads, biases = x_all[idx], _mh_head(y_all[idx], cfg.params), net._bias_rows(len(idx))
+            if attacked:
+                xb = xb + _heads_pgd(net, xb, cfg.attack, heads, biases)
+            loss, grads = _loss_grads(net, xb, heads, biases, cfg)
             if not np.isfinite(loss):
                 raise FloatingPointError(f"training loss diverged at epoch {epoch}")
             epoch_losses.append(loss)

@@ -62,14 +62,13 @@ models and traces keep their bits.
 
 from __future__ import annotations
 
-import io
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, check_numbers, csv_text
 from .losses import SurrogateParams, mh_branches, worst_case_l1
 from .model import FeatureMap, RejectionModel, featurize
 
@@ -95,20 +94,11 @@ class TrainConfig:
     feature_map: FeatureMap = field(default_factory=FeatureMap)
 
     def __post_init__(self):
+        check_numbers(self, nonnegative=("eps_train", "lam", "lam_prime"), counts=("epochs",), positive=("lr0",))
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {'/'.join(MODES)}, got {self.mode!r}")
-        if not 0 <= self.eps_train < math.inf:
-            raise ValueError("eps_train must be finite and nonnegative")
         if self.mode in ("svm", "mh") and self.eps_train != 0:
             raise ValueError(f"eps_train must be 0 for mode {self.mode}")
-        if not 0 <= self.lam < math.inf:
-            raise ValueError("lam must be finite and nonnegative")
-        if not 0 <= self.lam_prime < math.inf:
-            raise ValueError("lam_prime must be finite and nonnegative")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if not 0 < self.lr0 < math.inf:
-            raise ValueError("lr0 must be finite and positive")
 
     @property
     def rejection_enabled(self) -> bool:
@@ -123,11 +113,8 @@ class TrainTrace:
     best_epoch: int
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("epoch,objective,best\n")
-        for t, (o, b) in enumerate(zip(self.objective, self.best)):
-            buf.write(f"{t},{float(o)!r},{float(b)!r}\n")
-        return buf.getvalue()
+        rows = zip(range(len(self.objective)), self.objective, self.best)
+        return csv_text(("epoch", "objective", "best"), rows)
 
 
 def _augment(z: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ dense PGD loop without its early exit,
 instead of per-label tables, ``squared_mh_head_reference`` is
 the squared-MH head of the toy network written with ``np.where`` over
 fresh temporaries, the ``toynet_*_reference`` functions are the toy
-network's forward pass, backward pass, inner max, training step and attack
+network's forward pass, backward pass, head, PGD, training step and attack
 candidates written with ``@`` products, the boolean relu mask and the
 head's 2m factor, ``to_libsvm_reference``/``parse_libsvm_reference``
 are the LIBSVM codec written value by value with numpy scalars, and
@@ -379,9 +379,10 @@ def squared_mh_head_reference(f, r, y, p):
     return value**2, df, dr
 
 
-def toynet_forward_reference(net, x):
+def toynet_forward_reference(net, x, biases=None):
     """``ToyNet._forward_cache`` written with ``@`` products and fresh
-    activations: (f, r, activations), the input first."""
+    activations: (f, r, activations), the input first. It adds net.biases
+    by broadcast and does not read the library's bias rows."""
     a, acts = x, [x]
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
         z = a @ w.T + b
@@ -408,10 +409,10 @@ def toynet_backward_reference(net, head, acts, want_input, want_params=True):
     return gws, gbs, delta
 
 
-def toynet_heads_pgd_reference(net, x, spec, heads):
-    """``attacks.pgd`` on a net through the two references above; heads(f, r)
-    gives the objective per row and its d/df and d/dr, each an array or a
-    scalar."""
+def toynet_heads_pgd_reference(net, x, spec, heads, biases=None):
+    """``neural._heads_pgd``: ``attacks.pgd`` on a net through the two
+    references above; heads(f, r) gives the objective per row and its d/df
+    and d/dr, each an array or a scalar. biases is not read."""
 
     def value_grad(xa, grad):
         f, r, acts = toynet_forward_reference(net, xa)
@@ -425,20 +426,18 @@ def toynet_heads_pgd_reference(net, x, spec, heads):
     return pgd(value_grad, x, spec)
 
 
-def toynet_inner_pgd_reference(net, x, y, cfg):
-    """``neural._inner_pgd_batch`` on the references: the squared-MH inner max."""
-    if cfg.attack.method == "none" or cfg.attack.eps == 0:
-        return x
-    return x + toynet_heads_pgd_reference(
-        net, x, cfg.attack, lambda f, r: squared_mh_head_reference(f, r, y, cfg.params)
-    )
+def toynet_mh_head_reference(y, p):
+    """``neural._mh_head`` on the reference head, as the two references
+    around it take it: heads(f, r) gives the squared MH and its d/df and d/dr."""
+    return lambda f, r: squared_mh_head_reference(f, r, y, p)
 
 
-def toynet_loss_grads_reference(net, x, y, cfg, want_input=False):
+def toynet_loss_grads_reference(net, x, heads, biases, cfg, want_input=False):
     """``neural._loss_grads`` on the references: the batch loss and a
-    function giving its gradients."""
+    function giving its gradients, for heads from
+    ``toynet_mh_head_reference``. biases is not read."""
     f, r, acts = toynet_forward_reference(net, x)
-    sq, df, dr = squared_mh_head_reference(f, r, y, cfg.params)
+    sq, df, dr = heads(f, r)
     head = np.stack([df, dr], axis=1) / x.shape[0]
     w = net.top_weights
     loss = float(np.mean(sq)) + 0.5 * cfg.lam_w * float(w @ w)

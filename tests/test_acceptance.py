@@ -30,7 +30,7 @@ from advreject.losses import (
     mh_branches,
 )
 from advreject.model import RejectionModel
-from advreject.neural import NeuralTrainConfig, _loss_grads, adv_risk_01c_net, train_neural
+from advreject.neural import NeuralTrainConfig, _loss_grads, _mh_head, adv_risk_01c_net, train_neural
 from advreject.synth import clinical_surrogate, credit_surrogate, two_clusters
 from advreject.train import TrainConfig, train
 from conftest import random_linear_model
@@ -157,8 +157,12 @@ def test_criterion_4_neural_gradient_checks():
         x = rng.standard_normal((1, 3))
         y = np.array([1 if rng.random() < 0.5 else -1])
         cfg = NeuralTrainConfig(params=SurrogateParams(1.5, 0.8, 0.25), lam_w=0.01)
-        gws, gbs, gi = _loss_grads(net, x, y, cfg, want_input=True)[1]()
-        nws, nbs, ni = net_central_differences(lambda n, xv: _loss_grads(n, xv, y, cfg)[0], net, x)
+
+        def loss_grads(n, xv, want_input=False):  # the outer step on its own head and bias rows
+            return _loss_grads(n, xv, _mh_head(y.astype(np.float64), cfg.params), n._bias_rows(1), cfg, want_input)
+
+        gws, gbs, gi = loss_grads(net, x, want_input=True)[1]()
+        nws, nbs, ni = net_central_differences(lambda n, xv: loss_grads(n, xv)[0], net, x)
         for g, num in zip(gws + gbs, nws + nbs):
             worst_p = max(worst_p, float(np.max(rel_err(g, num))))
         worst_i = max(worst_i, float(np.max(rel_err(gi, ni))))

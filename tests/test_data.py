@@ -3,9 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from advreject.attacks import AttackSpec
+from advreject.bench import ProtocolConfig
+from advreject.bounds import BoundConfig
 from advreject.data import (
     DataFormatError,
     Dataset,
+    csv_text,
     normalize,
     parse_csv,
     parse_libsvm,
@@ -13,7 +17,11 @@ from advreject.data import (
     to_csv,
     to_libsvm,
 )
+from advreject.losses import SurrogateParams
+from advreject.model import FeatureMap
+from advreject.neural import NeuralTrainConfig
 from advreject.synth import clinical_surrogate, credit_surrogate
+from advreject.train import TrainConfig
 from oracles import parse_libsvm_reference, to_libsvm_reference
 
 
@@ -185,6 +193,55 @@ class TestCsv:
             parse_csv("\ny\n+1\n")
         ds = parse_csv("\nx1,y\n\n1.0,+1\n  \n2.0,-1\n\n")
         assert np.array_equal(ds.x, [[1.0], [2.0]]) and list(ds.y) == [1, -1]
+
+
+    def test_one_cell_rule(self):
+        # None is empty, an int str(int(v)), a float repr(float(v)), numpy's alike, and a string itself
+        rows = [(None, 3, np.int64(-2), 0.1, np.float64(1e-300), "pgd"), (0, np.float32(0.5), 2.0, -0.0, 1e20, "")]
+        text = csv_text(("a", "b", "c", "d", "e", "f"), rows)
+        assert text == "a,b,c,d,e,f\n,3,-2,0.1,1e-300,pgd\n0,0.5,2.0,-0.0,1e+20,\n"
+        assert csv_text(("a",), []) == "a\n"
+
+
+class TestNumberFields:
+    """Every library config refuses a bool where it takes a number: True
+    would pass as 1 and False as 0. numpy's numbers pass."""
+
+    @pytest.mark.parametrize(
+        "cls, field, kind",
+        [
+            (SurrogateParams, "alpha", "float"), (SurrogateParams, "beta", "float"), (SurrogateParams, "cost", "float"),
+            (TrainConfig, "eps_train", "float"), (TrainConfig, "lam", "float"), (TrainConfig, "lam_prime", "float"),
+            (TrainConfig, "lr0", "float"), (TrainConfig, "epochs", "int"),
+            (AttackSpec, "eps", "float"), (AttackSpec, "step_size", "float"), (AttackSpec, "steps", "int"),
+            (AttackSpec, "seed", "int"),
+            (BoundConfig, "w_bound", "float"), (BoundConfig, "p", "float"), (BoundConfig, "delta", "float"),
+            (BoundConfig, "eps", "float"), (BoundConfig, "mc_draws", "int"),
+            (ProtocolConfig, "trials", "int"), (ProtocolConfig, "train_size", "int"), (ProtocolConfig, "rff_dim", "int"),
+            (ProtocolConfig, "attack_steps", "int"), (ProtocolConfig, "seed", "int"), (ProtocolConfig, "epochs", "int"),
+            (ProtocolConfig, "alpha", "float"), (ProtocolConfig, "lam", "float"), (ProtocolConfig, "eps_train", "float"),
+            (FeatureMap, "dim", "int"), (FeatureMap, "seed", "int"), (FeatureMap, "input_dim", "int"),
+            (FeatureMap, "sigma", "float"),
+            (NeuralTrainConfig, "lam_w", "float"), (NeuralTrainConfig, "lr", "float"),
+            (NeuralTrainConfig, "epochs", "int"), (NeuralTrainConfig, "batch_size", "int"),
+            (NeuralTrainConfig, "seed", "int"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True)])
+    def test_bools_are_refused(self, cls, field, kind, value):
+        with pytest.raises(ValueError, match=f"^{field} must be {kind}, got bool$"):
+            cls(**{field: value})
+
+    def test_elements_and_other_types(self):
+        with pytest.raises(ValueError, match=r"^attack_eps\[1\] must be float, got bool$"):
+            ProtocolConfig(attack_eps=(0.0, True))
+        with pytest.raises(ValueError, match="^steps must be int, got float$"):
+            AttackSpec(steps=2.0)
+        with pytest.raises(ValueError, match="^alpha must be float, got str$"):
+            SurrogateParams(alpha="1")
+        spec = AttackSpec(method="pgd", eps=np.float64(0.1), steps=np.int64(5), step_size=np.float32(0.05))
+        assert (spec.eps, spec.steps) == (0.1, 5)
+        assert TrainConfig(lam=0, epochs=np.int32(3)).lam == 0
 
 
 class TestNormalize:

@@ -46,7 +46,7 @@ class TestFeaturize:
         # numpy integers pass as they are; floats and bools, Python or numpy, are refused
         assert FeatureMap("random_fourier", dim=np.int64(8), seed=np.uint32(3), input_dim=np.int32(2)).dim == 8
         for bad in (1.5, np.float64(2.0), True, np.bool_(True)):
-            with pytest.raises(ValueError, match="feature_map.seed must be an integer"):
+            with pytest.raises(ValueError, match="seed must be int, got "):
                 FeatureMap("identity", seed=bad)
 
     def test_pinned_input_dimension(self, rng):

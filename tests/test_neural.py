@@ -8,15 +8,7 @@ from advreject import neural
 from advreject.attacks import AttackSpec, pgd
 from advreject.data import Dataset
 from advreject.losses import SurrogateParams
-from advreject.neural import (
-    NeuralTrainConfig,
-    ToyNet,
-    _inner_pgd_batch,
-    _loss_grads,
-    _mh_head,
-    adv_risk_01c_net,
-    train_neural,
-)
+from advreject.neural import NeuralTrainConfig, ToyNet, _mh_head, adv_risk_01c_net, train_neural
 from advreject.synth import two_moons
 from oracles import central_difference, net_central_differences, pgd_full, rel_err, squared_mh_head_reference
 
@@ -27,10 +19,22 @@ def random_net(rng, d=3, hidden=(5, 4), activation="tanh"):
     return ToyNet.init(d, hidden, activation, seed=int(rng.integers(0, 2**31)))
 
 
+def loss_grads(net, x, y, cfg, want_input=False):
+    """The outer step on the batch x, y, with its own head and bias rows."""
+    x = np.asarray(x, dtype=np.float64)
+    heads = neural._mh_head(np.asarray(y, dtype=np.float64), cfg.params)
+    return neural._loss_grads(net, x, heads, net._bias_rows(len(x)), cfg, want_input)
+
+
+def inner_max(net, x, y, cfg):
+    """The inner max on the batch x, y: x plus the PGD deltas on its squared MH."""
+    return x + neural._heads_pgd(net, x, cfg.attack, neural._mh_head(y, cfg.params), net._bias_rows(len(x)))
+
+
 def grads_at(net, x, y, cfg):
     """The weight, bias and input gradients of the loss at one input x, from
     the kernel training runs."""
-    gws, gbs, dx = _loss_grads(net, x[None], np.array([y]), cfg, want_input=True)[1]()
+    gws, gbs, dx = loss_grads(net, x[None], np.array([y]), cfg, want_input=True)[1]()
     return gws, gbs, dx[0]
 
 
@@ -95,8 +99,8 @@ class TestGradients:
             net = random_net(rng)
             x = rng.standard_normal((1, 3))
             y = np.array([1 if rng.random() < 0.5 else -1])
-            gws, gbs, _ = _loss_grads(net, x, y, cfg)[1]()
-            nws, nbs, _ = net_central_differences(lambda n, xv: _loss_grads(n, xv, y, cfg)[0], net, x)
+            gws, gbs, _ = loss_grads(net, x, y, cfg)[1]()
+            nws, nbs, _ = net_central_differences(lambda n, xv: loss_grads(n, xv, y, cfg)[0], net, x)
             for g, num in zip(gws + gbs, nws + nbs):
                 assert g.shape == num.shape
                 assert np.max(rel_err(g, num)) <= 1e-4
@@ -107,8 +111,8 @@ class TestGradients:
             net = random_net(rng)
             x = rng.standard_normal((1, 3))
             y = np.array([1 if rng.random() < 0.5 else -1])
-            g = _loss_grads(net, x, y, cfg, want_input=True)[1]()[2]
-            num = central_difference(lambda xv: _loss_grads(net, xv, y, cfg)[0], x)
+            g = loss_grads(net, x, y, cfg, want_input=True)[1]()[2]
+            num = central_difference(lambda xv: loss_grads(net, xv, y, cfg)[0], x)
             assert g.shape == num.shape
             assert np.max(rel_err(g, num)) <= 1e-4
 
@@ -146,9 +150,9 @@ class TestGradients:
             return np.zeros_like(x0)
 
         monkeypatch.setattr(neural, "pgd", capture)
-        _inner_pgd_batch(net, x, y, NeuralTrainConfig(params=P13, attack=AttackSpec(method="pgd", eps=0.1)))
+        inner_max(net, x, y, NeuralTrainConfig(params=P13, attack=AttackSpec(method="pgd", eps=0.1)))
         adv_risk_01c_net(net, x, y, P13, eps=0.1)
-        f, r, acts = net._forward_cache(x)
+        f, r, acts = net._forward_cache(x, net._bias_rows(len(x)))
         sq, head = _mh_head(y, P13)(f, r)
         df, dr = head.T
         zero = np.zeros_like(y)
@@ -196,7 +200,7 @@ class TestGradients:
         monkeypatch.setattr(neural, "pgd", counting_pgd)
         monkeypatch.setattr(neural, "_mh_head", counting_head)
         spec = AttackSpec(method="pgd", eps=0.5, norm=norm, steps=8)
-        _inner_pgd_batch(net, x, y, NeuralTrainConfig(params=P13, attack=spec))
+        inner_max(net, x, y, NeuralTrainConfig(params=P13, attack=spec))
         assert head_grads == pgd_grads == [True] * spec.steps + [False]
         assert len(built) == pgd_grads.count(True)
 
@@ -224,7 +228,7 @@ class TestGradients:
         d0 = (d1 @ w1) * dact(z1)
         want_w = [d0.T @ x, d1.T @ a1, d2.T @ a2]
         want_b = [d0.sum(axis=0), d1.sum(axis=0), d2.sum(axis=0)]
-        gws, gbs, dx = net._backward(d2, net._forward_cache(x)[2], want_input=True)
+        gws, gbs, dx = net._backward(d2, net._forward_cache(x, net._bias_rows(20))[2], want_input=True)
         assert all(np.array_equal(g, w) for g, w in zip(gws, want_w))
         assert all(np.array_equal(g, w) for g, w in zip(gbs, want_b))
         assert np.array_equal(dx, d0 @ w0)
@@ -304,7 +308,7 @@ class TestTraining:
         net, _ = train_neural(ds, cfg)
         _, r_clean = net.forward(ds.x)
         atk_cfg = NeuralTrainConfig(params=P13, attack=AttackSpec(method="pgd", eps=0.1, steps=20))
-        xa = _inner_pgd_batch(net, ds.x, ds.y.astype(float), atk_cfg)
+        xa = inner_max(net, ds.x, ds.y.astype(float), atk_cfg)
         _, r_atk = net.forward(xa)
         assert np.mean(r_atk <= 0) >= np.mean(r_clean <= 0)
 
@@ -313,8 +317,8 @@ class TestTraining:
         cfg = NeuralTrainConfig(params=P13, attack=AttackSpec(method="pgd", eps=0.2, steps=5))
         net = ToyNet.init(2, (8,), "relu", seed=2)
         y = ds.y.astype(float)
-        xa = _inner_pgd_batch(net, ds.x, y, cfg)
-        assert _loss_grads(net, xa, y, cfg)[0] >= _loss_grads(net, ds.x, y, cfg)[0] - 1e-12
+        xa = inner_max(net, ds.x, y, cfg)
+        assert loss_grads(net, xa, y, cfg)[0] >= loss_grads(net, ds.x, y, cfg)[0] - 1e-12
 
     @pytest.mark.parametrize("eps", [0.01, 0.2])
     @pytest.mark.parametrize("norm", ["linf", "l2"])
@@ -330,11 +334,13 @@ class TestTraining:
         margin, reject = np.zeros((len(y), 2)), np.zeros((len(y), 2))
         margin[:, 0], reject[:, 1] = -y, -1.0
 
+        biases = net._bias_rows(len(y))
+
         def attacks():
             return [
-                _inner_pgd_batch(net, ds.x, y, cfg),
-                neural._heads_pgd(net, ds.x, spec, lambda f, r, grad: (-y * f, margin)),
-                neural._heads_pgd(net, ds.x, spec, lambda f, r, grad: (-r, reject)),
+                inner_max(net, ds.x, y, cfg),
+                neural._heads_pgd(net, ds.x, spec, lambda f, r, grad: (-y * f, margin), biases),
+                neural._heads_pgd(net, ds.x, spec, lambda f, r, grad: (-r, reject), biases),
             ]
 
         early = attacks()
@@ -348,6 +354,17 @@ class TestTraining:
         clean = adv_risk_01c_net(net, ds.x, ds.y, P13, eps=0.0)
         attacked = adv_risk_01c_net(net, ds.x, ds.y, P13, eps=0.1, steps=5)
         assert attacked >= clean - 1e-15
+
+    @pytest.mark.parametrize("attack", [AttackSpec(method="pgd", eps=0.1, steps=3), AttackSpec(method="none")])
+    def test_one_head_and_one_set_of_bias_rows_per_minibatch(self, monkeypatch, attack):
+        # the inner max and the outer step share them: 3 epochs of 50 rows in batches of 16
+        heads, bias_rows = [], []
+        real_head, real_rows = neural._mh_head, ToyNet._bias_rows
+        monkeypatch.setattr(neural, "_mh_head", lambda y, p: heads.append(len(y)) or real_head(y, p))
+        monkeypatch.setattr(ToyNet, "_bias_rows", lambda net, n: bias_rows.append(n) or real_rows(net, n))
+        train_neural(two_moons(50, seed=1), NeuralTrainConfig(params=P13, attack=attack, epochs=3, batch_size=16,
+                                                              hidden=(4,)))
+        assert heads == bias_rows == [16, 16, 16, 2] * 3
 
     def test_divergence_raises(self):
         ds = two_moons(40, seed=2)
@@ -387,4 +404,23 @@ class TestNetSerialization:
         x = rng.standard_normal((1, 4))
         assert np.array_equal(net.forward(x), again.forward(x))
         assert again.activation == "relu"
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"extra": 1}, "unknown key 'extra'"),
+            ({"weights": [[[True, "1"]], [[0.5], [0.5]]]}, "weights[0][0] must be a list of numbers"),
+            ({"weights": [[["1", 0.5]], [[0.5], [0.5]]]}, "weights[0][0] must be a list of numbers"),
+            ({"biases": [[False], [0.0, 0.0]]}, "biases[0] must be a list of numbers"),
+            ({"biases": "[[0.0], [0.0, 0.0]]"}, "biases must be a list of numbers"),
+            ({"activation": 1}, "activation must be a string, got 1"),
+        ],
+    )
+    def test_from_json_refuses_what_float64_would_misread(self, change, message):
+        # float64 reads true as 1.0 and parses "1"; each is refused by its key
+        text = ToyNet([np.ones((1, 2)), np.ones((2, 1))], [np.zeros(1), np.zeros(2)]).to_json()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ToyNet.from_json(json.dumps({**json.loads(text), **change}))
+        with pytest.raises(ValueError, match="not an object"):
+            ToyNet.from_json("[]")
 

@@ -3,11 +3,13 @@ library's forward, backward and head give the same net, loss trace and
 attacked risk, bit for bit, as on the references in tests/oracles.py
 (``@`` products, the boolean relu mask and the head's 2m factor).
 ``TestPinnedBytes`` imports no private name and patches only
-``ToyNet._forward_cache``, ``neural._inner_pgd_batch``,
-``neural._loss_grads`` and ``evaluate._candidate_deltas``, whose
-signatures the head kernel's rewrite kept, so it checks the code before
-and after it. ``TestBatchShapeBytes`` runs the inner max and the outer
-step at batch shapes the training runs above do not reach."""
+``ToyNet._forward_cache``, ``neural._mh_head``, ``neural._heads_pgd``,
+``neural._loss_grads`` and ``evaluate._candidate_deltas``: the training
+loop builds each minibatch's head and bias rows once and hands them to
+the inner max and the outer step, and the references take them in the
+same places. ``TestBatchShapeBytes`` runs the inner max and the outer
+step on one shared head and one set of bias rows, at batch shapes the
+training runs above do not reach."""
 
 import numpy as np
 import pytest
@@ -29,7 +31,8 @@ def use_references(monkeypatch):
     references in tests/oracles.py: ``@`` products, the boolean relu mask and
     the head's 2m factor."""
     monkeypatch.setattr(ToyNet, "_forward_cache", oracles.toynet_forward_reference)
-    monkeypatch.setattr(neural, "_inner_pgd_batch", oracles.toynet_inner_pgd_reference)
+    monkeypatch.setattr(neural, "_mh_head", oracles.toynet_mh_head_reference)
+    monkeypatch.setattr(neural, "_heads_pgd", oracles.toynet_heads_pgd_reference)
     monkeypatch.setattr(neural, "_loss_grads", oracles.toynet_loss_grads_reference)
     monkeypatch.setattr(evaluate, "_candidate_deltas", oracles.toynet_candidate_deltas_reference)
 
@@ -114,7 +117,8 @@ class TestPinnedBytes:
 
 
 class TestBatchShapeBytes:
-    """The inner max and the outer step give the references' bytes at the
+    """The inner max and then the outer step, on one head and one set of
+    bias rows as training runs them, give the references' bytes at the
     neural-minmax workload's batches (64 rows, and 16 in its last: 400 =
     6 x 64 + 16) and at 37 and 38 rows, where OpenBLAS changes how it sums
     a product with a transposed 32 x 32 operand."""
@@ -136,7 +140,9 @@ class TestBatchShapeBytes:
             gws, gbs, dx = grads()
             return loss, [g.tobytes() for g in gws + gbs + [dx]]
 
-        attacked = oracles.toynet_inner_pgd_reference(net, x, y, cfg)
-        assert neural._inner_pgd_batch(net, x, y, cfg).tobytes() == attacked.tobytes()
-        want = step_bytes(*oracles.toynet_loss_grads_reference(net, attacked, y, cfg, want_input=True))
-        assert step_bytes(*neural._loss_grads(net, attacked, y, cfg, want_input=True)) == want
+        ref_heads = oracles.toynet_mh_head_reference(y, cfg.params)
+        attacked = x + oracles.toynet_heads_pgd_reference(net, x, cfg.attack, ref_heads)
+        heads, biases = neural._mh_head(y, cfg.params), net._bias_rows(rows)
+        assert (x + neural._heads_pgd(net, x, cfg.attack, heads, biases)).tobytes() == attacked.tobytes()
+        want = step_bytes(*oracles.toynet_loss_grads_reference(net, attacked, ref_heads, None, cfg, want_input=True))
+        assert step_bytes(*neural._loss_grads(net, attacked, heads, biases, cfg, want_input=True)) == want

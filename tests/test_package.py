@@ -106,3 +106,13 @@ def test_every_public_name_in_src_has_a_caller():
         if not name.startswith("_") and name not in read and not re.search(rf"\b{name}\b", outside)
     ]
     assert uncalled == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a _-prefixed name belongs to its own module; another module that needs it needs a public name
+    private = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("advreject")):
+                private += [f"{path.relative_to(ROOT)}:{node.lineno} {a.name}" for a in node.names if a.name[0] == "_"]
+    assert private == []
