@@ -52,7 +52,7 @@ class AttackSpec:
 
     def __post_init__(self):
         step = () if isinstance(self.step_size, str) else ("step_size",)  # "auto", or refused below
-        check_numbers(self, nonnegative=("eps",), counts=("steps",), ints=("seed",), floats=step)
+        check_numbers(self, nonnegative=("eps",), counts=("steps",), naturals=("seed",), floats=step)
         if self.method not in ("none", "analytic_linear", "fgsm", "pgd"):
             raise ValueError(f"method must be one of none/analytic_linear/fgsm/pgd, got {self.method!r}")
         if self.norm not in ("linf", "l2"):

@@ -108,7 +108,7 @@ class ProtocolConfig:
 
     def __post_init__(self):
         # the other numbers are checked by the TrainConfig built below
-        check_numbers(self, counts=("trials", "train_size", "attack_steps"), naturals=("rff_dim",), ints=("seed",),
+        check_numbers(self, counts=("trials", "train_size", "attack_steps"), naturals=("rff_dim", "seed"),
                       floats=("attack_eps",))
         check_scheme(self.normalize)
         eps = self.attack_eps
@@ -207,7 +207,7 @@ def benchmark(trials: list[tuple[dict, Dataset]], pc: ProtocolConfig) -> list[Be
         params = pc.params(cost)
         pairs = [(models[(method, cost)], test) for models, test in trials]
         for eps in pc.attack_eps:
-            spec = AttackSpec(method="analytic_linear" if eps > 0 else "none", eps=eps, steps=pc.attack_steps)
+            spec = AttackSpec(method="analytic_linear", eps=eps)
             reports = [evaluate.evaluate_model(m, test, spec, params) for m, test in pairs]
             errs, rejs = [rep.err for rep in reports], [rep.rej for rep in reports]
             moments = float(np.mean(errs)), float(np.std(errs)), float(np.mean(rejs)), float(np.std(rejs))

@@ -10,8 +10,9 @@ JSON value against the field's annotation and builds the object; a
 ValueError from the object becomes a ConfigError naming the path (e.g.
 ``train.cost``). The resolved config (all defaults materialized,
 data-derived values like the kernel bandwidth frozen to numbers) is
-written back as the manifest, and re-running a manifest reproduces the
-artifacts byte for byte.
+written back as the manifest, and re-running a manifest with the same
+BLAS thread count reproduces the artifacts byte for byte (a trained RFF
+model's last bits depend on how BLAS splits its sums).
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class TrainSection(_Prep):
 @dataclass
 class NeuralSection(_Prep):
     """neural: a NeuralTrainConfig whose inner attack is PGD of radius
-    eps_train, or none when eps_train is 0."""
+    eps_train; at eps_train 0 train_neural runs none."""
 
     normalize: str = "none"
     config: NeuralTrainConfig = field(default_factory=NeuralTrainConfig)
@@ -89,7 +90,7 @@ class NeuralSection(_Prep):
         self.build(seed=0)
 
     def build(self, seed: int) -> NeuralTrainConfig:
-        attack = AttackSpec(method="pgd" if self.eps_train > 0 else "none", eps=self.eps_train, steps=self.steps)
+        attack = AttackSpec(method="pgd", eps=self.eps_train, steps=self.steps)
         return replace(self.config, attack=attack, seed=seed)
 
 

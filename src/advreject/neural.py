@@ -189,7 +189,7 @@ class NeuralTrainConfig:
 
     def __post_init__(self):
         check_numbers(self, nonnegative=("lam_w",), positive=("lr",), counts=("epochs", "batch_size", "hidden"),
-                      ints=("seed",))
+                      naturals=("seed",))
         if self.attack.method not in ("none", "pgd"):
             raise ValueError("inner attack must be pgd or none")
         if self.attack.random_start:

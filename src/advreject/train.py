@@ -33,16 +33,16 @@ reassociates a sum here (one gemm for f and r, or a row sum taken as a
 changes the trained models and fails them; speed-ups must do the same
 operations with less overhead, or do them fewer times.
 
-So a train call sets up what it fixes once, in its _RowSums: the label
-mask y > 0, the rejection flag, the config's scalars, and the row sums of
-the subgradient (over branch A's rows, branch B's rows, or the active rows
-of svm/at). Each sum is computed once per distinct active set and reused
-while the set stays among the last ROW_SUM_SETS of its branch. zb and y
-are fixed for a train call, so a sum is a function of its row mask alone,
-and a reused sum is the very array a fresh gather and reduction gave. The
-sums are kept scaled by the scalar the epoch multiplied them by (alpha/2,
-and c*beta at eps = 0), and Python evaluates p.cost * p.beta * zsum left
-to right, so a kept product has the bits of the one formed per epoch. The
+So a train call sets up what it fixes once, in one _TrainCall: zb, y,
+the label mask y > 0, the rejection flag, the config's scalars, and one
+row-sum cache per branch (branch A's rows, branch B's rows, or the active
+rows of svm/at). A cache is functools.lru_cache over _row_sums, keyed by
+the row mask's bytes and bounded at ROW_SUM_SETS sets. zb and y are fixed
+for a train call, so a sum is a function of its row mask alone, and a
+reused sum is the very array a fresh gather and reduction gave. The sums
+are kept scaled by the scalar the epoch multiplied them by (alpha/2, and
+c*beta at eps = 0), and Python evaluates p.cost * p.beta * zsum left to
+right, so a kept product has the bits of the one formed per epoch. The
 products go through ndarray.dot, the same BLAS call as @ with less
 dispatch. svm/at form no theta subgradient: their rejector stays put.
 
@@ -63,8 +63,8 @@ models and traces keep their bits.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -121,7 +121,7 @@ def _augment(z: np.ndarray) -> np.ndarray:
     return np.hstack([z, np.ones((z.shape[0], 1))])
 
 
-def _warm_start(zb: np.ndarray, y: np.ndarray, cfg: TrainConfig, sums: _RowSums) -> tuple[np.ndarray, np.ndarray]:
+def _warm_start(call: _TrainCall) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic ridge initialization.
 
     The classifier is fit to margin targets and rescaled so most training
@@ -132,14 +132,14 @@ def _warm_start(zb: np.ndarray, y: np.ndarray, cfg: TrainConfig, sums: _RowSums)
     a broad reject-everything plateau that plain descent from zero rarely
     leaves.
     """
-    p = cfg.params
+    zb, y, p = call.zb, call.y, call.params
     dim = zb.shape[1]
-    margin_target = (2.0 / p.alpha + 1.0 / p.beta) if cfg.rejection_enabled else 1.0
+    margin_target = (2.0 / p.alpha + 1.0 / p.beta) if call.rejection else 1.0
     gram = zb.T @ zb
     gram_reg = gram + (1e-2 * np.trace(gram) / dim + 1e-10) * np.eye(dim)
     gamma = np.linalg.solve(gram_reg, zb.T @ (margin_target * y))
 
-    if not cfg.rejection_enabled:
+    if not call.rejection:
         theta = np.zeros(dim)
         theta[-1] = SENTINEL_REJECT_BIAS
     else:
@@ -155,139 +155,122 @@ def _warm_start(zb: np.ndarray, y: np.ndarray, cfg: TrainConfig, sums: _RowSums)
     # that minimizes the actual objective rather than trusting targets
     best_s, best_val = 1.0, np.inf
     for s in np.geomspace(0.25, 32.0, 22):
-        val = _objective_arrays(theta, s * gamma, zb, y, cfg, sums=sums)
+        val = call.objective(theta, s * gamma)
         if val < best_val:
             best_s, best_val = float(s), val
     return theta, best_s * gamma
 
 
-class _RowSums:
-    """The set-up of one train call (see the module docstring) and its row
-    sums, kept for the ROW_SUM_SETS most recently used sets per branch.
-
-    get(branch, mask) gives the entry of the k rows where mask is True,
-    with each sum already scaled as the subgradient uses it:
-      "a"    (k, ha*zsum, ha*ysum, n_pos), ha = alpha/2 and n_pos the
+def _row_sums(zb: np.ndarray, y: np.ndarray, branch: str, scale: float | None, key: bytes):
+    """The row sums of one branch over the rows where the bool mask with
+    bytes ``key`` is True, k of them, each already scaled as the
+    subgradient uses it:
+      "a"    (k, ha*zsum, ha*ysum, n_pos), scale ha = alpha/2 and n_pos the
              number of rows labelled +1
-      "b"    (k, (c*beta)*zsum) at eps = 0; (k, zsum) at eps > 0, where
-             the eps*k*sgn(theta) term goes in before the scale
+      "b"    (k, (c*beta)*zsum) with scale c*beta at eps = 0; (k, zsum)
+             with scale None at eps > 0, where the eps*k*sgn(theta) term
+             goes in before the scale
       "act"  (k, ysum)
     zsum is the sum of the rows of zb and ysum is y @ zb over them. A sum
     over no rows is None. The arrays are read-only."""
+    rows = np.frombuffer(key, dtype=bool).nonzero()[0]
+    k = rows.size
+    if not k:
+        return (0, None, None, 0) if branch == "a" else (0, None)
+    z = zb.take(rows, axis=0)
+    if branch == "act":
+        entry = (k, y.take(rows).dot(z))
+    elif branch == "b":
+        zsum = z.sum(axis=0)
+        entry = (k, zsum if scale is None else scale * zsum)
+    else:
+        ysum = y.take(rows).dot(z)  # its bias entry is n+ - n-, as the bias feature is 1
+        entry = (k, scale * z.sum(axis=0), scale * ysum, (k + int(ysum[-1])) // 2)
+    for s in entry[1:3]:
+        s.setflags(write=False)
+    return entry
+
+
+class _TrainCall:
+    """One train call on augmented features zb (last coordinate the bias)
+    and labels y in {-1, +1}: its set-up (see the module docstring) and its
+    objective. ``sums[branch](mask.tobytes())`` gives the _row_sums entry
+    of a branch, kept for the ROW_SUM_SETS most recently used masks. The
+    caches hold zb and y but not the call, so the call and its sums are
+    freed when the last reference to it goes."""
 
     def __init__(self, zb: np.ndarray, y: np.ndarray, cfg: TrainConfig):
         p = cfg.params
-        self.zb, self.y, self.y_pos, self.params = zb, y, y > 0, p
+        self.zb, self.y, self.cfg, self.y_pos, self.params = zb, y, cfg, y > 0, p
         self.rejection, self.eps = cfg.rejection_enabled, cfg.eps_train
         self.lam, self.lam_prime = cfg.lam, cfg.lam_prime
         self.half_lam, self.half_lam_prime = 0.5 * cfg.lam, 0.5 * cfg.lam_prime
-        self.ha, self.cb = 0.5 * p.alpha, p.cost * p.beta
-        self.ha_eps = self.ha * self.eps
-        self.kept = {branch: OrderedDict() for branch in ("a", "b", "act")}
+        self.cb = p.cost * p.beta
+        ha = 0.5 * p.alpha
+        self.ha_eps = ha * self.eps
+        scales = {"a": ha, "b": None if self.eps else self.cb} if self.rejection else {"act": None}
+        self.sums = {b: lru_cache(ROW_SUM_SETS)(partial(_row_sums, zb, y, b, s)) for b, s in scales.items()}
 
-    def get(self, branch: str, mask: np.ndarray):
-        kept, key = self.kept[branch], mask.tobytes()
-        entry = kept.get(key)
-        if entry is None:
-            entry = kept[key] = self._sums(branch, mask)
-            if len(kept) > ROW_SUM_SETS:
-                kept.popitem(last=False)
+    def objective(self, theta: np.ndarray, gamma: np.ndarray, with_grad: bool = False):
+        """The objective at (theta, gamma), bias last; with with_grad,
+        (objective, g_theta, g_gamma) with a subgradient from the same
+        pass. The gradients are fresh arrays the caller may overwrite;
+        svm/at give g_theta None, as their rejector stays at the sentinel.
+        The l1 terms and their sign vectors cover the weight coordinates
+        only (bias frozen); at eps = 0 they are not formed."""
+        zb, y, eps = self.zb, self.y, self.eps
+        f = zb.dot(gamma)
+        reg = self.half_lam_prime * float(gamma.dot(gamma))
+        if not self.rejection:
+            margin = y * f
+            np.subtract(1.0, margin, out=margin)
+            if eps:  # no rejector: zeta(+1) = zeta(-1) = -gamma for every label
+                margin += eps * np.abs(gamma[:-1]).sum()
+            val = float(np.maximum(margin, 0.0).sum()) + reg
+            if not with_grad:
+                return val
+            g_gamma = self.lam_prime * gamma
+            k, ysum = self.sums["act"]((margin > 0).tobytes())
+            if k:
+                g_gamma -= ysum
+                if eps:  # d/dgamma eps*||zeta||_1 = -eps*sgn(zeta); sgn(-0.0) is +0.0, where -sgn(0.0) is -0.0
+                    g_gamma[:-1] -= eps * k * np.sign(np.negative(gamma[:-1]))
+            return val, None, g_gamma
+        r = zb.dot(theta)
+        gap = y * f
+        np.subtract(r, gap, out=gap)
+        if eps:
+            zeta, (zeta_pos, zeta_neg, theta_l1) = worst_case_l1(theta[:-1], gamma[:-1], eps)
+            gap += np.where(self.y_pos, zeta_pos, zeta_neg)
+            mh = mh_branches(gap, r - theta_l1, self.params)
         else:
-            kept.move_to_end(key)
-        return entry
-
-    def _sums(self, branch: str, mask: np.ndarray):
-        rows = mask.nonzero()[0]
-        k = rows.size
-        if not k:
-            return (0, None, None, 0) if branch == "a" else (0, None)
-        z = self.zb.take(rows, axis=0)
-        if branch == "act":
-            entry = (k, self.y.take(rows).dot(z))
-        elif branch == "b":
-            zsum = z.sum(axis=0)
-            entry = (k, zsum if self.eps else self.cb * zsum)
-        else:
-            ysum = self.y.take(rows).dot(z)  # its bias entry is n+ - n-, as the bias feature is 1
-            entry = (k, self.ha * z.sum(axis=0), self.ha * ysum, (k + int(ysum[-1])) // 2)
-        for s in entry[1:3]:
-            s.setflags(write=False)
-        return entry
-
-
-def _objective_arrays(
-    theta: np.ndarray,
-    gamma: np.ndarray,
-    zb: np.ndarray,
-    y: np.ndarray,
-    cfg: TrainConfig,
-    with_grad: bool = False,
-    sums: _RowSums | None = None,
-):
-    """Objective on augmented arrays (last coordinate is the bias); with
-    with_grad, (objective, g_theta, g_gamma) with a subgradient from the
-    same pass. The gradients are fresh arrays the caller may overwrite;
-    svm/at give g_theta None, as their rejector stays at the sentinel.
-    sums is the set-up of a train call on this zb, y and cfg; without one
-    the call makes its own.
-
-    y holds only -1 and +1. The l1 terms and their sign vectors cover the
-    weight coordinates only (bias frozen); at eps = 0 they are not formed."""
-    if sums is None:
-        sums = _RowSums(zb, y, cfg)
-    eps = sums.eps
-    f = zb.dot(gamma)
-    reg = sums.half_lam_prime * float(gamma.dot(gamma))
-    if not sums.rejection:
-        margin = y * f
-        np.subtract(1.0, margin, out=margin)
-        if eps:  # no rejector: zeta(+1) = zeta(-1) = -gamma for every label
-            margin += eps * np.abs(gamma[:-1]).sum()
-        val = float(np.maximum(margin, 0.0).sum()) + reg
+            mh = mh_branches(gap, r, self.params)
+        val = float(mh.value.sum()) + reg + self.half_lam * float(theta.dot(theta))
         if not with_grad:
             return val
-        g_gamma = sums.lam_prime * gamma
-        k, ysum = sums.get("act", margin > 0)
-        if k:
-            g_gamma -= ysum
-            if eps:  # d/dgamma eps*||zeta||_1 = -eps*sgn(zeta); sgn(-0.0) is +0.0, where -sgn(0.0) is -0.0
-                g_gamma[:-1] -= eps * k * np.sign(np.negative(gamma[:-1]))
-        return val, None, g_gamma
-    r = zb.dot(theta)
-    gap = y * f
-    np.subtract(r, gap, out=gap)
-    if eps:
-        zeta, (zeta_pos, zeta_neg, theta_l1) = worst_case_l1(theta[:-1], gamma[:-1], eps)
-        gap += np.where(sums.y_pos, zeta_pos, zeta_neg)
-        mh = mh_branches(gap, r - theta_l1, sums.params)
-    else:
-        mh = mh_branches(gap, r, sums.params)
-    val = float(mh.value.sum()) + reg + sums.half_lam * float(theta.dot(theta))
-    if not with_grad:
-        return val
-    g_theta = sums.lam * theta
-    g_gamma = sums.lam_prime * gamma
-    if eps:
-        signs = np.sign(zeta)
-    k, hz, hy, n_pos = sums.get("a", mh.use_a)
-    if k:
-        g_theta += hz
-        g_gamma -= hy
+        g_theta = self.lam * theta
+        g_gamma = self.lam_prime * gamma
         if eps:
-            # d/dtheta eps*||zeta(y)||_1 = eps*y*sgn(zeta(y)); d/dgamma = -eps*sgn(zeta(y)),
-            # summed over the rows as n+ sgn zeta(+1) -/+ n- sgn zeta(-1)
-            signs[0] *= n_pos
-            signs[1] *= k - n_pos
-            g_theta[:-1] += sums.ha_eps * (signs[0] - signs[1])
-            g_gamma[:-1] -= sums.ha_eps * (signs[0] + signs[1])
-    k, zsum = sums.get("b", mh.use_b)
-    if k:
-        if eps:  # the entry is unscaled: the eps term goes in first
-            zsum = zsum.copy()
-            zsum[:-1] -= eps * k * signs[2]
-            zsum *= sums.cb
-        g_theta -= zsum
-    return val, g_theta, g_gamma
+            signs = np.sign(zeta)
+        k, hz, hy, n_pos = self.sums["a"](mh.use_a.tobytes())
+        if k:
+            g_theta += hz
+            g_gamma -= hy
+            if eps:
+                # d/dtheta eps*||zeta(y)||_1 = eps*y*sgn(zeta(y)); d/dgamma = -eps*sgn(zeta(y)),
+                # summed over the rows as n+ sgn zeta(+1) -/+ n- sgn zeta(-1)
+                signs[0] *= n_pos
+                signs[1] *= k - n_pos
+                g_theta[:-1] += self.ha_eps * (signs[0] - signs[1])
+                g_gamma[:-1] -= self.ha_eps * (signs[0] + signs[1])
+        k, zsum = self.sums["b"](mh.use_b.tobytes())
+        if k:
+            if eps:  # the entry is unscaled: the eps term goes in first
+                zsum = zsum.copy()
+                zsum[:-1] -= eps * k * signs[2]
+                zsum *= self.cb
+            g_theta -= zsum
+        return val, g_theta, g_gamma
 
 
 def objective(m: RejectionModel, ds: Dataset, cfg: TrainConfig) -> float:
@@ -295,10 +278,9 @@ def objective(m: RejectionModel, ds: Dataset, cfg: TrainConfig) -> float:
     if len(ds) == 0:
         raise ValueError("dataset is empty")
     z = featurize(cfg.feature_map, ds.x)
-    zb = _augment(z)
     theta = np.append(m.theta, m.bias_theta)
     gamma = np.append(m.gamma, m.bias_gamma)
-    return _objective_arrays(theta, gamma, zb, ds.y.astype(np.float64), cfg)
+    return _TrainCall(_augment(z), ds.y.astype(np.float64), cfg).objective(theta, gamma)
 
 
 def train(ds: Dataset, cfg: TrainConfig) -> tuple[RejectionModel, TrainTrace]:
@@ -318,20 +300,18 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[RejectionModel, TrainTrace]:
     if fm.kind == "random_fourier" and not fm.input_dim:
         fm = replace(fm, input_dim=ds.d)
     z = featurize(fm, ds.x)
-    zb = _augment(z)
-    y = ds.y.astype(np.float64)
-    sums = _RowSums(zb, y, cfg)
-    theta, gamma = _warm_start(zb, y, cfg, sums)
+    call = _TrainCall(_augment(z), ds.y.astype(np.float64), cfg)
+    theta, gamma = _warm_start(call)
 
     objs = np.empty(cfg.epochs + 1)
     # scale by n so lr0 means the same thing across dataset sizes
-    steps = (cfg.lr0 / (np.sqrt(np.arange(1.0, cfg.epochs + 1)) * len(y))).tolist()
+    steps = (cfg.lr0 / (np.sqrt(np.arange(1.0, cfg.epochs + 1)) * len(ds))).tolist()
     best_val = np.inf
     best_epoch = 0
     best_theta, best_gamma = theta, gamma  # iterates are rebound each epoch, never mutated
     for t in range(cfg.epochs + 1):
         last = t == cfg.epochs
-        out = _objective_arrays(theta, gamma, zb, y, cfg, with_grad=not last, sums=sums)
+        out = call.objective(theta, gamma, with_grad=not last)
         val = out if last else out[0]
         if not math.isfinite(val):
             raise FloatingPointError(

@@ -559,7 +559,7 @@ def accepted_error_delta_dense(m, z, y, eps):
 
 
 def objective_arrays_reference(theta, gamma, zb, y, cfg, with_grad=False):
-    """``train._objective_arrays`` without its shortcuts: every eps term is
+    """``train._TrainCall.objective`` without its shortcuts: every eps term is
     computed at every eps, eps = 0 included, each l1 norm is its own sum
     over the weight coordinates, and each sign vector is taken of a freshly
     formed theta - gamma, -theta - gamma or theta. svm/at give no theta

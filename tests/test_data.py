@@ -232,6 +232,13 @@ class TestNumberFields:
         with pytest.raises(ValueError, match=f"^{field} must be {kind}, got bool$"):
             cls(**{field: value})
 
+    @pytest.mark.parametrize("cls", [AttackSpec, NeuralTrainConfig, ProtocolConfig, FeatureMap])
+    def test_negative_seeds_are_refused(self, cls):
+        # numpy would refuse them later, naming no field
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            cls(seed=-1)
+        assert cls(seed=np.int64(0)).seed == 0
+
     def test_elements_and_other_types(self):
         with pytest.raises(ValueError, match=r"^attack_eps\[1\] must be float, got bool$"):
             ProtocolConfig(attack_eps=(0.0, True))

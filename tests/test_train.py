@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from advreject.attacks import AttackSpec
 from advreject.losses import SurrogateParams, verdict
 from advreject.model import FeatureMap, RejectionModel, featurize
 from advreject.synth import credit_surrogate
-from advreject.train import ROW_SUM_SETS, SENTINEL_REJECT_BIAS, TrainConfig, _augment, _objective_arrays, _RowSums, objective, train
+from advreject.train import ROW_SUM_SETS, SENTINEL_REJECT_BIAS, TrainConfig, _augment, _TrainCall, objective, train
 from oracles import objective_arrays_reference, train_objective_reference
 
 P13 = SurrogateParams(1.0, 1.0, 0.3)
@@ -116,7 +118,7 @@ class TestObjectiveAgainstReference:
         cfg = TrainConfig(mode=mode, params=SurrogateParams(2.0, 1.0, 0.25), eps_train=eps, lam=0.5, lam_prime=0.25)
         theta, gamma, zb, y = _reference_problem(rng, features, cfg)
         want_val, want_gt, want_gg, branches = train_objective_reference(theta, gamma, zb, y, cfg)
-        val, g_theta, g_gamma = _objective_arrays(theta, gamma, zb, y, cfg, with_grad=True)
+        val, g_theta, g_gamma = _epoch(theta, gamma, zb, y, cfg, with_grad=True)
         if cfg.rejection_enabled:
             assert branches[-4:] == ["A", "-", "B", "A"]
             tie = zb[-4]
@@ -127,7 +129,7 @@ class TestObjectiveAgainstReference:
             assert branches[-3:] == ["-", "-", "A"]
             assert g_theta is None and np.all(want_gt == 0.0)  # the rejector stays at the sentinel
         assert val == pytest.approx(want_val, rel=1e-12)
-        assert _objective_arrays(theta, gamma, zb, y, cfg) == val
+        assert _epoch(theta, gamma, zb, y, cfg) == val
         if g_theta is not None:
             np.testing.assert_allclose(g_theta, want_gt, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(g_gamma, want_gg, rtol=1e-12, atol=1e-12)
@@ -176,6 +178,10 @@ def _epoch_state(rng, features, cfg, edge):
     return theta, gamma, _augment(z), y
 
 
+def _epoch(theta, gamma, zb, y, cfg, with_grad=False):
+    return _TrainCall(zb, y, cfg).objective(theta, gamma, with_grad)
+
+
 def _bytes(values):
     return [None if v is None else np.asarray(v, dtype=np.float64).tobytes() for v in values]
 
@@ -197,8 +203,8 @@ class TestEpochAgainstOracle:
         if edge == "all_b" and cfg.rejection_enabled:
             assert set(branches) == {"B"}
         want = objective_arrays_reference(theta, gamma, zb, y, cfg, with_grad=True)
-        assert _bytes(_objective_arrays(theta, gamma, zb, y, cfg, with_grad=True)) == _bytes(want)
-        assert _bytes([_objective_arrays(theta, gamma, zb, y, cfg)]) == _bytes(want[:1])
+        assert _bytes(_epoch(theta, gamma, zb, y, cfg, with_grad=True)) == _bytes(want)
+        assert _bytes([_epoch(theta, gamma, zb, y, cfg)]) == _bytes(want[:1])
 
     @pytest.mark.parametrize("mode", ["svm", "at", "mh"])
     def test_eps0_changes_at_most_the_sign_of_a_zero_subgradient(self, rng, mode):
@@ -225,7 +231,7 @@ class TestEpochAgainstOracle:
             probes.append(len(gamma) - 1)
             assert set(train_objective_reference(theta, gamma, zb, y, cfg)[3]) == {"A"}  # 20 labels +1, 20 -1
         want = objective_arrays_reference(theta, gamma, zb, y, cfg, with_grad=True)
-        got = _objective_arrays(theta, gamma, zb, y, cfg, with_grad=True)
+        got = _epoch(theta, gamma, zb, y, cfg, with_grad=True)
         assert _bytes(got[:2]) == _bytes(want[:2])
         assert np.array_equal(got[2], want[2])
         for k in probes:  # the probe reaches the case
@@ -249,9 +255,9 @@ def _fresh_entry(zb, y, cfg, branch, mask):
 
 
 class TestRowSumMemo:
-    """``_RowSums`` hands back the pre-scaled sums a fresh gather, reduction
-    and scale give, never lets a caller write into them, and keeps at most
-    ROW_SUM_SETS active sets per branch."""
+    """A train call's row-sum caches hand back the pre-scaled sums a fresh
+    gather, reduction and scale give, never let a caller write into them,
+    and keep at most ROW_SUM_SETS active sets per branch."""
 
     @pytest.mark.parametrize("edge", EDGES)
     @pytest.mark.parametrize("features", ["identity", "rff"])
@@ -259,15 +265,16 @@ class TestRowSumMemo:
     def test_reused_sums_keep_the_bits(self, rng, mode, eps, features, edge):
         cfg = TrainConfig(mode=mode, eps_train=eps, **(TIE_PARAMS if edge == "tie" else EPOCH_PARAMS))
         theta, gamma, zb, y = _epoch_state(rng, features, cfg, edge)
-        want = _bytes(_objective_arrays(theta, gamma, zb, y, cfg, with_grad=True))
-        sums = _RowSums(zb, y, cfg)
-        first = _objective_arrays(theta, gamma, zb, y, cfg, with_grad=True, sums=sums)
+        want = _bytes(_epoch(theta, gamma, zb, y, cfg, with_grad=True))
+        call = _TrainCall(zb, y, cfg)
+        first = call.objective(theta, gamma, with_grad=True)
         assert _bytes(first) == want
         for g in first[1:]:
             if g is not None:
                 g[:] = np.nan
-        sums._sums = lambda *_: pytest.fail("an active set was summed twice")
-        assert _bytes(_objective_arrays(theta, gamma, zb, y, cfg, with_grad=True, sums=sums)) == want
+        summed = [cache.cache_info().misses for cache in call.sums.values()]
+        assert _bytes(call.objective(theta, gamma, with_grad=True)) == want
+        assert [cache.cache_info().misses for cache in call.sums.values()] == summed  # no set was summed twice
 
     @pytest.mark.parametrize("features", ["identity", "rff"])
     @pytest.mark.parametrize("branch", ["a", "b", "act"])
@@ -277,39 +284,77 @@ class TestRowSumMemo:
         # scaled in another order, or scaled at eps > 0, changes bits
         cfg = TrainConfig(mode="at" if branch == "act" else "atro", eps_train=eps, **EPOCH_PARAMS)
         _, _, zb, y = _epoch_state(rng, features, cfg, "random")
-        sums = _RowSums(zb, y, cfg)
+        sums = _TrainCall(zb, y, cfg).sums[branch]
         for mask in [*(rng.random((4, len(y))) < 0.5), np.ones(len(y), dtype=bool)]:
-            entry = sums.get(branch, mask)
-            assert sums.get(branch, mask.copy()) is entry  # a hit hands back the same entry
+            entry = sums(mask.tobytes())
+            assert sums(mask.copy().tobytes()) is entry  # a hit hands back the same entry
             want = _fresh_entry(zb, y, cfg, branch, mask)
             assert entry[0] == want[0] == mask.sum()
             assert _bytes(entry[1:]) == _bytes(want[1:])
             assert not any(v.flags.writeable for v in entry[1:] if isinstance(v, np.ndarray))
-        empty = sums.get(branch, np.zeros(len(y), dtype=bool))
+        empty = sums(np.zeros(len(y), dtype=bool).tobytes())
         assert empty == ((0, None, None, 0) if branch == "a" else (0, None))
 
     @pytest.mark.parametrize("branch", ["a", "b", "act"])
-    def test_bounded_and_least_recently_used_goes_first(self, rng, branch):
+    def test_bounded_and_least_recently_used_goes_first(self, rng, monkeypatch, branch):
         zb, y = _augment(rng.standard_normal((40, 3))), np.where(rng.random(40) < 0.5, 1.0, -1.0)
         cfg = TrainConfig(mode="at" if branch == "act" else "atro", eps_train=0.01, **EPOCH_PARAMS)
-        masks = rng.random((2 * ROW_SUM_SETS, 40)) < 0.5
-        assert len({m.tobytes() for m in masks}) == len(masks)
-        sums = _RowSums(zb, y, cfg)
-        for i, m in enumerate(masks):
-            sums.get(branch, m)
-            sums.get(branch, masks[0])  # a hit keeps the first set
-            assert len(sums.kept[branch]) == min(i + 1, ROW_SUM_SETS)
-        kept = set(sums.kept[branch])
-        assert masks[0].tobytes() in kept and masks[-ROW_SUM_SETS].tobytes() not in kept
-        k, *got = sums.get(branch, masks[1])  # summed again after its eviction
-        fresh = _fresh_entry(zb, y, cfg, branch, masks[1])
-        assert k == fresh[0] == masks[1].sum()
+        kept, *others = rng.random((2 * ROW_SUM_SETS + 1, 40)) < 0.5
+        assert len({m.tobytes() for m in (kept, *others)}) == len(others) + 1
+        summed, row_sums = [], train_module._row_sums
+
+        def counting(*args):
+            summed.append(args[-1])
+            return row_sums(*args)
+
+        monkeypatch.setattr(train_module, "_row_sums", counting)
+        sums = _TrainCall(zb, y, cfg).sums[branch]
+
+        def summed_by(mask):
+            before = len(summed)
+            entry = sums(mask.tobytes())
+            return len(summed) > before, entry
+
+        for m in others:
+            assert summed_by(m)[0]
+            assert summed_by(kept)[0] == (m is others[0])  # a hit computes nothing and keeps the set
+        # the newest ROW_SUM_SETS - 1 other sets are kept; the one before them went first
+        assert not any(summed_by(m)[0] for m in others[-(ROW_SUM_SETS - 1):])
+        assert summed_by(others[-ROW_SUM_SETS])[0]
+        again, (k, *got) = summed_by(others[0])  # the least recently used set, summed again
+        fresh = _fresh_entry(zb, y, cfg, branch, others[0])
+        assert again and k == fresh[0] == others[0].sum()
         assert _bytes(got) == _bytes(fresh[1:])
         assert not any(v.flags.writeable for v in got if isinstance(v, np.ndarray))
 
+    def test_train_call_is_freed_when_train_returns(self, rng, monkeypatch):
+        # table-credit trains four models in one pass; none may keep the
+        # previous call's features and sums alive, even with gc off
+        refs = []
 
-def _reference_without_memo(*args, sums=None, **kwargs):
-    return objective_arrays_reference(*args, **kwargs)
+        class Recorded(_TrainCall):
+            def __init__(self, *args):
+                super().__init__(*args)
+                refs.extend(weakref.ref(obj) for obj in (self, self.zb, *self.sums.values()))
+
+        monkeypatch.setattr(train_module, "_TrainCall", Recorded)
+        cfg = TrainConfig(mode="atro", eps_train=0.01, epochs=20, **EPOCH_PARAMS)
+        gc.disable()
+        try:
+            train(toy_dataset(rng, n=60), cfg)
+            assert len(refs) == 4 and all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+
+
+def _reference_objective(call, theta, gamma, with_grad=False):
+    return objective_arrays_reference(theta, gamma, call.zb, call.y, call.cfg, with_grad)
+
+
+def use_reference(monkeypatch):
+    """Make every train call evaluate its objective with the reference,
+    which keeps no row sums."""
+    monkeypatch.setattr(train_module._TrainCall, "objective", _reference_objective)
 
 
 class TestTrainAgainstOracle:
@@ -320,7 +365,7 @@ class TestTrainAgainstOracle:
         fm = FeatureMap("identity") if features == "identity" else FeatureMap("random_fourier", dim=16, sigma=1.0, seed=0)
         cfg = TrainConfig(mode=mode, eps_train=eps, epochs=20, feature_map=fm, **EPOCH_PARAMS)
         model, trace = train(ds, cfg)
-        monkeypatch.setattr(train_module, "_objective_arrays", _reference_without_memo)
+        use_reference(monkeypatch)
         want_model, want_trace = train(ds, cfg)
         assert model.to_json() == want_model.to_json()
         assert trace.to_csv() == want_trace.to_csv()
@@ -334,16 +379,16 @@ class TestTrainAgainstOracle:
         fm = FeatureMap("random_fourier", dim=50, sigma=1.0, seed=0)
         cfg = TrainConfig(mode=mode, params=SurrogateParams(2.0, 4.0, 0.2), eps_train=eps, epochs=300, feature_map=fm)
         summed = {"a": set(), "b": set()}
+        row_sums = train_module._row_sums
 
-        class Counting(_RowSums):
-            def _sums(self, branch, mask):
-                summed[branch].add(mask.tobytes())
-                return super()._sums(branch, mask)
+        def counting(zb, y, branch, scale, key):
+            summed[branch].add(key)
+            return row_sums(zb, y, branch, scale, key)
 
-        monkeypatch.setattr(train_module, "_RowSums", Counting)
+        monkeypatch.setattr(train_module, "_row_sums", counting)
         model, trace = train(ds, cfg)
         assert min(map(len, summed.values())) > ROW_SUM_SETS
-        monkeypatch.setattr(train_module, "_objective_arrays", _reference_without_memo)
+        use_reference(monkeypatch)
         want_model, want_trace = train(ds, cfg)
         assert model.to_json() == want_model.to_json()
         assert trace.to_csv() == want_trace.to_csv()
@@ -380,7 +425,7 @@ class TestProtocolAgainstOracle:
             return (tmp_path / out / "bench.csv").read_bytes(), list(trained)
 
         got = run("library")
-        monkeypatch.setattr(train_module, "_objective_arrays", _reference_without_memo)
+        use_reference(monkeypatch)
         want = run("reference")
         assert len(got[1]) == 2 * 4
         assert got == want
@@ -420,7 +465,7 @@ class TestTrain:
         # the epoch gives no theta subgradient, and train never moves theta
         cfg = TrainConfig(mode=mode, eps_train=eps, epochs=50, **EPOCH_PARAMS)
         theta, gamma, zb, y = _epoch_state(rng, "identity", cfg, "random")
-        assert _objective_arrays(theta, gamma, zb, y, cfg, with_grad=True)[1] is None
+        assert _epoch(theta, gamma, zb, y, cfg, with_grad=True)[1] is None
         model, _ = train(toy_dataset(rng, n=60), cfg)
         assert model.theta.tobytes() == np.zeros(3).tobytes()
         assert model.bias_theta == SENTINEL_REJECT_BIAS
