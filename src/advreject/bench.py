@@ -76,8 +76,9 @@ def feature_map(dim: int, x: np.ndarray, seed: int, sigma: float | str = "median
 def spawn_seeds(master: int, n: int, words: int) -> list[tuple[int, ...]]:
     """n tuples of ``words`` seeds in [0, 2**31): the first ``words`` state words, mod
     2**31, of each of n children spawned from SeedSequence(master). A child's first word
-    is the same for any ``words``: the CLI takes a run's split, feature and attack seeds
-    with n = 3 and one word, run_protocol each trial's split and feature seeds with two."""
+    is the same for any ``words``, and its tuple the same for any n above its index: the
+    CLI takes a run's split and feature seeds with n = 2 and one word, run_protocol each
+    trial's split and feature seeds with two."""
     return [tuple(int(w % 2**31) for w in c.generate_state(words)) for c in np.random.SeedSequence(master).spawn(n)]
 
 

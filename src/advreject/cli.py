@@ -4,7 +4,7 @@ Subcommands: train, eval, bound, bench, neural-train. Every run is
 driven by a RunConfig (JSON via --config, overridable by flags) plus the
 input files; the resolved config is echoed to <out>/manifest.json so a
 single file reproduces the run. One master seed fans out deterministically
-into split/feature/attack seeds.
+into a split seed and a feature seed.
 
 Exit codes: 0 ok, 2 configuration or input error, 3 numeric failure.
 """
@@ -107,7 +107,7 @@ def _prepare_training_data(rc: RunConfig, section: str, split_seed: int):
 
 
 def _cmd_train(rc: RunConfig) -> tuple[dict[str, str], str]:
-    (split_seed,), (feat_seed,), (attack_seed,) = spawn_seeds(rc.seed, 3, 1)
+    (split_seed,), (feat_seed,) = spawn_seeds(rc.seed, 2, 1)
     tr_n, te_n, stats = _prepare_training_data(rc, "train", split_seed)
     fs = rc.train.features
     try:
@@ -119,7 +119,7 @@ def _cmd_train(rc: RunConfig) -> tuple[dict[str, str], str]:
     cfg = replace(rc.train.config, feature_map=fm)
     model, trace = train(tr_n, cfg)
     model.norm_stats = stats
-    report = evaluate_model(model, te_n, replace(rc.attack, seed=attack_seed), cfg.params)
+    report = evaluate_model(model, te_n, rc.attack, cfg.params)
     files = {"model.json": model.to_json(), "trace.csv": trace.to_csv(), "report.json": report.to_json()}
     return files, (
         f"trained {cfg.mode} on {rc.dataset} ({len(tr_n)} samples): "
@@ -129,9 +129,8 @@ def _cmd_train(rc: RunConfig) -> tuple[dict[str, str], str]:
 
 
 def _cmd_eval(rc: RunConfig) -> tuple[dict[str, str], str]:
-    (attack_seed,) = spawn_seeds(rc.seed, 3, 1)[2]  # train's attack seed
     model, ds = _load_model_and_data(rc)
-    report = evaluate_model(model, ds, replace(rc.attack, seed=attack_seed), rc.train.config.params)
+    report = evaluate_model(model, ds, rc.attack, rc.train.config.params)
     c = report.counts
     csv = csv_text(("err", "rej", "pr", "ta", "tr", "fa", "fr", "mean_loss_01c"),
                    [(report.err, report.rej, report.pr, c.ta, c.tr, c.fa, c.fr, report.mean_loss_01c)])
@@ -177,7 +176,7 @@ def _cmd_bench(rc: RunConfig) -> tuple[dict[str, str], str]:
 
 
 def _cmd_neural_train(rc: RunConfig) -> tuple[dict[str, str], str]:
-    (split_seed,), (feat_seed,), _ = spawn_seeds(rc.seed, 3, 1)
+    (split_seed,), (feat_seed,) = spawn_seeds(rc.seed, 2, 1)
     tr, te, _ = _prepare_training_data(rc, "neural", split_seed)
     net, trace = train_neural(tr, rc.neural.build(feat_seed))
     report = evaluate_model(net, te, AttackSpec(), rc.neural.config.params)
@@ -190,8 +189,8 @@ def _cmd_neural_train(rc: RunConfig) -> tuple[dict[str, str], str]:
 _SCORED = ("dataset", "model", "out", "train.alpha", "train.beta", "train.cost")  # a model scored at train's params
 _DISPATCH = {
     "train": (_cmd_train, ("dataset", "test_dataset", "out", "seed", "train", "attack")),
-    "eval": (_cmd_eval, (*_SCORED, "seed", "attack")),
-    "bound": (_cmd_bound, (*_SCORED, "bound")),  # deterministic: no seed
+    "eval": (_cmd_eval, (*_SCORED, "attack")),  # deterministic, as bound: no seed
+    "bound": (_cmd_bound, (*_SCORED, "bound")),
     "bench": (_cmd_bench, ("dataset", "out", "seed", "bench")),
     "neural-train": (_cmd_neural_train, ("dataset", "test_dataset", "out", "seed", "neural")),
 }

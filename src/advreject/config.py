@@ -138,7 +138,6 @@ class RunConfig:
 # neither read from the JSON nor written to the manifest
 _DERIVED = {
     (TrainConfig, "feature_map"),
-    (AttackSpec, "seed"),
     (BoundConfig, "w_bound"),
     (BoundConfig, "params"),
     (NeuralTrainConfig, "attack"),

@@ -33,15 +33,16 @@ class Dataset:
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.int64)
+        y = np.asarray(self.y)
         if self.x.ndim != 2:
             raise ValueError("x must be a 2-D array")
-        if self.y.shape != (self.x.shape[0],):
+        if y.shape != (self.x.shape[0],):
             raise ValueError("y length must match number of rows in x")
         if not np.all(np.isfinite(self.x)):
             raise ValueError("features must be finite")
-        if not ((self.y == 1) | (self.y == -1)).all():
+        if not ((y == 1) | (y == -1)).all():  # before the cast, which would truncate 1.5 to 1
             raise ValueError("labels must be -1 or +1")
+        self.y = np.asarray(y, dtype=np.int64)
 
     def __len__(self) -> int:
         return self.x.shape[0]

@@ -121,11 +121,7 @@ def metrics(conf: RejectConfusion) -> tuple[float, float, float | None]:
     return err, rej, pr
 
 
-def evaluate_model(
-    m: RejectionModel | ToyNet, ds: Dataset, attack: AttackSpec, params: SurrogateParams | None = None
-) -> EvalReport:
-    if params is None:
-        params = SurrogateParams()
+def evaluate_model(m: RejectionModel | ToyNet, ds: Dataset, attack: AttackSpec, params: SurrogateParams) -> EvalReport:
     z, scores = (ds.x, m.forward) if isinstance(m, ToyNet) else (m.featurize(ds.x), m.scores_features)
     y = np.asarray(ds.y, dtype=np.float64)
     deltas = _candidate_deltas(m, z, y, attack, params)

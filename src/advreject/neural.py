@@ -192,8 +192,6 @@ class NeuralTrainConfig:
                       naturals=("seed",))
         if self.attack.method not in ("none", "pgd"):
             raise ValueError("inner attack must be pgd or none")
-        if self.attack.random_start:
-            raise ValueError("attack.random_start must be false: neural PGD starts at the clean point")
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"activation must be one of {'/'.join(_ACTIVATIONS)}, got {self.activation!r}")
 

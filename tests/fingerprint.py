@@ -4,13 +4,16 @@
 
 ROOT is a checkout of this repository; its src/ and perfbench/ are imported,
 and the passes are built by perfbench/workloads.py's own classes at their
-FULL sizes. Each line is a workload name and the hash of what its pass
+FULL sizes. Each line is a name and the hash of what a workload's pass
 computed:
 
-  table-credit   bench.csv and the four trained models
-  attack-sweep   every report: each attacked and clean EvalReport with its
-                 per-row losses and winners, and each bound report
-  neural-minmax  the trained net, its loss trace and its attacked risk
+  table-credit          bench.csv and the four trained models
+  attack-sweep          every report: each attacked and clean EvalReport with
+                        its per-row losses and winners, and each bound report
+  attack-sweep-numbers  the same reports without the AttackSpec each
+                        EvalReport echoes under "attack", so a spec field
+                        added or dropped moves attack-sweep but not this line
+  neural-minmax         the trained net, its loss trace and its attacked risk
 
 Two trees that print the same lines at a seed computed the same bytes.
 BLAS runs on one thread, as in perfbench/run.py, because a trained RFF
@@ -20,6 +23,7 @@ model's last bits depend on the thread count. About 2 s per tree.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -28,27 +32,36 @@ from pathlib import Path
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def table_credit(wl) -> list[bytes]:
+def table_credit(wl) -> dict[str, list[bytes]]:
     wl.run_pass()
-    return [(wl.out / "bench.csv").read_bytes(), *(m.to_json().encode() for _, _, m in wl.trained)]
+    return {"table-credit": [(wl.out / "bench.csv").read_bytes(), *(m.to_json().encode() for _, _, m in wl.trained)]}
 
 
-def attack_sweep(wl) -> list[bytes]:
-    parts = []
+def _without_attack(text: str) -> bytes:
+    obj = json.loads(text)
+    obj.pop("attack", None)  # a bound report has none
+    return json.dumps(obj, sort_keys=True).encode()
+
+
+def attack_sweep(wl) -> dict[str, list[bytes]]:
+    lines = {"attack-sweep": [], "attack-sweep-numbers": []}
     for stem, key, eps, _, clean, rep in wl.run_pass():
-        parts.append(f"{stem} {key} {eps!r}".encode())
-        for report in (rep,) if clean is None else (clean, rep):
-            parts.append(report.to_json().encode())
-            if clean is not None:
-                parts += [report.clean_loss.tobytes(), report.worst_loss.tobytes(), report.winner.tobytes()]
-    return parts
+        for name, parts in lines.items():
+            parts.append(f"{stem} {key} {eps!r}".encode())
+            for report in (rep,) if clean is None else (clean, rep):
+                text = report.to_json()
+                parts.append(text.encode() if name == "attack-sweep" else _without_attack(text))
+                if clean is not None:
+                    parts += [report.clean_loss.tobytes(), report.worst_loss.tobytes(), report.winner.tobytes()]
+    return lines
 
 
-def neural_minmax(wl) -> list[bytes]:
+def neural_minmax(wl) -> dict[str, list[bytes]]:
     import numpy as np
 
     net, trace, risk = wl.run_pass()
-    return [net.to_json().encode(), np.asarray(trace, dtype=np.float64).tobytes(), float(risk).hex().encode()]
+    return {"neural-minmax": [net.to_json().encode(), np.asarray(trace, dtype=np.float64).tobytes(),
+                              float(risk).hex().encode()]}
 
 
 PASSES = {"table-credit": table_credit, "attack-sweep": attack_sweep, "neural-minmax": neural_minmax}
@@ -74,12 +87,14 @@ def main(argv: list[str]) -> int:
             wl = workloads.WORKLOADS[name](seed, workloads.FULL, Path(workdir))
             try:
                 wl.setup()
-                digest = hashlib.sha256()
-                for part in run(wl):
-                    digest.update(len(part).to_bytes(8, "little") + part)
+                lines = run(wl)
             finally:
                 wl.close()
-        print(name, digest.hexdigest())
+        for line, parts in lines.items():
+            digest = hashlib.sha256()
+            for part in parts:
+                digest.update(len(part).to_bytes(8, "little") + part)
+            print(line, digest.hexdigest())
     return 0
 
 

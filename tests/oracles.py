@@ -337,20 +337,14 @@ def dense_step(spec, delta, g):
 
 
 def pgd_full(value_grad, x, spec):
-    """Batched PGD run for all spec.steps steps, with no early exit: the
-    reference that ``attacks.pgd`` and ``attacks.pgd_linear_mh_batch``
-    must match bit for bit. value_grad gives one gradient row per point, as
-    for ``attacks.pgd``. The start, the steps and the best-iterate update
-    are written out with the float operations of the library, in the same
-    order."""
-    eps = spec.eps
+    """Batched PGD from delta 0 run for all spec.steps steps, with no early
+    exit: the reference that ``attacks.pgd`` and
+    ``attacks.pgd_linear_mh_batch`` must match bit for bit. value_grad gives
+    one gradient row per point, as for ``attacks.pgd``. The steps and the
+    best-iterate update are written out with the float operations of the
+    library, in the same order."""
     delta = np.zeros(x.shape)
-    if spec.random_start and eps > 0:
-        start = np.random.default_rng(spec.seed).uniform(-eps, eps, size=x.shape[-1])
-        if spec.norm == "l2":
-            start *= eps / np.maximum(np.linalg.norm(start, axis=-1, keepdims=True), eps)
-        delta[:] = start
-    if eps == 0:
+    if spec.eps == 0:
         return delta
     best_val, g = value_grad(x + delta, True)
     best_delta = delta.copy()

@@ -111,13 +111,6 @@ class TestPgd:
             else:
                 assert np.linalg.norm(delta) <= 0.4 + 1e-12
 
-    def test_random_start_deterministic(self, rng):
-        m, z, _ = one_row(rng, 3)
-        spec = AttackSpec(method="pgd", eps=0.2, steps=5, random_start=True, seed=42)
-        d1 = pgd_linear_mh_batch(m, z, np.ones(1), spec, P13)
-        d2 = pgd_linear_mh_batch(m, z, np.ones(1), spec, P13)
-        assert np.array_equal(d1, d2)
-
 
 def binding_row():
     """One row (label +1, eps = 1) whose knapsack optimum delta = (-1, 0)
@@ -305,17 +298,14 @@ class TestLinearMhValueGrad:
 
 
 class TestBatchPgd:
-    @pytest.mark.parametrize("random_start", [False, True])
     @pytest.mark.parametrize("norm", ["linf", "l2"])
-    def test_matches_single_sample_path(self, rng, norm, random_start):
+    def test_matches_single_sample_path(self, rng, norm):
         # each row of a batch gets the attack it gets as a batch of one row
         m = random_linear_model(rng, 4)
         z = rng.standard_normal((12, 4))
         y = np.where(rng.random(12) < 0.5, 1.0, -1.0)
-        # steps too short to reach a corner from any start, so the start shows
-        spec = AttackSpec(
-            method="pgd", eps=0.2, norm=norm, steps=15, step_size=0.01, random_start=random_start, seed=5
-        )
+        # steps too short to reach a corner, so every row's whole path shows
+        spec = AttackSpec(method="pgd", eps=0.2, norm=norm, steps=15, step_size=0.01)
         deltas = pgd_linear_mh_batch(m, z, y, spec, P13)
         for i in range(12):
             single = pgd_linear_mh_batch(m, z[i : i + 1], y[i : i + 1], spec, P13)
@@ -348,9 +338,19 @@ class CountingObjective:
         return len(self.grads)
 
 
+# Two step sizes for 20 PGD steps: "auto" (eps/sqrt(20)) takes a sign step to
+# a box corner after 5 steps, where the delta-table walk stops; "short"
+# (eps/40) covers half the radius in 20 steps, so most rows move on every step.
+STEPS = ["auto", "short"]
+
+
+def step_size(step, eps):
+    return "auto" if step == "auto" else eps / 40
+
+
 class TestPgdEarlyExit:
-    """pgd and pgd_linear_mh_batch stop at their first fixed point, and
-    the result is the one of the full-length loop bit for bit."""
+    """pgd_linear_mh_batch stops at its first fixed point, and its result is
+    the one of the full-length loop bit for bit; pgd runs every step."""
 
     @staticmethod
     def linear_problem(rng, features):
@@ -364,13 +364,13 @@ class TestPgdEarlyExit:
         return m, m.featurize(x), y
 
     @pytest.mark.parametrize("eps", [1e-9, 0.01, 0.2, 1.0])  # 1e-9: steps far below np.allclose's tolerances
-    @pytest.mark.parametrize("random_start", [False, True])
+    @pytest.mark.parametrize("step", STEPS)
     @pytest.mark.parametrize("norm", ["linf", "l2"])
     @pytest.mark.parametrize("features", ["identity", "random_fourier"])
-    def test_matches_full_length_loop(self, rng, features, norm, random_start, eps):
+    def test_matches_full_length_loop(self, rng, features, norm, step, eps):
         for _ in range(3):
             m, z, y = self.linear_problem(rng, features)
-            spec = AttackSpec(method="pgd", eps=eps, norm=norm, steps=20, random_start=random_start, seed=3)
+            spec = AttackSpec(method="pgd", eps=eps, norm=norm, steps=20, step_size=step_size(step, eps))
             full = pgd_full(lambda zd, grad: linear_mh_dense(m, zd, y, P13, grad), z, spec)
             assert np.array_equal(pgd_linear_mh_batch(m, z, y, spec, P13), full)
 
@@ -385,10 +385,9 @@ class TestPgdEarlyExit:
         spec = AttackSpec(method="pgd", eps=0.05, steps=steps)
         objective = CountingObjective(lambda zd, grad: linear_mh_dense(m, zd, y, P13, grad))
         deltas = pgd(objective, z, spec)
-        assert all(np.array_equal(g, objective.grads[0]) for g in objective.grads)
-        assert objective.calls == math.ceil(math.sqrt(steps)) + 1 < steps + 1
+        assert all(np.array_equal(g, objective.grads[0]) for g in objective.grads[:-1])
         assert np.array_equal(deltas, 0.05 * np.sign(objective.grads[0]))
-        # the delta-table walk stops at the same step
+        # the delta-table walk stops there, with the bytes of the dense loop's every step
         build, walks = attacks.linear_mh, []
 
         def counting_build(*args):
@@ -397,30 +396,27 @@ class TestPgdEarlyExit:
 
         monkeypatch.setattr(attacks, "linear_mh", counting_build)
         assert pgd_linear_mh_batch(m, z, y, spec, P13).tobytes() == deltas.tobytes()
-        assert walks[0].calls == objective.calls
-
-    def test_zero_gradient_stops_at_the_start(self):
-        objective = CountingObjective(lambda xd, grad: (np.zeros(len(xd)), np.zeros_like(xd)))
-        deltas = pgd(objective, np.ones((4, 2)), AttackSpec(method="pgd", eps=0.1, steps=20))
-        assert objective.calls == 1
-        assert np.array_equal(deltas, np.zeros((4, 2)))
+        assert walks[0].calls == math.ceil(math.sqrt(steps)) + 1 < objective.calls == steps + 1
 
     @pytest.mark.parametrize("norm", ["linf", "l2"])
-    def test_flipping_gradient_runs_every_step(self, norm):
-        # the gradient's sign flips on every call, so no step is a fixed point
-        flips = []
+    @pytest.mark.parametrize("gradient", ["fixed", "zero", "flipping"])
+    def test_dense_loop_runs_every_step(self, gradient, norm):
+        # a fixed gradient reaches a fixed point after ceil(sqrt(20)) linf
+        # steps, a zero one leaves every row at the start, and one whose sign
+        # flips on every call never rests; pgd runs all 20 steps in each case
+        w, calls = np.array([1.0, -2.0, 0.5]), []
 
         def value_grad(xd, grad):
-            flips.append(len(flips) % 2)
-            return -np.abs(xd).sum(axis=1), (1.0 - 2.0 * flips[-1]) * np.ones_like(xd)
+            calls.append(grad)
+            sign = {"fixed": 1.0, "zero": 0.0, "flipping": 1.0 - 2.0 * (len(calls) % 2)}[gradient]
+            return xd @ w, sign * np.broadcast_to(w, xd.shape) if grad else None
 
-        x = np.zeros((5, 3))
-        spec = AttackSpec(method="pgd", eps=0.3, norm=norm, steps=20, step_size=0.1)
-        objective = CountingObjective(value_grad)
-        deltas = pgd(objective, x, spec)
-        assert objective.calls == spec.steps + 1
-        flips.clear()
-        assert np.array_equal(deltas, pgd_full(value_grad, x, spec))
+        x = np.random.default_rng(3).standard_normal((5, 3))
+        spec = AttackSpec(method="pgd", eps=0.3, norm=norm, steps=20)
+        deltas = pgd(value_grad, x, spec)
+        assert calls == [True] * spec.steps + [False]
+        calls.clear()
+        assert deltas.tobytes() == pgd_full(value_grad, x, spec).tobytes()
 
 
 class TestDeltaTable:
@@ -429,20 +425,16 @@ class TestDeltaTable:
     the same objective with dense gradients. Both loops leave x as it is,
     and the memory of a call does not grow with its steps."""
 
-    @pytest.mark.parametrize("random_start", [False, True])
     @pytest.mark.parametrize("norm", ["linf", "l2"])
-    def test_walk_gives_the_bytes_of_the_dense_loop(self, rng, monkeypatch, norm, random_start):
+    def test_walk_gives_the_bytes_of_the_dense_loop(self, rng, monkeypatch, norm):
         # with gamma = 1.2*theta on the first coordinate, A's ascent
         # direction raises B faster than A, so a label +1 row in branch A
         # moves into B after a number of steps set by its distance to the
-        # A = B boundary; the rows are spread over that distance, measured
-        # from the start
+        # A = B boundary; the rows are spread over that distance
         m = RejectionModel(theta=np.array([1.0, 0.1, -0.2]), gamma=np.array([1.2, 0.05, -0.1]))
-        spec = AttackSpec(method="pgd", eps=10.0, norm=norm, steps=20, step_size=0.25, random_start=random_start,
-                          seed=11)
+        spec = AttackSpec(method="pgd", eps=10.0, norm=norm, steps=20, step_size=0.25)
         z = rng.standard_normal((60, 3))
         z[:, 0] = rng.uniform(-3.4, 1.0, 60)
-        z -= attacks._start(spec, 1, 3)
         y = np.where(rng.random(60) < 0.7, 1.0, -1.0)
         build, indices = attacks.linear_mh, []
 
@@ -465,14 +457,13 @@ class TestDeltaTable:
         histories = np.unique(np.stack(indices[:-1], axis=1), axis=0)
         assert len(histories) > 4
 
-    @pytest.mark.parametrize("random_start", [False, True])
     @pytest.mark.parametrize("norm", ["linf", "l2"])
-    def test_leaves_x_unchanged(self, rng, norm, random_start):
+    def test_leaves_x_unchanged(self, rng, norm):
         m = random_linear_model(rng, 4)
         z = rng.standard_normal((30, 4))
         y = np.where(rng.random(30) < 0.5, 1.0, -1.0)
         before = z.copy()
-        spec = AttackSpec(method="pgd", eps=0.3, norm=norm, steps=10, random_start=random_start, seed=2)
+        spec = AttackSpec(method="pgd", eps=0.3, norm=norm, steps=10)
         pgd(lambda zd, grad: linear_mh_dense(m, zd, y, P13, grad), z, spec)
         assert z.tobytes() == before.tobytes()
         pgd_linear_mh_batch(m, z, y, spec, P13)
@@ -565,9 +556,8 @@ class TestReusedBuffers:
     arrays on every call, rewritten, because pgd copies what it keeps of
     them before its next call."""
 
-    @pytest.mark.parametrize("random_start", [False, True])
     @pytest.mark.parametrize("norm", ["linf", "l2"])
-    def test_one_reused_pair_gives_the_bytes_of_fresh_arrays(self, rng, norm, random_start):
+    def test_one_reused_pair_gives_the_bytes_of_fresh_arrays(self, rng, norm):
         # a wavy objective: rows find their best iterate at different steps
         x = rng.standard_normal((30, 4))
         phase = rng.uniform(0, 2 * np.pi, (30, 4))
@@ -585,7 +575,7 @@ class TestReusedBuffers:
             gradient[...] = g
             return value, gradient
 
-        spec = AttackSpec(method="pgd", eps=0.5, norm=norm, steps=20, random_start=random_start, seed=2)
+        spec = AttackSpec(method="pgd", eps=0.5, norm=norm, steps=20)
         want = pgd(fresh, x, spec)
         assert pgd(reused, x, spec).tobytes() == want.tobytes()
         assert want.tobytes() == pgd_full(fresh, x, spec).tobytes()
@@ -661,15 +651,15 @@ class TestTablesMatchDense:
     EPS = [1e-9, 0.01, 0.2, 1.0]
 
     @pytest.mark.parametrize("eps", EPS)
-    @pytest.mark.parametrize("random_start", [False, True])
+    @pytest.mark.parametrize("step", STEPS)
     @pytest.mark.parametrize("norm", ["linf", "l2"])
     @pytest.mark.parametrize("kind", KINDS)
-    def test_pgd(self, rng, kind, norm, random_start, eps):
+    def test_pgd(self, rng, kind, norm, step, eps):
         branches = set()
         for _ in range(3):
             m, z, y = self.problem(rng, kind)
             branches.update(linear_mh(m, y, P13)(z, True)[1][1].tolist())
-            spec = AttackSpec(method="pgd", eps=eps, norm=norm, steps=20, random_start=random_start, seed=7)
+            spec = AttackSpec(method="pgd", eps=eps, norm=norm, steps=20, step_size=step_size(step, eps))
             full = pgd_full(lambda zd, grad: linear_mh_dense(m, zd, y, P13, grad), z, spec)
             assert pgd_linear_mh_batch(m, z, y, spec, P13).tobytes() == full.tobytes()
         assert 3 in branches and branches & {1, 2}  # B and A rows

@@ -86,7 +86,8 @@ class TestValidateConfig:
             ("bench", "attack_steps", 0),
             ("bench", "lam", -1),
             ("train", "epochz", 5),
-            ("attack", "seed", 123),  # derived from the master seed
+            ("attack", "seed", 123),  # every PGD starts at the clean point: an attack draws nothing
+            ("attack", "random_start", False),  # an older manifest's key
             ("train", "features", {"seed": 123}),
             ("train", "features", {"kind": "random_fourier"}),  # dim alone picks the map
             ("train", "features", {"dim": -1}),
@@ -220,7 +221,7 @@ REMOVED_COMMANDS = ("attack",)
 # value in SMALL_RUNS or its default
 UNREAD_VALUES = {
     "model": "elsewhere.json", "seed": 5, "test_dataset": "elsewhere.libsvm",
-    "attack.eps": 0.05, "attack.method": "none", "attack.norm": "l2", "attack.random_start": False,
+    "attack.eps": 0.05, "attack.method": "none", "attack.norm": "l2",
     "attack.step_size": 0.01, "attack.steps": 5,
     "bench.alpha": 1.5, "bench.attack_eps": [0.0, 0.05], "bench.attack_steps": 5, "bench.beta": 3.0,
     "bench.epochs": 10, "bench.eps_train": 0.01, "bench.lam": 0.01, "bench.lam_prime": 0.01, "bench.lr0": 1.0,
@@ -235,9 +236,9 @@ UNREAD_VALUES = {
     "train.lam": 0.01, "train.lam_prime": 0.01, "train.lr0": 1.0, "train.mode": "at", "train.normalize": "zscore",
     "train.train_fraction": 0.7,
 }
-# the settings that keep each subcommand's run small; the attack uses its seed
+# the settings that keep each subcommand's run small
 SMALL_RUNS = {
-    "attack.method": "pgd", "attack.eps": 0.1, "attack.random_start": True, "attack.steps": 3,
+    "attack.method": "pgd", "attack.eps": 0.1, "attack.steps": 3,
     "train.epochs": 20, "neural.epochs": 3, "neural.hidden": [4], "bench.methods": [["mh", 0.2]],
     "bench.attack_eps": [0.0], "bench.trials": 1, "bench.train_size": 60, "bench.rff_dim": 0, "bench.epochs": 20,
 }
@@ -274,7 +275,7 @@ class TestFlagRule:
             for path in paths:
                 assert any(_under(path, reads) for reads in all_reads), (flag, path)
         offered = sum(any(_under(p, reads) for p in paths) for reads in all_reads for *_, paths in advreject.cli._FLAGS)
-        assert offered == 40
+        assert offered == 39
 
     @pytest.mark.parametrize("command", [*advreject.cli._DISPATCH, *REMOVED_COMMANDS])
     @pytest.mark.parametrize("flag", [*(flag for flag, *_ in advreject.cli._FLAGS), *REMOVED_FLAGS])
@@ -788,20 +789,28 @@ class TestOtherCommands:
         assert "bench.train_size" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize(
-        "master, seeds", [(0, (1610069009, 673228719, 1093961225)), (7, (1201125462, 1471499523, 1684166797))]
-    )
-    def test_run_seeds_are_pinned(self, master, seeds, data_file, tmp_path, monkeypatch):
-        # the split, feature and attack seeds of a run; if they move, every trained model and report moves
-        splits = []
-        split = advreject.cli.split
+    @pytest.mark.parametrize("master, seeds", [(0, (1610069009, 673228719)), (7, (1201125462, 1471499523))])
+    @pytest.mark.parametrize("command", ["train", "neural-train"])
+    def test_run_seeds_are_pinned(self, master, seeds, command, data_file, tmp_path, monkeypatch):
+        # the split and feature seeds of a run; if they move, every trained model and report moves
+        splits, features = [], []
+        split, train = advreject.cli.split, advreject.cli.train_neural
         monkeypatch.setattr(advreject.cli, "split", lambda *args, seed: splits.append(seed) or split(*args, seed))
-        args = ["--data", str(data_file), "--seed", str(master), "--attack", "pgd", "--eps", "0.1"]
-        assert main(["train", *args, "--rff-dim", "8", "--epochs", "5", "--out", str(tmp_path / "t")]) == 0
-        model = json.loads((tmp_path / "t" / "model.json").read_text())
-        assert main(["eval", *args, "--model", str(tmp_path / "t" / "model.json"), "--out", str(tmp_path / "e")]) == 0
-        attack = [json.loads((tmp_path / d / "report.json").read_text())["attack"]["seed"] for d in "te"]
-        assert (splits, model["feature_map"]["seed"], attack) == ([seeds[0]], seeds[1], [seeds[2]] * 2)
+        monkeypatch.setattr(advreject.cli, "train_neural", lambda ds, cfg: features.append(cfg.seed) or train(ds, cfg))
+        args = ["--data", str(data_file), "--seed", str(master), "--epochs", "5", "--out", str(tmp_path / "t")]
+        assert main([command, *args, *(["--rff-dim", "8"] if command == "train" else [])]) == 0
+        if command == "train":
+            features.append(json.loads((tmp_path / "t" / "model.json").read_text())["feature_map"]["seed"])
+        assert (splits, features) == ([seeds[0]], [seeds[1]])
+
+    def test_eval_takes_no_seed(self, trained, data_file, tmp_path, capsys):
+        # eval is deterministic, as bound is: no attack draws from a seed
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--data", str(data_file), "--model", str(trained), "--seed", "3", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "error: unrecognized arguments: --seed 3\n" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "grid, message",
@@ -916,11 +925,10 @@ class TestOtherCommands:
         assert capsys.readouterr().err == f"error: dataset {str(labels)!r} has labels but no feature column\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["train", "eval", "bench", "neural-train"])
-    def test_negative_seed(self, command, trained, data_file, tmp_path, capsys):
-        model = ["--model", str(trained)] if command == "eval" else []
+    @pytest.mark.parametrize("command", ["train", "bench", "neural-train"])
+    def test_negative_seed(self, command, data_file, tmp_path, capsys):
         out = tmp_path / "o"
-        assert main([command, "--data", str(data_file), *model, "--seed", "-1", "--out", str(out)]) == 2
+        assert main([command, "--data", str(data_file), "--seed", "-1", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: seed must be >= 0\n"
         assert not out.exists()
 

@@ -19,7 +19,7 @@ from advreject.data import (
 )
 from advreject.losses import SurrogateParams
 from advreject.model import FeatureMap
-from advreject.neural import NeuralTrainConfig
+from advreject.neural import NeuralTrainConfig, ToyNet, adv_risk_01c_net
 from advreject.synth import clinical_surrogate, credit_surrogate
 from advreject.train import TrainConfig
 from oracles import parse_libsvm_reference, to_libsvm_reference
@@ -203,6 +203,24 @@ class TestCsv:
         assert csv_text(("a",), []) == "a\n"
 
 
+class TestDatasetLabels:
+    @pytest.mark.parametrize("y", [[1.5, -1.9], [1.0, -0.5], [np.nan, 1.0], [1.0, -np.inf]])
+    def test_checked_before_the_int_cast(self, y):
+        # the cast would truncate 1.5 to 1 and -1.9 to -1
+        with pytest.raises(ValueError, match=r"^labels must be -1 or \+1$"):
+            Dataset(np.zeros((2, 1)), y)
+
+    @pytest.mark.parametrize("y", [[1.0, -1.0], np.array([1, -1], dtype=np.int8)])
+    def test_whole_labels_of_any_dtype_pass(self, y):
+        ds = Dataset(np.zeros((2, 1)), y)
+        assert ds.y.dtype == np.int64 and ds.y.tolist() == [1, -1]
+
+    def test_adv_risk_01c_net_checks_its_labels(self):
+        net = ToyNet.init(1, (2,), "relu", seed=0)
+        with pytest.raises(ValueError, match=r"^labels must be -1 or \+1$"):
+            adv_risk_01c_net(net, np.zeros((2, 1)), [1.5, -1.9], SurrogateParams(), eps=0.1)
+
+
 class TestNumberFields:
     """Every library config refuses a bool where it takes a number: True
     would pass as 1 and False as 0. numpy's numbers pass."""
@@ -214,7 +232,6 @@ class TestNumberFields:
             (TrainConfig, "eps_train", "float"), (TrainConfig, "lam", "float"), (TrainConfig, "lam_prime", "float"),
             (TrainConfig, "lr0", "float"), (TrainConfig, "epochs", "int"),
             (AttackSpec, "eps", "float"), (AttackSpec, "step_size", "float"), (AttackSpec, "steps", "int"),
-            (AttackSpec, "seed", "int"),
             (BoundConfig, "w_bound", "float"), (BoundConfig, "p", "float"), (BoundConfig, "delta", "float"),
             (BoundConfig, "eps", "float"), (BoundConfig, "mc_draws", "int"),
             (ProtocolConfig, "trials", "int"), (ProtocolConfig, "train_size", "int"), (ProtocolConfig, "rff_dim", "int"),
@@ -232,7 +249,7 @@ class TestNumberFields:
         with pytest.raises(ValueError, match=f"^{field} must be {kind}, got bool$"):
             cls(**{field: value})
 
-    @pytest.mark.parametrize("cls", [AttackSpec, NeuralTrainConfig, ProtocolConfig, FeatureMap])
+    @pytest.mark.parametrize("cls", [NeuralTrainConfig, ProtocolConfig, FeatureMap])
     def test_negative_seeds_are_refused(self, cls):
         # numpy would refuse them later, naming no field
         with pytest.raises(ValueError, match="^seed must be >= 0$"):

@@ -218,6 +218,13 @@ class TestBenchmark:
         features = [models[("mh", 0.2)].feature_map.seed for models, _ in trials]
         assert list(zip(splits, features)) == [(1201125462, 788422957), (1471499523, 941218350)]
 
+    @pytest.mark.parametrize("master", [0, 1, 5, 7, 2718, 2**31 - 1, 2**63])
+    def test_fewer_children_keep_their_seeds(self, master):
+        # a child's seeds do not depend on how many children are spawned, so
+        # the CLI's two run seeds (split, feature) are those of three
+        assert spawn_seeds(master, 2, 1) == spawn_seeds(master, 3, 1)[:2]
+        assert spawn_seeds(master, 2, 2) == spawn_seeds(master, 10, 2)[:2]
+
     def test_csv_and_text(self, rng):
         rows = benchmark(self.make_trials(rng, 2), self.protocol((0.0, 0.01)))
         csv = bench_to_csv(rows)

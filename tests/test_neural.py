@@ -322,10 +322,11 @@ class TestTraining:
 
     @pytest.mark.parametrize("eps", [0.01, 0.2])
     @pytest.mark.parametrize("norm", ["linf", "l2"])
-    def test_pgd_matches_full_length_loop(self, monkeypatch, norm, eps):
+    def test_pgd_runs_every_step_with_the_bytes_of_the_full_loop(self, monkeypatch, norm, eps):
         # the inner max and the two heads adv_risk_01c_net attacks; a relu
         # net's head gradients are piecewise constant, so at eps = 0.01 the
-        # sign steps on -y*f reach a fixed point and stop after 5 steps
+        # sign steps on -y*f reach a fixed point after 5 steps, and each
+        # attack still makes steps + 1 calls
         ds = two_moons(80, seed=5)
         net = ToyNet.init(2, (8,), "relu", seed=2)
         y = ds.y.astype(float)
@@ -343,10 +344,17 @@ class TestTraining:
                 neural._heads_pgd(net, ds.x, spec, lambda f, r, grad: (-r, reject), biases),
             ]
 
-        early = attacks()
+        calls = []
+
+        def counting_pgd(value_grad, x, spec):
+            return pgd(lambda points, grad: calls.append(grad) or value_grad(points, grad), x, spec)
+
+        monkeypatch.setattr(neural, "pgd", counting_pgd)
+        got = attacks()
+        assert calls == ([True] * spec.steps + [False]) * 3
         monkeypatch.setattr(neural, "pgd", pgd_full)
-        for got, full in zip(early, attacks()):
-            assert np.array_equal(got, full)
+        for mine, full in zip(got, attacks()):
+            assert mine.tobytes() == full.tobytes()
 
     def test_adv_risk_includes_clean_point(self, rng):
         ds = two_moons(50, seed=6)
@@ -391,10 +399,6 @@ class TestTraining:
         with pytest.raises(ValueError, match=re.escape(message)):
             NeuralTrainConfig(**kwargs)
         assert NeuralTrainConfig(hidden=(np.int64(3),), epochs=np.int64(2)).hidden == (3,)
-
-    def test_random_start_rejected(self):
-        with pytest.raises(ValueError, match="attack.random_start"):
-            NeuralTrainConfig(attack=AttackSpec(method="pgd", eps=0.1, random_start=True))
 
 
 class TestNetSerialization:
